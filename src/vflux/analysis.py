@@ -14,13 +14,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    DegenerateSteadyStateError,
     DomainError,
     IndeterminateAmplificationError,
     IndeterminateRectificationError,
     UsageError,
+    VfluxError,
 )
-from .model import SystemSpec, build_rates
-from .transport import heat_currents, particle_currents
+from .liouvillian import build_generator_batch
+from .model import RateBatch, SystemSpec, build_rates, spec_arrays
+from .steady import steady_state_batch
+from .transport import heat_currents, heat_currents_batch, particle_currents
 
 #: Denominators at or below this level make the figure of merit undefined.
 RECTIFICATION_FLOOR = 1e-15
@@ -51,6 +55,12 @@ class RectificationResult:
     rj: float
 
 
+def _bias_error(t0: float, deltaT: float) -> UsageError | None:
+    if abs(deltaT) >= 2.0 * t0:
+        return UsageError(f"|deltaT| = {abs(deltaT)} must stay below 2*t0 = {2.0 * t0}")
+    return None
+
+
 def rectification(spec: SystemSpec, t0: float, deltaT: float) -> RectificationResult:
     """Asymmetry of the right-bath current under exchanging the edge temperatures.
 
@@ -63,8 +73,9 @@ def rectification(spec: SystemSpec, t0: float, deltaT: float) -> RectificationRe
         When both configurations carry (numerically) no current, e.g. at
         deltaT = 0.
     """
-    if abs(deltaT) >= 2.0 * t0:
-        raise UsageError(f"|deltaT| = {abs(deltaT)} must stay below 2*t0 = {2.0 * t0}")
+    bias_error = _bias_error(t0, deltaT)
+    if bias_error is not None:
+        raise bias_error
     forward = replace(spec, tempL=t0 + deltaT / 2.0, tempR=t0 - deltaT / 2.0)
     backward = replace(spec, tempL=t0 - deltaT / 2.0, tempR=t0 + deltaT / 2.0)
     j_f = _right_current(forward)
@@ -86,28 +97,76 @@ def max_rectification(
 
     Indeterminate grid points are skipped; ties break toward smaller
     |deltaT| (the grid is scanned in increasing-bias order and only a
-    strictly larger value moves the argmax).
+    strictly larger value moves the argmax).  Evaluated by
+    :func:`max_rectification_batch` with one spec.
 
     Returns
     -------
     (rj_max, deltaT_star)
     """
+    (outcome,) = max_rectification_batch([spec], t0, deltaT_grid)
+    if isinstance(outcome, VfluxError):
+        raise outcome
+    return outcome
+
+
+def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = None) -> list:
+    """:func:`max_rectification` of each spec over one bias grid, as one batch.
+
+    The forward and backward configurations of every spec and bias form
+    one stack of generators with one eigendecomposition; currents and
+    factors are array expressions in the order of :func:`rectification`.
+    Returns one ``(rj_max, deltaT_star)`` per spec, or the
+    :class:`VfluxError` that scanning the grid with :func:`rectification`
+    raises first for it.
+    """
     grid = default_deltaT_grid(t0) if deltaT_grid is None else np.asarray(deltaT_grid)
-    order = np.argsort(np.abs(grid), kind="stable")
-    best_rj = -1.0
-    best_dt = None
-    for idx in order:
-        dt = float(grid[idx])
-        try:
-            result = rectification(spec, t0, dt)
-        except IndeterminateRectificationError:
-            continue
-        if result.rj > best_rj:
-            best_rj = result.rj
-            best_dt = dt
-    if best_dt is None:
-        raise IndeterminateRectificationError("every grid point was indeterminate")
-    return best_rj, best_dt
+    scan = [float(grid[idx]) for idx in np.argsort(np.abs(grid), kind="stable")]
+    # rectification rejects a bias of at least 2*t0, and the scan stops at
+    # the first one
+    stop = next((pos for pos, dt in enumerate(scan) if _bias_error(t0, dt)), len(scan))
+    fallback = (_bias_error(t0, scan[stop]) if stop < len(scan)
+                else IndeterminateRectificationError("every grid point was indeterminate"))
+    biases = np.array(scan[:stop])
+    outcomes: dict[int, object] = {}
+    valid = []
+    if stop:
+        # every bias the scan reaches leaves both temperatures positive, so
+        # the first forward configuration is valid exactly when all are
+        for pos, spec in enumerate(specs):
+            try:
+                replace(spec, tempL=t0 + scan[0] / 2.0, tempR=t0 - scan[0] / 2.0).require_valid()
+            except DomainError as exc:
+                outcomes[pos] = exc
+            else:
+                valid.append(pos)
+    if valid:
+        # rows ordered (spec, bias, forward/backward), the order of the scan
+        params = {name: np.repeat(values, 2 * stop)
+                  for name, values in spec_arrays([specs[pos] for pos in valid]).items()}
+        hot, cold = t0 + biases / 2.0, t0 - biases / 2.0
+        params["tempL"] = np.tile(np.stack([hot, cold], axis=1).ravel(), len(valid))
+        params["tempR"] = np.tile(np.stack([cold, hot], axis=1).ravel(), len(valid))
+        rates = RateBatch(params)
+        states = steady_state_batch(build_generator_batch(rates))
+        j = heat_currents_batch(rates, states.vectors)[1].reshape(len(valid), stop, 2)
+        j_f, j_b = j[:, :, 0], j[:, :, 1]
+        den = np.maximum(j_f, -j_b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rj = np.abs(j_f + j_b) / den
+        # an indeterminate point (or a NaN factor) never moves the argmax
+        score = np.where((den > RECTIFICATION_FLOOR) & ~np.isnan(rj), rj, -np.inf)
+        for row in sorted(states.errors):
+            pos = valid[row // (2 * stop)]
+            outcomes.setdefault(pos, DegenerateSteadyStateError(states.errors[row]))
+        # np.argmax takes the first maximum in scan order: only a strictly
+        # larger factor moves it.  A scan cut short by a bias error
+        # returns no maximum.
+        for n, pos in enumerate(valid):
+            best = int(np.argmax(score[n]))
+            if stop == len(scan) and pos not in outcomes and score[n, best] > -np.inf:
+                outcomes[pos] = (float(rj[n, best]), scan[best])
+    return [outcomes.get(pos, fallback) for pos in range(len(specs))]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,7 @@
 
 Subcommands: steady, currents, cumulants, rectify, amplify, sweep and
 reproduce <target>.  Each accepts --config <path> (YAML, see docs/config.md)
-and --out <path>; without --out the rendered table goes to stdout.  Grid
-points may be evaluated by a thread pool capped by the environment variable
-VFLUX_THREADS (default 1); output row order is independent of the pool size.
+and --out <path>; without --out the rendered table goes to stdout.
 """
 
 from __future__ import annotations

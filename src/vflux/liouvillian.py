@@ -24,6 +24,7 @@ from .model import (
     ENERGY,
     CountingFields,
     DressedRateSet,
+    RateBatch,
     RateSet,
     SystemSpec,
     build_rates,
@@ -96,6 +97,42 @@ def _fill_block(rates: RateSet, sandwich: RateSet | DressedRateSet) -> np.ndarra
     m[3, 2] = m[4, 2] = 0.5 * (sp(1, 2, 1) + sp(1, 2, 2))
     m[3, 3] = -1j * delta - damping
     m[4, 4] = +1j * delta - damping
+    return m
+
+
+def build_generator_batch(rates: RateBatch) -> np.ndarray:
+    """Bare generators of N parameter points as one ``(N, 5, 5)`` array.
+
+    Writes each entry with the operations of :func:`_fill_block`, in its
+    order, so generator ``n`` equals ``build_generator`` of point ``n``
+    bit for bit.
+    """
+    gm = rates.gamma_minus
+    gp = rates.gamma_plus
+    gMp, gMm = rates.gain_M, rates.loss_M
+    delta = rates.delta
+
+    m = np.zeros((len(delta), 5, 5), dtype=complex)
+    # populations
+    m[:, 0, 0] = -(gm(1, 1, 1) + gMm)
+    m[:, 0, 1] = gMp
+    m[:, 0, 2] = gp(1, 1, 1)
+    m[:, 0, 3] = m[:, 0, 4] = -0.5 * gm(1, 2, 2)
+    m[:, 1, 0] = gMm
+    m[:, 1, 1] = -(gm(2, 2, 2) + gMp)
+    m[:, 1, 2] = gp(2, 2, 2)
+    m[:, 1, 3] = m[:, 1, 4] = -0.5 * gm(1, 2, 1)
+    m[:, 2, 0] = gm(1, 1, 1)
+    m[:, 2, 1] = gm(2, 2, 2)
+    m[:, 2, 2] = -(gp(1, 1, 1) + gp(2, 2, 2))
+    m[:, 2, 3] = m[:, 2, 4] = 0.5 * (gm(1, 2, 1) + gm(1, 2, 2))
+    # coherences
+    damping = 0.5 * (gm(1, 1, 1) + gm(2, 2, 2)) + 0.5 * (gMp + gMm)
+    m[:, 3, 0] = m[:, 4, 0] = -0.5 * gm(1, 2, 1)
+    m[:, 3, 1] = m[:, 4, 1] = -0.5 * gm(1, 2, 2)
+    m[:, 3, 2] = m[:, 4, 2] = 0.5 * (gp(1, 2, 1) + gp(1, 2, 2))
+    m[:, 3, 3] = -1j * delta - damping
+    m[:, 4, 4] = +1j * delta - damping
     return m
 
 

@@ -94,7 +94,9 @@ class SystemSpec:
 
     def content_hash(self) -> str:
         """Short stable hash of the resolved parameter set."""
-        text = "|".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        # repr of the float value, so specs that compare equal (1, 1.0,
+        # np.float64(1.0)) hash equal
+        text = "|".join(f"{f.name}={float(getattr(self, f.name))!r}" for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -133,13 +135,6 @@ def validate(spec: SystemSpec) -> list[str]:
             f"middle-bath gap: eps1 - eps2 = {spec.delta} must be >= {GAP_MIN} when gM > 0"
         )
     return v
-
-
-def interference_bound(spec: SystemSpec, side: str) -> float:
-    """Upper bound sqrt(g11*g22) for the cross coefficient of one bath."""
-    g11 = getattr(spec, f"g{side}11")
-    g22 = getattr(spec, f"g{side}22")
-    return math.sqrt(g11 * g22)
 
 
 @dataclass(frozen=True)
@@ -252,6 +247,77 @@ def _rate_table(coef, occ, offset: float):
 def build_rates(spec: SystemSpec) -> RateSet:
     """Evaluate all bare transition rates for a validated spec."""
     return RateSet(spec)
+
+
+def spec_arrays(specs) -> dict[str, np.ndarray]:
+    """Fields of ``specs`` as one float array per SystemSpec field name."""
+    return {f.name: np.array([getattr(s, f.name) for s in specs], dtype=float)
+            for f in fields(SystemSpec)}
+
+
+def _occupations(omega: np.ndarray, temp: np.ndarray, needed: np.ndarray) -> np.ndarray:
+    """:func:`bose_occupation` of each (omega, temp) pair where ``needed``, else 0.0.
+
+    Evaluated once per unique pair with ``math.expm1``: ``np.expm1``
+    differs from it in the last ulp for some inputs.
+    """
+    out = np.zeros(omega.shape)
+    # each pair viewed as one complex number (real omega, imaginary temp),
+    # which np.unique sorts far faster than rows
+    keys = np.stack([omega[needed], temp[needed]], axis=-1).view(complex).ravel()
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    values = np.array([bose_occupation(z.real, z.imag) for z in pairs.tolist()], dtype=float)
+    out[needed] = values[inverse]
+    return out
+
+
+class RateBatch:
+    """The bare rates of N valid parameter points as float arrays.
+
+    The batched counterpart of :class:`RateSet`, with the same table layout:
+    ``gainL[i][j][k]`` and the other tables are arrays of length N (shape
+    ``(2, 2, 2, N)``), and each entry equals the :class:`RateSet` value of
+    its point bit for bit, because it is computed by the same float
+    operations in the same order.  ``params`` maps every SystemSpec field
+    to an array of length N (see :func:`spec_arrays`); the points are not
+    validated here.
+    """
+
+    __slots__ = ("eps1", "eps2", "delta", "gainL", "gainR", "lossL", "lossR",
+                 "gain_M", "loss_M")
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.eps1, self.eps2 = params["eps1"], params["eps2"]
+        self.delta = self.eps1 - self.eps2
+        omega = np.stack([self.eps1, self.eps2])
+        needed = np.stack([np.ones(len(self.eps1), dtype=bool), self.eps2 > 0.0])
+        for side in BATHS:
+            temp = np.broadcast_to(params[f"temp{side}"], omega.shape)
+            occ = _occupations(omega, temp, needed)
+            coef = (params[f"g{side}11"], params[f"g{side}12"], params[f"g{side}22"])
+            setattr(self, f"gain{side}", _rate_batch(coef, occ, 0.0))
+            setattr(self, f"loss{side}", _rate_batch(coef, occ, 1.0))
+        coupled = params["gM"] > 0.0
+        occ_m = _occupations(self.delta, params["tempM"], coupled)
+        self.gain_M = np.where(coupled, params["gM"] * occ_m, 0.0)
+        self.loss_M = np.where(coupled, params["gM"] * (1.0 + occ_m), 0.0)
+
+    def gamma_plus(self, i: int, j: int, k: int) -> np.ndarray:
+        """Total gain rates for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
+        return self.gainL[i - 1][j - 1][k - 1] + self.gainR[i - 1][j - 1][k - 1]
+
+    def gamma_minus(self, i: int, j: int, k: int) -> np.ndarray:
+        """Total loss rates for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
+        return self.lossL[i - 1][j - 1][k - 1] + self.lossR[i - 1][j - 1][k - 1]
+
+
+def _rate_batch(coef, occ, offset: float) -> np.ndarray:
+    # the operations of _rate_table, on arrays
+    n0 = offset + occ[0]
+    n1 = offset + occ[1]
+    c00, c01, c11 = coef
+    cross = (c01 * n0, c01 * n1)
+    return np.array((((c00 * n0, c00 * n1), cross), (cross, (c11 * n0, c11 * n1))))
 
 
 class DressedRateSet:

@@ -13,8 +13,6 @@ that row's ``error`` column and the run continues.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from .analysis import (
     default_deltaT_grid,
     default_tM_grid,
     max_amplification,
-    max_rectification,
+    max_rectification_batch,
     rectification,
 )
 from .config import ScenarioConfig, interference_bound_of
@@ -39,23 +37,9 @@ from .steady import (
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, heat_currents
+from .transport import CurrentReport, current_reports_batch, heat_currents
 
 SPEC_COLUMNS = tuple(f.name for f in fields(SystemSpec))
-
-THREADS_ENV = "VFLUX_THREADS"
-
-
-def _pool_map(fn, items):
-    try:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    except ValueError:
-        threads = 1
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _spec_cells(spec: SystemSpec) -> dict:
@@ -65,11 +49,51 @@ def _spec_cells(spec: SystemSpec) -> dict:
     return cells
 
 
+def _error_cells(exc: VfluxError) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _guarded(fn, point):
     try:
         return fn(point)
     except VfluxError as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return _error_cells(exc)
+
+
+def _batched_rows(items, batch: int, evaluate) -> list[dict]:
+    """Rows of ``(spec, cells)`` items, evaluated ``batch`` specs at a time.
+
+    ``evaluate`` maps a list of specs to one dict of result cells or one
+    :class:`VfluxError` per spec; an error fills that row's ``error`` cell.
+    A batch is one grid row, so memory does not grow with the grid.
+    """
+    rows = []
+    for start in range(0, len(items), batch):
+        chunk = items[start:start + batch]
+        for (spec, cells), out in zip(chunk, evaluate([spec for spec, _ in chunk])):
+            row = _spec_cells(spec)
+            row.update(cells)
+            row.update(_error_cells(out) if isinstance(out, VfluxError) else out)
+            rows.append(row)
+    return rows
+
+
+def _state_cells(ss) -> dict:
+    return {
+        "rho11": ss.rho11, "rho22": ss.rho22, "rhogg": ss.rhogg,
+        "abs_rho12": ss.coherence_magnitude,
+        "re_rho12": ss.rho12.real, "im_rho12": ss.rho12.imag,
+        "residual": ss.residual,
+    }
+
+
+def _steady_evaluator(include_noise: bool):
+    """Evaluator of steady-state and current cells (see _batched_rows)."""
+    def evaluate(specs):
+        return [out if isinstance(out, VfluxError)
+                else {**_state_cells(out[0]), **_current_cells(out[1])}
+                for out in current_reports_batch(specs, include_noise)]
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +206,7 @@ def _rectify_rows(config: ScenarioConfig):
         }, delta_t))
         return row
 
-    return columns, _pool_map(one, [float(dt) for dt in grid])
+    return columns, [one(float(dt)) for dt in grid]
 
 
 def _amplify_rows(config: ScenarioConfig):
@@ -216,7 +240,7 @@ def _amplify_rows(config: ScenarioConfig):
         }, tm))
         return row
 
-    return columns, _pool_map(one, [float(tm) for tm in grid])
+    return columns, [one(float(tm)) for tm in grid]
 
 
 def _sweep_rows(config: ScenarioConfig):
@@ -229,57 +253,29 @@ def _sweep_rows(config: ScenarioConfig):
         points = [(a, b) for a in values[0] for b in values[1]]
     columns = ("spec_hash", *SPEC_COLUMNS, "rho11", "rho22", "rhogg",
                "re_rho12", "im_rho12", "residual", *_CURRENT_COLUMNS, "error")
-
-    def one(point) -> dict:
-        overrides = {axis.field: float(v) for axis, v in zip(axes, point)}
-        local = replace(config.spec, **overrides)
-        row = _spec_cells(local)
-
-        def compute(_):
-            ss = steady_state(build_generator(local))
-            cells = {
-                "rho11": ss.rho11, "rho22": ss.rho22, "rhogg": ss.rhogg,
-                "re_rho12": ss.rho12.real, "im_rho12": ss.rho12.imag,
-                "residual": ss.residual,
-            }
-            cells.update(_current_cells(CurrentReport.from_spec(local, state=ss)))
-            return cells
-
-        row.update(_guarded(compute, None))
-        return row
-
-    return columns, _pool_map(one, points)
+    items = [(replace(config.spec, **{axis.field: float(v) for axis, v in zip(axes, point)}), {})
+             for point in points]
+    return columns, _batched_rows(items, len(values[-1]), _steady_evaluator(include_noise=True))
 
 
 # ---------------------------------------------------------------------------
 # Reproduction targets.
 
-def _coupling_grid(spec: SystemSpec, points: int):
+def _coupling_specs(spec: SystemSpec, points: int) -> list[SystemSpec]:
+    """(gL12, gR12) grid from zero to each bath's interference bound, gL12 outer."""
     bound_l = interference_bound_of({"gL11": spec.gL11, "gL22": spec.gL22}, "L")
     bound_r = interference_bound_of({"gR11": spec.gR11, "gR22": spec.gR22}, "R")
-    return np.linspace(0.0, bound_l, points), np.linspace(0.0, bound_r, points)
+    return [replace(spec, gL12=float(gl), gR12=float(gr))
+            for gl in np.linspace(0.0, bound_l, points)
+            for gr in np.linspace(0.0, bound_r, points)]
 
 
 def _fig2a_rows(config: ScenarioConfig):
     spec = config.spec
-    grid_l, grid_r = _coupling_grid(spec, 41)
     columns = ("spec_hash", *SPEC_COLUMNS, "abs_rho12", "re_rho12", "im_rho12",
                "residual", "error")
-
-    def one(point) -> dict:
-        gl, gr = point
-        local = replace(spec, gL12=float(gl), gR12=float(gr))
-        row = _spec_cells(local)
-        row.update(_guarded(lambda _: {
-            "abs_rho12": (ss := steady_state(build_generator(local))).coherence_magnitude,
-            "re_rho12": ss.rho12.real,
-            "im_rho12": ss.rho12.imag,
-            "residual": ss.residual,
-        }, None))
-        return row
-
-    points = [(gl, gr) for gl in grid_l for gr in grid_r]
-    return columns, _pool_map(one, points)
+    items = [(local, {}) for local in _coupling_specs(spec, 41)]
+    return columns, _batched_rows(items, 41, _steady_evaluator(include_noise=False))
 
 
 def _fig2b_rows(config: ScenarioConfig):
@@ -288,72 +284,46 @@ def _fig2b_rows(config: ScenarioConfig):
     deltas = np.linspace(0.0, 1.5, 31)
     columns = ("spec_hash", *SPEC_COLUMNS, "deltaT", "abs_rho12", "re_rho12",
                "im_rho12", "residual", "error")
+    items = [(replace(spec, tempR=float(tr), tempL=float(tr + dt)), {"deltaT": float(dt)})
+             for tr in temps_r for dt in deltas]
+    return columns, _batched_rows(items, len(deltas), _steady_evaluator(include_noise=False))
 
-    def one(point) -> dict:
-        tr, dt = point
-        local = replace(spec, tempR=float(tr), tempL=float(tr + dt))
+
+def _fig21a_rows(config: ScenarioConfig):
+    spec = config.spec
+    columns = ("spec_hash", *SPEC_COLUMNS, *_CURRENT_COLUMNS, "error")
+    items = [(local, {}) for local in _coupling_specs(spec, 41)]
+    return columns, _batched_rows(items, 41, _steady_evaluator(include_noise=False))
+
+
+def _fig21b_rows(config: ScenarioConfig):
+    spec = config.spec
+    columns = ("spec_hash", *SPEC_COLUMNS, "SeRR", "SeRR_fd", "error")
+
+    def one(local: SystemSpec) -> dict:
         row = _spec_cells(local)
-        row["deltaT"] = float(dt)
         row.update(_guarded(lambda _: {
-            "abs_rho12": (ss := steady_state(build_generator(local))).coherence_magnitude,
-            "re_rho12": ss.rho12.real,
-            "im_rho12": ss.rho12.imag,
-            "residual": ss.residual,
+            "SeRR": cumulants_perturbative(local, "R", ENERGY, 2).noise_power,
+            "SeRR_fd": cumulants_finite_difference(local, "R", ENERGY, 2).noise_power,
         }, None))
         return row
 
-    points = [(tr, dt) for tr in temps_r for dt in deltas]
-    return columns, _pool_map(one, points)
-
-
-def _fig21_rows(config: ScenarioConfig, with_noise: bool):
-    spec = config.spec
-    grid_l, grid_r = _coupling_grid(spec, 41)
-    if with_noise:
-        columns = ("spec_hash", *SPEC_COLUMNS, "SeRR", "SeRR_fd", "error")
-    else:
-        columns = ("spec_hash", *SPEC_COLUMNS, *_CURRENT_COLUMNS, "error")
-
-    def one(point) -> dict:
-        gl, gr = point
-        local = replace(spec, gL12=float(gl), gR12=float(gr))
-        row = _spec_cells(local)
-        if with_noise:
-            row.update(_guarded(lambda _: {
-                "SeRR": cumulants_perturbative(local, "R", ENERGY, 2).noise_power,
-                "SeRR_fd": cumulants_finite_difference(local, "R", ENERGY, 2).noise_power,
-            }, None))
-        else:
-            row.update(_guarded(
-                lambda _: _current_cells(CurrentReport.from_spec(local, include_noise=False)),
-                None,
-            ))
-        return row
-
-    points = [(gl, gr) for gl in grid_l for gr in grid_r]
-    return columns, _pool_map(one, points)
+    return columns, [one(local) for local in _coupling_specs(spec, 41)]
 
 
 def _fig3_rows(config: ScenarioConfig):
     spec = config.spec
     t0 = float(config.option("rectify.t0", 1.0))
-    grid_l, grid_r = _coupling_grid(spec, 51)
     delta_grid = default_deltaT_grid(t0)
     columns = ("spec_hash", *SPEC_COLUMNS, "t0", "rj_max", "deltaT_star", "error")
 
-    def one(point) -> dict:
-        gl, gr = point
-        local = replace(spec, gL12=float(gl), gR12=float(gr))
-        row = _spec_cells(local)
-        row["t0"] = t0
-        row.update(_guarded(lambda _: {
-            "rj_max": (res := max_rectification(local, t0, delta_grid))[0],
-            "deltaT_star": res[1],
-        }, None))
-        return row
+    def evaluate(specs):
+        return [out if isinstance(out, VfluxError)
+                else {"rj_max": out[0], "deltaT_star": out[1]}
+                for out in max_rectification_batch(specs, t0, delta_grid)]
 
-    points = [(gl, gr) for gl in grid_l for gr in grid_r]
-    return columns, _pool_map(one, points)
+    items = [(local, {"t0": t0}) for local in _coupling_specs(spec, 51)]
+    return columns, _batched_rows(items, 51, evaluate)
 
 
 def _fig4b_rows(config: ScenarioConfig):
@@ -371,7 +341,7 @@ def _fig4b_rows(config: ScenarioConfig):
         }, None))
         return row
 
-    return columns, _pool_map(one, [float(tm) for tm in temps_m])
+    return columns, [one(float(tm)) for tm in temps_m]
 
 
 def _fig5a_rows(config: ScenarioConfig):
@@ -389,7 +359,7 @@ def _fig5a_rows(config: ScenarioConfig):
         }, None))
         return row
 
-    return columns, _pool_map(one, [float(g) for g in gammas])
+    return columns, [one(float(g)) for g in gammas]
 
 
 def _fig5b_rows(config: ScenarioConfig):
@@ -407,14 +377,14 @@ def _fig5b_rows(config: ScenarioConfig):
         }, None))
         return row
 
-    return columns, _pool_map(one, [float(tm) for tm in temps_m])
+    return columns, [one(float(tm)) for tm in temps_m]
 
 
 _REPRODUCE = {
     "fig2a": _fig2a_rows,
     "fig2b": _fig2b_rows,
-    "fig21a": lambda c: _fig21_rows(c, with_noise=False),
-    "fig21b": lambda c: _fig21_rows(c, with_noise=True),
+    "fig21a": _fig21a_rows,
+    "fig21b": _fig21b_rows,
     "fig3": _fig3_rows,
     "fig4b": _fig4b_rows,
     "fig5a": _fig5a_rows,

@@ -112,6 +112,61 @@ def steady_state(gen: Generator) -> SteadyState:
     return _finalize(eigvecs[:, k], m, NULLSPACE)
 
 
+@dataclass(frozen=True)
+class SteadyStateBatch:
+    """Steady states of N bare generators, from one stacked eigendecomposition.
+
+    Row ``n`` of ``vectors``, ``residuals`` and ``positivity_warnings``
+    equals the :class:`SteadyState` that :func:`steady_state` returns for
+    generator ``n``, bit for bit.  ``errors`` maps the index of each
+    generator without a unique steady state to the
+    :class:`DegenerateSteadyStateError` text :func:`steady_state` raises for
+    it; those rows hold no state.
+    """
+
+    vectors: np.ndarray
+    residuals: np.ndarray
+    positivity_warnings: np.ndarray
+    errors: dict[int, str]
+
+    def state(self, n: int) -> SteadyState:
+        """Row ``n`` as a :class:`SteadyState`; raises its error if it has one."""
+        if n in self.errors:
+            raise DegenerateSteadyStateError(self.errors[n])
+        return SteadyState(self.vectors[n], float(self.residuals[n]), NULLSPACE,
+                           bool(self.positivity_warnings[n]))
+
+
+def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
+    """Kernel vectors of a stack of bare generators, shape ``(N, 5, 5)``.
+
+    Applies the tests of :func:`steady_state` to each matrix (isolation
+    ratio with its spectral floor, zero trace, positivity) and forms the
+    residuals with stacked ``np.matmul``, which matches the per-matrix
+    product bit for bit where ``np.einsum`` does not.
+    """
+    eigvals, eigvecs = np.linalg.eig(matrices)
+    re_sorted = np.sort(np.abs(eigvals.real), axis=-1)
+    smallest, second = re_sorted[:, 0], re_sorted[:, 1]
+    floor = 1e-12 * np.abs(eigvals).max(axis=-1)
+    isolated = ~(second <= np.maximum(DEGENERACY_RATIO * smallest, floor))
+    k = np.argmin(np.abs(eigvals), axis=-1)
+    vectors = eigvecs[np.arange(len(k)), :, k]
+    trace = vectors[:, 0] + vectors[:, 1] + vectors[:, 2]
+    usable = isolated & ~(np.abs(trace) < 1e-300)
+    vectors = vectors / np.where(usable, trace, 1.0)[:, None]
+    residuals = np.abs(np.matmul(matrices, vectors[:, :, None])[:, :, 0]).max(axis=-1)
+    positivity = vectors[:, :3].real.min(axis=-1) < POSITIVITY_TOL
+    errors = {}
+    for n in np.flatnonzero(~usable).tolist():
+        if isolated[n]:
+            errors[n] = "steady-state candidate has zero trace"
+        else:
+            errors[n] = (f"kernel not isolated: |Re| eigenvalues {smallest[n]:.3e} "
+                         f"and {second[n]:.3e}")
+    return SteadyStateBatch(vectors, residuals, positivity, errors)
+
+
 def steady_state_resonant_two_bath(spec: SystemSpec) -> SteadyState:
     """Closed-form steady state at resonance with the middle bath off.
 

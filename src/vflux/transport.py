@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DomainError, UsageError, VfluxError
 from .fcs import cumulants_finite_difference, cumulants_perturbative
-from .liouvillian import build_generator
-from .model import ENERGY, SystemSpec, bose_occupation, build_rates
-from .steady import SteadyState, steady_state
+from .liouvillian import build_generator, build_generator_batch
+from .model import ENERGY, RateBatch, SystemSpec, bose_occupation, build_rates, spec_arrays
+from .steady import SteadyState, steady_state, steady_state_batch
 
 #: Conservation residuals above this level flag the report.
 CONSERVATION_TOL = 1e-10
@@ -77,6 +77,40 @@ def particle_currents(
             j += 0.5 * loss[0][1][k] * csum
         out.append(j)
     jp_m = r.loss_M * v[0].real - r.gain_M * v[1].real
+    return out[0], out[1], jp_m
+
+
+def heat_currents_batch(rates: RateBatch, vectors: np.ndarray):
+    """:func:`heat_currents` of N points as arrays, in the scalar operation order.
+
+    ``vectors`` holds one steady state per row, shape ``(N, 5)``.
+    """
+    v = vectors.T
+    csum = (v[3] + v[4]).real
+    eps = (rates.eps1, rates.eps2)
+    out = []
+    for gain, loss in ((rates.gainL, rates.lossL), (rates.gainR, rates.lossR)):
+        j = 0.0
+        for k in range(2):
+            j += eps[k] * (loss[k][k][k] * v[k].real - gain[k][k][k] * v[2].real)
+            j += 0.5 * eps[k] * loss[0][1][k] * csum
+        out.append(j)
+    je_m = rates.delta * (rates.loss_M * v[0].real - rates.gain_M * v[1].real)
+    return out[0], out[1], je_m
+
+
+def particle_currents_batch(rates: RateBatch, vectors: np.ndarray):
+    """:func:`particle_currents` of N points as arrays, in the scalar operation order."""
+    v = vectors.T
+    csum = (v[3] + v[4]).real
+    out = []
+    for gain, loss in ((rates.gainL, rates.lossL), (rates.gainR, rates.lossR)):
+        j = 0.0
+        for k in range(2):
+            j += loss[k][k][k] * v[k].real - gain[k][k][k] * v[2].real
+            j += 0.5 * loss[0][1][k] * csum
+        out.append(j)
+    jp_m = rates.loss_M * v[0].real - rates.gain_M * v[1].real
     return out[0], out[1], jp_m
 
 
@@ -207,12 +241,62 @@ class CurrentReport:
         )
         res_e = abs(je[0] + je[1] + je[2])
         res_p = abs(jp[0] + jp[1])
-        warn = []
-        if res_e > CONSERVATION_TOL:
-            warn.append("energy-conservation")
-        if res_p > CONSERVATION_TOL:
-            warn.append("particle-conservation")
-        if ss.positivity_warning:
-            warn.append("positivity")
         return cls(je[0], je[1], je[2], jp[0], jp[1], jp[2], se_rr,
-                   res_e, res_p, tuple(warn))
+                   res_e, res_p, _report_warnings(res_e, res_p, ss.positivity_warning))
+
+
+def _report_warnings(res_e, res_p, positivity: bool) -> tuple[str, ...]:
+    warn = []
+    if res_e > CONSERVATION_TOL:
+        warn.append("energy-conservation")
+    if res_p > CONSERVATION_TOL:
+        warn.append("particle-conservation")
+    if positivity:
+        warn.append("positivity")
+    return tuple(warn)
+
+
+def current_reports_batch(specs, include_noise: bool = True) -> list:
+    """Steady state and :class:`CurrentReport` of each spec, from one batch.
+
+    Returns one ``(SteadyState, CurrentReport)`` per spec, equal bit for bit
+    to ``steady_state(build_generator(spec))`` and
+    ``CurrentReport.from_spec(spec, state, include_noise)``, or the
+    :class:`VfluxError` that route raises for that spec.  The rates,
+    generators, kernels and currents of the valid specs are evaluated as
+    arrays with one stacked eigendecomposition; only the noise power is
+    computed per spec.
+    """
+    outcomes: list = [None] * len(specs)
+    valid = []
+    for pos, spec in enumerate(specs):
+        try:
+            spec.require_valid()
+        except DomainError as exc:
+            outcomes[pos] = exc
+        else:
+            valid.append(pos)
+    if not valid:
+        return outcomes
+    rates = RateBatch(spec_arrays([specs[pos] for pos in valid]))
+    states = steady_state_batch(build_generator_batch(rates))
+    je = heat_currents_batch(rates, states.vectors)
+    jp = particle_currents_batch(rates, states.vectors)
+    res_e = np.abs(je[0] + je[1] + je[2])
+    res_p = np.abs(jp[0] + jp[1])
+    for n, pos in enumerate(valid):
+        try:
+            ss = states.state(n)
+            se_rr = (
+                cumulants_perturbative(specs[pos], "R", ENERGY, order=2).noise_power
+                if include_noise
+                else float("nan")
+            )
+        except VfluxError as exc:
+            outcomes[pos] = exc
+            continue
+        report = CurrentReport(je[0][n], je[1][n], je[2][n], jp[0][n], jp[1][n], jp[2][n],
+                               se_rr, res_e[n], res_p[n],
+                               _report_warnings(res_e[n], res_p[n], ss.positivity_warning))
+        outcomes[pos] = (ss, report)
+    return outcomes

@@ -1,0 +1,186 @@
+"""The batched grid engine against the scalar reference route, bit for bit.
+
+Random valid specs come from three regimes: resonant two-bath with
+interference, detuned three-bath, and within 1e-3 (relative) of the dark
+corner where both cross couplings reach their bound.  Every number the
+batched route produces must carry the same bits as the scalar route, and
+every error the same text.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vflux.analysis import max_rectification_batch, rectification
+from vflux.config import build_config
+from vflux.errors import (
+    DegenerateSteadyStateError,
+    DomainError,
+    IndeterminateRectificationError,
+    VfluxError,
+)
+from vflux.liouvillian import build_generator, build_generator_batch
+from vflux.model import RateBatch, SystemSpec, spec_arrays
+from vflux.runner import SPEC_COLUMNS, compute_rows
+from vflux.steady import steady_state, steady_state_batch
+from vflux.transport import (
+    CurrentReport,
+    current_reports_batch,
+    heat_currents,
+    heat_currents_batch,
+    particle_currents,
+    particle_currents_batch,
+)
+
+PROPERTY = settings(database=None, deadline=None, max_examples=60)
+
+RESONANT, DETUNED, DARK_CORNER = "resonant", "detuned", "dark-corner"
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def specs(draw, regime=None):
+    regime = draw(st.sampled_from((RESONANT, DETUNED, DARK_CORNER))) if regime is None else regime
+    temp_l = draw(floats(1.0, 3.0))
+    temp_r = draw(floats(0.3, temp_l - 0.3))
+    temp_m = draw(floats(0.3, 3.0))
+    gl11, gl22, gr11, gr22 = (draw(floats(0.002, 0.02)) for _ in range(4))
+    if regime == DETUNED:
+        eps1 = draw(floats(1.0, 2.0))
+        eps2 = draw(floats(0.3, eps1 - 0.05))
+        g_m = draw(floats(0.002, 0.02))
+        shrink = (draw(floats(0.0, 0.95)), draw(floats(0.0, 0.95)))
+    else:
+        eps1 = eps2 = draw(floats(0.5, 2.0))
+        g_m = 0.0
+        if regime == RESONANT:
+            shrink = (draw(floats(0.0, 0.95)), draw(floats(0.0, 0.95)))
+        else:
+            shrink = (1.0 - draw(floats(1e-4, 1e-3)), 1.0 - draw(floats(1e-4, 1e-3)))
+    return SystemSpec(eps1, eps2, temp_l, temp_m, temp_r,
+                      gl11, gl22, shrink[0] * math.sqrt(gl11 * gl22),
+                      gr11, gr22, shrink[1] * math.sqrt(gr11 * gr22), g_m)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def scalar_scan(spec, t0, grid):
+    """max_rectification as a loop over the scalar rectification."""
+    best_rj, best_dt = -1.0, None
+    for dt in sorted((float(x) for x in grid), key=abs):
+        try:
+            result = rectification(spec, t0, dt)
+        except IndeterminateRectificationError:
+            continue
+        if result.rj > best_rj:
+            best_rj, best_dt = result.rj, dt
+    if best_dt is None:
+        raise IndeterminateRectificationError("every grid point was indeterminate")
+    return best_rj, best_dt
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=1, max_size=6))
+def test_kernel_and_currents_match_scalar_bitwise(batch):
+    rates = RateBatch(spec_arrays(batch))
+    matrices = build_generator_batch(rates)
+    states = steady_state_batch(matrices)
+    je = heat_currents_batch(rates, states.vectors)
+    jp = particle_currents_batch(rates, states.vectors)
+    assert not states.errors
+    for n, spec in enumerate(batch):
+        gen = build_generator(spec)
+        ss = steady_state(gen)
+        assert same_bits(matrices[n], gen.matrix)
+        assert same_bits(states.vectors[n], ss.vector)
+        assert same_bits(states.residuals[n], ss.residual)
+        assert bool(states.positivity_warnings[n]) == ss.positivity_warning
+        assert all(same_bits(a[n], b) for a, b in zip(je, heat_currents(spec, ss)))
+        assert all(same_bits(a[n], b) for a, b in zip(jp, particle_currents(spec, ss)))
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=1, max_size=4), st.booleans())
+def test_current_reports_match_from_spec(batch, include_noise):
+    for spec, (ss, report) in zip(batch, current_reports_batch(batch, include_noise)):
+        assert same_bits(ss.vector, steady_state(build_generator(spec)).vector)
+        expected = CurrentReport.from_spec(spec, include_noise=include_noise)
+        assert report.warnings == expected.warnings
+        assert all(same_bits(getattr(report, f.name), getattr(expected, f.name))
+                   for f in fields(CurrentReport) if f.name != "warnings")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except VfluxError as exc:
+        return exc
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=1, max_size=3), floats(0.5, 2.0),
+       st.permutations((0.3, 0.8, 1.4, 1.9, 2.0)), st.booleans())
+def test_rectification_factor_matches_scalar_bitwise(batch, t0, fractions, over_bias):
+    # in any grid order; a bias of 2*t0 makes the scan end in a UsageError
+    grid = np.array([f * t0 for f in fractions if over_bias or f < 2.0])
+    for spec, out in zip(batch, max_rectification_batch(batch, t0, grid)):
+        expected = outcome(scalar_scan, spec, t0, grid)
+        if isinstance(expected, VfluxError):
+            assert type(out) is type(expected) and str(out) == str(expected)
+        else:
+            assert same_bits(out[0], expected[0]) and out[1] == expected[1]
+
+
+@PROPERTY
+@given(floats(0.5, 2.0), floats(1.0, 3.0), floats(0.3, 0.7), floats(0.002, 0.02))
+def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
+    # both cross couplings on the bound (1, 1)*bound, equal diagonal couplings
+    corner = SystemSpec(eps, eps, temp_l, 1.0, frac * temp_l, g, g, g, g, g, g, 0.0)
+    with pytest.raises(DegenerateSteadyStateError) as info:
+        steady_state(build_generator(corner))
+    expected = str(info.value)
+    rates = RateBatch(spec_arrays([corner]))
+    assert steady_state_batch(build_generator_batch(rates)).errors == {0: expected}
+    (out,) = current_reports_batch([corner], include_noise=False)
+    assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
+
+    t0, grid = temp_l, np.array([0.5 * temp_l, temp_l])
+    with pytest.raises(DegenerateSteadyStateError) as info:
+        scalar_scan(corner, t0, grid)
+    expected = str(info.value)
+    (out,) = max_rectification_batch([corner], t0, grid)
+    assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
+
+
+@PROPERTY
+@given(floats(1.01, 3.0), st.integers(2, 6))
+def test_sweep_beyond_bound_is_a_domain_error_row(reach, steps):
+    config = build_config({
+        "task": "sweep",
+        "system": {"gL12": 0.005},
+        "sweep": {"axes": [{"field": "gL12", "min": 0.0, "max": reach * 0.01, "steps": steps}]},
+    })
+    _, rows = compute_rows(config)
+    assert len(rows) == steps
+    for row in rows:
+        spec = SystemSpec(**{name: row[name] for name in SPEC_COLUMNS})
+        if row["gL12"] > 0.01:
+            with pytest.raises(DomainError) as info:
+                spec.require_valid()
+            assert row["error"] == f"DomainError: {info.value}"
+            assert "JeR" not in row
+        else:
+            assert "error" not in row
+            assert row["JeR"] == CurrentReport.from_spec(spec).JeR

@@ -145,15 +145,6 @@ def test_render_csv_deterministic():
     assert a == b
 
 
-def test_thread_pool_does_not_change_bytes(monkeypatch):
-    config = config_for_target("fig4b")
-    monkeypatch.setenv("VFLUX_THREADS", "1")
-    a = render_csv(*compute_rows(config))
-    monkeypatch.setenv("VFLUX_THREADS", "4")
-    b = render_csv(*compute_rows(config))
-    assert a == b
-
-
 def test_run_writes_file(tmp_path):
     config = config_for_target("fig5b")
     path, text = run(config, out_path=tmp_path / "out.csv")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,15 @@ def test_content_hash_stable_and_sensitive():
     a = two_bath_spec()
     assert a.content_hash() == two_bath_spec().content_hash()
     assert a.content_hash() != two_bath_spec(tempR=1.5).content_hash()
+
+
+def test_content_hash_equal_for_equal_specs():
+    # 1.0, np.float64(1.0) and 1 compare equal and must hash equal
+    specs = [replace(two_bath_spec(), eps1=value, tempM=value)
+             for value in (1.0, np.float64(1.0), 1)]
+    assert specs[0] == specs[1] == specs[2]
+    assert len({spec.content_hash() for spec in specs}) == 1
+    assert specs[0].content_hash() == two_bath_spec().content_hash()
 
 
 def test_counting_fields_kind_checked():
