@@ -21,8 +21,9 @@ from .errors import (
     UsageError,
     VfluxError,
 )
+from .fcs import richardson
 from .liouvillian import build_generator_batch
-from .model import RateBatch, SystemSpec, build_rates, spec_arrays
+from .model import RateBatch, SystemSpec, spec_arrays
 from .steady import steady_state_batch
 from .transport import heat_currents, heat_currents_batch, particle_currents
 
@@ -39,11 +40,6 @@ def default_deltaT_grid(t0: float, points: int = 50) -> np.ndarray:
 def default_tM_grid(points: int = 100) -> np.ndarray:
     """Middle-bath temperature grid [0.1, 2.0] used by the amplification scans."""
     return np.linspace(0.1, 2.0, points)
-
-
-def _right_current(spec: SystemSpec) -> float:
-    rates = build_rates(spec)
-    return heat_currents(spec, rates=rates)[1]
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,8 @@ def rectification(spec: SystemSpec, t0: float, deltaT: float) -> RectificationRe
         raise bias_error
     forward = replace(spec, tempL=t0 + deltaT / 2.0, tempR=t0 - deltaT / 2.0)
     backward = replace(spec, tempL=t0 - deltaT / 2.0, tempR=t0 + deltaT / 2.0)
-    j_f = _right_current(forward)
-    j_b = _right_current(backward)
+    j_f = heat_currents(forward)[1]
+    j_b = heat_currents(backward)[1]
     den = max(j_f, -j_b)
     if den <= RECTIFICATION_FLOOR:
         raise IndeterminateRectificationError(
@@ -188,14 +184,14 @@ class AmplificationResult:
     branch_residual: float
 
 
-def _heat_current_derivatives(spec: SystemSpec, tM: float, h: float):
-    def je(tm: float) -> np.ndarray:
-        local = replace(spec, tempM=tm)
-        return np.array(heat_currents(local, rates=build_rates(local)))
+def _tM_derivative(currents, spec: SystemSpec, tM: float, h: float) -> np.ndarray:
+    """d/dTM of ``currents(spec)`` at ``tM``: central differences with steps
+    ``h`` and ``h/2``, Richardson-refined once."""
+    def j(tm: float) -> np.ndarray:
+        return np.array(currents(replace(spec, tempM=tm)))
 
-    d_h = (je(tM + h) - je(tM - h)) / (2.0 * h)
-    d_h2 = (je(tM + h / 2.0) - je(tM - h / 2.0)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
+    coarse = (j(tM + h) - j(tM - h)) / (2.0 * h)
+    return richardson(coarse, (j(tM + h / 2.0) - j(tM - h / 2.0)) / h)
 
 
 def amplification(spec: SystemSpec, tM: float, h: float | None = None) -> AmplificationResult:
@@ -208,7 +204,7 @@ def amplification(spec: SystemSpec, tM: float, h: float | None = None) -> Amplif
     step = 1e-4 * tM if h is None else h
     if tM - step <= 0.0:
         raise UsageError(f"tM - h = {tM - step} must stay positive")
-    d = _heat_current_derivatives(spec, tM, step)
+    d = _tM_derivative(heat_currents, spec, tM, step)
     if abs(d[2]) <= AMPLIFICATION_FLOOR:
         raise IndeterminateAmplificationError(
             f"middle-bath current does not respond to tM at tM={tM}"
@@ -236,19 +232,15 @@ def max_amplification(spec: SystemSpec, tM_grid: np.ndarray | None = None) -> fl
     grid = default_tM_grid() if tM_grid is None else np.asarray(tM_grid)
     prefactor = cyclic_amplification_analytic(spec.eps1, spec.eps2)
 
-    def jp(tm: float) -> np.ndarray:
-        local = replace(spec, tempM=tm)
-        j = particle_currents(local, rates=build_rates(local))
-        return np.array([j[1], j[2]])
+    def jp(local: SystemSpec):
+        return particle_currents(local)[1:]
 
     best = None
     for tm in grid:
         h = 1e-4 * float(tm)
         if tm - h <= 0.0:
             continue
-        d_h = (jp(tm + h) - jp(tm - h)) / (2.0 * h)
-        d_h2 = (jp(tm + h / 2.0) - jp(tm - h / 2.0)) / h
-        d = (4.0 * d_h2 - d_h) / 3.0
+        d = _tM_derivative(jp, spec, tm, h)
         if abs(d[1]) <= AMPLIFICATION_FLOOR:
             continue
         ratio = abs(d[0]) / abs(d[1])

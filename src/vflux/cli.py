@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
-import yaml
-
-from .config import BASE_SYSTEM, REPRODUCE_TARGETS, SCHEMA_TAG, build_config
-from .errors import ConfigError, VfluxError
+from .config import BASE_SYSTEM, REPRODUCE_TARGETS, build_config, load_config
+from .errors import VfluxError
 from .runner import run
 
 _DEFAULTS_HELP = "defaults table (two-bath base system): " + ", ".join(
@@ -59,24 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {"task": args.command}
+    if args.command == "reproduce":
+        overrides["reproduce"] = args.target
     try:
         if args.config:
-            source = args.config
-            try:
-                raw = yaml.safe_load(Path(args.config).read_text(encoding="utf-8")) or {}
-            except OSError as exc:
-                raise ConfigError(f"{source}: cannot read config: {exc}") from exc
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{source}: YAML parse error: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise ConfigError(f"{source}: expected a mapping at top level")
+            config = load_config(args.config, overrides)
         else:
-            source = "<cli>"
-            raw = {"schema": SCHEMA_TAG}
-        raw["task"] = args.command
-        if args.command == "reproduce":
-            raw["reproduce"] = args.target
-        config = build_config(raw, source=source)
+            config = build_config(overrides, source="<cli>")
         if args.format:
             config = dataclasses.replace(config, out_format=args.format)
         path, text = run(config, out_path=args.out)

@@ -10,21 +10,17 @@ table).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
-from .model import ENERGY, KINDS, SystemSpec, validate
+from .model import ENERGY, KINDS, SystemSpec, interference_bound, validate
 
 SCHEMA_TAG = "vflux-config/1"
 
 TASKS = ("steady", "currents", "cumulants", "rectify", "amplify", "sweep", "reproduce")
-
-REPRODUCE_TARGETS = (
-    "fig2a", "fig2b", "fig21a", "fig21b", "fig3", "fig4b", "fig5a", "fig5b",
-)
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -51,30 +47,22 @@ CYCLE_SYSTEM = {
     "gM": 0.01,
 }
 
+#: Defaults table: the base system of each reproduction target.
+REPRODUCE_SYSTEMS = {
+    "fig2a": BASE_SYSTEM,
+    # left bath at full interference, both edge baths at one temperature
+    "fig2b": {**BASE_SYSTEM, "tempL": 0.5, "tempR": 0.5,
+              "gL12": interference_bound(BASE_SYSTEM["gL11"], BASE_SYSTEM["gL22"])},
+    "fig21a": BASE_SYSTEM,
+    "fig21b": BASE_SYSTEM,
+    "fig3": BASE_SYSTEM,
+    "fig4b": CYCLE_SYSTEM,
+    "fig5a": CYCLE_SYSTEM,
+    # the cycle with both two-terminal bypass channels open
+    "fig5b": {**CYCLE_SYSTEM, "gL22": 0.01, "gR11": 0.01},
+}
 
-def interference_bound_of(system: dict, side: str) -> float:
-    return math.sqrt(system[f"g{side}11"] * system[f"g{side}22"])
-
-
-def reproduce_default_system(target: str) -> dict:
-    """Defaults table: resolved system parameters for one reproduction target."""
-    if target in ("fig2a", "fig21a", "fig21b", "fig3"):
-        return dict(BASE_SYSTEM)
-    if target == "fig2b":
-        sys = dict(BASE_SYSTEM)
-        sys["gL12"] = interference_bound_of(sys, "L")
-        sys["gR12"] = 0.0
-        sys["tempR"] = 0.5
-        sys["tempL"] = 0.5
-        return sys
-    if target in ("fig4b", "fig5a"):
-        return dict(CYCLE_SYSTEM)
-    if target == "fig5b":
-        sys = dict(CYCLE_SYSTEM)
-        sys["gL22"] = 0.01
-        sys["gR11"] = 0.01
-        return sys
-    raise ConfigError(f"unknown reproduce target {target!r}")
+REPRODUCE_TARGETS = tuple(REPRODUCE_SYSTEMS)
 
 
 @dataclass(frozen=True)
@@ -150,12 +138,11 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         problems.append("reproduce: only valid together with task: reproduce")
         target = None
 
-    base = reproduce_default_system(target) if target else dict(BASE_SYSTEM)
     system_node = _require_mapping(raw.get("system"), "system")
     unknown_fields = sorted(set(system_node) - set(_SPEC_FIELDS))
     if unknown_fields:
         problems.append(f"system: unknown fields: {', '.join(unknown_fields)}")
-    merged = dict(base)
+    merged = dict(REPRODUCE_SYSTEMS.get(target, BASE_SYSTEM))
     for key in _SPEC_FIELDS:
         if key in system_node:
             value = system_node[key]
@@ -184,6 +171,9 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             steps = int(item["steps"])
         except (KeyError, TypeError, ValueError):
             problems.append(f"sweep.axes[{pos}]: needs numeric min, max and integer steps")
+            continue
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            problems.append(f"sweep.axes[{pos}]: min = {lo} and max = {hi} must be finite")
             continue
         if steps < 2:
             problems.append(f"sweep.axes[{pos}].steps: must be >= 2, got {steps}")
@@ -226,8 +216,12 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     )
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a configuration file."""
+def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
+    """Parse and validate a configuration file.
+
+    ``overrides`` replaces top-level keys of the file (the command line sets
+    ``task`` and ``reproduce`` this way).
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -237,7 +231,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
-    return build_config(raw if raw is not None else {}, source=str(path))
+    if overrides:
+        raw = {**_require_mapping(raw, str(path)), **overrides}
+    return build_config(raw, source=str(path))
 
 
 def config_for_target(target: str, overrides: dict | None = None) -> ScenarioConfig:
@@ -247,6 +243,3 @@ def config_for_target(target: str, overrides: dict | None = None) -> ScenarioCon
         raw.update(overrides)
     return build_config(raw, source=f"<target {target}>")
 
-
-def spec_with(spec: SystemSpec, **kwargs) -> SystemSpec:
-    return replace(spec, **kwargs)

@@ -68,6 +68,12 @@ class CumulantSet:
         return self.values[1]
 
 
+def richardson(coarse, fine):
+    """One Richardson refinement of two second-order estimates, the fine
+    one made with half the step of the coarse one."""
+    return (4.0 * fine - coarse) / 3.0
+
+
 def _check_bath_kind(bath: str, kind: str):
     if bath not in BATHS:
         raise UsageError(f"bath must be one of {BATHS}, got {bath!r}")
@@ -230,7 +236,7 @@ def cumulants_finite_difference(
         # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
         return -2.0 * value.real / step**2
 
-    values = [(4.0 * first(h / 2.0, e_h2) - first(h, e_h)) / 3.0]
+    values = [richardson(first(h, e_h), first(h / 2.0, e_h2))]
     if order >= 2:
-        values.append((4.0 * second(h / 2.0, e_h2) - second(h, e_h)) / 3.0)
+        values.append(richardson(second(h, e_h), second(h / 2.0, e_h2)))
     return CumulantSet(bath, kind, tuple(values), FINITE_DIFFERENCE, 0.0)

@@ -28,6 +28,7 @@ from .model import (
     RateSet,
     SystemSpec,
     build_rates,
+    dress_rates,
 )
 
 #: Component order of the reduced state vector.
@@ -158,7 +159,7 @@ def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator
     rates = build_rates(spec)
     if chi.is_zero:
         return Generator(_fill_block(rates, rates), spec, chi)
-    return Generator(_fill_block(rates, rates.dressed(chi)), spec, chi)
+    return Generator(_fill_block(rates, dress_rates(rates, chi)), spec, chi)
 
 
 def generator_chi_derivative(

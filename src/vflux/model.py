@@ -100,13 +100,27 @@ class SystemSpec:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+_SPEC_FIELDS = tuple(f.name for f in fields(SystemSpec))
+
+
+def interference_bound(g11: float, g22: float) -> float:
+    """Largest admissible cross coefficient ``sqrt(g11*g22)`` of one bath.
+
+    Negative diagonal coefficients count as zero (``validate`` reports them
+    separately).
+    """
+    return math.sqrt(max(g11, 0.0) * max(g22, 0.0))
+
+
 def validate(spec: SystemSpec) -> list[str]:
     """Collect every invariant violation of ``spec``; empty list when valid.
 
     Reports rather than raises, so a configuration loader can surface all
     problems at once.
     """
-    v: list[str] = []
+    # every comparison below is false for NaN
+    v = [f"finiteness: {name} = {getattr(spec, name)} must be finite"
+         for name in _SPEC_FIELDS if not math.isfinite(getattr(spec, name))]
     for name in ("tempL", "tempM", "tempR"):
         if getattr(spec, name) <= 0.0:
             v.append(f"temperature positivity: {name} = {getattr(spec, name)} must be > 0")
@@ -125,7 +139,7 @@ def validate(spec: SystemSpec) -> list[str]:
         g11 = getattr(spec, f"g{side}11")
         g22 = getattr(spec, f"g{side}22")
         g12 = getattr(spec, f"g{side}12")
-        bound = math.sqrt(max(g11, 0.0) * max(g22, 0.0))
+        bound = interference_bound(g11, g22)
         if g12 > bound:
             v.append(
                 f"interference bound: g{side}12 = {g12} exceeds sqrt(g{side}11*g{side}22) = {bound}"
@@ -213,16 +227,6 @@ class RateSet:
     def delta(self) -> float:
         return self.spec.delta
 
-    @property
-    def gain(self) -> np.ndarray:
-        """Total gain rates, left plus right bath, as an (2, 2, 2) array."""
-        return np.array(self.gainL) + np.array(self.gainR)
-
-    @property
-    def loss(self) -> np.ndarray:
-        """Total loss rates, left plus right bath, as an (2, 2, 2) array."""
-        return np.array(self.lossL) + np.array(self.lossR)
-
     def gamma_plus(self, i: int, j: int, k: int) -> float:
         """Total gain rate for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
         return self.gainL[i - 1][j - 1][k - 1] + self.gainR[i - 1][j - 1][k - 1]
@@ -230,9 +234,6 @@ class RateSet:
     def gamma_minus(self, i: int, j: int, k: int) -> float:
         """Total loss rate for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
         return self.lossL[i - 1][j - 1][k - 1] + self.lossR[i - 1][j - 1][k - 1]
-
-    def dressed(self, chi: CountingFields) -> "DressedRateSet":
-        return dress_rates(self, chi)
 
 
 def _rate_table(coef, occ, offset: float):

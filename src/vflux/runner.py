@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,106 +27,79 @@ from .analysis import (
     max_rectification_batch,
     rectification,
 )
-from .config import ScenarioConfig, interference_bound_of
+from .config import ScenarioConfig
 from .errors import UsageError, VfluxError
 from .fcs import cumulants_finite_difference, cumulants_perturbative
 from .liouvillian import build_generator
-from .model import ENERGY, SystemSpec
+from .model import ENERGY, SystemSpec, interference_bound
 from .steady import (
     steady_state,
     steady_state_resonant_two_bath,
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, current_reports_batch, heat_currents
+from .transport import CurrentReport, current_reports_batch, heat_currents, noise_power
 
 SPEC_COLUMNS = tuple(f.name for f in fields(SystemSpec))
 
 
-def _spec_cells(spec: SystemSpec) -> dict:
-    cells = {"spec_hash": spec.content_hash()}
-    for name in SPEC_COLUMNS:
-        cells[name] = getattr(spec, name)
-    return cells
+def _rows(items, evaluate, batch: int = 1) -> list[dict]:
+    """Rows of ``(spec, cells)`` items, evaluated ``batch`` items at a time.
 
-
-def _error_cells(exc: VfluxError) -> dict:
-    return {"error": f"{type(exc).__name__}: {exc}"}
-
-
-def _guarded(fn, point):
-    try:
-        return fn(point)
-    except VfluxError as exc:
-        return _error_cells(exc)
-
-
-def _batched_rows(items, batch: int, evaluate) -> list[dict]:
-    """Rows of ``(spec, cells)`` items, evaluated ``batch`` specs at a time.
-
-    ``evaluate`` maps a list of specs to one dict of result cells or one
-    :class:`VfluxError` per spec; an error fills that row's ``error`` cell.
-    A batch is one grid row, so memory does not grow with the grid.
+    ``evaluate`` maps a list of items to one dict of result cells or one
+    :class:`VfluxError` per item; an error fills that row's ``error`` cell.
+    A steady-state grid batch is one grid row, so memory does not grow with
+    the grid.
     """
     rows = []
     for start in range(0, len(items), batch):
         chunk = items[start:start + batch]
-        for (spec, cells), out in zip(chunk, evaluate([spec for spec, _ in chunk])):
-            row = _spec_cells(spec)
+        for (spec, cells), out in zip(chunk, evaluate(chunk)):
+            row = {"spec_hash": spec.content_hash()}
+            row.update((name, getattr(spec, name)) for name in SPEC_COLUMNS)
             row.update(cells)
-            row.update(_error_cells(out) if isinstance(out, VfluxError) else out)
+            row.update({"error": f"{type(out).__name__}: {out}"}
+                       if isinstance(out, VfluxError) else out)
             rows.append(row)
     return rows
 
 
+def _each(*fns):
+    """Per-point evaluator (see :func:`_rows`).
+
+    Item ``n`` of a batch gets ``fns[n](spec, **cells)``, so one function
+    serves batches of one; a :class:`VfluxError` it raises is that item's
+    outcome.
+    """
+    def evaluate(chunk):
+        outcomes = []
+        for fn, (spec, cells) in zip(fns, chunk, strict=True):
+            try:
+                outcomes.append(fn(spec, **cells))
+            except VfluxError as exc:
+                outcomes.append(exc)
+        return outcomes
+    return evaluate
+
+
+def _steady_evaluator(include_noise: bool):
+    """Batched evaluator of steady-state and current cells (see :func:`_rows`)."""
+    def evaluate(chunk):
+        return [out if isinstance(out, VfluxError)
+                else {**_state_cells(out[0]), **_current_cells(out[1])}
+                for out in current_reports_batch([spec for spec, _ in chunk], include_noise)]
+    return evaluate
+
+
 def _state_cells(ss) -> dict:
     return {
+        "method": ss.method,
         "rho11": ss.rho11, "rho22": ss.rho22, "rhogg": ss.rhogg,
         "abs_rho12": ss.coherence_magnitude,
         "re_rho12": ss.rho12.real, "im_rho12": ss.rho12.imag,
         "residual": ss.residual,
+        "positivity_warning": ss.positivity_warning,
     }
-
-
-def _steady_evaluator(include_noise: bool):
-    """Evaluator of steady-state and current cells (see _batched_rows)."""
-    def evaluate(specs):
-        return [out if isinstance(out, VfluxError)
-                else {**_state_cells(out[0]), **_current_cells(out[1])}
-                for out in current_reports_batch(specs, include_noise)]
-    return evaluate
-
-
-# ---------------------------------------------------------------------------
-# Task implementations.  Each returns (columns, rows).
-
-def _steady_rows(config: ScenarioConfig):
-    spec = config.spec
-    columns = ("spec_hash", *SPEC_COLUMNS, "method", "rho11", "rho22", "rhogg",
-               "re_rho12", "im_rho12", "residual", "positivity_warning", "error")
-    solvers = [lambda: steady_state(build_generator(spec))]
-    if spec.eps1 == spec.eps2 and spec.gM == 0.0:
-        solvers.append(lambda: steady_state_resonant_two_bath(spec))
-    elif spec.gL12 == 0.0 and spec.gR12 == 0.0:
-        solvers.append(lambda: steady_state_three_terminal(spec))
-    solvers.append(lambda: steady_state_time_integration(build_generator(spec)))
-
-    rows = []
-    for solve in solvers:
-        row = _spec_cells(spec)
-        try:
-            ss = solve()
-            row.update(
-                method=ss.method,
-                rho11=ss.rho11, rho22=ss.rho22, rhogg=ss.rhogg,
-                re_rho12=ss.rho12.real, im_rho12=ss.rho12.imag,
-                residual=ss.residual,
-                positivity_warning=ss.positivity_warning,
-            )
-        except VfluxError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return columns, rows
 
 
 _CURRENT_COLUMNS = ("JeL", "JeR", "JeM", "JpL", "JpR", "JpM", "SeRR",
@@ -143,273 +117,183 @@ def _current_cells(report: CurrentReport) -> dict:
     }
 
 
-def _currents_rows(config: ScenarioConfig):
-    spec = config.spec
-    columns = ("spec_hash", *SPEC_COLUMNS, *_CURRENT_COLUMNS, "error")
+def _grid_option(config: ScenarioConfig, key: str, default: np.ndarray) -> np.ndarray:
+    """A grid option: absent (``default``), one number, or ``{min, max, steps}``."""
+    node = config.option(key)
+    if node is None:
+        return default
+    if isinstance(node, (int, float)):
+        return np.array([float(node)])
+    return np.linspace(float(node["min"]), float(node["max"]), int(node["steps"]))
 
-    def compute(_):
-        return _current_cells(CurrentReport.from_spec(spec))
-
-    row = _spec_cells(spec)
-    row.update(_guarded(compute, None))
-    return columns, [row]
-
-
-def _cumulants_rows(config: ScenarioConfig):
-    spec = config.spec
-    bath = config.option("cumulants.bath", "R")
-    kind = config.option("cumulants.kind", ENERGY)
-    order = int(config.option("cumulants.order", 2))
-    columns = ("spec_hash", *SPEC_COLUMNS, "bath", "kind", "method",
-               "E1", "E2", "E3", "E4", "imag_residue", "error")
-
-    rows = []
-    for method_fn in (
-        lambda: cumulants_perturbative(spec, bath, kind, order),
-        lambda: cumulants_finite_difference(spec, bath, kind, min(order, 2)),
-    ):
-        row = _spec_cells(spec)
-        row.update(bath=bath, kind=kind)
-        try:
-            cs = method_fn()
-            row["method"] = cs.method
-            for pos, value in enumerate(cs.values, start=1):
-                row[f"E{pos}"] = value
-            row["imag_residue"] = cs.imag_residue
-        except VfluxError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return columns, rows
-
-
-def _rectify_rows(config: ScenarioConfig):
-    spec = config.spec
-    t0 = float(config.option("rectify.t0", 1.0))
-    grid_node = config.option("rectify.deltaT")
-    if grid_node is None:
-        grid = default_deltaT_grid(t0)
-    elif isinstance(grid_node, (int, float)):
-        grid = np.array([float(grid_node)])
-    else:
-        grid = np.linspace(float(grid_node["min"]), float(grid_node["max"]),
-                           int(grid_node["steps"]))
-    columns = ("spec_hash", *SPEC_COLUMNS, "t0", "deltaT",
-               "j_forward", "j_backward", "rj", "error")
-
-    def one(delta_t: float) -> dict:
-        row = _spec_cells(spec)
-        row.update(t0=t0, deltaT=delta_t)
-        row.update(_guarded(lambda dt: {
-            "j_forward": (res := rectification(spec, t0, dt)).j_forward,
-            "j_backward": res.j_backward,
-            "rj": res.rj,
-        }, delta_t))
-        return row
-
-    return columns, [one(float(dt)) for dt in grid]
-
-
-def _amplify_rows(config: ScenarioConfig):
-    spec = config.spec
-    grid_node = config.option("amplify.tM")
-    if grid_node is None:
-        grid = default_tM_grid()
-    elif isinstance(grid_node, (int, float)):
-        grid = np.array([float(grid_node)])
-    else:
-        grid = np.linspace(float(grid_node["min"]), float(grid_node["max"]),
-                           int(grid_node["steps"]))
-    h_option = config.option("amplify.h")
-    columns = ("spec_hash", *SPEC_COLUMNS, "tM", "h", "betaL", "betaR",
-               "dJeL_dTM", "dJeR_dTM", "dJeM_dTM", "branch_theta",
-               "branch_residual", "error")
-
-    def one(tm: float) -> dict:
-        row = _spec_cells(replace(spec, tempM=tm))
-        row["tM"] = tm
-        row.update(_guarded(lambda t: {
-            "h": (res := amplification(replace(spec, tempM=t), t,
-                                       None if h_option is None else float(h_option))).stencil_h,
-            "betaL": res.betaL,
-            "betaR": res.betaR,
-            "dJeL_dTM": res.dJdTm[0],
-            "dJeR_dTM": res.dJdTm[1],
-            "dJeM_dTM": res.dJdTm[2],
-            "branch_theta": res.branch_theta,
-            "branch_residual": res.branch_residual,
-        }, tm))
-        return row
-
-    return columns, [one(float(tm)) for tm in grid]
-
-
-def _sweep_rows(config: ScenarioConfig):
-    if not 1 <= len(config.sweep_axes) <= 2:
-        raise UsageError("sweep needs 1 or 2 axes")
-    axes = config.sweep_axes
-    values = [axis.values() for axis in axes]
-    points = [(v,) for v in values[0]]
-    if len(axes) == 2:
-        points = [(a, b) for a in values[0] for b in values[1]]
-    columns = ("spec_hash", *SPEC_COLUMNS, "rho11", "rho22", "rhogg",
-               "re_rho12", "im_rho12", "residual", *_CURRENT_COLUMNS, "error")
-    items = [(replace(config.spec, **{axis.field: float(v) for axis, v in zip(axes, point)}), {})
-             for point in points]
-    return columns, _batched_rows(items, len(values[-1]), _steady_evaluator(include_noise=True))
-
-
-# ---------------------------------------------------------------------------
-# Reproduction targets.
 
 def _coupling_specs(spec: SystemSpec, points: int) -> list[SystemSpec]:
     """(gL12, gR12) grid from zero to each bath's interference bound, gL12 outer."""
-    bound_l = interference_bound_of({"gL11": spec.gL11, "gL22": spec.gL22}, "L")
-    bound_r = interference_bound_of({"gR11": spec.gR11, "gR22": spec.gR22}, "R")
     return [replace(spec, gL12=float(gl), gR12=float(gr))
-            for gl in np.linspace(0.0, bound_l, points)
-            for gr in np.linspace(0.0, bound_r, points)]
+            for gl in np.linspace(0.0, interference_bound(spec.gL11, spec.gL22), points)
+            for gr in np.linspace(0.0, interference_bound(spec.gR11, spec.gR22), points)]
 
 
-def _fig2a_rows(config: ScenarioConfig):
+# ---------------------------------------------------------------------------
+# Tasks and reproduction targets.  Each plan maps a config to the arguments
+# of _rows: the (spec, cells) items, their evaluator and, for a batched
+# grid, the batch size.
+
+def _steady(config: ScenarioConfig):
     spec = config.spec
-    columns = ("spec_hash", *SPEC_COLUMNS, "abs_rho12", "re_rho12", "im_rho12",
-               "residual", "error")
-    items = [(local, {}) for local in _coupling_specs(spec, 41)]
-    return columns, _batched_rows(items, 41, _steady_evaluator(include_noise=False))
+    solvers = [lambda s: _state_cells(steady_state(build_generator(s)))]
+    if spec.eps1 == spec.eps2 and spec.gM == 0.0:
+        solvers.append(lambda s: _state_cells(steady_state_resonant_two_bath(s)))
+    elif spec.gL12 == 0.0 and spec.gR12 == 0.0:
+        solvers.append(lambda s: _state_cells(steady_state_three_terminal(s)))
+    solvers.append(lambda s: _state_cells(steady_state_time_integration(build_generator(s))))
+    return [(spec, {})] * len(solvers), _each(*solvers), len(solvers)
 
 
-def _fig2b_rows(config: ScenarioConfig):
-    spec = config.spec
-    temps_r = np.linspace(0.1, 2.0, 39)
+def _currents(config: ScenarioConfig):
+    return [(config.spec, {})], _each(lambda s: _current_cells(CurrentReport.from_spec(s)))
+
+
+def _cumulants(config: ScenarioConfig):
+    order = int(config.option("cumulants.order", 2))
+
+    def cells(cs) -> dict:
+        return {"method": cs.method, "imag_residue": cs.imag_residue,
+                **{f"E{pos}": value for pos, value in enumerate(cs.values, start=1)}}
+
+    methods = (
+        lambda s, bath, kind: cells(cumulants_perturbative(s, bath, kind, order)),
+        lambda s, bath, kind: cells(cumulants_finite_difference(s, bath, kind, min(order, 2))),
+    )
+    point = {"bath": config.option("cumulants.bath", "R"),
+             "kind": config.option("cumulants.kind", ENERGY)}
+    return [(config.spec, point)] * 2, _each(*methods), 2
+
+
+def _rectify(config: ScenarioConfig):
+    t0 = float(config.option("rectify.t0", 1.0))
+
+    def cells(spec, t0, deltaT):
+        res = rectification(spec, t0, deltaT)
+        return {"j_forward": res.j_forward, "j_backward": res.j_backward, "rj": res.rj}
+
+    grid = _grid_option(config, "rectify.deltaT", default_deltaT_grid(t0))
+    return [(config.spec, {"t0": t0, "deltaT": float(dt)}) for dt in grid], _each(cells)
+
+
+def _amplify(config: ScenarioConfig):
+    h = config.option("amplify.h")
+    h = None if h is None else float(h)
+
+    def cells(spec, tM):
+        res = amplification(spec, tM, h)
+        return {"h": res.stencil_h, "betaL": res.betaL, "betaR": res.betaR,
+                "dJeL_dTM": res.dJdTm[0], "dJeR_dTM": res.dJdTm[1], "dJeM_dTM": res.dJdTm[2],
+                "branch_theta": res.branch_theta, "branch_residual": res.branch_residual}
+
+    grid = _grid_option(config, "amplify.tM", default_tM_grid())
+    return [(replace(config.spec, tempM=float(tm)), {"tM": float(tm)}) for tm in grid], _each(cells)
+
+
+def _sweep(config: ScenarioConfig):
+    axes = config.sweep_axes
+    if not 1 <= len(axes) <= 2:
+        raise UsageError("sweep needs 1 or 2 axes")
+    # row-major (the first axis outermost); a batch is one value of the first
+    # of two axes, or the whole of one
+    items = [(replace(config.spec, **{axis.field: float(v) for axis, v in zip(axes, point)}), {})
+             for point in product(*(axis.values() for axis in axes))]
+    return items, _steady_evaluator(include_noise=True), axes[-1].steps
+
+
+def _coupling_grid(config: ScenarioConfig):
+    items = [(local, {}) for local in _coupling_specs(config.spec, 41)]
+    return items, _steady_evaluator(include_noise=False), 41
+
+
+def _fig2b(config: ScenarioConfig):
     deltas = np.linspace(0.0, 1.5, 31)
-    columns = ("spec_hash", *SPEC_COLUMNS, "deltaT", "abs_rho12", "re_rho12",
-               "im_rho12", "residual", "error")
-    items = [(replace(spec, tempR=float(tr), tempL=float(tr + dt)), {"deltaT": float(dt)})
-             for tr in temps_r for dt in deltas]
-    return columns, _batched_rows(items, len(deltas), _steady_evaluator(include_noise=False))
+    items = [(replace(config.spec, tempR=float(tr), tempL=float(tr + dt)), {"deltaT": float(dt)})
+             for tr in np.linspace(0.1, 2.0, 39) for dt in deltas]
+    return items, _steady_evaluator(include_noise=False), len(deltas)
 
 
-def _fig21a_rows(config: ScenarioConfig):
-    spec = config.spec
-    columns = ("spec_hash", *SPEC_COLUMNS, *_CURRENT_COLUMNS, "error")
-    items = [(local, {}) for local in _coupling_specs(spec, 41)]
-    return columns, _batched_rows(items, 41, _steady_evaluator(include_noise=False))
+def _noise_cells(spec: SystemSpec) -> dict:
+    noise = noise_power(spec, "R", ENERGY)
+    return {"SeRR": noise.value, "SeRR_fd": noise.finite_difference}
 
 
-def _fig21b_rows(config: ScenarioConfig):
-    spec = config.spec
-    columns = ("spec_hash", *SPEC_COLUMNS, "SeRR", "SeRR_fd", "error")
-
-    def one(local: SystemSpec) -> dict:
-        row = _spec_cells(local)
-        row.update(_guarded(lambda _: {
-            "SeRR": cumulants_perturbative(local, "R", ENERGY, 2).noise_power,
-            "SeRR_fd": cumulants_finite_difference(local, "R", ENERGY, 2).noise_power,
-        }, None))
-        return row
-
-    return columns, [one(local) for local in _coupling_specs(spec, 41)]
+def _fig21b(config: ScenarioConfig):
+    return [(local, {}) for local in _coupling_specs(config.spec, 41)], _each(_noise_cells)
 
 
-def _fig3_rows(config: ScenarioConfig):
-    spec = config.spec
+def _fig3(config: ScenarioConfig):
     t0 = float(config.option("rectify.t0", 1.0))
     delta_grid = default_deltaT_grid(t0)
-    columns = ("spec_hash", *SPEC_COLUMNS, "t0", "rj_max", "deltaT_star", "error")
 
-    def evaluate(specs):
+    def evaluate(chunk):
         return [out if isinstance(out, VfluxError)
                 else {"rj_max": out[0], "deltaT_star": out[1]}
-                for out in max_rectification_batch(specs, t0, delta_grid)]
+                for out in max_rectification_batch([spec for spec, _ in chunk], t0, delta_grid)]
 
-    items = [(local, {"t0": t0}) for local in _coupling_specs(spec, 51)]
-    return columns, _batched_rows(items, 51, evaluate)
-
-
-def _fig4b_rows(config: ScenarioConfig):
-    spec = config.spec
-    temps_m = np.linspace(0.1, 2.0, 39)
-    columns = ("spec_hash", *SPEC_COLUMNS, "JeR", "SeRR", "SeRR_fd", "error")
-
-    def one(tm: float) -> dict:
-        local = replace(spec, tempM=float(tm))
-        row = _spec_cells(local)
-        row.update(_guarded(lambda _: {
-            "JeR": heat_currents(local)[1],
-            "SeRR": cumulants_perturbative(local, "R", ENERGY, 2).noise_power,
-            "SeRR_fd": cumulants_finite_difference(local, "R", ENERGY, 2).noise_power,
-        }, None))
-        return row
-
-    return columns, [one(float(tm)) for tm in temps_m]
+    return [(local, {"t0": t0}) for local in _coupling_specs(config.spec, 51)], evaluate, 51
 
 
-def _fig5a_rows(config: ScenarioConfig):
-    spec = config.spec
-    gammas = np.linspace(0.0, 0.01, 21)
+def _middle_temperatures(config: ScenarioConfig) -> list:
+    return [(replace(config.spec, tempM=float(tm)), {}) for tm in np.linspace(0.1, 2.0, 39)]
+
+
+def _fig4b(config: ScenarioConfig):
+    return (_middle_temperatures(config),
+            _each(lambda s: {"JeR": heat_currents(s)[1], **_noise_cells(s)}))
+
+
+def _fig5a(config: ScenarioConfig):
     tm_grid = default_tM_grid()
-    columns = ("spec_hash", *SPEC_COLUMNS, "gamma", "betaR_max", "error")
-
-    def one(gamma: float) -> dict:
-        local = replace(spec, gL22=float(gamma), gR11=float(gamma))
-        row = _spec_cells(local)
-        row["gamma"] = float(gamma)
-        row.update(_guarded(lambda _: {
-            "betaR_max": max_amplification(local, tm_grid),
-        }, None))
-        return row
-
-    return columns, [one(float(g)) for g in gammas]
+    items = [(replace(config.spec, gL22=float(g), gR11=float(g)), {"gamma": float(g)})
+             for g in np.linspace(0.0, 0.01, 21)]
+    return items, _each(lambda s, gamma: {"betaR_max": max_amplification(s, tm_grid)})
 
 
-def _fig5b_rows(config: ScenarioConfig):
-    spec = config.spec
-    temps_m = np.linspace(0.1, 2.0, 39)
-    columns = ("spec_hash", *SPEC_COLUMNS, "JeL", "JeR", "JeM", "error")
+def _fig5b(config: ScenarioConfig):
+    def cells(spec):
+        je = heat_currents(spec)
+        return {"JeL": je[0], "JeR": je[1], "JeM": je[2]}
 
-    def one(tm: float) -> dict:
-        local = replace(spec, tempM=float(tm))
-        row = _spec_cells(local)
-        row.update(_guarded(lambda _: {
-            "JeL": (je := heat_currents(local))[0],
-            "JeR": je[1],
-            "JeM": je[2],
-        }, None))
-        return row
-
-    return columns, [one(float(tm)) for tm in temps_m]
+    return _middle_temperatures(config), _each(cells)
 
 
-_REPRODUCE = {
-    "fig2a": _fig2a_rows,
-    "fig2b": _fig2b_rows,
-    "fig21a": _fig21a_rows,
-    "fig21b": _fig21b_rows,
-    "fig3": _fig3_rows,
-    "fig4b": _fig4b_rows,
-    "fig5a": _fig5a_rows,
-    "fig5b": _fig5b_rows,
-}
+_STATE_COLUMNS = ("rho11", "rho22", "rhogg", "re_rho12", "im_rho12", "residual")
+_COHERENCE_COLUMNS = ("abs_rho12", "re_rho12", "im_rho12", "residual")
 
-_TASKS = {
-    "steady": _steady_rows,
-    "currents": _currents_rows,
-    "cumulants": _cumulants_rows,
-    "rectify": _rectify_rows,
-    "amplify": _amplify_rows,
-    "sweep": _sweep_rows,
+#: Every task and reproduce target: its result columns, between the spec
+#: block and ``error``, and its plan.
+_TABLE = {
+    "steady": (("method", *_STATE_COLUMNS, "positivity_warning"), _steady),
+    "currents": (_CURRENT_COLUMNS, _currents),
+    "cumulants": (("bath", "kind", "method", "E1", "E2", "E3", "E4", "imag_residue"), _cumulants),
+    "rectify": (("t0", "deltaT", "j_forward", "j_backward", "rj"), _rectify),
+    "amplify": (("tM", "h", "betaL", "betaR", "dJeL_dTM", "dJeR_dTM", "dJeM_dTM",
+                 "branch_theta", "branch_residual"), _amplify),
+    "sweep": ((*_STATE_COLUMNS, *_CURRENT_COLUMNS), _sweep),
+    "fig2a": (_COHERENCE_COLUMNS, _coupling_grid),
+    "fig2b": (("deltaT", *_COHERENCE_COLUMNS), _fig2b),
+    "fig21a": (_CURRENT_COLUMNS, _coupling_grid),
+    "fig21b": (("SeRR", "SeRR_fd"), _fig21b),
+    "fig3": (("t0", "rj_max", "deltaT_star"), _fig3),
+    "fig4b": (("JeR", "SeRR", "SeRR_fd"), _fig4b),
+    "fig5a": (("gamma", "betaR_max"), _fig5a),
+    "fig5b": (("JeL", "JeR", "JeM"), _fig5b),
 }
 
 
 def compute_rows(config: ScenarioConfig):
     """Evaluate a scenario; returns (columns, rows)."""
-    if config.task == "reproduce":
-        if config.reproduce_target not in _REPRODUCE:
-            raise UsageError(f"unknown reproduce target {config.reproduce_target!r}")
-        return _REPRODUCE[config.reproduce_target](config)
-    if config.task not in _TASKS:
-        raise UsageError(f"unknown task {config.task!r}")
-    return _TASKS[config.task](config)
+    name = config.reproduce_target if config.task == "reproduce" else config.task
+    if name not in _TABLE:
+        raise UsageError(f"unknown task or reproduce target {name!r}")
+    columns, plan = _TABLE[name]
+    return ("spec_hash", *SPEC_COLUMNS, *columns, "error"), _rows(*plan(config))
 
 
 # ---------------------------------------------------------------------------

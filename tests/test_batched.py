@@ -10,7 +10,7 @@ every error the same text.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -184,3 +184,29 @@ def test_sweep_beyond_bound_is_a_domain_error_row(reach, steps):
         else:
             assert "error" not in row
             assert row["JeR"] == CurrentReport.from_spec(spec).JeR
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=2, max_size=4), st.data(),
+       st.sampled_from((math.nan, math.inf, -math.inf)))
+def test_non_finite_spec_is_one_domain_error(batch, data, bad_value):
+    # tempL and tempR are left out: the rectification scan replaces both, so
+    # their values never reach a solve there
+    pos = data.draw(st.integers(0, len(batch) - 1))
+    name = data.draw(st.sampled_from([n for n in SPEC_COLUMNS if n not in ("tempL", "tempR")]))
+    bad = replace(batch[pos], **{name: bad_value})
+    mixed = batch[:pos] + [bad] + batch[pos + 1:]
+
+    def fingerprint(out):
+        # repr of a float round-trips, and keeps the sign of zero
+        if isinstance(out, VfluxError):
+            return f"{type(out).__name__}: {out}"
+        return repr(astuple(out[1]) if isinstance(out[1], CurrentReport) else out)
+
+    t0, grid = 1.0, np.array([0.4, 1.2])
+    for evaluate in (lambda specs: current_reports_batch(specs, include_noise=False),
+                     lambda specs: max_rectification_batch(specs, t0, grid)):
+        out, expected = evaluate(mixed), evaluate(batch)
+        assert isinstance(out[pos], DomainError) and "finiteness" in str(out[pos])
+        assert all(fingerprint(out[n]) == fingerprint(expected[n])
+                   for n in range(len(batch)) if n != pos)

@@ -171,6 +171,20 @@ def test_cli_stdout_and_exit_codes(tmp_path, capsys):
     assert "temperature positivity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system", ["{tempL: .nan}", "{gL11: .inf}", "{tempL: .inf}"])
+def test_cli_rejects_non_finite_parameter(tmp_path, capsys, system):
+    bad = write(tmp_path, "bad.yaml", f"task: currents\nsystem: {system}\n")
+    assert cli_main(["currents", "--config", str(bad)]) == 2
+    assert "finiteness" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_sweep_bound(tmp_path, capsys):
+    bad = write(tmp_path, "bad.yaml", "task: sweep\nsweep:\n  axes:\n"
+                "    - {field: tempR, min: 0.5, max: .nan, steps: 3}\n")
+    assert cli_main(["sweep", "--config", str(bad)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_cli_reproduce_writes_file(tmp_path):
     out = tmp_path / "fig5b.csv"
     assert cli_main(["reproduce", "fig5b", "--out", str(out)]) == 0

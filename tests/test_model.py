@@ -54,22 +54,25 @@ def test_build_rates_middle_bath():
     assert r.loss_M - r.gain_M == pytest.approx(0.01, rel=1e-14)
 
 
+LEVEL_TRIPLES = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
+
+
 def test_build_rates_decoupled():
     spec = SystemSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)
     r = build_rates(spec)
-    assert np.all(r.gain == 0.0) and np.all(r.loss == 0.0)
+    assert all(r.gamma_plus(*ijk) == 0.0 and r.gamma_minus(*ijk) == 0.0 for ijk in LEVEL_TRIPLES)
     assert r.gain_M == 0.0 and r.loss_M == 0.0
 
 
 def test_rate_invariants_on_corpus():
     for spec in FIGURE_SPECS + seeded_conserving_specs(40):
         r = build_rates(spec)
-        coef = np.array([[spec.gL11 + spec.gR11, spec.gL12 + spec.gR12],
-                         [spec.gL12 + spec.gR12, spec.gL22 + spec.gR22]])
+        coef = [[spec.gL11 + spec.gR11, spec.gL12 + spec.gR12],
+                [spec.gL12 + spec.gR12, spec.gL22 + spec.gR22]]
         # spontaneous-emission excess equals the bare coefficient sum
-        excess = r.loss - r.gain
-        for k in range(2):
-            assert np.allclose(excess[:, :, k], coef, rtol=0, atol=1e-15)
+        for i, j, k in LEVEL_TRIPLES:
+            excess = r.gamma_minus(i, j, k) - r.gamma_plus(i, j, k)
+            assert excess == pytest.approx(coef[i - 1][j - 1], rel=0, abs=1e-15)
         assert r.loss_M - r.gain_M == pytest.approx(spec.gM, abs=1e-15)
 
 
