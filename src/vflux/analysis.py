@@ -23,9 +23,9 @@ from .errors import (
 )
 from .fcs import richardson
 from .liouvillian import build_generator_batch
-from .model import RateBatch, SystemSpec, spec_arrays
+from .model import ENERGY, RateSet, SystemSpec, spec_arrays
 from .steady import steady_state_batch
-from .transport import heat_currents, heat_currents_batch, particle_currents
+from .transport import bath_currents, heat_currents, particle_currents
 
 #: Denominators at or below this level make the figure of merit undefined.
 RECTIFICATION_FLOOR = 1e-15
@@ -143,9 +143,9 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
         hot, cold = t0 + biases / 2.0, t0 - biases / 2.0
         params["tempL"] = np.tile(np.stack([hot, cold], axis=1).ravel(), len(valid))
         params["tempR"] = np.tile(np.stack([cold, hot], axis=1).ravel(), len(valid))
-        rates = RateBatch(params)
+        rates = RateSet(params)
         states = steady_state_batch(build_generator_batch(rates))
-        j = heat_currents_batch(rates, states.vectors)[1].reshape(len(valid), stop, 2)
+        j = bath_currents(rates, states.vectors.T, ENERGY)[1].reshape(len(valid), stop, 2)
         j_f, j_b = j[:, :, 0], j[:, :, 1]
         den = np.maximum(j_f, -j_b)
         with np.errstate(divide="ignore", invalid="ignore"):

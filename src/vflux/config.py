@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -73,8 +74,6 @@ class SweepAxis:
     steps: int
 
     def values(self):
-        import numpy as np
-
         return np.linspace(self.minimum, self.maximum, self.steps)
 
 
@@ -104,6 +103,36 @@ def _require_mapping(node, where: str) -> dict:
 
 _KNOWN_TOP = {"schema", "task", "reproduce", "system", "sweep", "output",
               "rectify", "amplify", "cumulants", "steady"}
+
+#: The keys of each task-option section.
+_OPTION_KEYS = {"rectify": ("t0", "deltaT"), "amplify": ("tM", "h"),
+                "cumulants": ("bath", "kind", "order")}
+
+
+def _number(value) -> float | None:
+    """``value`` as a float if it is a number (not a bool), else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def _axis(node, where: str, problems: list[str]) -> tuple[float, float, int] | None:
+    """``(min, max, steps)`` of a ``{min, max, steps}`` mapping; a problem
+    is recorded and None returned when it is not a valid axis."""
+    node = _require_mapping(node, where)
+    try:
+        lo, hi = float(node["min"]), float(node["max"])
+        steps = int(node["steps"])
+    except (KeyError, TypeError, ValueError):
+        problems.append(f"{where}: needs numeric min, max and integer steps")
+        return None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        problems.append(f"{where}: min = {lo} and max = {hi} must be finite")
+        return None
+    if steps < 2:
+        problems.append(f"{where}.steps: must be >= 2, got {steps}")
+        return None
+    return lo, hi, steps
 
 
 def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
@@ -145,11 +174,11 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     merged = dict(REPRODUCE_SYSTEMS.get(target, BASE_SYSTEM))
     for key in _SPEC_FIELDS:
         if key in system_node:
-            value = system_node[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"system.{key}: expected a number, got {value!r}")
+            value = _number(system_node[key])
+            if value is None:
+                problems.append(f"system.{key}: expected a number, got {system_node[key]!r}")
                 continue
-            merged[key] = float(value)
+            merged[key] = value
     spec = SystemSpec(**merged)
     for violation in validate(spec):
         problems.append(f"system: {violation}")
@@ -166,19 +195,9 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         if field not in _SPEC_FIELDS:
             problems.append(f"sweep.axes[{pos}].field: unknown system field {field!r}")
             continue
-        try:
-            lo, hi = float(item["min"]), float(item["max"])
-            steps = int(item["steps"])
-        except (KeyError, TypeError, ValueError):
-            problems.append(f"sweep.axes[{pos}]: needs numeric min, max and integer steps")
-            continue
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            problems.append(f"sweep.axes[{pos}]: min = {lo} and max = {hi} must be finite")
-            continue
-        if steps < 2:
-            problems.append(f"sweep.axes[{pos}].steps: must be >= 2, got {steps}")
-            continue
-        axes.append(SweepAxis(field, lo, hi, steps))
+        bounds = _axis(item, f"sweep.axes[{pos}]", problems)
+        if bounds is not None:
+            axes.append(SweepAxis(field, *bounds))
     if task == "sweep" and not (1 <= len(axes) <= 2):
         problems.append(f"sweep: needs 1 or 2 axes, got {len(axes)}")
     if task != "sweep" and axes:
@@ -192,10 +211,33 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         out_format = "csv"
 
     options: dict = {}
-    for section in ("rectify", "amplify", "cumulants"):
+    for section, keys in _OPTION_KEYS.items():
         node = _require_mapping(raw.get(section), section)
-        for key, value in node.items():
-            options[f"{section}.{key}"] = value
+        unknown_keys = sorted(map(str, set(node) - set(keys)))
+        if unknown_keys:
+            problems.append(f"{section}: unknown keys: {', '.join(unknown_keys)}")
+        options.update((f"{section}.{key}", node[key]) for key in keys if key in node)
+    for key in ("rectify.t0", "amplify.h"):
+        if key in options:
+            value = _number(options[key])
+            if value is None or not 0.0 < value < math.inf:
+                problems.append(f"{key}: expected a positive finite number, got {options[key]!r}")
+            options[key] = value
+    # a grid option is one number or a {min, max, steps} axis, kept as its values
+    for key in ("rectify.deltaT", "amplify.tM"):
+        if key in options:
+            value = _number(options[key])
+            if value is not None and math.isfinite(value):
+                options[key] = np.array([value])
+            elif isinstance(options[key], dict):
+                bounds = _axis(options[key], key, problems)
+                options[key] = None if bounds is None else np.linspace(*bounds)
+            else:
+                problems.append(f"{key}: expected a finite number or {{min, max, steps}}, "
+                                f"got {options[key]!r}")
+    order = options.get("cumulants.order", 2)
+    if not isinstance(order, int) or isinstance(order, bool):
+        problems.append(f"cumulants.order: expected an integer, got {order!r}")
     kind = options.get("cumulants.kind", ENERGY)
     if kind not in KINDS:
         problems.append(f"cumulants.kind: expected one of {KINDS}, got {kind!r}")

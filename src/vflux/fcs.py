@@ -135,9 +135,13 @@ def pseudo_inverse_R(spec: SystemSpec) -> np.ndarray:
     must fall below the cutoff.
     """
     gen = build_generator(spec)
-    p0 = steady_state(gen).vector
+    return _projected_inverse(gen.matrix, steady_state(gen).vector)
+
+
+def _projected_inverse(matrix: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """:func:`pseudo_inverse_R` of a bare generator with steady state ``p0``."""
     q = np.eye(5, dtype=complex) - np.outer(p0, TRACE_VECTOR)
-    u, sigma, vh = np.linalg.svd(gen.matrix)
+    u, sigma, vh = np.linalg.svd(matrix)
     cutoff = PINV_CUTOFF * sigma[0]
     small = sigma < cutoff
     if small.sum() != 1:
@@ -174,7 +178,7 @@ def cumulants_perturbative(
         raise UsageError(f"cumulant order must be in 1..4, got {order}")
     gen = build_generator(spec)
     p0 = steady_state(gen).vector
-    r = pseudo_inverse_R(spec)
+    r = _projected_inverse(gen.matrix, p0)
     chi0 = CountingFields.zero(kind)
     h = {n: generator_chi_derivative(spec, chi0, bath, n) for n in range(1, order + 1)}
 

@@ -21,10 +21,8 @@ import numpy as np
 
 from .errors import UsageError
 from .model import (
-    ENERGY,
     CountingFields,
     DressedRateSet,
-    RateBatch,
     RateSet,
     SystemSpec,
     build_rates,
@@ -64,7 +62,8 @@ class Generator:
 
 
 def _fill_block(rates: RateSet, sandwich: RateSet | DressedRateSet) -> np.ndarray:
-    """Assemble the 5x5 generator.
+    """Assemble the 5x5 generator, with the points of a stack of rates on
+    a trailing axis (shape ``(5, 5) + rates.shape``).
 
     ``sandwich`` supplies the gain-type rates that carry counting phases;
     ``rates`` supplies the undressed damping combinations.  Passing the same
@@ -77,7 +76,7 @@ def _fill_block(rates: RateSet, sandwich: RateSet | DressedRateSet) -> np.ndarra
     gMp, gMm = rates.gain_M, rates.loss_M
     delta = rates.delta
 
-    m = np.zeros((5, 5), dtype=complex)
+    m = np.zeros((5, 5) + rates.shape, dtype=complex)
     # populations
     m[0, 0] = -(gm(1, 1, 1) + gMm)
     m[0, 1] = gMp
@@ -101,40 +100,14 @@ def _fill_block(rates: RateSet, sandwich: RateSet | DressedRateSet) -> np.ndarra
     return m
 
 
-def build_generator_batch(rates: RateBatch) -> np.ndarray:
-    """Bare generators of N parameter points as one ``(N, 5, 5)`` array.
+def build_generator_batch(rates: RateSet) -> np.ndarray:
+    """Bare generators of a stack of rates as one ``(N, 5, 5)`` array.
 
-    Writes each entry with the operations of :func:`_fill_block`, in its
-    order, so generator ``n`` equals ``build_generator`` of point ``n``
-    bit for bit.
+    Generator ``n`` equals ``build_generator`` of point ``n`` bit for bit.
+    The stack is C-contiguous: a stacked ``np.matmul`` on the strided view
+    of :func:`_fill_block`'s output does not keep the bits.
     """
-    gm = rates.gamma_minus
-    gp = rates.gamma_plus
-    gMp, gMm = rates.gain_M, rates.loss_M
-    delta = rates.delta
-
-    m = np.zeros((len(delta), 5, 5), dtype=complex)
-    # populations
-    m[:, 0, 0] = -(gm(1, 1, 1) + gMm)
-    m[:, 0, 1] = gMp
-    m[:, 0, 2] = gp(1, 1, 1)
-    m[:, 0, 3] = m[:, 0, 4] = -0.5 * gm(1, 2, 2)
-    m[:, 1, 0] = gMm
-    m[:, 1, 1] = -(gm(2, 2, 2) + gMp)
-    m[:, 1, 2] = gp(2, 2, 2)
-    m[:, 1, 3] = m[:, 1, 4] = -0.5 * gm(1, 2, 1)
-    m[:, 2, 0] = gm(1, 1, 1)
-    m[:, 2, 1] = gm(2, 2, 2)
-    m[:, 2, 2] = -(gp(1, 1, 1) + gp(2, 2, 2))
-    m[:, 2, 3] = m[:, 2, 4] = 0.5 * (gm(1, 2, 1) + gm(1, 2, 2))
-    # coherences
-    damping = 0.5 * (gm(1, 1, 1) + gm(2, 2, 2)) + 0.5 * (gMp + gMm)
-    m[:, 3, 0] = m[:, 4, 0] = -0.5 * gm(1, 2, 1)
-    m[:, 3, 1] = m[:, 4, 1] = -0.5 * gm(1, 2, 2)
-    m[:, 3, 2] = m[:, 4, 2] = 0.5 * (gp(1, 2, 1) + gp(1, 2, 2))
-    m[:, 3, 3] = -1j * delta - damping
-    m[:, 4, 4] = +1j * delta - damping
-    return m
+    return np.ascontiguousarray(np.moveaxis(_fill_block(rates, rates), -1, 0))
 
 
 def build_generator(spec: SystemSpec, rates: RateSet | None = None) -> Generator:
@@ -171,9 +144,9 @@ def generator_chi_derivative(
     """Analytic derivative d^n L / d(i chi_u)^n evaluated at ``chi0``.
 
     Each dressed gain factor contributes ``(-w)^n`` and each dressed loss
-    factor ``(+w)^n`` (``w`` = energy argument for energy counting, 1 for
-    particle counting), applied per bath before the bath sum.  A bath with
-    all couplings zero yields the zero matrix.
+    factor ``(+w)^n`` (``w`` the counting weight, :meth:`RateSet.weights`),
+    applied per bath before the bath sum.  A bath with all couplings zero
+    yields the zero matrix.
     """
     if not 1 <= order <= 4:
         raise UsageError(f"derivative order must be in 1..4, got {order}")
@@ -183,7 +156,7 @@ def generator_chi_derivative(
     gain = rates.gainL if bath == "L" else rates.gainR
     loss = rates.lossL if bath == "L" else rates.lossR
     chi_u = chi0.chiL if bath == "L" else chi0.chiR
-    w = np.array([spec.eps1, spec.eps2]) if chi0.kind == ENERGY else np.ones(2)
+    w = np.array(rates.weights(chi0.kind)[:2])
     gain_fac = (-w) ** order * np.exp(-1j * w * chi_u)
     loss_fac = (+w) ** order * np.exp(+1j * w * chi_u)
 

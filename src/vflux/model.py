@@ -189,79 +189,70 @@ class RateSet:
 
     Rates are stored as nested tuples ``[i][j][k]`` with levels
     ``i, j in {0, 1}`` (for excited states 1, 2) and ``k in {0, 1}``
-    selecting the energy argument ``eps1`` or ``eps2``.  Plain Python
-    storage keeps construction cheap inside parameter sweeps.
+    selecting the energy argument ``eps1`` or ``eps2``.  ``params`` maps
+    every SystemSpec field to a float, for one point (see
+    :func:`build_rates`), or to an array of length N, for a stack of
+    points (see :func:`spec_arrays`); every entry is then a float or an
+    array of length N, and ``shape`` is ``()`` or ``(N,)``.  Both run the
+    same operations, so an entry of a stack carries the bits of that
+    point's own rate set.  The points are not validated here.
     """
 
-    __slots__ = ("spec", "occL", "occR", "occM", "gainL", "gainR", "lossL", "lossR",
-                 "gain_M", "loss_M")
+    __slots__ = ("eps1", "eps2", "delta", "shape", "occL", "occR", "occM",
+                 "gainL", "gainR", "lossL", "lossR", "gain_M", "loss_M")
 
-    def __init__(self, spec: SystemSpec):
-        spec.require_valid()
-        self.spec = spec
-        eps = (spec.eps1, spec.eps2)
-        coefL = ((spec.gL11, spec.gL12), (spec.gL12, spec.gL22))
-        coefR = ((spec.gR11, spec.gR12), (spec.gR12, spec.gR22))
-        needed = (True, spec.eps2 > 0.0)
-        self.occL = tuple(
-            bose_occupation(e, spec.tempL) if need else 0.0 for e, need in zip(eps, needed)
-        )
-        self.occR = tuple(
-            bose_occupation(e, spec.tempR) if need else 0.0 for e, need in zip(eps, needed)
-        )
+    def __init__(self, params):
+        self.eps1, self.eps2 = params["eps1"], params["eps2"]
+        self.delta = self.eps1 - self.eps2
+        self.shape = getattr(self.eps1, "shape", ())
+        self.occL, self.gainL, self.lossL = self._bath(
+            params["tempL"], (params["gL11"], params["gL12"], params["gL22"]))
+        self.occR, self.gainR, self.lossR = self._bath(
+            params["tempR"], (params["gR11"], params["gR12"], params["gR22"]))
+        g_m = params["gM"]
+        self.occM = _occupation(self.delta, params["tempM"], g_m > 0.0)
+        self.gain_M = g_m * self.occM
+        self.loss_M = g_m * (1.0 + self.occM)
+
+    def _bath(self, temp, coef):
+        """Occupations, gain table and loss table of one edge bath."""
+        occ = (_occupation(self.eps1, temp, True),
+               _occupation(self.eps2, temp, self.eps2 > 0.0))
         # gain[i][j][k] = coef_ij * n(eps_k); loss[i][j][k] = coef_ij * (1 + n(eps_k))
-        self.gainL = _rate_table(coefL, self.occL, 0.0)
-        self.lossL = _rate_table(coefL, self.occL, 1.0)
-        self.gainR = _rate_table(coefR, self.occR, 0.0)
-        self.lossR = _rate_table(coefR, self.occR, 1.0)
-        if spec.gM > 0.0:
-            self.occM = bose_occupation(spec.delta, spec.tempM)
-            self.gain_M = spec.gM * self.occM
-            self.loss_M = spec.gM * (1.0 + self.occM)
-        else:
-            self.occM = 0.0
-            self.gain_M = 0.0
-            self.loss_M = 0.0
+        return occ, _rate_table(coef, occ, 0.0), _rate_table(coef, occ, 1.0)
 
-    @property
-    def delta(self) -> float:
-        return self.spec.delta
-
-    def gamma_plus(self, i: int, j: int, k: int) -> float:
+    def gamma_plus(self, i: int, j: int, k: int):
         """Total gain rate for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
         return self.gainL[i - 1][j - 1][k - 1] + self.gainR[i - 1][j - 1][k - 1]
 
-    def gamma_minus(self, i: int, j: int, k: int) -> float:
+    def gamma_minus(self, i: int, j: int, k: int):
         """Total loss rate for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
         return self.lossL[i - 1][j - 1][k - 1] + self.lossR[i - 1][j - 1][k - 1]
+
+    def weights(self, kind: str) -> tuple:
+        """Counting weight of one quantum on each transition: ``eps1``,
+        ``eps2`` (edge baths) and ``delta`` (middle bath) when counting
+        energy, 1.0 each when counting excitations."""
+        return (self.eps1, self.eps2, self.delta) if kind == ENERGY else (1.0, 1.0, 1.0)
 
 
 def _rate_table(coef, occ, offset: float):
     n0 = offset + occ[0]
     n1 = offset + occ[1]
-    c00, c01 = coef[0]
-    _, c11 = coef[1]
+    c00, c01, c11 = coef
     cross = (c01 * n0, c01 * n1)
     return (((c00 * n0, c00 * n1), cross), (cross, (c11 * n0, c11 * n1)))
 
 
-def build_rates(spec: SystemSpec) -> RateSet:
-    """Evaluate all bare transition rates for a validated spec."""
-    return RateSet(spec)
+def _occupation(omega, temp, needed):
+    """:func:`bose_occupation` of ``(omega, temp)`` where ``needed``, else 0.0.
 
-
-def spec_arrays(specs) -> dict[str, np.ndarray]:
-    """Fields of ``specs`` as one float array per SystemSpec field name."""
-    return {f.name: np.array([getattr(s, f.name) for s in specs], dtype=float)
-            for f in fields(SystemSpec)}
-
-
-def _occupations(omega: np.ndarray, temp: np.ndarray, needed: np.ndarray) -> np.ndarray:
-    """:func:`bose_occupation` of each (omega, temp) pair where ``needed``, else 0.0.
-
-    Evaluated once per unique pair with ``math.expm1``: ``np.expm1``
-    differs from it in the last ulp for some inputs.
+    A stack is evaluated once per unique pair with ``math.expm1``:
+    ``np.expm1`` differs from it in the last ulp for some inputs.
     """
+    if not isinstance(omega, np.ndarray):
+        return bose_occupation(omega, temp) if needed else 0.0
+    omega, temp, needed = np.broadcast_arrays(omega, temp, needed)
     out = np.zeros(omega.shape)
     # each pair viewed as one complex number (real omega, imaginary temp),
     # which np.unique sorts far faster than rows
@@ -272,61 +263,23 @@ def _occupations(omega: np.ndarray, temp: np.ndarray, needed: np.ndarray) -> np.
     return out
 
 
-class RateBatch:
-    """The bare rates of N valid parameter points as float arrays.
-
-    The batched counterpart of :class:`RateSet`, with the same table layout:
-    ``gainL[i][j][k]`` and the other tables are arrays of length N (shape
-    ``(2, 2, 2, N)``), and each entry equals the :class:`RateSet` value of
-    its point bit for bit, because it is computed by the same float
-    operations in the same order.  ``params`` maps every SystemSpec field
-    to an array of length N (see :func:`spec_arrays`); the points are not
-    validated here.
-    """
-
-    __slots__ = ("eps1", "eps2", "delta", "gainL", "gainR", "lossL", "lossR",
-                 "gain_M", "loss_M")
-
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.eps1, self.eps2 = params["eps1"], params["eps2"]
-        self.delta = self.eps1 - self.eps2
-        omega = np.stack([self.eps1, self.eps2])
-        needed = np.stack([np.ones(len(self.eps1), dtype=bool), self.eps2 > 0.0])
-        for side in BATHS:
-            temp = np.broadcast_to(params[f"temp{side}"], omega.shape)
-            occ = _occupations(omega, temp, needed)
-            coef = (params[f"g{side}11"], params[f"g{side}12"], params[f"g{side}22"])
-            setattr(self, f"gain{side}", _rate_batch(coef, occ, 0.0))
-            setattr(self, f"loss{side}", _rate_batch(coef, occ, 1.0))
-        coupled = params["gM"] > 0.0
-        occ_m = _occupations(self.delta, params["tempM"], coupled)
-        self.gain_M = np.where(coupled, params["gM"] * occ_m, 0.0)
-        self.loss_M = np.where(coupled, params["gM"] * (1.0 + occ_m), 0.0)
-
-    def gamma_plus(self, i: int, j: int, k: int) -> np.ndarray:
-        """Total gain rates for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
-        return self.gainL[i - 1][j - 1][k - 1] + self.gainR[i - 1][j - 1][k - 1]
-
-    def gamma_minus(self, i: int, j: int, k: int) -> np.ndarray:
-        """Total loss rates for levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
-        return self.lossL[i - 1][j - 1][k - 1] + self.lossR[i - 1][j - 1][k - 1]
+def build_rates(spec: SystemSpec) -> RateSet:
+    """Evaluate all bare transition rates for a validated spec."""
+    return RateSet(vars(spec.require_valid()))
 
 
-def _rate_batch(coef, occ, offset: float) -> np.ndarray:
-    # the operations of _rate_table, on arrays
-    n0 = offset + occ[0]
-    n1 = offset + occ[1]
-    c00, c01, c11 = coef
-    cross = (c01 * n0, c01 * n1)
-    return np.array((((c00 * n0, c00 * n1), cross), (cross, (c11 * n0, c11 * n1))))
+def spec_arrays(specs) -> dict[str, np.ndarray]:
+    """Fields of ``specs`` as one float array per SystemSpec field name."""
+    return {name: np.array([getattr(s, name) for s in specs], dtype=float)
+            for name in _SPEC_FIELDS}
 
 
 class DressedRateSet:
     """Counting-field-dressed rates; reduces to the bare rates at chi = 0.
 
     Gain contributions pick up ``exp(-i w chi_u)`` and loss contributions
-    ``exp(+i w chi_u)`` per bath ``u``, with ``w`` the energy argument for
-    energy counting and 1 for particle counting.
+    ``exp(+i w chi_u)`` per bath ``u``, with ``w`` the counting weight
+    (:meth:`RateSet.weights`).
     """
 
     __slots__ = ("base", "chi", "gain", "loss")
@@ -334,8 +287,7 @@ class DressedRateSet:
     def __init__(self, base: RateSet, chi: CountingFields):
         self.base = base
         self.chi = chi
-        spec = base.spec
-        w = (spec.eps1, spec.eps2) if chi.kind == ENERGY else (1.0, 1.0)
+        w = base.weights(chi.kind)[:2]
         phaseL = tuple(np.exp(-1j * wk * chi.chiL) for wk in w)
         phaseR = tuple(np.exp(-1j * wk * chi.chiR) for wk in w)
         self.gain = tuple(

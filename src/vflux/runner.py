@@ -117,16 +117,6 @@ def _current_cells(report: CurrentReport) -> dict:
     }
 
 
-def _grid_option(config: ScenarioConfig, key: str, default: np.ndarray) -> np.ndarray:
-    """A grid option: absent (``default``), one number, or ``{min, max, steps}``."""
-    node = config.option(key)
-    if node is None:
-        return default
-    if isinstance(node, (int, float)):
-        return np.array([float(node)])
-    return np.linspace(float(node["min"]), float(node["max"]), int(node["steps"]))
-
-
 def _coupling_specs(spec: SystemSpec, points: int) -> list[SystemSpec]:
     """(gL12, gR12) grid from zero to each bath's interference bound, gL12 outer."""
     return [replace(spec, gL12=float(gl), gR12=float(gr))
@@ -155,7 +145,7 @@ def _currents(config: ScenarioConfig):
 
 
 def _cumulants(config: ScenarioConfig):
-    order = int(config.option("cumulants.order", 2))
+    order = config.option("cumulants.order", 2)
 
     def cells(cs) -> dict:
         return {"method": cs.method, "imag_residue": cs.imag_residue,
@@ -171,19 +161,18 @@ def _cumulants(config: ScenarioConfig):
 
 
 def _rectify(config: ScenarioConfig):
-    t0 = float(config.option("rectify.t0", 1.0))
+    t0 = config.option("rectify.t0", 1.0)
 
     def cells(spec, t0, deltaT):
         res = rectification(spec, t0, deltaT)
         return {"j_forward": res.j_forward, "j_backward": res.j_backward, "rj": res.rj}
 
-    grid = _grid_option(config, "rectify.deltaT", default_deltaT_grid(t0))
+    grid = config.option("rectify.deltaT", default_deltaT_grid(t0))
     return [(config.spec, {"t0": t0, "deltaT": float(dt)}) for dt in grid], _each(cells)
 
 
 def _amplify(config: ScenarioConfig):
     h = config.option("amplify.h")
-    h = None if h is None else float(h)
 
     def cells(spec, tM):
         res = amplification(spec, tM, h)
@@ -191,7 +180,7 @@ def _amplify(config: ScenarioConfig):
                 "dJeL_dTM": res.dJdTm[0], "dJeR_dTM": res.dJdTm[1], "dJeM_dTM": res.dJdTm[2],
                 "branch_theta": res.branch_theta, "branch_residual": res.branch_residual}
 
-    grid = _grid_option(config, "amplify.tM", default_tM_grid())
+    grid = config.option("amplify.tM", default_tM_grid())
     return [(replace(config.spec, tempM=float(tm)), {"tM": float(tm)}) for tm in grid], _each(cells)
 
 
@@ -228,7 +217,7 @@ def _fig21b(config: ScenarioConfig):
 
 
 def _fig3(config: ScenarioConfig):
-    t0 = float(config.option("rectify.t0", 1.0))
+    t0 = config.option("rectify.t0", 1.0)
     delta_grid = default_deltaT_grid(t0)
 
     def evaluate(chunk):

@@ -17,7 +17,15 @@ import numpy as np
 from .errors import DomainError, UsageError, VfluxError
 from .fcs import cumulants_finite_difference, cumulants_perturbative
 from .liouvillian import build_generator, build_generator_batch
-from .model import ENERGY, RateBatch, SystemSpec, bose_occupation, build_rates, spec_arrays
+from .model import (
+    ENERGY,
+    PARTICLE,
+    RateSet,
+    SystemSpec,
+    bose_occupation,
+    build_rates,
+    spec_arrays,
+)
 from .steady import SteadyState, steady_state, steady_state_batch
 
 #: Conservation residuals above this level flag the report.
@@ -32,31 +40,40 @@ def _resolve_state(spec: SystemSpec, state, rates) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
+def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
+    """Currents (J_L, J_R, J_M) of the counted quantity into the three baths.
+
+    Each left/right current has a population-transfer part and an
+    interference part proportional to the real coherence sum; the middle
+    current exchanges quanta only between the two excited populations.
+    Every term carries the counting weight of its transition
+    (:meth:`RateSet.weights`); the particle weights are 1.0, and
+    multiplying by 1.0 is exact.  ``v`` is one state vector, or the state
+    vectors of a stack of rates as columns (shape ``(5, N)``), which gives
+    arrays of N currents.
+    """
+    w = rates.weights(kind)
+    csum = (v[3] + v[4]).real
+    out = []
+    for gain, loss in ((rates.gainL, rates.lossL), (rates.gainR, rates.lossR)):
+        j = 0.0
+        for k in range(2):
+            j += w[k] * (loss[k][k][k] * v[k].real - gain[k][k][k] * v[2].real)
+            j += 0.5 * w[k] * loss[0][1][k] * csum
+        out.append(j)
+    j_m = w[2] * (rates.loss_M * v[0].real - rates.gain_M * v[1].real)
+    return out[0], out[1], j_m
+
+
 def heat_currents(
     spec: SystemSpec,
     state: SteadyState | np.ndarray | None = None,
     *,
     rates=None,
 ):
-    """Energy currents (JeL, JeR, JeM) into the three baths.
-
-    Each left/right current has a population-transfer part and an
-    interference part proportional to the real coherence sum; the middle
-    current exchanges energy only between the two excited populations.
-    """
+    """Energy currents (JeL, JeR, JeM) into the three baths (see :func:`bath_currents`)."""
     r = build_rates(spec) if rates is None else rates
-    v = _resolve_state(spec, state, r)
-    csum = float((v[3] + v[4]).real)
-    eps = (spec.eps1, spec.eps2)
-    out = []
-    for gain, loss in ((r.gainL, r.lossL), (r.gainR, r.lossR)):
-        j = 0.0
-        for k in range(2):
-            j += eps[k] * (loss[k][k][k] * v[k].real - gain[k][k][k] * v[2].real)
-            j += 0.5 * eps[k] * loss[0][1][k] * csum
-        out.append(j)
-    je_m = spec.delta * (r.loss_M * v[0].real - r.gain_M * v[1].real)
-    return out[0], out[1], je_m
+    return bath_currents(r, _resolve_state(spec, state, r), ENERGY)
 
 
 def particle_currents(
@@ -67,51 +84,7 @@ def particle_currents(
 ):
     """Excitation-number currents (JpL, JpR, JpM) into the three baths."""
     r = build_rates(spec) if rates is None else rates
-    v = _resolve_state(spec, state, r)
-    csum = float((v[3] + v[4]).real)
-    out = []
-    for gain, loss in ((r.gainL, r.lossL), (r.gainR, r.lossR)):
-        j = 0.0
-        for k in range(2):
-            j += loss[k][k][k] * v[k].real - gain[k][k][k] * v[2].real
-            j += 0.5 * loss[0][1][k] * csum
-        out.append(j)
-    jp_m = r.loss_M * v[0].real - r.gain_M * v[1].real
-    return out[0], out[1], jp_m
-
-
-def heat_currents_batch(rates: RateBatch, vectors: np.ndarray):
-    """:func:`heat_currents` of N points as arrays, in the scalar operation order.
-
-    ``vectors`` holds one steady state per row, shape ``(N, 5)``.
-    """
-    v = vectors.T
-    csum = (v[3] + v[4]).real
-    eps = (rates.eps1, rates.eps2)
-    out = []
-    for gain, loss in ((rates.gainL, rates.lossL), (rates.gainR, rates.lossR)):
-        j = 0.0
-        for k in range(2):
-            j += eps[k] * (loss[k][k][k] * v[k].real - gain[k][k][k] * v[2].real)
-            j += 0.5 * eps[k] * loss[0][1][k] * csum
-        out.append(j)
-    je_m = rates.delta * (rates.loss_M * v[0].real - rates.gain_M * v[1].real)
-    return out[0], out[1], je_m
-
-
-def particle_currents_batch(rates: RateBatch, vectors: np.ndarray):
-    """:func:`particle_currents` of N points as arrays, in the scalar operation order."""
-    v = vectors.T
-    csum = (v[3] + v[4]).real
-    out = []
-    for gain, loss in ((rates.gainL, rates.lossL), (rates.gainR, rates.lossR)):
-        j = 0.0
-        for k in range(2):
-            j += loss[k][k][k] * v[k].real - gain[k][k][k] * v[2].real
-            j += 0.5 * loss[0][1][k] * csum
-        out.append(j)
-    jp_m = rates.loss_M * v[0].real - rates.gain_M * v[1].real
-    return out[0], out[1], jp_m
+    return bath_currents(r, _resolve_state(spec, state, r), PARTICLE)
 
 
 def closed_form_JeR_resonant(spec: SystemSpec) -> float:
@@ -278,10 +251,10 @@ def current_reports_batch(specs, include_noise: bool = True) -> list:
             valid.append(pos)
     if not valid:
         return outcomes
-    rates = RateBatch(spec_arrays([specs[pos] for pos in valid]))
+    rates = RateSet(spec_arrays([specs[pos] for pos in valid]))
     states = steady_state_batch(build_generator_batch(rates))
-    je = heat_currents_batch(rates, states.vectors)
-    jp = particle_currents_batch(rates, states.vectors)
+    je = bath_currents(rates, states.vectors.T, ENERGY)
+    jp = bath_currents(rates, states.vectors.T, PARTICLE)
     res_e = np.abs(je[0] + je[1] + je[2])
     res_p = np.abs(jp[0] + jp[1])
     for n, pos in enumerate(valid):

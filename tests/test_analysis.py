@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vflux.analysis import (
+    RECTIFICATION_FLOOR,
     amplification,
     cyclic_amplification_analytic,
     default_deltaT_grid,
@@ -16,6 +19,8 @@ from vflux.errors import (
     UsageError,
 )
 from vflux.model import SystemSpec
+from vflux.runner import SPEC_COLUMNS
+from vflux.transport import closed_form_JeR_resonant
 
 from conftest import BOUND, cycle_spec, two_bath_spec
 
@@ -139,3 +144,31 @@ def test_cyclic_amplification_analytic_values():
     assert cyclic_amplification_analytic(1.0, 0.99) == pytest.approx(99.0, rel=1e-9)
     with pytest.raises(DomainError):
         cyclic_amplification_analytic(1.0, 1.0)
+
+
+def closed_form_rj(spec: SystemSpec, t0: float, deltaT: float) -> float:
+    """The rectification factor from closed_form_JeR_resonant; -inf where
+    it is indeterminate."""
+    j_f = closed_form_JeR_resonant(replace(spec, tempL=t0 + deltaT / 2.0, tempR=t0 - deltaT / 2.0))
+    j_b = closed_form_JeR_resonant(replace(spec, tempL=t0 - deltaT / 2.0, tempR=t0 + deltaT / 2.0))
+    den = max(j_f, -j_b)
+    return abs(j_f + j_b) / den if den > RECTIFICATION_FLOOR else -np.inf
+
+
+def test_fig3_matches_resonant_closed_form(reproduce_outputs):
+    # the fig3 base system is resonant two-bath with equal diagonal
+    # couplings, the whole domain of the closed form
+    _, rows, _ = reproduce_outputs["fig3"]
+    valid = [r for r in rows if r.get("error") is None]
+    off_diagonal = [r for r in valid if r["gL12"] != r["gR12"]]
+    diagonal = [r for r in valid if r["gL12"] == r["gR12"]]
+    assert (len(off_diagonal), len(diagonal)) == (2550, 50)
+    for row in off_diagonal:
+        spec = SystemSpec(**{name: row[name] for name in SPEC_COLUMNS})
+        grid = default_deltaT_grid(row["t0"])
+        rj = closed_form_rj(spec, row["t0"], row["deltaT_star"])
+        assert abs(rj - row["rj_max"]) <= 1e-10 * row["rj_max"]
+        # the first maximum in bias order, as the scan takes it
+        scan = [closed_form_rj(spec, row["t0"], float(dt)) for dt in grid]
+        assert float(grid[int(np.argmax(scan))]) == row["deltaT_star"]
+    assert max(r["rj_max"] for r in diagonal) <= 1e-12

@@ -1,16 +1,21 @@
-"""The batched grid engine against the scalar reference route, bit for bit.
+"""The batched grid engine against the scalar reference route, bit for bit,
+and against the independent constructions.
 
 Random valid specs come from three regimes: resonant two-bath with
 interference, detuned three-bath, and within 1e-3 (relative) of the dark
 corner where both cross couplings reach their bound.  Every number the
 batched route produces must carry the same bits as the scalar route, and
-every error the same text.
+every error the same text.  The stacked generators must also match the
+superoperator construction, preserve the trace and keep Hermiticity, and
+the stacked currents must conserve energy and particles where the model
+does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,17 +30,23 @@ from vflux.errors import (
     IndeterminateRectificationError,
     VfluxError,
 )
-from vflux.liouvillian import build_generator, build_generator_batch
-from vflux.model import RateBatch, SystemSpec, spec_arrays
+from vflux.liouvillian import (
+    TRACE_VECTOR,
+    build_generator,
+    build_generator_batch,
+    build_superoperator_full,
+    project_block,
+)
+from vflux.model import ENERGY, PARTICLE, RateSet, SystemSpec, build_rates, spec_arrays
 from vflux.runner import SPEC_COLUMNS, compute_rows
 from vflux.steady import steady_state, steady_state_batch
 from vflux.transport import (
+    CONSERVATION_TOL,
     CurrentReport,
+    bath_currents,
     current_reports_batch,
     heat_currents,
-    heat_currents_batch,
     particle_currents,
-    particle_currents_batch,
 )
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
@@ -94,13 +105,18 @@ def scalar_scan(spec, t0, grid):
 @PROPERTY
 @given(st.lists(specs(), min_size=1, max_size=6))
 def test_kernel_and_currents_match_scalar_bitwise(batch):
-    rates = RateBatch(spec_arrays(batch))
+    rates = RateSet(spec_arrays(batch))
     matrices = build_generator_batch(rates)
     states = steady_state_batch(matrices)
-    je = heat_currents_batch(rates, states.vectors)
-    jp = particle_currents_batch(rates, states.vectors)
+    je = bath_currents(rates, states.vectors.T, ENERGY)
+    jp = bath_currents(rates, states.vectors.T, PARTICLE)
     assert not states.errors
     for n, spec in enumerate(batch):
+        one = build_rates(spec)
+        for table in ("gainL", "gainR", "lossL", "lossR"):
+            for i, j, k in product((0, 1), repeat=3):
+                assert same_bits(getattr(rates, table)[i][j][k][n], getattr(one, table)[i][j][k])
+        assert same_bits(rates.gain_M[n], one.gain_M) and same_bits(rates.loss_M[n], one.loss_M)
         gen = build_generator(spec)
         ss = steady_state(gen)
         assert same_bits(matrices[n], gen.matrix)
@@ -109,6 +125,32 @@ def test_kernel_and_currents_match_scalar_bitwise(batch):
         assert bool(states.positivity_warnings[n]) == ss.positivity_warning
         assert all(same_bits(a[n], b) for a, b in zip(je, heat_currents(spec, ss)))
         assert all(same_bits(a[n], b) for a, b in zip(jp, particle_currents(spec, ss)))
+
+
+#: Swaps the two coherence components of the state vector.
+SWAP_COHERENCES = [0, 1, 2, 4, 3]
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=1, max_size=6))
+def test_stacked_generators_match_independent_construction(batch):
+    matrices = build_generator_batch(RateSet(spec_arrays(batch)))
+    for m, spec in zip(matrices, batch):
+        assert np.abs(m - project_block(build_superoperator_full(spec))).max() <= 1e-15
+        assert np.abs(TRACE_VECTOR @ m).max() <= 1e-14
+        # Hermiticity: the swapped generator is the complex conjugate
+        swapped = m[SWAP_COHERENCES][:, SWAP_COHERENCES]
+        assert np.array_equal(swapped, m.conj())
+
+
+@PROPERTY
+@given(st.lists(st.one_of(specs(RESONANT), specs(DARK_CORNER),
+                          specs(DETUNED).map(lambda s: replace(s, gL12=0.0, gR12=0.0))),
+                min_size=1, max_size=6))
+def test_stacked_currents_conserve_in_conserving_regimes(batch):
+    for spec, (_, report) in zip(batch, current_reports_batch(batch, include_noise=False)):
+        assert report.conservation_residual_energy <= CONSERVATION_TOL
+        assert report.conservation_residual_particle <= CONSERVATION_TOL
 
 
 @PROPERTY
@@ -151,7 +193,7 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
     with pytest.raises(DegenerateSteadyStateError) as info:
         steady_state(build_generator(corner))
     expected = str(info.value)
-    rates = RateBatch(spec_arrays([corner]))
+    rates = RateSet(spec_arrays([corner]))
     assert steady_state_batch(build_generator_batch(rates)).errors == {0: expected}
     (out,) = current_reports_batch([corner], include_noise=False)
     assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected

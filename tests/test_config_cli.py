@@ -185,6 +185,25 @@ def test_cli_rejects_non_finite_sweep_bound(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,options,message", [
+    ("cumulants", "cumulants: {order: x}", "cumulants.order: expected an integer"),
+    ("cumulants", "cumulants: {order: 2.5}", "cumulants.order: expected an integer"),
+    ("amplify", "amplify: {tM: {min: 1.0}}", "amplify.tM: needs numeric min, max"),
+    ("amplify", "amplify: {h: .inf}", "amplify.h: expected a positive finite number"),
+    ("amplify", "amplify: {tm: 1.0}", "amplify: unknown keys: tm"),
+    ("rectify", "rectify: {t0: abc}", "rectify.t0: expected a positive finite number"),
+    ("rectify", "rectify: {t0: -1.0}", "rectify.t0: expected a positive finite number"),
+    ("rectify", "rectify: {deltaT: {min: 0.1, max: 1, steps: 0}}",
+     "rectify.deltaT.steps: must be >= 2"),
+    ("rectify", "rectify: {deltaT: .nan}", "rectify.deltaT: expected a finite number"),
+    ("cumulants", "cumulants: {orders: 3}", "cumulants: unknown keys: orders"),
+])
+def test_cli_rejects_bad_task_option(tmp_path, capsys, task, options, message):
+    bad = write(tmp_path, "bad.yaml", f"task: {task}\n{options}\n")
+    assert cli_main([task, "--config", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_reproduce_writes_file(tmp_path):
     out = tmp_path / "fig5b.csv"
     assert cli_main(["reproduce", "fig5b", "--out", str(out)]) == 0

@@ -1,9 +1,15 @@
-"""The documented output columns and reproduce targets against the code."""
+"""The documented output columns, reproduce targets and names against the code."""
 
+import importlib
+import math
+import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import vflux
 
 from vflux.config import REPRODUCE_TARGETS, TASKS, build_config, load_config
 from vflux.golden import load_cases
@@ -50,3 +56,41 @@ def test_schema_doc_matches_target_columns(reproduce_outputs):
 def test_reproduce_targets_are_the_golden_targets():
     configs = [load_config(case.config_path) for case in load_cases(ROOT / "golden")]
     assert set(REPRODUCE_TARGETS) == {c.reproduce_target for c in configs if c.task == "reproduce"}
+
+
+#: Modules a dotted name in the docs may start with.
+MODULES = {"np": np, "math": math, "vflux": vflux,
+           **{name: None for _, name, _ in pkgutil.iter_modules(vflux.__path__)}}
+
+
+def documented_names() -> set[str]:
+    """Every backticked ``module.attr`` (a call's argument list dropped) in
+    docs/*.md and README.md whose first part names a module."""
+    names = set()
+    for path in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]:
+        text = path.read_text(encoding="utf-8")
+        for dotted in re.findall(r"`(\w+(?:\.\w+)+)(?:\([^`]*\))?`", text):
+            if dotted.split(".")[0] in MODULES:
+                names.add(dotted)
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    if parts[0] == "vflux":
+        parts = parts[1:]
+    obj = MODULES.get(parts[0])
+    try:
+        if obj is None:
+            obj = importlib.import_module(f"vflux.{parts[0]}")
+        for attr in parts[1:]:
+            obj = getattr(obj, attr)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_documented_names_resolve():
+    names = documented_names()
+    assert any(name.startswith("np.") for name in names)
+    assert sorted(name for name in names if not resolves(name)) == []
