@@ -50,7 +50,6 @@ from .model import (
     SystemSpec,
     bose_occupation,
     build_rates,
-    dress_rates,
     validate,
 )
 from .steady import (

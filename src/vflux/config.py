@@ -102,7 +102,7 @@ def _require_mapping(node, where: str) -> dict:
 
 
 _KNOWN_TOP = {"schema", "task", "reproduce", "system", "sweep", "output",
-              "rectify", "amplify", "cumulants", "steady"}
+              "rectify", "amplify", "cumulants"}
 
 #: The keys of each task-option section.
 _OPTION_KEYS = {"rectify": ("t0", "deltaT"), "amplify": ("tM", "h"),
@@ -120,10 +120,8 @@ def _axis(node, where: str, problems: list[str]) -> tuple[float, float, int] | N
     """``(min, max, steps)`` of a ``{min, max, steps}`` mapping; a problem
     is recorded and None returned when it is not a valid axis."""
     node = _require_mapping(node, where)
-    try:
-        lo, hi = float(node["min"]), float(node["max"])
-        steps = int(node["steps"])
-    except (KeyError, TypeError, ValueError):
+    lo, hi, steps = _number(node.get("min")), _number(node.get("max")), node.get("steps")
+    if lo is None or hi is None or not isinstance(steps, int) or isinstance(steps, bool):
         problems.append(f"{where}: needs numeric min, max and integer steps")
         return None
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -20,11 +20,12 @@ import numpy as np
 from .errors import BranchError, DegenerateSteadyStateError, UsageError
 from .liouvillian import (
     TRACE_VECTOR,
-    build_counting_generator,
+    _chi_derivative,
+    _counting_matrix,
+    _fill_block,
     build_generator,
-    generator_chi_derivative,
 )
-from .model import BATHS, KINDS, CountingFields, SystemSpec
+from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates
 from .steady import steady_state
 
 DIRECT = "direct"
@@ -100,13 +101,17 @@ def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
         If two eigenvalues sit within 1e-9 of the maximal real part at the
         target counting field.
     """
+    return _dominant_eigenvalue(build_rates(spec), chi)
+
+
+def _dominant_eigenvalue(rates: RateSet, chi: CountingFields) -> complex:
+    """:func:`dominant_eigenvalue` from built rates."""
     if chi.is_zero:
-        eigvals = np.linalg.eigvals(build_generator(spec).matrix)
+        eigvals = np.linalg.eigvals(_fill_block(rates))
         return complex(eigvals[np.argmin(np.abs(eigvals))])
     tracked = 0.0 + 0.0j
     for fraction in (0.5, 1.0):
-        gen = build_counting_generator(spec, chi.scaled(fraction))
-        eigvals = np.linalg.eigvals(gen.matrix)
+        eigvals = np.linalg.eigvals(_counting_matrix(rates, chi.scaled(fraction)))
         tracked = complex(eigvals[np.argmin(np.abs(eigvals - tracked))])
     max_re = eigvals.real.max()
     contenders = np.sort(eigvals.real)[::-1]
@@ -120,8 +125,9 @@ def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
 def first_cumulant_direct(spec: SystemSpec, bath: str, kind: str) -> float:
     """Mean current from the steady state and the first generator derivative."""
     _check_bath_kind(bath, kind)
-    p0 = steady_state(build_generator(spec)).vector
-    h1 = generator_chi_derivative(spec, CountingFields.zero(kind), bath, 1)
+    rates = build_rates(spec)
+    p0 = steady_state(build_generator(spec, rates)).vector
+    h1 = _chi_derivative(rates, CountingFields.zero(kind), bath, 1)
     value = complex(TRACE_VECTOR @ (h1 @ p0))
     return float(value.real)
 
@@ -176,11 +182,12 @@ def cumulants_perturbative(
     _check_bath_kind(bath, kind)
     if not 1 <= order <= 4:
         raise UsageError(f"cumulant order must be in 1..4, got {order}")
-    gen = build_generator(spec)
+    rates = build_rates(spec)
+    gen = build_generator(spec, rates)
     p0 = steady_state(gen).vector
     r = _projected_inverse(gen.matrix, p0)
     chi0 = CountingFields.zero(kind)
-    h = {n: generator_chi_derivative(spec, chi0, bath, n) for n in range(1, order + 1)}
+    h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
 
     energies: dict[int, complex] = {}
     states: dict[int, np.ndarray] = {0: p0}
@@ -229,8 +236,9 @@ def cumulants_finite_difference(
     if not 1e-6 <= h <= 1e-2:
         raise UsageError(f"finite-difference step must lie in [1e-6, 1e-2], got {h}")
 
-    e_h = dominant_eigenvalue(spec, _single_field(bath, kind, h))
-    e_h2 = dominant_eigenvalue(spec, _single_field(bath, kind, h / 2.0))
+    rates = build_rates(spec)
+    e_h = _dominant_eigenvalue(rates, _single_field(bath, kind, h))
+    e_h2 = _dominant_eigenvalue(rates, _single_field(bath, kind, h / 2.0))
 
     def first(step: float, value: complex) -> float:
         # d E0 / d(i chi) at 0: odd part is purely imaginary by symmetry

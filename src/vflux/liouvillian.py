@@ -16,18 +16,13 @@ holds them against each other entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .errors import UsageError
-from .model import (
-    CountingFields,
-    DressedRateSet,
-    RateSet,
-    SystemSpec,
-    build_rates,
-    dress_rates,
-)
+from .model import BATHS, CountingFields, RateSet, SystemSpec, build_rates
 
 #: Component order of the reduced state vector.
 STATE_LABELS = ("rho11", "rho22", "rhogg", "rho12", "rho21")
@@ -61,18 +56,16 @@ class Generator:
         return "\n".join(lines) + "\n"
 
 
-def _fill_block(rates: RateSet, sandwich: RateSet | DressedRateSet) -> np.ndarray:
+def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
     """Assemble the 5x5 generator, with the points of a stack of rates on
     a trailing axis (shape ``(5, 5) + rates.shape``).
 
-    ``sandwich`` supplies the gain-type rates that carry counting phases;
-    ``rates`` supplies the undressed damping combinations.  Passing the same
-    object for both yields the bare generator.
+    ``sandwich`` is the ``(gain, loss)`` pair of rate functions that fill
+    the gain-type entries (:func:`_fill_sandwich`), dressed by
+    :func:`_dressed_rates`; ``rates`` supplies the undressed damping
+    combinations.  Without it the bare rates fill them: the bare generator.
     """
     gm = rates.gamma_minus
-    gp = rates.gamma_plus
-    sm = sandwich.gamma_minus
-    sp = sandwich.gamma_plus
     gMp, gMm = rates.gain_M, rates.loss_M
     delta = rates.delta
 
@@ -80,24 +73,53 @@ def _fill_block(rates: RateSet, sandwich: RateSet | DressedRateSet) -> np.ndarra
     # populations
     m[0, 0] = -(gm(1, 1, 1) + gMm)
     m[0, 1] = gMp
-    m[0, 2] = sp(1, 1, 1)
     m[0, 3] = m[0, 4] = -0.5 * gm(1, 2, 2)
     m[1, 0] = gMm
     m[1, 1] = -(gm(2, 2, 2) + gMp)
-    m[1, 2] = sp(2, 2, 2)
     m[1, 3] = m[1, 4] = -0.5 * gm(1, 2, 1)
-    m[2, 0] = sm(1, 1, 1)
-    m[2, 1] = sm(2, 2, 2)
-    m[2, 2] = -(gp(1, 1, 1) + gp(2, 2, 2))
-    m[2, 3] = m[2, 4] = 0.5 * (sm(1, 2, 1) + sm(1, 2, 2))
+    m[2, 2] = -(rates.gamma_plus(1, 1, 1) + rates.gamma_plus(2, 2, 2))
     # coherences
     damping = 0.5 * (gm(1, 1, 1) + gm(2, 2, 2)) + 0.5 * (gMp + gMm)
     m[3, 0] = m[4, 0] = -0.5 * gm(1, 2, 1)
     m[3, 1] = m[4, 1] = -0.5 * gm(1, 2, 2)
-    m[3, 2] = m[4, 2] = 0.5 * (sp(1, 2, 1) + sp(1, 2, 2))
     m[3, 3] = -1j * delta - damping
     m[4, 4] = +1j * delta - damping
+    _fill_sandwich(m, *(sandwich or (rates.gamma_plus, gm)))
     return m
+
+
+def _fill_sandwich(m: np.ndarray, gain, loss) -> None:
+    """Write the gain-type ("sandwich") entries of ``m``: the only entries
+    that carry counting phases.  ``gain(i, j, k)`` and ``loss(i, j, k)`` are
+    the rates of levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
+    m[0, 2] = gain(1, 1, 1)
+    m[1, 2] = gain(2, 2, 2)
+    m[3, 2] = m[4, 2] = 0.5 * (gain(1, 2, 1) + gain(1, 2, 2))
+    m[2, 0] = loss(1, 1, 1)
+    m[2, 1] = loss(2, 2, 2)
+    m[2, 3] = m[2, 4] = 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))
+
+
+def _dressed_rates(rates: RateSet, chi: CountingFields, baths, order: int = 0):
+    """Gain and loss rate functions summed over ``baths``, each bath ``u``
+    dressed by its counting phase and differentiated ``order`` times in
+    ``i chi_u``: gain times ``(-w)^n exp(-i w chi_u)``, loss times
+    ``(+w)^n exp(+i w chi_u)``, with ``w`` the counting weight of the energy
+    argument (:meth:`RateSet.weights`).  Holds for complex ``chi``.
+    """
+    w = np.array(rates.weights(chi.kind)[:2])
+    gains, losses = [], []
+    for u in baths:
+        chi_u = chi.chiL if u == "L" else chi.chiR
+        gain, loss = (rates.gainL, rates.lossL) if u == "L" else (rates.gainR, rates.lossR)
+        gains.append((gain, (-w) ** order * np.exp(-1j * w * chi_u)))
+        losses.append((loss, (+w) ** order * np.exp(+1j * w * chi_u)))
+
+    def summed(terms):
+        return lambda i, j, k: reduce(add, (table[i - 1][j - 1][k - 1] * factor[k - 1]
+                                            for table, factor in terms))
+
+    return summed(gains), summed(losses)
 
 
 def build_generator_batch(rates: RateSet) -> np.ndarray:
@@ -107,7 +129,7 @@ def build_generator_batch(rates: RateSet) -> np.ndarray:
     The stack is C-contiguous: a stacked ``np.matmul`` on the strided view
     of :func:`_fill_block`'s output does not keep the bits.
     """
-    return np.ascontiguousarray(np.moveaxis(_fill_block(rates, rates), -1, 0))
+    return np.ascontiguousarray(np.moveaxis(_fill_block(rates), -1, 0))
 
 
 def build_generator(spec: SystemSpec, rates: RateSet | None = None) -> Generator:
@@ -118,7 +140,7 @@ def build_generator(spec: SystemSpec, rates: RateSet | None = None) -> Generator
     """
     if rates is None:
         rates = build_rates(spec)
-    return Generator(_fill_block(rates, rates), spec, None)
+    return Generator(_fill_block(rates), spec, None)
 
 
 def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator:
@@ -129,10 +151,12 @@ def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator
     damping terms and every middle-bath term stay undressed.  At chi = 0
     the result equals :func:`build_generator` bit-exactly.
     """
-    rates = build_rates(spec)
-    if chi.is_zero:
-        return Generator(_fill_block(rates, rates), spec, chi)
-    return Generator(_fill_block(rates, dress_rates(rates, chi)), spec, chi)
+    return Generator(_counting_matrix(build_rates(spec), chi), spec, chi)
+
+
+def _counting_matrix(rates: RateSet, chi: CountingFields) -> np.ndarray:
+    """Matrix of :func:`build_counting_generator` from built rates."""
+    return _fill_block(rates, _dressed_rates(rates, chi, BATHS))
 
 
 def generator_chi_derivative(
@@ -143,30 +167,22 @@ def generator_chi_derivative(
 ) -> np.ndarray:
     """Analytic derivative d^n L / d(i chi_u)^n evaluated at ``chi0``.
 
-    Each dressed gain factor contributes ``(-w)^n`` and each dressed loss
-    factor ``(+w)^n`` (``w`` the counting weight, :meth:`RateSet.weights`),
-    applied per bath before the bath sum.  A bath with all couplings zero
+    Only the sandwich entries of bath ``u`` depend on ``chi_u``, so the
+    derivative is those entries with the factors of :func:`_dressed_rates`
+    at order ``n``, and zero elsewhere.  A bath with all couplings zero
     yields the zero matrix.
     """
     if not 1 <= order <= 4:
         raise UsageError(f"derivative order must be in 1..4, got {order}")
-    if bath not in ("L", "R"):
+    if bath not in BATHS:
         raise UsageError(f"bath must be 'L' or 'R', got {bath!r}")
-    rates = build_rates(spec)
-    gain = rates.gainL if bath == "L" else rates.gainR
-    loss = rates.lossL if bath == "L" else rates.lossR
-    chi_u = chi0.chiL if bath == "L" else chi0.chiR
-    w = np.array(rates.weights(chi0.kind)[:2])
-    gain_fac = (-w) ** order * np.exp(-1j * w * chi_u)
-    loss_fac = (+w) ** order * np.exp(+1j * w * chi_u)
+    return _chi_derivative(build_rates(spec), chi0, bath, order)
 
+
+def _chi_derivative(rates: RateSet, chi0: CountingFields, bath: str, order: int) -> np.ndarray:
+    """:func:`generator_chi_derivative` from built rates, arguments unchecked."""
     h = np.zeros((5, 5), dtype=complex)
-    h[0, 2] = gain[0][0][0] * gain_fac[0]
-    h[1, 2] = gain[1][1][1] * gain_fac[1]
-    h[3, 2] = h[4, 2] = 0.5 * (gain[0][1][0] * gain_fac[0] + gain[0][1][1] * gain_fac[1])
-    h[2, 0] = loss[0][0][0] * loss_fac[0]
-    h[2, 1] = loss[1][1][1] * loss_fac[1]
-    h[2, 3] = h[2, 4] = 0.5 * (loss[0][1][0] * loss_fac[0] + loss[0][1][1] * loss_fac[1])
+    _fill_sandwich(h, *_dressed_rates(rates, chi0, (bath,), order))
     return h
 
 

@@ -273,44 +273,3 @@ def spec_arrays(specs) -> dict[str, np.ndarray]:
     return {name: np.array([getattr(s, name) for s in specs], dtype=float)
             for name in _SPEC_FIELDS}
 
-
-class DressedRateSet:
-    """Counting-field-dressed rates; reduces to the bare rates at chi = 0.
-
-    Gain contributions pick up ``exp(-i w chi_u)`` and loss contributions
-    ``exp(+i w chi_u)`` per bath ``u``, with ``w`` the counting weight
-    (:meth:`RateSet.weights`).
-    """
-
-    __slots__ = ("base", "chi", "gain", "loss")
-
-    def __init__(self, base: RateSet, chi: CountingFields):
-        self.base = base
-        self.chi = chi
-        w = base.weights(chi.kind)[:2]
-        phaseL = tuple(np.exp(-1j * wk * chi.chiL) for wk in w)
-        phaseR = tuple(np.exp(-1j * wk * chi.chiR) for wk in w)
-        self.gain = tuple(
-            tuple(tuple(base.gainL[i][j][k] * phaseL[k] + base.gainR[i][j][k] * phaseR[k]
-                        for k in range(2))
-                  for j in range(2))
-            for i in range(2)
-        )
-        self.loss = tuple(
-            tuple(tuple(base.lossL[i][j][k] * phaseL[k].conjugate()
-                        + base.lossR[i][j][k] * phaseR[k].conjugate()
-                        for k in range(2))
-                  for j in range(2))
-            for i in range(2)
-        )
-
-    def gamma_plus(self, i: int, j: int, k: int) -> complex:
-        return self.gain[i - 1][j - 1][k - 1]
-
-    def gamma_minus(self, i: int, j: int, k: int) -> complex:
-        return self.loss[i - 1][j - 1][k - 1]
-
-
-def dress_rates(rates: RateSet, chi: CountingFields) -> DressedRateSet:
-    """Apply per-bath counting phases to the gain/loss rates."""
-    return DressedRateSet(rates, chi)

@@ -65,26 +65,16 @@ def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
     return out[0], out[1], j_m
 
 
-def heat_currents(
-    spec: SystemSpec,
-    state: SteadyState | np.ndarray | None = None,
-    *,
-    rates=None,
-):
+def heat_currents(spec: SystemSpec, state: SteadyState | np.ndarray | None = None):
     """Energy currents (JeL, JeR, JeM) into the three baths (see :func:`bath_currents`)."""
-    r = build_rates(spec) if rates is None else rates
-    return bath_currents(r, _resolve_state(spec, state, r), ENERGY)
+    rates = build_rates(spec)
+    return bath_currents(rates, _resolve_state(spec, state, rates), ENERGY)
 
 
-def particle_currents(
-    spec: SystemSpec,
-    state: SteadyState | np.ndarray | None = None,
-    *,
-    rates=None,
-):
+def particle_currents(spec: SystemSpec, state: SteadyState | np.ndarray | None = None):
     """Excitation-number currents (JpL, JpR, JpM) into the three baths."""
-    r = build_rates(spec) if rates is None else rates
-    return bath_currents(r, _resolve_state(spec, state, r), PARTICLE)
+    rates = build_rates(spec)
+    return bath_currents(rates, _resolve_state(spec, state, rates), PARTICLE)
 
 
 def closed_form_JeR_resonant(spec: SystemSpec) -> float:

@@ -197,6 +197,19 @@ def test_cli_rejects_non_finite_sweep_bound(tmp_path, capsys):
      "rectify.deltaT.steps: must be >= 2"),
     ("rectify", "rectify: {deltaT: .nan}", "rectify.deltaT: expected a finite number"),
     ("cumulants", "cumulants: {orders: 3}", "cumulants: unknown keys: orders"),
+    # no task reads a `steady` section
+    ("steady", "steady: {foo: 1}", "unknown top-level keys: steady"),
+    # axis bounds and step counts are not converted from strings or floats
+    ("sweep", "sweep: {axes: [{field: tempR, min: '0.5', max: 1.0, steps: 2.9}]}",
+     "sweep.axes[0]: needs numeric min, max and integer steps"),
+    ("sweep", "sweep: {axes: [{field: tempR, min: 0.5, max: 1.0, steps: 2.9}]}",
+     "sweep.axes[0]: needs numeric min, max and integer steps"),
+    ("sweep", "sweep: {axes: [{field: tempR, min: 0.5, max: 1.0, steps: true}]}",
+     "sweep.axes[0]: needs numeric min, max and integer steps"),
+    ("rectify", "rectify: {deltaT: {min: 0.1, max: '1.0', steps: 3}}",
+     "rectify.deltaT: needs numeric min, max and integer steps"),
+    ("amplify", "amplify: {tM: {min: 0.5, max: 1.5, steps: 3.0}}",
+     "amplify.tM: needs numeric min, max and integer steps"),
 ])
 def test_cli_rejects_bad_task_option(tmp_path, capsys, task, options, message):
     bad = write(tmp_path, "bad.yaml", f"task: {task}\n{options}\n")

@@ -10,9 +10,9 @@ from vflux.fcs import (
     pseudo_inverse_R,
 )
 from vflux.liouvillian import TRACE_VECTOR, build_generator
-from vflux.model import ENERGY, PARTICLE, CountingFields, SystemSpec
+from vflux.model import ENERGY, PARTICLE, CountingFields, RateSet, SystemSpec
 from vflux.steady import steady_state, steady_state_resonant_two_bath
-from vflux.transport import heat_currents, particle_currents
+from vflux.transport import heat_currents, noise_power, particle_currents
 
 from conftest import BOUND, FIGURE_SPECS, MAX_BIAS_SPEC, cycle_spec, two_bath_spec
 
@@ -161,3 +161,57 @@ def test_particle_first_cumulant_matches_transport():
     assert first_cumulant_direct(spec, "R", PARTICLE) == pytest.approx(
         particle_currents(spec)[1], abs=1e-15
     )
+
+
+FLUCTUATION_CHI = (0.2, 0.5)
+
+
+def _symmetry_gap(spec, kind, affinity, chi_r):
+    # Gallavotti-Cohen: E(chi) = E(-chi + i A) for the flow into bath R
+    forward = dominant_eigenvalue(spec, CountingFields(0.0, chi_r, kind))
+    mirrored = dominant_eigenvalue(spec, CountingFields(0.0, -chi_r + 1j * affinity, kind))
+    return abs(forward - mirrored)
+
+
+@pytest.mark.parametrize("spec,kinds", [
+    (two_bath_spec(0.7 * BOUND, 0.4 * BOUND), (ENERGY, PARTICLE)),
+    (two_bath_spec(), (ENERGY, PARTICLE)),
+    # detuned: the two channels carry different energies, so only the
+    # energy flow has one affinity
+    (SystemSpec(1.3, 0.8, 2.0, 1.0, 1.0, 0.01, 0.02, 0.0, 0.015, 0.01, 0.0, 0.0), (ENERGY,)),
+], ids=["resonant-interference", "resonant", "detuned"])
+def test_fluctuation_symmetry_at_complex_chi(spec, kinds):
+    affinity = 1.0 / spec.tempR - 1.0 / spec.tempL
+    for kind in kinds:
+        a = affinity if kind == ENERGY else spec.eps1 * affinity
+        for chi_r in FLUCTUATION_CHI:
+            assert _symmetry_gap(spec, kind, a, chi_r) <= 1e-12
+
+
+def test_fluctuation_symmetry_broken_by_energy_leak():
+    # detuned with interference: the known energy leak of the non-secular
+    # equation (docs/conventions.md) breaks the symmetry
+    spec = SystemSpec(1.3, 0.8, 2.0, 1.0, 1.0, 0.01, 0.02, 0.012, 0.015, 0.01, 0.009, 0.0)
+    affinity = 1.0 / spec.tempR - 1.0 / spec.tempL
+    for chi_r in FLUCTUATION_CHI:
+        assert _symmetry_gap(spec, ENERGY, affinity, chi_r) > 1e-10
+
+
+@pytest.mark.parametrize("call,builds", [
+    (lambda spec: first_cumulant_direct(spec, "R", ENERGY), 1),
+    (lambda spec: cumulants_perturbative(spec, "R", ENERGY, order=4), 1),
+    (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1),
+    (lambda spec: noise_power(spec, "R", ENERGY), 2),
+], ids=["direct", "perturbative", "finite_difference", "noise_power"])
+def test_cumulant_routes_build_rates_once(monkeypatch, call, builds):
+    # noise_power runs two independent routes, each with its own rates
+    count = []
+    init = RateSet.__init__
+
+    def counting_init(self, params):
+        count.append(1)
+        init(self, params)
+
+    monkeypatch.setattr(RateSet, "__init__", counting_init)
+    call(two_bath_spec(0.7 * BOUND, 0.4 * BOUND))
+    assert len(count) == builds

