@@ -63,11 +63,9 @@ from .steady import (
 )
 from .transport import (
     CurrentReport,
-    NoisePower,
     closed_form_JR_no_interference,
     closed_form_JeR_resonant,
     heat_currents,
-    noise_power,
     particle_currents,
 )
 

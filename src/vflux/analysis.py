@@ -32,14 +32,14 @@ RECTIFICATION_FLOOR = 1e-15
 AMPLIFICATION_FLOOR = 1e-14
 
 
-def default_deltaT_grid(t0: float, points: int = 50) -> np.ndarray:
-    """Temperature-bias grid spanning (0, 1.9*t0] as used by the scans."""
-    return np.linspace(1.9 * t0 / points, 1.9 * t0, points)
+def default_deltaT_grid(t0: float) -> np.ndarray:
+    """Temperature-bias grid of 50 points spanning (0, 1.9*t0] as used by the scans."""
+    return np.linspace(1.9 * t0 / 50, 1.9 * t0, 50)
 
 
-def default_tM_grid(points: int = 100) -> np.ndarray:
-    """Middle-bath temperature grid [0.1, 2.0] used by the amplification scans."""
-    return np.linspace(0.1, 2.0, points)
+def default_tM_grid() -> np.ndarray:
+    """Middle-bath temperature grid, 100 points on [0.1, 2.0], of the amplification scans."""
+    return np.linspace(0.1, 2.0, 100)
 
 
 @dataclass(frozen=True)
@@ -184,14 +184,26 @@ class AmplificationResult:
     branch_residual: float
 
 
-def _tM_derivative(currents, spec: SystemSpec, tM: float, h: float) -> np.ndarray:
-    """d/dTM of ``currents(spec)`` at ``tM``: central differences with steps
-    ``h`` and ``h/2``, Richardson-refined once."""
+def _tM_response(currents, spec: SystemSpec, tM: float, h: float | None = None):
+    """Step and d/dTM of ``currents(spec)`` (middle-bath current last) at
+    ``tM``: central differences with steps ``h`` (default 1e-4*tM) and
+    ``h/2``, Richardson-refined once.  Raises :class:`UsageError` when
+    ``tM - h <= 0`` and :class:`IndeterminateAmplificationError` when the
+    middle-bath current does not respond."""
+    step = 1e-4 * tM if h is None else h
+    if tM - step <= 0.0:
+        raise UsageError(f"tM - h = {tM - step} must stay positive")
+
     def j(tm: float) -> np.ndarray:
         return np.array(currents(replace(spec, tempM=tm)))
 
-    coarse = (j(tM + h) - j(tM - h)) / (2.0 * h)
-    return richardson(coarse, (j(tM + h / 2.0) - j(tM - h / 2.0)) / h)
+    coarse = (j(tM + step) - j(tM - step)) / (2.0 * step)
+    d = richardson(coarse, (j(tM + step / 2.0) - j(tM - step / 2.0)) / step)
+    if abs(d[-1]) <= AMPLIFICATION_FLOOR:
+        raise IndeterminateAmplificationError(
+            f"middle-bath current does not respond to tM at tM={tM}"
+        )
+    return step, d
 
 
 def amplification(spec: SystemSpec, tM: float, h: float | None = None) -> AmplificationResult:
@@ -201,14 +213,7 @@ def amplification(spec: SystemSpec, tM: float, h: float | None = None) -> Amplif
     Richardson refinement; the currents are smooth in the middle-bath
     temperature here.
     """
-    step = 1e-4 * tM if h is None else h
-    if tM - step <= 0.0:
-        raise UsageError(f"tM - h = {tM - step} must stay positive")
-    d = _tM_derivative(heat_currents, spec, tM, step)
-    if abs(d[2]) <= AMPLIFICATION_FLOOR:
-        raise IndeterminateAmplificationError(
-            f"middle-bath current does not respond to tM at tM={tM}"
-        )
+    step, d = _tM_response(heat_currents, spec, tM, h)
     beta_l = abs(d[0]) / abs(d[2])
     beta_r = abs(d[1]) / abs(d[2])
     theta = 0 if d[0] / d[2] > 0.0 else 1
@@ -227,21 +232,16 @@ def max_amplification(spec: SystemSpec, tM_grid: np.ndarray | None = None) -> fl
     i.e. the cyclic-structure prefactor times the particle-current response
     ratio.  In the cyclic coupling pattern the ratio is identically one and
     the prefactor is exact; switching on the bypass channels suppresses the
-    ratio monotonically.
+    ratio monotonically.  Grid points where the response is undefined (a
+    step reaching ``tM <= 0``, or no middle-bath response) are skipped.
     """
     grid = default_tM_grid() if tM_grid is None else np.asarray(tM_grid)
     prefactor = cyclic_amplification_analytic(spec.eps1, spec.eps2)
-
-    def jp(local: SystemSpec):
-        return particle_currents(local)[1:]
-
     best = None
     for tm in grid:
-        h = 1e-4 * float(tm)
-        if tm - h <= 0.0:
-            continue
-        d = _tM_derivative(jp, spec, tm, h)
-        if abs(d[1]) <= AMPLIFICATION_FLOOR:
+        try:
+            _, d = _tM_response(lambda local: particle_currents(local)[1:], spec, tm)
+        except (UsageError, IndeterminateAmplificationError):
             continue
         ratio = abs(d[0]) / abs(d[1])
         if best is None or ratio > best:

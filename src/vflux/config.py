@@ -10,22 +10,20 @@ table).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .model import ENERGY, KINDS, SystemSpec, interference_bound, validate
+from .model import BATHS, ENERGY, KINDS, SPEC_FIELDS, SystemSpec, interference_bound, validate
 
 SCHEMA_TAG = "vflux-config/1"
 
 TASKS = ("steady", "currents", "cumulants", "rectify", "amplify", "sweep", "reproduce")
 
 OUTPUT_FORMATS = ("csv", "json")
-
-_SPEC_FIELDS = tuple(f.name for f in fields(SystemSpec))
 
 #: Two-bath resonant base system: both edge baths couple to both levels
 #: with equal diagonal coefficients, interference off, middle bath off.
@@ -67,29 +65,17 @@ REPRODUCE_TARGETS = tuple(REPRODUCE_SYSTEMS)
 
 
 @dataclass(frozen=True)
-class SweepAxis:
-    field: str
-    minimum: float
-    maximum: float
-    steps: int
-
-    def values(self):
-        return np.linspace(self.minimum, self.maximum, self.steps)
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     task: str
     spec: SystemSpec
-    sweep_axes: tuple[SweepAxis, ...] = ()
+    #: ``(field, values)`` of each sweep axis, the first axis outermost
+    sweep_axes: tuple[tuple[str, np.ndarray], ...] = ()
     reproduce_target: str | None = None
     out_path: str | None = None
     out_format: str = "csv"
-    options: dict | None = None
+    options: dict = field(default_factory=dict)
 
     def option(self, key: str, default=None):
-        if self.options is None:
-            return default
         return self.options.get(key, default)
 
 
@@ -116,9 +102,10 @@ def _number(value) -> float | None:
     return None
 
 
-def _axis(node, where: str, problems: list[str]) -> tuple[float, float, int] | None:
-    """``(min, max, steps)`` of a ``{min, max, steps}`` mapping; a problem
-    is recorded and None returned when it is not a valid axis."""
+def _axis(node, where: str, problems: list[str]) -> np.ndarray | None:
+    """Grid values ``linspace(min, max, steps)`` of a ``{min, max, steps}``
+    mapping; a problem is recorded and None returned when it is not a valid
+    axis."""
     node = _require_mapping(node, where)
     lo, hi, steps = _number(node.get("min")), _number(node.get("max")), node.get("steps")
     if lo is None or hi is None or not isinstance(steps, int) or isinstance(steps, bool):
@@ -130,7 +117,7 @@ def _axis(node, where: str, problems: list[str]) -> tuple[float, float, int] | N
     if steps < 2:
         problems.append(f"{where}.steps: must be >= 2, got {steps}")
         return None
-    return lo, hi, steps
+    return np.linspace(lo, hi, steps)
 
 
 def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
@@ -166,11 +153,11 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         target = None
 
     system_node = _require_mapping(raw.get("system"), "system")
-    unknown_fields = sorted(set(system_node) - set(_SPEC_FIELDS))
+    unknown_fields = sorted(set(system_node) - set(SPEC_FIELDS))
     if unknown_fields:
         problems.append(f"system: unknown fields: {', '.join(unknown_fields)}")
     merged = dict(REPRODUCE_SYSTEMS.get(target, BASE_SYSTEM))
-    for key in _SPEC_FIELDS:
+    for key in SPEC_FIELDS:
         if key in system_node:
             value = _number(system_node[key])
             if value is None:
@@ -181,7 +168,7 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     for violation in validate(spec):
         problems.append(f"system: {violation}")
 
-    axes: list[SweepAxis] = []
+    axes: list[tuple[str, np.ndarray]] = []
     sweep_node = _require_mapping(raw.get("sweep"), "sweep")
     axis_list = sweep_node.get("axes", [])
     if not isinstance(axis_list, list):
@@ -189,13 +176,13 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         axis_list = []
     for pos, item in enumerate(axis_list):
         item = _require_mapping(item, f"sweep.axes[{pos}]")
-        field = item.get("field")
-        if field not in _SPEC_FIELDS:
-            problems.append(f"sweep.axes[{pos}].field: unknown system field {field!r}")
+        name = item.get("field")
+        if name not in SPEC_FIELDS:
+            problems.append(f"sweep.axes[{pos}].field: unknown system field {name!r}")
             continue
-        bounds = _axis(item, f"sweep.axes[{pos}]", problems)
-        if bounds is not None:
-            axes.append(SweepAxis(field, *bounds))
+        values = _axis(item, f"sweep.axes[{pos}]", problems)
+        if values is not None:
+            axes.append((name, values))
     if task == "sweep" and not (1 <= len(axes) <= 2):
         problems.append(f"sweep: needs 1 or 2 axes, got {len(axes)}")
     if task != "sweep" and axes:
@@ -228,8 +215,7 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             if value is not None and math.isfinite(value):
                 options[key] = np.array([value])
             elif isinstance(options[key], dict):
-                bounds = _axis(options[key], key, problems)
-                options[key] = None if bounds is None else np.linspace(*bounds)
+                options[key] = _axis(options[key], key, problems)
             else:
                 problems.append(f"{key}: expected a finite number or {{min, max, steps}}, "
                                 f"got {options[key]!r}")
@@ -240,7 +226,7 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     if kind not in KINDS:
         problems.append(f"cumulants.kind: expected one of {KINDS}, got {kind!r}")
     bath = options.get("cumulants.bath", "R")
-    if bath not in ("L", "R"):
+    if bath not in BATHS:
         problems.append(f"cumulants.bath: expected L or R, got {bath!r}")
 
     if problems:

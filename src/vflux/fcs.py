@@ -2,11 +2,11 @@
 
 The scaled cumulant generating function of the counted quantity is the
 eigenvalue of the dressed generator that is continuously connected to zero
-at vanishing counting field.  Cumulants are obtained three independent
-ways: the first directly from the steady state, arbitrary orders from a
-perturbative recursion in the counting field built on a projected inverse
-of the generator, and low orders from finite differences of the dominant
-eigenvalue.
+at vanishing counting field.  Cumulants are obtained two independent ways:
+arbitrary orders from a perturbative recursion in the counting field built
+on a projected inverse of the generator, and low orders from finite
+differences of the dominant eigenvalue.  The first is also available
+directly from the steady state, which is the recursion's first order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .liouvillian import (
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates
 from .steady import steady_state
 
-DIRECT = "direct"
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
 

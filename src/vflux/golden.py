@@ -43,7 +43,6 @@ class GoldenCase:
     name: str
     config_path: Path
     digest: str
-    tolerance_policy: str = "exact"
 
 
 def load_cases(root: Path | None = None) -> list[GoldenCase]:
@@ -51,17 +50,8 @@ def load_cases(root: Path | None = None) -> list[GoldenCase]:
     index = json.loads((root / "digests.json").read_text(encoding="utf-8"))
     if index.get("schema") != DIGEST_SCHEMA:
         raise UsageError(f"unexpected golden digest schema {index.get('schema')!r}")
-    cases = []
-    for name, entry in sorted(index["cases"].items()):
-        cases.append(
-            GoldenCase(
-                name=name,
-                config_path=root / entry["config"],
-                digest=entry["sha256"],
-                tolerance_policy=entry.get("tolerance", "exact"),
-            )
-        )
-    return cases
+    return [GoldenCase(name, root / entry["config"], entry["sha256"])
+            for name, entry in sorted(index["cases"].items())]
 
 
 def compute_csv(case: GoldenCase) -> str:

@@ -24,9 +24,6 @@ import numpy as np
 from .errors import UsageError
 from .model import BATHS, CountingFields, RateSet, SystemSpec, build_rates
 
-#: Component order of the reduced state vector.
-STATE_LABELS = ("rho11", "rho22", "rhogg", "rho12", "rho21")
-
 #: Left null vector of every trace-preserving generator (row of ones over
 #: the populations, zeros over the coherences).
 TRACE_VECTOR = np.array([1.0, 1.0, 1.0, 0.0, 0.0])

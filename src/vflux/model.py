@@ -53,7 +53,12 @@ def bose_occupation(omega: float, temp: float) -> float:
         raise DomainError(f"bose_occupation: omega must be > 0, got {omega}")
     if temp <= 0.0:
         raise DomainError(f"bose_occupation: temp must be > 0, got {temp}")
-    return 1.0 / math.expm1(omega / temp)
+    try:
+        return 1.0 / math.expm1(omega / temp)
+    except OverflowError:
+        # exp(x) - 1 = exp(x) to double precision long before x ~ 709.8,
+        # where expm1 overflows; exp(-x) underflows to 0.0 past x ~ 745
+        return math.exp(-omega / temp)
 
 
 @dataclass(frozen=True)
@@ -96,11 +101,12 @@ class SystemSpec:
         """Short stable hash of the resolved parameter set."""
         # repr of the float value, so specs that compare equal (1, 1.0,
         # np.float64(1.0)) hash equal
-        text = "|".join(f"{f.name}={float(getattr(self, f.name))!r}" for f in fields(self))
+        text = "|".join(f"{name}={float(getattr(self, name))!r}" for name in SPEC_FIELDS)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-_SPEC_FIELDS = tuple(f.name for f in fields(SystemSpec))
+#: SystemSpec field names in declaration order.
+SPEC_FIELDS = tuple(f.name for f in fields(SystemSpec))
 
 
 def interference_bound(g11: float, g22: float) -> float:
@@ -120,7 +126,7 @@ def validate(spec: SystemSpec) -> list[str]:
     """
     # every comparison below is false for NaN
     v = [f"finiteness: {name} = {getattr(spec, name)} must be finite"
-         for name in _SPEC_FIELDS if not math.isfinite(getattr(spec, name))]
+         for name in SPEC_FIELDS if not math.isfinite(getattr(spec, name))]
     for name in ("tempL", "tempM", "tempR"):
         if getattr(spec, name) <= 0.0:
             v.append(f"temperature positivity: {name} = {getattr(spec, name)} must be > 0")
@@ -271,5 +277,5 @@ def build_rates(spec: SystemSpec) -> RateSet:
 def spec_arrays(specs) -> dict[str, np.ndarray]:
     """Fields of ``specs`` as one float array per SystemSpec field name."""
     return {name: np.array([getattr(s, name) for s in specs], dtype=float)
-            for name in _SPEC_FIELDS}
+            for name in SPEC_FIELDS}
 

@@ -13,7 +13,7 @@ that row's ``error`` column and the run continues.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -31,16 +31,14 @@ from .config import ScenarioConfig
 from .errors import UsageError, VfluxError
 from .fcs import cumulants_finite_difference, cumulants_perturbative
 from .liouvillian import build_generator
-from .model import ENERGY, SystemSpec, interference_bound
+from .model import ENERGY, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, interference_bound
 from .steady import (
     steady_state,
     steady_state_resonant_two_bath,
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, current_reports_batch, heat_currents, noise_power
-
-SPEC_COLUMNS = tuple(f.name for f in fields(SystemSpec))
+from .transport import CurrentReport, current_reports_batch, heat_currents
 
 
 def _rows(items, evaluate, batch: int = 1) -> list[dict]:
@@ -190,9 +188,9 @@ def _sweep(config: ScenarioConfig):
         raise UsageError("sweep needs 1 or 2 axes")
     # row-major (the first axis outermost); a batch is one value of the first
     # of two axes, or the whole of one
-    items = [(replace(config.spec, **{axis.field: float(v) for axis, v in zip(axes, point)}), {})
-             for point in product(*(axis.values() for axis in axes))]
-    return items, _steady_evaluator(include_noise=True), axes[-1].steps
+    items = [(replace(config.spec, **{name: float(v) for (name, _), v in zip(axes, point)}), {})
+             for point in product(*(values for _, values in axes))]
+    return items, _steady_evaluator(include_noise=True), len(axes[-1][1])
 
 
 def _coupling_grid(config: ScenarioConfig):
@@ -208,8 +206,9 @@ def _fig2b(config: ScenarioConfig):
 
 
 def _noise_cells(spec: SystemSpec) -> dict:
-    noise = noise_power(spec, "R", ENERGY)
-    return {"SeRR": noise.value, "SeRR_fd": noise.finite_difference}
+    """Noise power of the right-bath energy flow by recursion, then by finite differences."""
+    return {"SeRR": cumulants_perturbative(spec, "R", ENERGY, order=2).noise_power,
+            "SeRR_fd": cumulants_finite_difference(spec, "R", ENERGY, order=2).noise_power}
 
 
 def _fig21b(config: ScenarioConfig):
@@ -218,12 +217,11 @@ def _fig21b(config: ScenarioConfig):
 
 def _fig3(config: ScenarioConfig):
     t0 = config.option("rectify.t0", 1.0)
-    delta_grid = default_deltaT_grid(t0)
 
     def evaluate(chunk):
         return [out if isinstance(out, VfluxError)
                 else {"rj_max": out[0], "deltaT_star": out[1]}
-                for out in max_rectification_batch([spec for spec, _ in chunk], t0, delta_grid)]
+                for out in max_rectification_batch([spec for spec, _ in chunk], t0)]
 
     return [(local, {"t0": t0}) for local in _coupling_specs(config.spec, 51)], evaluate, 51
 
@@ -238,10 +236,9 @@ def _fig4b(config: ScenarioConfig):
 
 
 def _fig5a(config: ScenarioConfig):
-    tm_grid = default_tM_grid()
     items = [(replace(config.spec, gL22=float(g), gR11=float(g)), {"gamma": float(g)})
              for g in np.linspace(0.0, 0.01, 21)]
-    return items, _each(lambda s, gamma: {"betaR_max": max_amplification(s, tm_grid)})
+    return items, _each(lambda s, gamma: {"betaR_max": max_amplification(s)})
 
 
 def _fig5b(config: ScenarioConfig):

@@ -75,12 +75,12 @@ class SteadyState:
         return float(abs(self.vector[3]))
 
 
-def _finalize(vector: np.ndarray, gen_matrix: np.ndarray | None, method: str) -> SteadyState:
+def _finalize(vector: np.ndarray, gen_matrix: np.ndarray, method: str) -> SteadyState:
     trace = vector[0] + vector[1] + vector[2]
     if abs(trace) < 1e-300:
         raise DegenerateSteadyStateError("steady-state candidate has zero trace")
     v = vector / trace
-    residual = float(np.abs(gen_matrix @ v).max()) if gen_matrix is not None else 0.0
+    residual = float(np.abs(gen_matrix @ v).max())
     warn = bool(min(v[0].real, v[1].real, v[2].real) < POSITIVITY_TOL)
     return SteadyState(v, residual, method, warn)
 

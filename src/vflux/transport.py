@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError, VfluxError
-from .fcs import cumulants_finite_difference, cumulants_perturbative
+from .fcs import cumulants_perturbative
 from .liouvillian import build_generator, build_generator_batch
 from .model import (
     ENERGY,
@@ -32,12 +32,10 @@ from .steady import SteadyState, steady_state, steady_state_batch
 CONSERVATION_TOL = 1e-10
 
 
-def _resolve_state(spec: SystemSpec, state, rates) -> np.ndarray:
+def _resolve_state(spec: SystemSpec, state: SteadyState | None, rates) -> np.ndarray:
     if state is None:
-        return steady_state(build_generator(spec, rates)).vector
-    if isinstance(state, SteadyState):
-        return state.vector
-    return np.asarray(state, dtype=complex)
+        state = steady_state(build_generator(spec, rates))
+    return state.vector
 
 
 def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
@@ -65,13 +63,13 @@ def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
     return out[0], out[1], j_m
 
 
-def heat_currents(spec: SystemSpec, state: SteadyState | np.ndarray | None = None):
+def heat_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Energy currents (JeL, JeR, JeM) into the three baths (see :func:`bath_currents`)."""
     rates = build_rates(spec)
     return bath_currents(rates, _resolve_state(spec, state, rates), ENERGY)
 
 
-def particle_currents(spec: SystemSpec, state: SteadyState | np.ndarray | None = None):
+def particle_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Excitation-number currents (JpL, JpR, JpM) into the three baths."""
     rates = build_rates(spec)
     return bath_currents(rates, _resolve_state(spec, state, rates), PARTICLE)
@@ -148,23 +146,6 @@ def closed_form_JR_no_interference(spec: SystemSpec) -> float:
     upper = (spec.gL11 * spec.gR11 / norm) * gm22 * (n_l1 - n_r1) * spec.eps1
     lower = (spec.gL22 * spec.gR22 / norm) * gm11 * (n_l2 - n_r2) * spec.eps2
     return upper + lower
-
-
-@dataclass(frozen=True)
-class NoisePower:
-    """Second cumulant with its finite-difference cross-check attached."""
-
-    bath: str
-    kind: str
-    value: float
-    finite_difference: float
-
-
-def noise_power(spec: SystemSpec, bath: str = "R", kind: str = ENERGY) -> NoisePower:
-    """Zero-frequency noise power of the counted flow into one bath."""
-    pert = cumulants_perturbative(spec, bath, kind, order=2)
-    fd = cumulants_finite_difference(spec, bath, kind, order=2)
-    return NoisePower(bath, kind, pert.noise_power, fd.noise_power)
 
 
 @dataclass(frozen=True)

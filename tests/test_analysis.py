@@ -138,6 +138,16 @@ def test_max_amplification_decreases_with_bypass():
     assert abs(below[0] - 0.006) <= 0.003
 
 
+def test_max_amplification_skips_non_positive_middle_temperatures():
+    # a stencil reaching tM <= 0 is skipped like an indeterminate point
+    spec = cycle_spec(1.0, 0.004)
+    positive = np.linspace(0.2, 1.5, 7)
+    mixed = np.concatenate([[-0.5, 0.0], positive[:4], [-1e-3], positive[4:]])
+    assert max_amplification(spec, mixed) == max_amplification(spec, positive)
+    with pytest.raises(IndeterminateAmplificationError):
+        max_amplification(spec, [-1.0, 0.0])
+
+
 def test_cyclic_amplification_analytic_values():
     assert cyclic_amplification_analytic(1.1, 0.9) == pytest.approx(4.5, rel=1e-12)
     assert cyclic_amplification_analytic(2.0, 1.0) == 1.0

@@ -127,6 +127,21 @@ def test_kernel_and_currents_match_scalar_bitwise(batch):
         assert all(same_bits(a[n], b) for a, b in zip(jp, particle_currents(spec, ss)))
 
 
+def test_cold_bath_rates_match_scalar_bitwise():
+    # omega/temp of 250 to 12,000: from below the overflow of expm1 (~709.8)
+    # to past the underflow of its limit exp(-omega/temp) (~745)
+    base = SystemSpec(1.2, 0.7, 2.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.004, 0.01)
+    batch = [replace(base, tempR=temp, tempM=temp) for temp in (2e-3, 1.5e-3, 1e-3, 1e-4)]
+    rates = RateSet(spec_arrays(batch))
+    for n, spec in enumerate(batch):
+        one = build_rates(spec)
+        for table in ("gainL", "gainR", "lossL", "lossR"):
+            for i, j, k in product((0, 1), repeat=3):
+                assert same_bits(getattr(rates, table)[i][j][k][n], getattr(one, table)[i][j][k])
+        assert same_bits(rates.gain_M[n], one.gain_M) and same_bits(rates.loss_M[n], one.loss_M)
+    assert rates.occR[0][-1] == 0.0
+
+
 #: Swaps the two coherence components of the state vector.
 SWAP_COHERENCES = [0, 1, 2, 4, 3]
 

@@ -185,6 +185,17 @@ def test_cli_rejects_non_finite_sweep_bound(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_cli_cold_bath_sweep_completes(tmp_path, capsys):
+    # tempR = 0.001 puts omega/temp = 1000 past the overflow of expm1; the
+    # occupation there is only tiny, so every row is a plain result
+    path = write(tmp_path, "cold.yaml", "task: sweep\nsweep:\n  axes:\n"
+                 "    - {field: tempR, min: 0.001, max: 1.0, steps: 3}\n")
+    assert cli_main(["sweep", "--config", str(path)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3
+    assert all(row.endswith(",") for row in rows)  # empty error cell
+
+
 @pytest.mark.parametrize("task,options,message", [
     ("cumulants", "cumulants: {order: x}", "cumulants.order: expected an integer"),
     ("cumulants", "cumulants: {order: 2.5}", "cumulants.order: expected an integer"),

@@ -12,7 +12,7 @@ from vflux.fcs import (
 from vflux.liouvillian import TRACE_VECTOR, build_generator
 from vflux.model import ENERGY, PARTICLE, CountingFields, RateSet, SystemSpec
 from vflux.steady import steady_state, steady_state_resonant_two_bath
-from vflux.transport import heat_currents, noise_power, particle_currents
+from vflux.transport import heat_currents, particle_currents
 
 from conftest import BOUND, FIGURE_SPECS, MAX_BIAS_SPEC, cycle_spec, two_bath_spec
 
@@ -201,10 +201,8 @@ def test_fluctuation_symmetry_broken_by_energy_leak():
     (lambda spec: first_cumulant_direct(spec, "R", ENERGY), 1),
     (lambda spec: cumulants_perturbative(spec, "R", ENERGY, order=4), 1),
     (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1),
-    (lambda spec: noise_power(spec, "R", ENERGY), 2),
-], ids=["direct", "perturbative", "finite_difference", "noise_power"])
+], ids=["direct", "perturbative", "finite_difference"])
 def test_cumulant_routes_build_rates_once(monkeypatch, call, builds):
-    # noise_power runs two independent routes, each with its own rates
     count = []
     init = RateSet.__init__
 

@@ -15,7 +15,14 @@ from vflux.liouvillian import (
 from vflux.model import ENERGY, PARTICLE, CountingFields, SystemSpec, bose_occupation
 from vflux.steady import evolve, steady_state
 
-from conftest import BOUND, FIGURE_SPECS, cycle_spec, seeded_conserving_specs, two_bath_spec
+from conftest import (
+    BOUND,
+    FIGURE_SPECS,
+    cycle_spec,
+    seeded_conserving_specs,
+    seeded_leak_specs,
+    two_bath_spec,
+)
 
 
 def test_trace_preservation():
@@ -39,7 +46,9 @@ def test_block_decoupling_residual():
 
 def test_projected_superoperator_matches_direct_build():
     # dual-construction check: entry-wise fill vs superoperator application
-    for spec in FIGURE_SPECS + seeded_conserving_specs(30):
+    # the leak specs are detuned with interference, where every coherence
+    # entry carries its own energy argument
+    for spec in FIGURE_SPECS + seeded_conserving_specs(30) + seeded_leak_specs(20):
         full = build_superoperator_full(spec)
         direct = build_generator(spec).matrix
         assert np.abs(project_block(full) - direct).max() <= 1e-15

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vflux.errors import UsageError
-from vflux.fcs import first_cumulant_direct
+from vflux.fcs import cumulants_finite_difference, cumulants_perturbative, first_cumulant_direct
 from vflux.liouvillian import build_generator
 from vflux.model import ENERGY, PARTICLE, SystemSpec, build_rates
 from vflux.steady import steady_state, steady_state_resonant_two_bath
@@ -11,7 +11,6 @@ from vflux.transport import (
     closed_form_JR_no_interference,
     closed_form_JeR_resonant,
     heat_currents,
-    noise_power,
     particle_currents,
 )
 
@@ -125,15 +124,16 @@ def test_interference_term_continuity():
 
 def test_noise_power_decoupled_bath_zero():
     spec = SystemSpec(1.1, 0.9, 2.0, 1.0, 0.5, 0.01, 0.01, 0.0, 0.0, 0.0, 0.0, 0.01)
-    np_r = noise_power(spec, "R", ENERGY)
-    assert np_r.value == 0.0
-    # the diagnostic divides eigenvalue rounding noise by h^2
-    assert abs(np_r.finite_difference) <= 1e-6
+    assert cumulants_perturbative(spec, "R", ENERGY, order=2).noise_power == 0.0
+    # the finite-difference route divides eigenvalue rounding noise by h^2
+    assert abs(cumulants_finite_difference(spec, "R", ENERGY, order=2).noise_power) <= 1e-6
 
 
 def test_noise_power_carries_fd_diagnostic():
-    result = noise_power(cycle_spec(0.5), "R", ENERGY)
-    assert result.finite_difference == pytest.approx(result.value, rel=1e-4)
+    spec = cycle_spec(0.5)
+    value = cumulants_perturbative(spec, "R", ENERGY, order=2).noise_power
+    finite_difference = cumulants_finite_difference(spec, "R", ENERGY, order=2).noise_power
+    assert finite_difference == pytest.approx(value, rel=1e-4)
 
 
 def test_current_report_clean_on_figure_specs():
