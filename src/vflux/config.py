@@ -180,6 +180,9 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         if name not in SPEC_FIELDS:
             problems.append(f"sweep.axes[{pos}].field: unknown system field {name!r}")
             continue
+        if any(name == swept for swept, _ in axes):
+            problems.append(f"sweep.axes[{pos}].field: {name} is already swept by an earlier axis")
+            continue
         values = _axis(item, f"sweep.axes[{pos}]", problems)
         if values is not None:
             axes.append((name, values))

@@ -7,6 +7,9 @@ arbitrary orders from a perturbative recursion in the counting field built
 on a projected inverse of the generator, and low orders from finite
 differences of the dominant eigenvalue.  The first is also available
 directly from the steady state, which is the recursion's first order.
+
+The ``*_batch`` functions run both routes on a stack of specs, with the
+bits and error texts of the scalar functions.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from .liouvillian import (
     _counting_matrix,
     _fill_block,
     build_generator,
+    build_generator_batch,
 )
-from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates
-from .steady import steady_state
+from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates, evaluate_valid
+from .steady import SteadyStateBatch, steady_state, steady_state_batch
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -40,6 +44,9 @@ PINV_CUTOFF = 1e-12
 
 #: Imaginary residue above this level on a reported cumulant is warned about.
 IMAG_WARN = 1e-10
+
+_PINV_ERROR = "projected inverse expects exactly one singular value below cutoff, got {}"
+_BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,20 @@ def _check_bath_kind(bath: str, kind: str):
         raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _check_recursion(bath: str, kind: str, order: int):
+    _check_bath_kind(bath, kind)
+    if not 1 <= order <= 4:
+        raise UsageError(f"cumulant order must be in 1..4, got {order}")
+
+
+def _check_difference(bath: str, kind: str, order: int, h: float):
+    _check_bath_kind(bath, kind)
+    if not 1 <= order <= 2:
+        raise UsageError(f"finite-difference order must be 1 or 2, got {order}")
+    if not 1e-6 <= h <= 1e-2:
+        raise UsageError(f"finite-difference step must lie in [1e-6, 1e-2], got {h}")
+
+
 def _single_field(bath: str, kind: str, chi: float) -> CountingFields:
     return CountingFields(chiL=chi if bath == "L" else 0.0,
                           chiR=chi if bath == "R" else 0.0,
@@ -115,10 +136,21 @@ def _dominant_eigenvalue(rates: RateSet, chi: CountingFields) -> complex:
     max_re = eigvals.real.max()
     contenders = np.sort(eigvals.real)[::-1]
     if len(contenders) > 1 and contenders[0] - contenders[1] < BRANCH_TOL:
-        raise BranchError(
-            f"two eigenvalues within {BRANCH_TOL} of the maximal real part {max_re:.3e}"
-        )
+        raise BranchError(_BRANCH_ERROR.format(BRANCH_TOL, max_re))
     return tracked
+
+
+def _dominant_eigenvalue_batch(rates: RateSet, chi: CountingFields):
+    """:func:`_dominant_eigenvalue` of a stack at a nonzero field: the tracked
+    eigenvalues, and the :class:`BranchError` text of each point with one."""
+    tracked = np.zeros(rates.shape, dtype=complex)
+    for fraction in (0.5, 1.0):
+        eigvals = np.linalg.eigvals(_counting_matrix(rates, chi.scaled(fraction)))
+        pick = np.argmin(np.abs(eigvals - tracked[:, None]), axis=-1)
+        tracked = eigvals[np.arange(len(pick)), pick]
+    top = np.sort(eigvals.real, axis=-1)[:, -2:]
+    return tracked, {n: _BRANCH_ERROR.format(BRANCH_TOL, top[n, 1])
+                     for n in np.flatnonzero(top[:, 1] - top[:, 0] < BRANCH_TOL).tolist()}
 
 
 def first_cumulant_direct(spec: SystemSpec, bath: str, kind: str) -> float:
@@ -150,12 +182,22 @@ def _projected_inverse(matrix: np.ndarray, p0: np.ndarray) -> np.ndarray:
     cutoff = PINV_CUTOFF * sigma[0]
     small = sigma < cutoff
     if small.sum() != 1:
-        raise DegenerateSteadyStateError(
-            f"projected inverse expects exactly one singular value below cutoff, got {int(small.sum())}"
-        )
+        raise DegenerateSteadyStateError(_PINV_ERROR.format(int(small.sum())))
     inv_sigma = np.where(small, 0.0, 1.0 / np.where(small, 1.0, sigma))
     pinv = (vh.conj().T * inv_sigma) @ u.conj().T
     return q @ pinv @ q
+
+
+def _projected_inverse_batch(matrices: np.ndarray, p0: np.ndarray):
+    """:func:`_projected_inverse` of a stack: the stack of R, and the
+    :class:`DegenerateSteadyStateError` text of each point with one."""
+    q = np.eye(5, dtype=complex) - p0[:, :, None] * TRACE_VECTOR
+    u, sigma, vh = np.linalg.svd(matrices)
+    small = sigma < PINV_CUTOFF * sigma[:, :1]
+    inv_sigma = np.where(small, 0.0, 1.0 / np.where(small, 1.0, sigma))
+    pinv = (vh.conj().swapaxes(1, 2) * inv_sigma[:, None, :]) @ u.conj().swapaxes(1, 2)
+    counts = small.sum(axis=-1).tolist()
+    return q @ pinv @ q, {n: _PINV_ERROR.format(c) for n, c in enumerate(counts) if c != 1}
 
 
 def cumulants_perturbative(
@@ -178,42 +220,81 @@ def cumulants_perturbative(
     |P_n> are built with R (which annihilates <I|); it is kept as a cheap
     consistency term.
     """
-    _check_bath_kind(bath, kind)
-    if not 1 <= order <= 4:
-        raise UsageError(f"cumulant order must be in 1..4, got {order}")
+    _check_recursion(bath, kind, order)
     rates = build_rates(spec)
     gen = build_generator(spec, rates)
     p0 = steady_state(gen).vector
     r = _projected_inverse(gen.matrix, p0)
     chi0 = CountingFields.zero(kind)
     h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
+    return _recursion_set(bath, kind, _recursion(h, r, p0, order))
 
-    energies: dict[int, complex] = {}
+
+def _recursion(h: dict, r: np.ndarray, p0: np.ndarray, order: int) -> list:
+    """E_1..E_order of :func:`cumulants_perturbative`, complex, from the
+    derivatives ``h``, the projected inverse ``r`` and the steady state.
+
+    ``p0`` is one 5-vector, or a stack of ``(N, 5, 1)`` columns with
+    ``(N, 5, 5)`` matrices, so that each product is a stacked ``np.matmul``
+    on C-contiguous stacks, the trace row included: ``TRACE_VECTOR @ v.T``
+    changes the last bit.
+    """
+    if p0.ndim == 1:
+        def trace(v):
+            return complex(TRACE_VECTOR @ v)
+    else:
+        def trace(v):
+            return TRACE_VECTOR[None] @ v
+
+    energies: dict = {}
     states: dict[int, np.ndarray] = {0: p0}
     for big_n in range(1, order + 1):
-        e = sum(
-            comb(big_n, n) * complex(TRACE_VECTOR @ (h[n] @ states[big_n - n]))
-            for n in range(1, big_n + 1)
-        )
-        e -= sum(
-            comb(big_n, k) * energies[k] * complex(TRACE_VECTOR @ states[big_n - k])
-            for k in range(1, big_n)
-        )
+        e = sum(comb(big_n, n) * trace(h[n] @ states[big_n - n]) for n in range(1, big_n + 1))
+        e -= sum(comb(big_n, k) * energies[k] * trace(states[big_n - k]) for k in range(1, big_n))
         energies[big_n] = e
-        accum = np.zeros(5, dtype=complex)
+        accum = np.zeros(p0.shape, dtype=complex)
         for n in range(1, big_n + 1):
-            accum += comb(big_n, n) * (
-                energies[n] * states[big_n - n] - h[n] @ states[big_n - n]
-            )
+            accum += comb(big_n, n) * (energies[n] * states[big_n - n] - h[n] @ states[big_n - n])
         states[big_n] = r @ accum
+    return [energies[n] for n in range(1, order + 1)]
 
-    raw = [energies[n] for n in range(1, order + 1)]
+
+def _recursion_set(bath: str, kind: str, raw: list) -> CumulantSet:
+    """The recursion's complex cumulants as a :class:`CumulantSet`; warns
+    about an imaginary residue above :data:`IMAG_WARN`."""
     residue = max(abs(e.imag) for e in raw)
     if residue > IMAG_WARN:
         warnings.warn(
-            f"cumulants carry imaginary residue {residue:.3e}", RuntimeWarning, stacklevel=2
+            f"cumulants carry imaginary residue {residue:.3e}", RuntimeWarning, stacklevel=3
         )
     return CumulantSet(bath, kind, tuple(e.real for e in raw), PERTURBATIVE, residue)
+
+
+def _recursion_batch(rates: RateSet, matrices: np.ndarray, states: SteadyStateBatch,
+                     bath: str, kind: str, order: int) -> list:
+    """:func:`cumulants_perturbative` of a stack of valid rates, their bare
+    generators and steady states: one :class:`CumulantSet` or error per point."""
+    r, errors = _projected_inverse_batch(matrices, states.vectors)
+    errors.update(states.errors)
+    chi0 = CountingFields.zero(kind)
+    h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
+    raw = _recursion(h, r, states.vectors[:, :, None], order)
+    return [DegenerateSteadyStateError(errors[point]) if point in errors
+            else _recursion_set(bath, kind, [complex(e[point, 0, 0]) for e in raw])
+            for point in range(len(matrices))]
+
+
+def cumulants_perturbative_batch(specs, bath: str, kind: str, order: int = 2) -> list:
+    """:func:`cumulants_perturbative` of each spec, as one stack: its
+    :class:`CumulantSet` bit for bit, or its :class:`VfluxError` text for
+    text, with the same warnings."""
+    _check_recursion(bath, kind, order)
+
+    def evaluate(rates):
+        matrices = build_generator_batch(rates)
+        return _recursion_batch(rates, matrices, steady_state_batch(matrices), bath, kind, order)
+
+    return evaluate_valid(specs, evaluate)
 
 
 def cumulants_finite_difference(
@@ -229,25 +310,39 @@ def cumulants_finite_difference(
     -chi is the conjugate of the value at chi), so one eigenvalue per step
     size suffices; each stencil is Richardson-refined once.
     """
-    _check_bath_kind(bath, kind)
-    if not 1 <= order <= 2:
-        raise UsageError(f"finite-difference order must be 1 or 2, got {order}")
-    if not 1e-6 <= h <= 1e-2:
-        raise UsageError(f"finite-difference step must lie in [1e-6, 1e-2], got {h}")
-
+    _check_difference(bath, kind, order, h)
     rates = build_rates(spec)
     e_h = _dominant_eigenvalue(rates, _single_field(bath, kind, h))
     e_h2 = _dominant_eigenvalue(rates, _single_field(bath, kind, h / 2.0))
+    return _difference_set(bath, kind, order, h, e_h, e_h2)
 
-    def first(step: float, value: complex) -> float:
-        # d E0 / d(i chi) at 0: odd part is purely imaginary by symmetry
-        return value.imag / step
 
-    def second(step: float, value: complex) -> float:
-        # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
-        return -2.0 * value.real / step**2
-
-    values = [richardson(first(h, e_h), first(h / 2.0, e_h2))]
+def _difference_set(bath: str, kind: str, order: int, h: float,
+                    e_h: complex, e_h2: complex) -> CumulantSet:
+    """The Richardson-refined stencils of :func:`cumulants_finite_difference`
+    from the dominant eigenvalues at steps ``h`` and ``h/2``."""
+    # d E0 / d(i chi) at 0: odd part is purely imaginary by symmetry
+    values = [richardson(e_h.imag / h, e_h2.imag / (h / 2.0))]
     if order >= 2:
-        values.append(richardson(second(h, e_h), second(h / 2.0, e_h2)))
+        # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
+        values.append(richardson(-2.0 * e_h.real / h**2, -2.0 * e_h2.real / (h / 2.0)**2))
     return CumulantSet(bath, kind, tuple(values), FINITE_DIFFERENCE, 0.0)
+
+
+def cumulants_finite_difference_batch(specs, bath: str, kind: str, order: int = 2,
+                                      h: float = 1e-4) -> list:
+    """:func:`cumulants_finite_difference` of each spec, as one stack: its
+    :class:`CumulantSet` bit for bit, or its :class:`VfluxError` text for
+    text."""
+    _check_difference(bath, kind, order, h)
+
+    def evaluate(rates):
+        e_h, errors = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h))
+        e_h2, errors_h2 = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h / 2.0))
+        # the step h is evaluated first, so its error is the one raised
+        errors = {**errors_h2, **errors}
+        return [BranchError(errors[n]) if n in errors
+                else _difference_set(bath, kind, order, h, complex(e_h[n]), complex(e_h2[n]))
+                for n in range(len(e_h))]
+
+    return evaluate_valid(specs, evaluate)

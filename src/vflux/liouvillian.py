@@ -119,14 +119,18 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, order: int = 0):
     return summed(gains), summed(losses)
 
 
-def build_generator_batch(rates: RateSet) -> np.ndarray:
-    """Bare generators of a stack of rates as one ``(N, 5, 5)`` array.
+def _points_first(m: np.ndarray) -> np.ndarray:
+    """A filled matrix of one point as it is; of a stack, as a C-contiguous
+    ``(N, 5, 5)`` copy (a stacked ``np.matmul`` on the strided view that
+    moving the trailing point axis gives does not keep the bits)."""
+    return np.ascontiguousarray(np.moveaxis(m, -1, 0)) if m.ndim == 3 else m
 
-    Generator ``n`` equals ``build_generator`` of point ``n`` bit for bit.
-    The stack is C-contiguous: a stacked ``np.matmul`` on the strided view
-    of :func:`_fill_block`'s output does not keep the bits.
-    """
-    return np.ascontiguousarray(np.moveaxis(_fill_block(rates), -1, 0))
+
+def build_generator_batch(rates: RateSet) -> np.ndarray:
+    """Bare generators of a stack of rates as one C-contiguous ``(N, 5, 5)``
+    array; generator ``n`` equals ``build_generator`` of point ``n`` bit
+    for bit."""
+    return _points_first(_fill_block(rates))
 
 
 def build_generator(spec: SystemSpec, rates: RateSet | None = None) -> Generator:
@@ -152,8 +156,9 @@ def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator
 
 
 def _counting_matrix(rates: RateSet, chi: CountingFields) -> np.ndarray:
-    """Matrix of :func:`build_counting_generator` from built rates."""
-    return _fill_block(rates, _dressed_rates(rates, chi, BATHS))
+    """Matrix of :func:`build_counting_generator` from built rates; for a
+    stack of rates, the ``(N, 5, 5)`` stack of :func:`_points_first`."""
+    return _points_first(_fill_block(rates, _dressed_rates(rates, chi, BATHS)))
 
 
 def generator_chi_derivative(
@@ -177,10 +182,11 @@ def generator_chi_derivative(
 
 
 def _chi_derivative(rates: RateSet, chi0: CountingFields, bath: str, order: int) -> np.ndarray:
-    """:func:`generator_chi_derivative` from built rates, arguments unchecked."""
-    h = np.zeros((5, 5), dtype=complex)
+    """:func:`generator_chi_derivative` from built rates, arguments
+    unchecked; for a stack of rates, the stack of :func:`_points_first`."""
+    h = np.zeros((5, 5) + rates.shape, dtype=complex)
     _fill_sandwich(h, *_dressed_rates(rates, chi0, (bath,), order))
-    return h
+    return _points_first(h)
 
 
 # ---------------------------------------------------------------------------

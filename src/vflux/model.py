@@ -279,3 +279,23 @@ def spec_arrays(specs) -> dict[str, np.ndarray]:
     return {name: np.array([getattr(s, name) for s in specs], dtype=float)
             for name in SPEC_FIELDS}
 
+
+
+def evaluate_valid(specs, evaluate) -> list:
+    """One outcome per spec: ``evaluate`` maps the stacked :class:`RateSet`
+    of the valid ``specs`` to one outcome per valid spec, and an invalid
+    spec's outcome is its :class:`DomainError`."""
+    outcomes: list = [None] * len(specs)
+    valid = []
+    for pos, spec in enumerate(specs):
+        try:
+            spec.require_valid()
+        except DomainError as exc:
+            outcomes[pos] = exc
+        else:
+            valid.append(pos)
+    if valid:
+        for pos, out in zip(valid, evaluate(RateSet(spec_arrays([specs[p] for p in valid]))),
+                            strict=True):
+            outcomes[pos] = out
+    return outcomes

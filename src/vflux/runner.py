@@ -29,7 +29,8 @@ from .analysis import (
 )
 from .config import ScenarioConfig
 from .errors import UsageError, VfluxError
-from .fcs import cumulants_finite_difference, cumulants_perturbative
+from .fcs import (cumulants_finite_difference, cumulants_finite_difference_batch,
+                  cumulants_perturbative)
 from .liouvillian import build_generator
 from .model import ENERGY, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, interference_bound
 from .steady import (
@@ -205,14 +206,20 @@ def _fig2b(config: ScenarioConfig):
     return items, _steady_evaluator(include_noise=False), len(deltas)
 
 
-def _noise_cells(spec: SystemSpec) -> dict:
-    """Noise power of the right-bath energy flow by recursion, then by finite differences."""
-    return {"SeRR": cumulants_perturbative(spec, "R", ENERGY, order=2).noise_power,
-            "SeRR_fd": cumulants_finite_difference(spec, "R", ENERGY, order=2).noise_power}
+def _noise(chunk):
+    """Batched evaluator (see :func:`_rows`) of the right-bath energy current
+    and noise power, the noise by recursion, then by finite differences;
+    ``fig21b`` lists the two noise columns only."""
+    specs = [spec for spec, _ in chunk]
+    return [report if isinstance(report, VfluxError)
+            else fd if isinstance(fd, VfluxError)
+            else {"JeR": report[1].JeR, "SeRR": report[1].SeRR, "SeRR_fd": fd.noise_power}
+            for report, fd in zip(current_reports_batch(specs),
+                                  cumulants_finite_difference_batch(specs, "R", ENERGY, order=2))]
 
 
 def _fig21b(config: ScenarioConfig):
-    return [(local, {}) for local in _coupling_specs(config.spec, 41)], _each(_noise_cells)
+    return [(local, {}) for local in _coupling_specs(config.spec, 41)], _noise, 41
 
 
 def _fig3(config: ScenarioConfig):
@@ -231,8 +238,8 @@ def _middle_temperatures(config: ScenarioConfig) -> list:
 
 
 def _fig4b(config: ScenarioConfig):
-    return (_middle_temperatures(config),
-            _each(lambda s: {"JeR": heat_currents(s)[1], **_noise_cells(s)}))
+    items = _middle_temperatures(config)
+    return items, _noise, len(items)
 
 
 def _fig5a(config: ScenarioConfig):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError, VfluxError
-from .fcs import cumulants_perturbative
+from .errors import DegenerateSteadyStateError, UsageError, VfluxError
+from .fcs import _recursion_batch, cumulants_perturbative
 from .liouvillian import build_generator, build_generator_batch
 from .model import (
     ENERGY,
@@ -24,7 +24,7 @@ from .model import (
     SystemSpec,
     bose_occupation,
     build_rates,
-    spec_arrays,
+    evaluate_valid,
 )
 from .steady import SteadyState, steady_state, steady_state_batch
 
@@ -207,40 +207,31 @@ def current_reports_batch(specs, include_noise: bool = True) -> list:
     to ``steady_state(build_generator(spec))`` and
     ``CurrentReport.from_spec(spec, state, include_noise)``, or the
     :class:`VfluxError` that route raises for that spec.  The rates,
-    generators, kernels and currents of the valid specs are evaluated as
-    arrays with one stacked eigendecomposition; only the noise power is
-    computed per spec.
+    generators, kernels, currents and noise powers of the valid specs are
+    evaluated as arrays, with one stacked eigendecomposition and, for the
+    noise, the stacked recursion on the same generators and kernels.
     """
-    outcomes: list = [None] * len(specs)
-    valid = []
-    for pos, spec in enumerate(specs):
-        try:
-            spec.require_valid()
-        except DomainError as exc:
-            outcomes[pos] = exc
-        else:
-            valid.append(pos)
-    if not valid:
-        return outcomes
-    rates = RateSet(spec_arrays([specs[pos] for pos in valid]))
-    states = steady_state_batch(build_generator_batch(rates))
-    je = bath_currents(rates, states.vectors.T, ENERGY)
-    jp = bath_currents(rates, states.vectors.T, PARTICLE)
-    res_e = np.abs(je[0] + je[1] + je[2])
-    res_p = np.abs(jp[0] + jp[1])
-    for n, pos in enumerate(valid):
-        try:
+    def evaluate(rates):
+        matrices = build_generator_batch(rates)
+        states = steady_state_batch(matrices)
+        je = bath_currents(rates, states.vectors.T, ENERGY)
+        jp = bath_currents(rates, states.vectors.T, PARTICLE)
+        res_e = np.abs(je[0] + je[1] + je[2])
+        res_p = np.abs(jp[0] + jp[1])
+        noise = (_recursion_batch(rates, matrices, states, "R", ENERGY, 2) if include_noise
+                 else [None] * len(matrices))
+        outcomes = []
+        for n, cumulants in enumerate(noise):
+            if n in states.errors or isinstance(cumulants, VfluxError):
+                # the recursion gives a point without a kernel the kernel's error
+                outcomes.append(cumulants or DegenerateSteadyStateError(states.errors[n]))
+                continue
             ss = states.state(n)
-            se_rr = (
-                cumulants_perturbative(specs[pos], "R", ENERGY, order=2).noise_power
-                if include_noise
-                else float("nan")
-            )
-        except VfluxError as exc:
-            outcomes[pos] = exc
-            continue
-        report = CurrentReport(je[0][n], je[1][n], je[2][n], jp[0][n], jp[1][n], jp[2][n],
-                               se_rr, res_e[n], res_p[n],
-                               _report_warnings(res_e[n], res_p[n], ss.positivity_warning))
-        outcomes[pos] = (ss, report)
-    return outcomes
+            se_rr = float("nan") if cumulants is None else cumulants.noise_power
+            report = CurrentReport(je[0][n], je[1][n], je[2][n], jp[0][n], jp[1][n], jp[2][n],
+                                   se_rr, res_e[n], res_p[n],
+                                   _report_warnings(res_e[n], res_p[n], ss.positivity_warning))
+            outcomes.append((ss, report))
+        return outcomes
+
+    return evaluate_valid(specs, evaluate)

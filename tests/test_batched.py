@@ -8,12 +8,16 @@ batched route produces must carry the same bits as the scalar route, and
 every error the same text.  The stacked generators must also match the
 superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
-does.
+does.  The stacked counting layer is held to the scalar cumulant
+functions the same way, warnings included, and one ``fig21b`` grid row
+to one stacked LAPACK call per stage.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from collections import Counter
 from dataclasses import astuple, fields, replace
 from itertools import product
 
@@ -23,12 +27,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vflux.analysis import max_rectification_batch, rectification
-from vflux.config import build_config
+from vflux.config import build_config, config_for_target
 from vflux.errors import (
+    BranchError,
     DegenerateSteadyStateError,
     DomainError,
     IndeterminateRectificationError,
     VfluxError,
+)
+from vflux.fcs import (
+    CumulantSet,
+    cumulants_finite_difference,
+    cumulants_finite_difference_batch,
+    cumulants_perturbative,
+    cumulants_perturbative_batch,
 )
 from vflux.liouvillian import (
     TRACE_VECTOR,
@@ -37,8 +49,17 @@ from vflux.liouvillian import (
     build_superoperator_full,
     project_block,
 )
-from vflux.model import ENERGY, PARTICLE, RateSet, SystemSpec, build_rates, spec_arrays
-from vflux.runner import SPEC_COLUMNS, compute_rows
+from vflux.model import (
+    BATHS,
+    ENERGY,
+    KINDS,
+    PARTICLE,
+    RateSet,
+    SystemSpec,
+    build_rates,
+    spec_arrays,
+)
+from vflux.runner import SPEC_COLUMNS, _fig21b, _rows, compute_rows
 from vflux.steady import steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
@@ -48,6 +69,8 @@ from vflux.transport import (
     heat_currents,
     particle_currents,
 )
+
+from conftest import seeded_conserving_specs, seeded_leak_specs
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -258,12 +281,99 @@ def test_non_finite_spec_is_one_domain_error(batch, data, bad_value):
         # repr of a float round-trips, and keeps the sign of zero
         if isinstance(out, VfluxError):
             return f"{type(out).__name__}: {out}"
-        return repr(astuple(out[1]) if isinstance(out[1], CurrentReport) else out)
+        if isinstance(out, tuple) and isinstance(out[1], CurrentReport):
+            return repr(astuple(out[1]))
+        return repr(out)
 
     t0, grid = 1.0, np.array([0.4, 1.2])
     for evaluate in (lambda specs: current_reports_batch(specs, include_noise=False),
-                     lambda specs: max_rectification_batch(specs, t0, grid)):
+                     lambda specs: max_rectification_batch(specs, t0, grid),
+                     lambda specs: cumulants_perturbative_batch(specs, "R", ENERGY, 4),
+                     lambda specs: cumulants_finite_difference_batch(specs, "L", PARTICLE, 2)):
         out, expected = evaluate(mixed), evaluate(batch)
         assert isinstance(out[pos], DomainError) and "finiteness" in str(out[pos])
         assert all(fingerprint(out[n]) == fingerprint(expected[n])
                    for n in range(len(batch)) if n != pos)
+
+
+# ---------------------------------------------------------------------------
+# The stacked counting layer against the scalar cumulant routes.
+
+def same_cumulants(out, expected) -> bool:
+    """Equal outcomes: the same error type and text, or the same bits."""
+    if isinstance(expected, VfluxError):
+        return type(out) is type(expected) and str(out) == str(expected)
+    return (isinstance(out, CumulantSet)
+            and (out.bath, out.kind, out.method) == (expected.bath, expected.kind, expected.method)
+            and same_bits(out.values, expected.values)
+            and same_bits(out.imag_residue, expected.imag_residue))
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=1, max_size=5), st.sampled_from(BATHS),
+       st.sampled_from(KINDS), st.integers(1, 4))
+def test_perturbative_cumulants_match_scalar_bitwise(batch, bath, kind, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for spec, out in zip(batch, cumulants_perturbative_batch(batch, bath, kind, order)):
+            assert same_cumulants(out, outcome(cumulants_perturbative, spec, bath, kind, order))
+
+
+@PROPERTY
+@given(st.lists(specs(), min_size=1, max_size=5), st.sampled_from(BATHS),
+       st.sampled_from(KINDS), st.integers(1, 2))
+def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order):
+    for spec, out in zip(batch, cumulants_finite_difference_batch(batch, bath, kind, order)):
+        assert same_cumulants(out, outcome(cumulants_finite_difference, spec, bath, kind, order))
+
+
+@PROPERTY
+@given(floats(0.5, 2.0), floats(1.0, 3.0), floats(0.3, 0.7), floats(0.002, 0.02),
+       st.sampled_from(BATHS), st.sampled_from(KINDS), st.data())
+def test_degenerate_corner_same_cumulant_errors_on_both_routes(eps, temp_l, frac, g,
+                                                               bath, kind, data):
+    # both cross couplings on the bound (1, 1)*bound, between valid specs
+    corner = SystemSpec(eps, eps, temp_l, 1.0, frac * temp_l, g, g, g, g, g, g, 0.0)
+    others = data.draw(st.lists(specs(), max_size=2))
+    pos = min(len(others), 1)
+    batch = others[:pos] + [corner] + others[pos:]
+    recursion = cumulants_perturbative_batch(batch, bath, kind, 2)
+    differences = cumulants_finite_difference_batch(batch, bath, kind, 2)
+    assert isinstance(recursion[pos], DegenerateSteadyStateError)
+    assert isinstance(differences[pos], BranchError)
+    for spec, rec, fd in zip(batch, recursion, differences):
+        assert same_cumulants(rec, outcome(cumulants_perturbative, spec, bath, kind, 2))
+        assert same_cumulants(fd, outcome(cumulants_finite_difference, spec, bath, kind, 2))
+
+
+def test_batch_warns_like_the_scalar_loop(monkeypatch):
+    # with the threshold at zero every nonzero residue is warned about
+    monkeypatch.setattr("vflux.fcs.IMAG_WARN", 0.0)
+    batch = seeded_leak_specs(6) + seeded_conserving_specs(6)
+
+    def texts(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return [(w.category, str(w.message)) for w in caught]
+
+    for kind in KINDS:
+        scalar = texts(lambda: [cumulants_perturbative(s, "R", kind, 4) for s in batch])
+        assert len(scalar) >= 6
+        assert texts(lambda: cumulants_perturbative_batch(batch, "R", kind, 4)) == scalar
+    assert texts(lambda: current_reports_batch(batch)) == texts(
+        lambda: [CurrentReport.from_spec(s) for s in batch])
+
+
+def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
+    # the first grid row (gL12 = 0) stays clear of the degenerate corner
+    items, evaluate, batch = _fig21b(config_for_target("fig21b"))
+    calls = Counter()
+    for name in ("eig", "svd", "eigvals"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rows = _rows(items[:batch], evaluate, batch)
+    assert len(rows) == 41 and not any("error" in row for row in rows)
+    assert calls == {"eig": 1, "svd": 1, "eigvals": 4}

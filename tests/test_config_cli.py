@@ -217,6 +217,10 @@ def test_cli_cold_bath_sweep_completes(tmp_path, capsys):
      "sweep.axes[0]: needs numeric min, max and integer steps"),
     ("sweep", "sweep: {axes: [{field: tempR, min: 0.5, max: 1.0, steps: true}]}",
      "sweep.axes[0]: needs numeric min, max and integer steps"),
+    # two axes on one field would build each point from the second alone
+    ("sweep", "sweep: {axes: [{field: tempR, min: 0.5, max: 1.0, steps: 2},"
+              " {field: tempR, min: 0.2, max: 0.3, steps: 2}]}",
+     "sweep.axes[1].field: tempR is already swept by an earlier axis"),
     ("rectify", "rectify: {deltaT: {min: 0.1, max: '1.0', steps: 3}}",
      "rectify.deltaT: needs numeric min, max and integer steps"),
     ("amplify", "amplify: {tM: {min: 0.5, max: 1.5, steps: 3.0}}",
