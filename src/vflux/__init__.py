@@ -71,4 +71,31 @@ from .transport import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: The library API, module by module; ``from vflux import *`` binds these
+#: names and no submodule.
+__all__ = [
+    # analysis
+    "AmplificationResult", "RectificationResult", "amplification",
+    "cyclic_amplification_analytic", "max_amplification", "max_rectification",
+    "rectification",
+    # errors
+    "BranchError", "ConfigError", "DegenerateSteadyStateError", "DomainError",
+    "IndeterminateAmplificationError", "IndeterminateRectificationError", "UsageError",
+    "VfluxError",
+    # fcs
+    "CumulantSet", "cumulants_finite_difference", "cumulants_perturbative",
+    "dominant_eigenvalue", "first_cumulant_direct", "pseudo_inverse_R",
+    # liouvillian
+    "Generator", "build_counting_generator", "build_generator", "generator_chi_derivative",
+    "verify_block_decoupling",
+    # model
+    "ENERGY", "PARTICLE", "CountingFields", "RateSet", "SystemSpec", "bose_occupation",
+    "build_rates", "validate",
+    # steady
+    "SteadyState", "coherence_vanishing_residual", "evolve", "steady_state",
+    "steady_state_resonant_two_bath", "steady_state_three_terminal",
+    "steady_state_time_integration",
+    # transport
+    "CurrentReport", "closed_form_JR_no_interference", "closed_form_JeR_resonant",
+    "heat_currents", "particle_currents",
+]

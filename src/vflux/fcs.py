@@ -45,6 +45,9 @@ PINV_CUTOFF = 1e-12
 #: Imaginary residue above this level on a reported cumulant is warned about.
 IMAG_WARN = 1e-10
 
+#: Default step in chi of the finite-difference cumulants.
+FD_STEP = 1e-4
+
 _PINV_ERROR = "projected inverse expects exactly one singular value below cutoff, got {}"
 _BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
 
@@ -302,7 +305,7 @@ def cumulants_finite_difference(
     bath: str,
     kind: str,
     order: int = 2,
-    h: float = 1e-4,
+    h: float = FD_STEP,
 ) -> CumulantSet:
     """Cumulants from central differences of the dominant eigenvalue.
 
@@ -330,19 +333,21 @@ def _difference_set(bath: str, kind: str, order: int, h: float,
 
 
 def cumulants_finite_difference_batch(specs, bath: str, kind: str, order: int = 2,
-                                      h: float = 1e-4) -> list:
+                                      h: float = FD_STEP) -> list:
     """:func:`cumulants_finite_difference` of each spec, as one stack: its
     :class:`CumulantSet` bit for bit, or its :class:`VfluxError` text for
     text."""
     _check_difference(bath, kind, order, h)
+    return evaluate_valid(specs, lambda rates: _difference_batch(rates, bath, kind, order, h))
 
-    def evaluate(rates):
-        e_h, errors = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h))
-        e_h2, errors_h2 = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h / 2.0))
-        # the step h is evaluated first, so its error is the one raised
-        errors = {**errors_h2, **errors}
-        return [BranchError(errors[n]) if n in errors
-                else _difference_set(bath, kind, order, h, complex(e_h[n]), complex(e_h2[n]))
-                for n in range(len(e_h))]
 
-    return evaluate_valid(specs, evaluate)
+def _difference_batch(rates: RateSet, bath: str, kind: str, order: int, h: float) -> list:
+    """:func:`cumulants_finite_difference` of a stack of valid rates, whose
+    arguments were checked: one :class:`CumulantSet` or error per point."""
+    e_h, errors = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h))
+    e_h2, errors_h2 = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h / 2.0))
+    # the step h is evaluated first, so its error is the one raised
+    errors = {**errors_h2, **errors}
+    return [BranchError(errors[n]) if n in errors
+            else _difference_set(bath, kind, order, h, complex(e_h[n]), complex(e_h2[n]))
+            for n in range(len(e_h))]

@@ -13,6 +13,8 @@ that row's ``error`` column and the run continues.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -29,17 +31,26 @@ from .analysis import (
 )
 from .config import ScenarioConfig
 from .errors import UsageError, VfluxError
-from .fcs import (cumulants_finite_difference, cumulants_finite_difference_batch,
+from .fcs import (FD_STEP, _difference_batch, cumulants_finite_difference,
                   cumulants_perturbative)
 from .liouvillian import build_generator
-from .model import ENERGY, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, interference_bound
+from .model import (ENERGY, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, evaluate_valid,
+                    interference_bound)
 from .steady import (
     steady_state,
     steady_state_resonant_two_bath,
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, current_reports_batch, heat_currents
+from .transport import CurrentReport, _reports_batch, current_reports_batch, heat_currents
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _rows(items, evaluate, batch: int = 1) -> list[dict]:
@@ -47,13 +58,27 @@ def _rows(items, evaluate, batch: int = 1) -> list[dict]:
 
     ``evaluate`` maps a list of items to one dict of result cells or one
     :class:`VfluxError` per item; an error fills that row's ``error`` cell.
-    A steady-state grid batch is one grid row, so memory does not grow with
-    the grid.
+    A batched grid (``batch > 1``, more than one batch) runs its batches on
+    a thread pool with at most one batch per core in flight: a batch is one
+    grid row, evaluated as stacks whose LAPACK calls release the GIL, and
+    it gives the same bits on any thread.  Per-point plans run in the
+    calling thread, where a pool would only add switching to Python-bound
+    work.  Another exception from a batch cancels the batches not yet
+    started and reaches the caller; no thread outlives the call.
     """
+    chunks = [items[start:start + batch] for start in range(0, len(items), batch)]
+    workers = min(_cores(), len(chunks)) if batch > 1 else 1
+    if workers > 1:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            outcomes = list(pool.map(evaluate, chunks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        outcomes = map(evaluate, chunks)
     rows = []
-    for start in range(0, len(items), batch):
-        chunk = items[start:start + batch]
-        for (spec, cells), out in zip(chunk, evaluate(chunk)):
+    for chunk, outs in zip(chunks, outcomes):
+        for (spec, cells), out in zip(chunk, outs):
             row = {"spec_hash": spec.content_hash()}
             row.update((name, getattr(spec, name)) for name in SPEC_COLUMNS)
             row.update(cells)
@@ -208,14 +233,16 @@ def _fig2b(config: ScenarioConfig):
 
 def _noise(chunk):
     """Batched evaluator (see :func:`_rows`) of the right-bath energy current
-    and noise power, the noise by recursion, then by finite differences;
-    ``fig21b`` lists the two noise columns only."""
-    specs = [spec for spec, _ in chunk]
-    return [report if isinstance(report, VfluxError)
-            else fd if isinstance(fd, VfluxError)
-            else {"JeR": report[1].JeR, "SeRR": report[1].SeRR, "SeRR_fd": fd.noise_power}
-            for report, fd in zip(current_reports_batch(specs),
-                                  cumulants_finite_difference_batch(specs, "R", ENERGY, order=2))]
+    and noise power, the noise by recursion, then by finite differences,
+    both from one stacked :class:`RateSet`; ``fig21b`` lists the two noise
+    columns only."""
+    def evaluate(rates):
+        return [report if isinstance(report, VfluxError)
+                else fd if isinstance(fd, VfluxError)
+                else {"JeR": report[1].JeR, "SeRR": report[1].SeRR, "SeRR_fd": fd.noise_power}
+                for report, fd in zip(_reports_batch(rates),
+                                      _difference_batch(rates, "R", ENERGY, 2, FD_STEP))]
+    return evaluate_valid([spec for spec, _ in chunk], evaluate)
 
 
 def _fig21b(config: ScenarioConfig):

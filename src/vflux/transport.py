@@ -211,27 +211,30 @@ def current_reports_batch(specs, include_noise: bool = True) -> list:
     evaluated as arrays, with one stacked eigendecomposition and, for the
     noise, the stacked recursion on the same generators and kernels.
     """
-    def evaluate(rates):
-        matrices = build_generator_batch(rates)
-        states = steady_state_batch(matrices)
-        je = bath_currents(rates, states.vectors.T, ENERGY)
-        jp = bath_currents(rates, states.vectors.T, PARTICLE)
-        res_e = np.abs(je[0] + je[1] + je[2])
-        res_p = np.abs(jp[0] + jp[1])
-        noise = (_recursion_batch(rates, matrices, states, "R", ENERGY, 2) if include_noise
-                 else [None] * len(matrices))
-        outcomes = []
-        for n, cumulants in enumerate(noise):
-            if n in states.errors or isinstance(cumulants, VfluxError):
-                # the recursion gives a point without a kernel the kernel's error
-                outcomes.append(cumulants or DegenerateSteadyStateError(states.errors[n]))
-                continue
-            ss = states.state(n)
-            se_rr = float("nan") if cumulants is None else cumulants.noise_power
-            report = CurrentReport(je[0][n], je[1][n], je[2][n], jp[0][n], jp[1][n], jp[2][n],
-                                   se_rr, res_e[n], res_p[n],
-                                   _report_warnings(res_e[n], res_p[n], ss.positivity_warning))
-            outcomes.append((ss, report))
-        return outcomes
+    return evaluate_valid(specs, lambda rates: _reports_batch(rates, include_noise))
 
-    return evaluate_valid(specs, evaluate)
+
+def _reports_batch(rates: RateSet, include_noise: bool = True) -> list:
+    """:func:`current_reports_batch` of a stack of valid rates, so that a
+    caller can give the same rates to another stacked route."""
+    matrices = build_generator_batch(rates)
+    states = steady_state_batch(matrices)
+    je = bath_currents(rates, states.vectors.T, ENERGY)
+    jp = bath_currents(rates, states.vectors.T, PARTICLE)
+    res_e = np.abs(je[0] + je[1] + je[2])
+    res_p = np.abs(jp[0] + jp[1])
+    noise = (_recursion_batch(rates, matrices, states, "R", ENERGY, 2) if include_noise
+             else [None] * len(matrices))
+    outcomes = []
+    for n, cumulants in enumerate(noise):
+        if n in states.errors or isinstance(cumulants, VfluxError):
+            # the recursion gives a point without a kernel the kernel's error
+            outcomes.append(cumulants or DegenerateSteadyStateError(states.errors[n]))
+            continue
+        ss = states.state(n)
+        se_rr = float("nan") if cumulants is None else cumulants.noise_power
+        report = CurrentReport(je[0][n], je[1][n], je[2][n], jp[0][n], jp[1][n], jp[2][n],
+                               se_rr, res_e[n], res_p[n],
+                               _report_warnings(res_e[n], res_p[n], ss.positivity_warning))
+        outcomes.append((ss, report))
+    return outcomes

@@ -10,12 +10,15 @@ superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and one ``fig21b`` grid row
-to one stacked LAPACK call per stage.
+to one stacked LAPACK call per stage.  The grid engine's thread pool must
+give the rows a serial map gives, pass on what a batch raises, leave no
+thread behind and leave per-point plans in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from collections import Counter
 from dataclasses import astuple, fields, replace
@@ -59,7 +62,8 @@ from vflux.model import (
     build_rates,
     spec_arrays,
 )
-from vflux.runner import SPEC_COLUMNS, _fig21b, _rows, compute_rows
+from vflux import runner
+from vflux.runner import SPEC_COLUMNS, _fig21b, _rows, _sweep, compute_rows
 from vflux.steady import steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
@@ -377,3 +381,69 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     rows = _rows(items[:batch], evaluate, batch)
     assert len(rows) == 41 and not any("error" in row for row in rows)
     assert calls == {"eig": 1, "svd": 1, "eigvals": 4}
+
+
+def test_pooled_rows_equal_a_serial_map(monkeypatch):
+    # gL12 crosses its interference bound 0.01 on every tempR, so each grid
+    # row holds DomainError rows between valid ones
+    items, evaluate, batch = _sweep(build_config({
+        "task": "sweep",
+        "sweep": {"axes": [{"field": "tempR", "min": 0.5, "max": 1.0, "steps": 4},
+                           {"field": "gL12", "min": 0.0, "max": 0.015, "steps": 7}]},
+    }))
+    threads = set()
+
+    def recorded(chunk):
+        threads.add(threading.get_ident())
+        return evaluate(chunk)
+
+    monkeypatch.setattr(runner, "_cores", lambda: 2)
+    pooled = _rows(items, recorded, batch)
+    assert threading.get_ident() not in threads
+    serial = [row for start in range(0, len(items), batch)
+              for row in _rows(items[start:start + batch], evaluate, batch)]
+    assert len(pooled) == len(items) == 28
+    assert {"error" in row for row in pooled} == {True, False}
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr(pooled) == repr(serial)
+
+
+def test_pooled_rows_raise_what_a_batch_raises(monkeypatch):
+    monkeypatch.setattr(runner, "_cores", lambda: 2)
+    before = threading.active_count()
+    started = []
+
+    def evaluate(chunk):
+        started.append(chunk[0])
+        if chunk[0] == 0:
+            raise RuntimeError("not a physics error")
+        # slow enough that the failure cancels the batches not yet started
+        threading.Event().wait(0.1)
+        return [{} for _ in chunk]
+
+    with pytest.raises(RuntimeError, match="not a physics error"):
+        _rows(list(range(40)), evaluate, 2)
+    assert threading.active_count() == before
+    assert 0 in started and len(started) < 20
+
+
+def test_run_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(runner, "_cores", lambda: 2)
+    before = threading.active_count()
+    _, text = runner.run(config_for_target("fig2b"))
+    assert text.count("\n") == 1 + 39 * 31
+    assert threading.active_count() == before
+
+
+def test_per_point_plan_runs_in_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(runner, "_cores", lambda: 2)
+    threads = set()
+
+    def recorded(spec):
+        threads.add(threading.get_ident())
+        return heat_currents(spec)
+
+    monkeypatch.setattr(runner, "heat_currents", recorded)
+    _, rows = compute_rows(config_for_target("fig5b"))
+    assert len(rows) == 39
+    assert threads == {threading.get_ident()}

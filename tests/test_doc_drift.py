@@ -5,6 +5,7 @@ import math
 import pkgutil
 import re
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -94,3 +95,31 @@ def test_documented_names_resolve():
     names = documented_names()
     assert any(name.startswith("np.") for name in names)
     assert sorted(name for name in names if not resolves(name)) == []
+
+
+def test_star_import_binds_no_module():
+    namespace: dict = {}
+    exec("from vflux import *", namespace)
+    assert [name for name, obj in namespace.items() if isinstance(obj, ModuleType)] == []
+    assert set(vflux.__all__) <= set(namespace)
+
+
+def package_names_used() -> set[str]:
+    """Every ``vflux.X`` of README.md, docs/*.md and the benchmark workloads
+    (which bind the package to ``vf`` too), and every name README imports
+    ``from vflux``; submodules and dunder names left out."""
+    workloads = ROOT / "benchmarks" / "workloads.py"
+    names = set()
+    for path in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md", workloads]:
+        text = path.read_text(encoding="utf-8")
+        prefix = r"\b(?:vflux|vf)\." if path == workloads else r"\bvflux\."
+        names.update(re.findall(prefix + r"(\w+)", text))
+        for imported in re.findall(r"^from vflux import ([\w, ]+)$", text, flags=re.MULTILINE):
+            names.update(name.strip() for name in imported.split(","))
+    return {name for name in names if name not in MODULES and not name.startswith("__")}
+
+
+def test_package_names_used_are_exported():
+    names = package_names_used()
+    assert {"SystemSpec", "heat_currents", "cumulants_perturbative"} <= names
+    assert sorted(names - set(vflux.__all__)) == []
