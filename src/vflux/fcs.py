@@ -30,7 +30,7 @@ from .liouvillian import (
     build_generator_batch,
 )
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates, evaluate_valid
-from .steady import SteadyStateBatch, steady_state, steady_state_batch
+from .steady import SteadyStateBatch, _deflated, steady_state, steady_state_batch
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -39,16 +39,12 @@ FINITE_DIFFERENCE = "finite_difference"
 #: dominant-branch selection ambiguous.
 BRANCH_TOL = 1e-9
 
-#: Relative singular-value cutoff for the projected inverse.
-PINV_CUTOFF = 1e-12
-
 #: Imaginary residue above this level on a reported cumulant is warned about.
 IMAG_WARN = 1e-10
 
 #: Default step in chi of the finite-difference cumulants.
 FD_STEP = 1e-4
 
-_PINV_ERROR = "projected inverse expects exactly one singular value below cutoff, got {}"
 _BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
 
 
@@ -170,37 +166,24 @@ def pseudo_inverse_R(spec: SystemSpec) -> np.ndarray:
     """Projected inverse of the generator used by the cumulant recursion.
 
     With ``Q = 1 - |P0><I|`` the returned matrix satisfies ``R L = Q``,
-    ``R |P0> = 0`` and ``<I| R = 0``.  Built from a full singular value
-    decomposition with a relative cutoff; exactly one singular direction
-    must fall below the cutoff.
+    ``R |P0> = 0`` and ``<I| R = 0``: it is the group inverse of ``L``,
+    ``Q A^-1 Q`` with ``A`` the deflated generator whose solve gives the
+    steady state.  Raises the steady state's
+    :class:`DegenerateSteadyStateError` when the kernel is not isolated.
     """
     gen = build_generator(spec)
     return _projected_inverse(gen.matrix, steady_state(gen).vector)
 
 
-def _projected_inverse(matrix: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """:func:`pseudo_inverse_R` of a bare generator with steady state ``p0``."""
-    q = np.eye(5, dtype=complex) - np.outer(p0, TRACE_VECTOR)
-    u, sigma, vh = np.linalg.svd(matrix)
-    cutoff = PINV_CUTOFF * sigma[0]
-    small = sigma < cutoff
-    if small.sum() != 1:
-        raise DegenerateSteadyStateError(_PINV_ERROR.format(int(small.sum())))
-    inv_sigma = np.where(small, 0.0, 1.0 / np.where(small, 1.0, sigma))
-    pinv = (vh.conj().T * inv_sigma) @ u.conj().T
-    return q @ pinv @ q
-
-
-def _projected_inverse_batch(matrices: np.ndarray, p0: np.ndarray):
-    """:func:`_projected_inverse` of a stack: the stack of R, and the
-    :class:`DegenerateSteadyStateError` text of each point with one."""
-    q = np.eye(5, dtype=complex) - p0[:, :, None] * TRACE_VECTOR
-    u, sigma, vh = np.linalg.svd(matrices)
-    small = sigma < PINV_CUTOFF * sigma[:, :1]
-    inv_sigma = np.where(small, 0.0, 1.0 / np.where(small, 1.0, sigma))
-    pinv = (vh.conj().swapaxes(1, 2) * inv_sigma[:, None, :]) @ u.conj().swapaxes(1, 2)
-    counts = small.sum(axis=-1).tolist()
-    return q @ pinv @ q, {n: _PINV_ERROR.format(c) for n, c in enumerate(counts) if c != 1}
+def _projected_inverse(matrix: np.ndarray, p0: np.ndarray, singular=()) -> np.ndarray:
+    """:func:`pseudo_inverse_R` of a bare generator with steady state ``p0``,
+    or of a stack ``(N, 5, 5)`` with states ``(N, 5)``; the points listed in
+    ``singular`` are inverted as the identity and their R means nothing."""
+    q = np.eye(5, dtype=complex) - p0[..., :, None] * TRACE_VECTOR
+    a = _deflated(matrix)[0]
+    if singular:
+        a[list(singular)] = np.eye(5)
+    return q @ np.linalg.inv(a) @ q
 
 
 def cumulants_perturbative(
@@ -277,8 +260,8 @@ def _recursion_batch(rates: RateSet, matrices: np.ndarray, states: SteadyStateBa
                      bath: str, kind: str, order: int) -> list:
     """:func:`cumulants_perturbative` of a stack of valid rates, their bare
     generators and steady states: one :class:`CumulantSet` or error per point."""
-    r, errors = _projected_inverse_batch(matrices, states.vectors)
-    errors.update(states.errors)
+    errors = states.errors
+    r = _projected_inverse(matrices, states.vectors, errors)
     chi0 = CountingFields.zero(kind)
     h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
     raw = _recursion(h, r, states.vectors[:, :, None], order)

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from .config import load_config
@@ -71,27 +72,30 @@ def verify(case: GoldenCase, csv_text: str | None = None) -> tuple[bool, str]:
     return actual == case.digest, actual
 
 
-def compare_numeric(a: str, b: str, atol: float = 1e-12) -> bool:
-    """Cell-wise CSV comparison with absolute tolerance on float cells."""
-    rows_a = a.strip().split("\n")
-    rows_b = b.strip().split("\n")
-    if len(rows_a) != len(rows_b):
-        return False
-    for line_a, line_b in zip(rows_a, rows_b):
-        cells_a = line_a.split(",")
-        cells_b = line_b.split(",")
-        if len(cells_a) != len(cells_b):
-            return False
-        for cell_a, cell_b in zip(cells_a, cells_b):
+def compare_numeric(a: str, b: str, atol: float = 1e-12):
+    """First cell where two CSV texts differ by more than ``atol``.
+
+    Returns ``(row, column, cell_a, cell_b)``, or None when every cell is
+    equal text or floats within ``atol``.  ``row`` counts data rows from 1
+    (0 is the header), ``column`` is the header name of ``a``, and a row or
+    cell present in one text only is compared against None.
+    """
+    lines_a = a.strip().split("\n")
+    lines_b = b.strip().split("\n")
+    header = lines_a[0].split(",")
+    for row, (line_a, line_b) in enumerate(zip_longest(lines_a, lines_b)):
+        cells_a = [] if line_a is None else line_a.split(",")
+        cells_b = [] if line_b is None else line_b.split(",")
+        for col, (cell_a, cell_b) in enumerate(zip_longest(cells_a, cells_b)):
             if cell_a == cell_b:
                 continue
             try:
                 if abs(float(cell_a) - float(cell_b)) <= atol:
                     continue
-            except ValueError:
+            except (TypeError, ValueError):
                 pass
-            return False
-    return True
+            return row, header[col] if col < len(header) else col, cell_a, cell_b
+    return None
 
 
 def _diff_summary(old_digest: str, text: str, case: GoldenCase) -> str:

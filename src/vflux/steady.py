@@ -1,10 +1,10 @@
-"""Steady-state solvers: numeric null space, closed forms, time integration.
+"""Steady-state solvers: numeric kernel, closed forms, time integration.
 
 The three routes are deliberately independent so each can serve as an
 oracle for the others:
 
-* ``steady_state`` takes the kernel of the 5x5 generator via a full
-  eigendecomposition;
+* ``steady_state`` takes the kernel of the 5x5 generator from one linear
+  solve against the deflated generator (:func:`_deflated`);
 * ``steady_state_resonant_two_bath`` and ``steady_state_three_terminal``
   evaluate closed-form solutions valid in their stated regimes;
 * ``steady_state_time_integration`` relaxes an initial state under the
@@ -19,19 +19,42 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSteadyStateError, UsageError
-from .liouvillian import Generator, build_generator
+from .liouvillian import TRACE_VECTOR, Generator, build_generator
 from .model import SystemSpec, build_rates
 
 NULLSPACE = "nullspace"
 ANALYTIC = "analytic"
 TIME_INTEGRATION = "time_integration"
 
-#: The second-smallest |Re eigenvalue| must exceed this multiple of the
-#: smallest, otherwise the kernel is treated as degenerate.
-DEGENERACY_RATIO = 1e3
+#: A deflated generator whose Hadamard ratio (:func:`_isolation_ratio`) is
+#: at most this has no isolated kernel; see ``docs/conventions.md``.
+ISOLATION_TOL = 1e-10
 
 #: Populations below this (negative) level set the positivity warning.
 POSITIVITY_TOL = -1e-8
+
+#: The population vector ``e`` with ``<I|e> = 1`` of the deflation ``L - s|e><I|``.
+_E = TRACE_VECTOR / 3.0
+_DEFLATION = np.outer(_E, TRACE_VECTOR)
+
+_ISOLATION_ERROR = "kernel not isolated: deflated generator has Hadamard ratio {:.3e}"
+
+
+def _deflated(m: np.ndarray):
+    """``A = L - s|e><I|`` and ``s = max|L_ij|`` of one generator or, per
+    matrix, of a stack ``(N, 5, 5)``.  ``A`` is invertible exactly when the
+    kernel of ``L`` is one-dimensional; then ``P0 = -A^-1 (s e)`` is the
+    kernel vector with ``<I|P0> = 1``.  The scale ``s`` makes ``A`` and the
+    isolation ratio independent of the units of ``L``."""
+    s = np.abs(m).max(axis=(-2, -1))
+    return m - s[..., None, None] * _DEFLATION, s
+
+
+def _isolation_ratio(a: np.ndarray):
+    """Hadamard ratio ``|det A| / prod_i ||row_i A||`` in ``[0, 1]`` of one
+    deflated generator or a stack; 0 for the zero matrix."""
+    norms = np.linalg.norm(a, axis=-1).prod(axis=-1)
+    return np.abs(np.linalg.det(a)) / np.maximum(norms, np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -97,24 +120,16 @@ def steady_state(gen: Generator) -> SteadyState:
     if gen.chi is not None and not gen.chi.is_zero:
         raise UsageError("steady_state requires the undressed generator")
     m = gen.matrix
-    eigvals, eigvecs = np.linalg.eig(m)
-    order = np.argsort(np.abs(eigvals.real))
-    smallest, second = np.abs(eigvals.real[order[0]]), np.abs(eigvals.real[order[1]])
-    # the ratio test alone is unstable when both values sit at rounding
-    # noise, so a second near-zero mode (relative to the spectral scale)
-    # also counts as degenerate
-    floor = 1e-12 * np.abs(eigvals).max()
-    if second <= max(DEGENERACY_RATIO * smallest, floor):
-        raise DegenerateSteadyStateError(
-            f"kernel not isolated: |Re| eigenvalues {smallest:.3e} and {second:.3e}"
-        )
-    k = int(np.argmin(np.abs(eigvals)))
-    return _finalize(eigvecs[:, k], m, NULLSPACE)
+    a, s = _deflated(m)
+    ratio = float(_isolation_ratio(a))
+    if not ratio > ISOLATION_TOL:
+        raise DegenerateSteadyStateError(_ISOLATION_ERROR.format(ratio))
+    return _finalize(np.linalg.solve(a, -s * _E), m, NULLSPACE)
 
 
 @dataclass(frozen=True)
 class SteadyStateBatch:
-    """Steady states of N bare generators, from one stacked eigendecomposition.
+    """Steady states of N bare generators, from one stacked solve.
 
     Row ``n`` of ``vectors``, ``residuals`` and ``positivity_warnings``
     equals the :class:`SteadyState` that :func:`steady_state` returns for
@@ -141,29 +156,24 @@ def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
     """Kernel vectors of a stack of bare generators, shape ``(N, 5, 5)``.
 
     Applies the tests of :func:`steady_state` to each matrix (isolation
-    ratio with its spectral floor, zero trace, positivity) and forms the
-    residuals with stacked ``np.matmul``, which matches the per-matrix
-    product bit for bit where ``np.einsum`` does not.
+    ratio, zero trace, positivity).  A matrix that fails the isolation test
+    is solved as the identity: one exactly singular matrix would fail the
+    whole stacked solve.  The residuals use stacked ``np.matmul``, which
+    matches the per-matrix product bit for bit where ``np.einsum`` does not.
     """
-    eigvals, eigvecs = np.linalg.eig(matrices)
-    re_sorted = np.sort(np.abs(eigvals.real), axis=-1)
-    smallest, second = re_sorted[:, 0], re_sorted[:, 1]
-    floor = 1e-12 * np.abs(eigvals).max(axis=-1)
-    isolated = ~(second <= np.maximum(DEGENERACY_RATIO * smallest, floor))
-    k = np.argmin(np.abs(eigvals), axis=-1)
-    vectors = eigvecs[np.arange(len(k)), :, k]
+    a, s = _deflated(matrices)
+    ratio = _isolation_ratio(a)
+    isolated = ratio > ISOLATION_TOL
+    a[~isolated] = np.eye(5)
+    vectors = np.linalg.solve(a, (-s[:, None] * _E)[:, :, None])[:, :, 0]
     trace = vectors[:, 0] + vectors[:, 1] + vectors[:, 2]
     usable = isolated & ~(np.abs(trace) < 1e-300)
     vectors = vectors / np.where(usable, trace, 1.0)[:, None]
     residuals = np.abs(np.matmul(matrices, vectors[:, :, None])[:, :, 0]).max(axis=-1)
     positivity = vectors[:, :3].real.min(axis=-1) < POSITIVITY_TOL
-    errors = {}
-    for n in np.flatnonzero(~usable).tolist():
-        if isolated[n]:
-            errors[n] = "steady-state candidate has zero trace"
-        else:
-            errors[n] = (f"kernel not isolated: |Re| eigenvalues {smallest[n]:.3e} "
-                         f"and {second[n]:.3e}")
+    errors = {n: _ISOLATION_ERROR.format(ratio[n]) if not isolated[n]
+              else "steady-state candidate has zero trace"
+              for n in np.flatnonzero(~usable).tolist()}
     return SteadyStateBatch(vectors, residuals, positivity, errors)
 
 
@@ -288,11 +298,11 @@ def coherence_vanishing_residual(spec: SystemSpec) -> float:
     """
     r = build_rates(spec)
     gen = build_generator(spec)
-    block = gen.matrix[:3, :3]
-    eigvals, eigvecs = np.linalg.eig(block)
-    k = int(np.argmin(np.abs(eigvals)))
-    pop = eigvecs[:, k]
-    pop = (pop / pop.sum()).real
+    block = gen.matrix[:3, :3].real
+    # matrix-tree theorem: the kernel of a rate matrix with zero column sums
+    # is proportional to its principal minors
+    minors = np.linalg.det(np.stack([block[np.ix_(k, k)] for k in ((1, 2), (0, 2), (0, 1))]))
+    pop = minors / minors.sum()
     return float(
         r.gamma_minus(1, 2, 1) * pop[0]
         + r.gamma_minus(1, 2, 2) * pop[1]

@@ -208,7 +208,7 @@ def current_reports_batch(specs, include_noise: bool = True) -> list:
     ``CurrentReport.from_spec(spec, state, include_noise)``, or the
     :class:`VfluxError` that route raises for that spec.  The rates,
     generators, kernels, currents and noise powers of the valid specs are
-    evaluated as arrays, with one stacked eigendecomposition and, for the
+    evaluated as arrays, with one stacked kernel solve and, for the
     noise, the stacked recursion on the same generators and kernels.
     """
     return evaluate_valid(specs, lambda rates: _reports_batch(rates, include_noise))

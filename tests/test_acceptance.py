@@ -162,6 +162,16 @@ def test_c06_symmetric_interference_null():
            f"max R_J {worst:.2e}")
 
 
+def test_c06_fig3_symmetric_diagonal_null(reproduce_outputs):
+    # on gL12 == gR12 the factor vanishes by L<->R symmetry: rj_max is
+    # rounding noise there, and its deltaT_star carries no information
+    _, rows, _ = reproduce_outputs["fig3"]
+    diagonal = [r for r in valid_rows(rows) if r["gL12"] == r["gR12"]]
+    worst = max(r["rj_max"] for r in diagonal)
+    report("criterion 6 (fig3 symmetric diagonal null)", len(diagonal) == 50 and worst <= 1e-10,
+           f"{len(diagonal)} rows, max R_J {worst:.2e}")
+
+
 def test_c07_single_channel_sufficient_condition():
     def current(g_l, g_r, t_l, t_r):
         spec = SystemSpec(1.0, 0.0, t_l, 1.0, t_r, g_l, 0.0, 0.0, g_r, 0.0, 0.0, 0.0)

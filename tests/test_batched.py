@@ -373,14 +373,16 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     # the first grid row (gL12 = 0) stays clear of the degenerate corner
     items, evaluate, batch = _fig21b(config_for_target("fig21b"))
     calls = Counter()
-    for name in ("eig", "svd", "eigvals"):
+    for name in ("eig", "svd", "eigvals", "det", "solve", "inv"):
         def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     rows = _rows(items[:batch], evaluate, batch)
     assert len(rows) == 41 and not any("error" in row for row in rows)
-    assert calls == {"eig": 1, "svd": 1, "eigvals": 4}
+    # the kernel's isolation ratio and solve, the projected inverse, and
+    # the branch tracker's two ramp steps at each of two chi steps
+    assert calls == Counter({"eig": 0, "svd": 0, "det": 1, "solve": 1, "inv": 1, "eigvals": 4})
 
 
 def test_pooled_rows_equal_a_serial_map(monkeypatch):

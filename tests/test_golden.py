@@ -40,10 +40,13 @@ def test_golden_digests_pass(reproduce_outputs):
 def test_numeric_comparator():
     a = "h1,h2\n1.0000000000000000e+00,x\n"
     b = "h1,h2\n1.0000000000000004e+00,x\n"
-    assert compare_numeric(a, b, atol=1e-12)
-    assert not compare_numeric(a, b, atol=1e-18)
-    assert not compare_numeric(a, a + "extra,row\n")
-    assert not compare_numeric(a, "h1,h2\n1.0000000000000000e+00,y\n")
+    assert compare_numeric(a, b, atol=1e-12) is None
+    assert compare_numeric(a, b, atol=1e-18) == (
+        1, "h1", "1.0000000000000000e+00", "1.0000000000000004e+00")
+    assert compare_numeric(a, a + "extra,row\n") == (2, "h1", None, "extra")
+    assert compare_numeric(a + "extra,row\n", a) == (2, "h1", "extra", None)
+    assert compare_numeric(a, "h1,h2\n1.0000000000000000e+00,y\n") == (1, "h2", "x", "y")
+    assert compare_numeric(a, "h1,h2\n1.0000000000000000e+00\n") == (1, "h2", "x", None)
 
 
 def test_regenerate_refused_without_maintainer(tmp_path, monkeypatch):

@@ -1,21 +1,32 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from vflux.config import config_for_target
 from vflux.errors import DegenerateSteadyStateError, UsageError
-from vflux.liouvillian import build_generator
+from vflux.liouvillian import Generator, build_generator
 from vflux.model import SystemSpec
+from vflux.runner import _fig3, _rows
 from vflux.steady import (
     coherence_vanishing_residual,
     evolve,
     steady_state,
+    steady_state_batch,
     steady_state_resonant_two_bath,
     steady_state_three_terminal,
     steady_state_time_integration,
 )
 
-from conftest import BOUND, MAX_BIAS_SPEC, cycle_spec, two_bath_spec
+from conftest import (
+    BOUND,
+    MAX_BIAS_SPEC,
+    cycle_spec,
+    seeded_conserving_specs,
+    seeded_leak_specs,
+    two_bath_spec,
+)
 
 # frozen with 50-digit arithmetic: 1/(1 + 2 e^{-1})
 GIBBS_GG = 0.5761168847658291
@@ -103,15 +114,61 @@ def test_three_terminal_precondition():
 
 
 def test_degenerate_detection_for_decoupled_system():
+    # every coupling zero at resonance: L = 0, so s = 0 and the ratio is 0/0
     spec = SystemSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state(build_generator(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSteadyStateError, match="not isolated"):
+            steady_state(build_generator(spec))
 
 
 def test_degenerate_detection_at_double_dark_corner():
     spec = two_bath_spec(BOUND, BOUND)
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state(build_generator(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSteadyStateError, match="not isolated"):
+            steady_state(build_generator(spec))
+
+
+def _kernel_or_none(matrix, spec):
+    try:
+        return steady_state(Generator(matrix, spec)).vector
+    except DegenerateSteadyStateError:
+        return None
+
+
+def test_isolation_test_ignores_scale():
+    # the deflation scale s = max|L_ij| makes the verdict and the state
+    # independent of the units of L.  Within 1e-3 of the dark corner the
+    # kernel is conditioned about 1e3 times worse, and so is its bound.
+    near_corner = two_bath_spec((1.0 - 1e-3) * BOUND, (1.0 - 1e-3) * BOUND)
+    corner = two_bath_spec(BOUND, BOUND)
+    cases = [(spec, 1e-14) for spec in seeded_conserving_specs(30) + seeded_leak_specs(10)]
+    for spec, tol in cases + [(near_corner, 1e-11), (corner, None)]:
+        matrix = build_generator(spec).matrix
+        base = _kernel_or_none(matrix, spec)
+        assert (base is None) == (tol is None)
+        for c in (1e-3, 1e3):
+            scaled = _kernel_or_none(c * matrix, spec)
+            assert (scaled is None) == (base is None)
+            if base is not None:
+                assert np.abs(scaled - base).max() <= tol
+
+
+def test_degenerate_kernels_in_a_stack_leave_the_rest_solved():
+    # a stacked solve fails as a whole on one exactly singular matrix, so
+    # the degenerate points must be set aside first, without a warning
+    zero = build_generator(SystemSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0))
+    dark = build_generator(two_bath_spec(BOUND, BOUND))
+    # the last fig3 grid row ends on the exactly singular corner
+    items, evaluate, batch = _fig3(config_for_target("fig3"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = np.stack([zero.matrix, build_generator(MAX_BIAS_SPEC).matrix, dark.matrix])
+        assert sorted(steady_state_batch(stack).errors) == [0, 2]
+        rows = _rows(items[-batch:], evaluate, batch)
+    assert [n for n, row in enumerate(rows) if "error" in row] == [batch - 1]
+    assert "kernel not isolated" in rows[-1]["error"]
 
 
 def test_evolve_fixed_point():

@@ -24,23 +24,23 @@ CYCLE_SYSTEM = {
 CASES = {
     "currents": (
         {"task": "currents"},
-        "7760e7a98ba315981aa6c202b2fda46b4d3153a22ad9081648e191e7987679a1",
-        "002395d1b99c4e86f1a41e371a5c26e81b8b6f0ba10f1bb038c8f52c0061410e",
+        "1587807fbdfe7c1fe2581b5590f30a5f161532bead27f1a1d354142ac57c6951",
+        "4a5b616d9f80ca6bb9d2a6c6992058bc2ccfc6d5bbed4f856fa2fdd462b3b56e",
     ),
     "cumulants_order4": (
         {"task": "cumulants", "cumulants": {"order": 4}},
-        "83e772355717b8bfa4fb97bd8935e9f507a7774cbf7696e02dd0d94d801171d0",
-        "3fab86ed1c42124243a4de56432bc8aa1a9d7635d39300891bffce9303d55868",
+        "8e83f19d9613c4eb45a3a9d8188955ca06e9b56b0438733d9f8eaca5007ea95e",
+        "3708877d5dfe80997a48c5bb91e228d7c21bc3a128c34da6acb306c283289b4e",
     ),
     "cumulants_left_particle": (
         {"task": "cumulants", "cumulants": {"bath": "L", "kind": "particle", "order": 3}},
-        "800738671a14bc82a69d19cabdb48f4b7dfd3f51e0ab21720551599e27817990",
-        "42ef8173403aff44f70e1e915865a0ae11439ad81ff561d0f4a4a77c0bec905a",
+        "9b2551c8de36f8f52946aa24873c77e2d0d8bbeff90f1d024a8c76504ffe1e30",
+        "db5ca8eb15bf3dfff387e65245e711e364fc18a4e994f49f5df796db6bccd7fb",
     ),
     "rectify": (
         {"task": "rectify", "system": {"gL12": 0.008}},
-        "6c80c5fcb071085e53c9251b8d300726456a357df30e1a139b169414ee7f155b",
-        "527d064cb66cca97f5f0790a4be22afa63a3c13c3e9ed54f894c6f107f298e2d",
+        "e4764b53a80e559ea174c092948cd95ac05749b56efc6dac05a874c22109bbea",
+        "207f41f7d4ce07bfd4060a17bd5566315f456c5f529432f3fd860cdc1c13406e",
     ),
     "rectify_bias_too_large": (
         {"task": "rectify", "rectify": {"deltaT": 2.5}},
@@ -49,27 +49,27 @@ CASES = {
     ),
     "amplify_cycle": (
         {"task": "amplify", "system": CYCLE_SYSTEM},
-        "29f3e613348e999907ae507b4afcb49ad2a8cd10e7ccd113fa9e5a9058c7d0d5",
-        "1f28c739cc6a9bfb856cffbf0ef7c7b6bdc05c85b281d0c5ce195c1311f2d2c9",
+        "d13982063d0ea3b2e60dd8cfb7cccc13f6547d2c3a94da3f9799601c44201099",
+        "6d965833a8658732fb46fecb8a4592c887535e54cccd05d479a5c446641ee58a",
     ),
     "amplify_cycle_tm_grid": (
         {"task": "amplify", "system": CYCLE_SYSTEM,
          "amplify": {"tM": {"min": 0.2, "max": 1.5, "steps": 7}, "h": 1e-3}},
-        "102abc60fb2402d699c7f9945537c38e99f59510bcab89727dacdca6b497126f",
-        "8752f339ffda408507f83e8f4a27a1ef21745cced641a7632180b81450fbe6ca",
+        "0327add3e13efb5c3810a308a87f62213eedc2ba2c22b6fb8a33d74b783f8980",
+        "859fcb6ffc18a3e9efb45fff271508e462c60739464707efb5daa8f3a569b1fc",
     ),
     "steady": (
         {"task": "steady"},
-        "ee7376cae53e244e23e5a1c239b8f3bebbef5ff331dfa95a0ac8c883ddca04c5",
-        "a247a3cf181e4b4e9745caf29cc71a5874491cabd08b2bc1358f8a649a994c5b",
+        "2bc38c97d29f6ef5f0b293ab3d0c25b4ef8a0e2772905845df32d54e29844898",
+        "8c470f7f2f83d8ffef89f871479e20b0b7aa8c3c2d1172ae4ba40a1de3b81e56",
     ),
     "sweep_across_bound": (
         {"task": "sweep", "sweep": {"axes": [
             {"field": "gL12", "min": 0.0, "max": 0.02, "steps": 5},
             {"field": "tempR", "min": 0.5, "max": 1.5, "steps": 3},
         ]}},
-        "5df323cef340b9dd6ffb0bd5496d0f0d51b17dd80a0be45dcf84238fea496c66",
-        "1d99c3a15c077cb67318f3cbcd9d40fc5d3019b6c57e4f6e739ff01b19e4b4b7",
+        "0a0c1725bfd3115fc0336187919af2fff852b5fc72c86b880cdb5897ce347e22",
+        "5a326063c9a85adbe9bf4c62bad2ff21482fa61135146fdb22201786d0785cd7",
     ),
 }
 
