@@ -172,18 +172,15 @@ def pseudo_inverse_R(spec: SystemSpec) -> np.ndarray:
     :class:`DegenerateSteadyStateError` when the kernel is not isolated.
     """
     gen = build_generator(spec)
-    return _projected_inverse(gen.matrix, steady_state(gen).vector)
+    return _projected_inverse(_deflated(gen.matrix)[0], steady_state(gen).vector)
 
 
-def _projected_inverse(matrix: np.ndarray, p0: np.ndarray, singular=()) -> np.ndarray:
-    """:func:`pseudo_inverse_R` of a bare generator with steady state ``p0``,
-    or of a stack ``(N, 5, 5)`` with states ``(N, 5)``; the points listed in
-    ``singular`` are inverted as the identity and their R means nothing."""
+def _projected_inverse(deflated: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """:func:`pseudo_inverse_R` from the deflated generator and steady state
+    ``p0`` of one point, or from :attr:`SteadyStateBatch.deflated` and the
+    states ``(N, 5)`` of a stack."""
     q = np.eye(5, dtype=complex) - p0[..., :, None] * TRACE_VECTOR
-    a = _deflated(matrix)[0]
-    if singular:
-        a[list(singular)] = np.eye(5)
-    return q @ np.linalg.inv(a) @ q
+    return q @ np.linalg.inv(deflated) @ q
 
 
 def cumulants_perturbative(
@@ -210,7 +207,7 @@ def cumulants_perturbative(
     rates = build_rates(spec)
     gen = build_generator(spec, rates)
     p0 = steady_state(gen).vector
-    r = _projected_inverse(gen.matrix, p0)
+    r = _projected_inverse(_deflated(gen.matrix)[0], p0)
     chi0 = CountingFields.zero(kind)
     h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
     return _recursion_set(bath, kind, _recursion(h, r, p0, order))
@@ -256,18 +253,18 @@ def _recursion_set(bath: str, kind: str, raw: list) -> CumulantSet:
     return CumulantSet(bath, kind, tuple(e.real for e in raw), PERTURBATIVE, residue)
 
 
-def _recursion_batch(rates: RateSet, matrices: np.ndarray, states: SteadyStateBatch,
+def _recursion_batch(rates: RateSet, states: SteadyStateBatch,
                      bath: str, kind: str, order: int) -> list:
-    """:func:`cumulants_perturbative` of a stack of valid rates, their bare
-    generators and steady states: one :class:`CumulantSet` or error per point."""
+    """:func:`cumulants_perturbative` of a stack of valid rates and their
+    steady states: one :class:`CumulantSet` or error per point."""
     errors = states.errors
-    r = _projected_inverse(matrices, states.vectors, errors)
+    r = _projected_inverse(states.deflated, states.vectors)
     chi0 = CountingFields.zero(kind)
     h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
     raw = _recursion(h, r, states.vectors[:, :, None], order)
     return [DegenerateSteadyStateError(errors[point]) if point in errors
             else _recursion_set(bath, kind, [complex(e[point, 0, 0]) for e in raw])
-            for point in range(len(matrices))]
+            for point in range(len(states.vectors))]
 
 
 def cumulants_perturbative_batch(specs, bath: str, kind: str, order: int = 2) -> list:
@@ -277,8 +274,8 @@ def cumulants_perturbative_batch(specs, bath: str, kind: str, order: int = 2) ->
     _check_recursion(bath, kind, order)
 
     def evaluate(rates):
-        matrices = build_generator_batch(rates)
-        return _recursion_batch(rates, matrices, steady_state_batch(matrices), bath, kind, order)
+        states = steady_state_batch(build_generator_batch(rates))
+        return _recursion_batch(rates, states, bath, kind, order)
 
     return evaluate_valid(specs, evaluate)
 

@@ -28,7 +28,7 @@ TIME_INTEGRATION = "time_integration"
 
 #: A deflated generator whose Hadamard ratio (:func:`_isolation_ratio`) is
 #: at most this has no isolated kernel; see ``docs/conventions.md``.
-ISOLATION_TOL = 1e-10
+ISOLATION_TOL = 1e-12
 
 #: Populations below this (negative) level set the positivity warning.
 POSITIVITY_TOL = -1e-8
@@ -41,12 +41,13 @@ _ISOLATION_ERROR = "kernel not isolated: deflated generator has Hadamard ratio {
 
 
 def _deflated(m: np.ndarray):
-    """``A = L - s|e><I|`` and ``s = max|L_ij|`` of one generator or, per
-    matrix, of a stack ``(N, 5, 5)``.  ``A`` is invertible exactly when the
-    kernel of ``L`` is one-dimensional; then ``P0 = -A^-1 (s e)`` is the
-    kernel vector with ``<I|P0> = 1``.  The scale ``s`` makes ``A`` and the
-    isolation ratio independent of the units of ``L``."""
-    s = np.abs(m).max(axis=(-2, -1))
+    """``A = L - s|e><I|`` and ``s`` of one generator or, per matrix, of a
+    stack ``(N, 5, 5)``.  ``A`` is invertible exactly when the kernel of
+    ``L`` is one-dimensional; then ``P0 = -A^-1 (s e)`` is the kernel vector
+    with ``<I|P0> = 1``.  ``s``, the largest ``|L_ij|`` of the population
+    block, makes the isolation ratio independent of the units of ``L`` and
+    of the level splitting on the coherence diagonal."""
+    s = np.abs(m[..., :3, :3]).max(axis=(-2, -1))
     return m - s[..., None, None] * _DEFLATION, s
 
 
@@ -136,13 +137,15 @@ class SteadyStateBatch:
     generator ``n``, bit for bit.  ``errors`` maps the index of each
     generator without a unique steady state to the
     :class:`DegenerateSteadyStateError` text :func:`steady_state` raises for
-    it; those rows hold no state.
+    it; those rows hold no state.  ``deflated`` holds the matrices that
+    were solved: :func:`_deflated`, or the identity where isolation failed.
     """
 
     vectors: np.ndarray
     residuals: np.ndarray
     positivity_warnings: np.ndarray
     errors: dict[int, str]
+    deflated: np.ndarray
 
     def state(self, n: int) -> SteadyState:
         """Row ``n`` as a :class:`SteadyState`; raises its error if it has one."""
@@ -174,7 +177,7 @@ def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
     errors = {n: _ISOLATION_ERROR.format(ratio[n]) if not isolated[n]
               else "steady-state candidate has zero trace"
               for n in np.flatnonzero(~usable).tolist()}
-    return SteadyStateBatch(vectors, residuals, positivity, errors)
+    return SteadyStateBatch(vectors, residuals, positivity, errors, a)
 
 
 def steady_state_resonant_two_bath(spec: SystemSpec) -> SteadyState:

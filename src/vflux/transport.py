@@ -217,14 +217,13 @@ def current_reports_batch(specs, include_noise: bool = True) -> list:
 def _reports_batch(rates: RateSet, include_noise: bool = True) -> list:
     """:func:`current_reports_batch` of a stack of valid rates, so that a
     caller can give the same rates to another stacked route."""
-    matrices = build_generator_batch(rates)
-    states = steady_state_batch(matrices)
+    states = steady_state_batch(build_generator_batch(rates))
     je = bath_currents(rates, states.vectors.T, ENERGY)
     jp = bath_currents(rates, states.vectors.T, PARTICLE)
     res_e = np.abs(je[0] + je[1] + je[2])
     res_p = np.abs(jp[0] + jp[1])
-    noise = (_recursion_batch(rates, matrices, states, "R", ENERGY, 2) if include_noise
-             else [None] * len(matrices))
+    noise = (_recursion_batch(rates, states, "R", ENERGY, 2) if include_noise
+             else [None] * len(states.vectors))
     outcomes = []
     for n, cumulants in enumerate(noise):
         if n in states.errors or isinstance(cumulants, VfluxError):

@@ -114,12 +114,14 @@ def test_three_terminal_precondition():
 
 
 def test_degenerate_detection_for_decoupled_system():
-    # every coupling zero at resonance: L = 0, so s = 0 and the ratio is 0/0
-    spec = SystemSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DegenerateSteadyStateError, match="not isolated"):
-            steady_state(build_generator(spec))
+    # every coupling zero: the population block is 0, so s = 0; at
+    # resonance L = 0 and the ratio is 0/0, detuned only the coherences rotate
+    for eps1 in (1.0, 1.5):
+        spec = SystemSpec(eps1, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSteadyStateError, match="not isolated"):
+                steady_state(build_generator(spec))
 
 
 def test_degenerate_detection_at_double_dark_corner():
@@ -138,8 +140,8 @@ def _kernel_or_none(matrix, spec):
 
 
 def test_isolation_test_ignores_scale():
-    # the deflation scale s = max|L_ij| makes the verdict and the state
-    # independent of the units of L.  Within 1e-3 of the dark corner the
+    # the deflation scale s (the largest population-block |L_ij|) makes the
+    # verdict and the state independent of the units of L.  Within 1e-3 of the dark corner the
     # kernel is conditioned about 1e3 times worse, and so is its bound.
     near_corner = two_bath_spec((1.0 - 1e-3) * BOUND, (1.0 - 1e-3) * BOUND)
     corner = two_bath_spec(BOUND, BOUND)
@@ -153,6 +155,46 @@ def test_isolation_test_ignores_scale():
             assert (scaled is None) == (base is None)
             if base is not None:
                 assert np.abs(scaled - base).max() <= tol
+
+
+def _eig_test_accepts(matrix):
+    """The eigenvalue isolation test the deflated solve replaced: the
+    second-smallest |Re| eigenvalue above 1e3 times the smallest and above
+    1e-12 times the spectral radius."""
+    eigvals = np.linalg.eigvals(matrix)
+    smallest, second = np.sort(np.abs(eigvals.real))[:2]
+    return second > max(1e3 * smallest, 1e-12 * np.abs(eigvals).max())
+
+
+def _assert_kernel_matches_closed_form(spec, tol):
+    matrix = build_generator(spec).matrix
+    assert _eig_test_accepts(matrix)
+    ss = steady_state(build_generator(spec))
+    assert np.abs(ss.vector - steady_state_three_terminal(spec).vector).max() <= tol
+    assert np.array_equal(steady_state_batch(matrix[None]).vectors[0], ss.vector)
+
+
+def test_isolation_test_ignores_the_level_splitting():
+    # the coherence rows carry the splitting eps1 - eps2, the population
+    # rows only the couplings; tiny couplings under a large splitting are
+    # still a well-conditioned kernel
+    for g in (1e-2, 1e-6, 1e-10):
+        for delta in (0.0, 1e-3, 1.7, 100.0):
+            _assert_kernel_matches_closed_form(
+                SystemSpec(0.3 + delta, 0.3, 1.0, 1.0, 1.0, g, g, 0, g, g, 0, 0), 1e-14)
+            _assert_kernel_matches_closed_form(
+                SystemSpec(0.3 + delta, 0.3, 2.0, 1.0, 0.5, g, 2 * g, 0, 3 * g, g, 0,
+                           g if delta else 0.0), 1e-14)
+
+
+def test_weak_single_channel_keeps_its_kernel():
+    # one transition k times weaker than the other: the kernel is
+    # conditioned like k, so it keeps about 15 + log10(k) digits
+    for k in (1e-6, 1e-9, 1e-10):
+        weak22 = SystemSpec(1.5, 0.5, 2.0, 1.0, 0.5, 1e-2, 1e-2 * k, 0, 1e-2, 1e-2 * k, 0, 0)
+        weak11 = SystemSpec(1.5, 0.5, 2.0, 1.0, 0.5, 1e-2 * k, 1e-2, 0, 1e-2 * k, 1e-2, 0, 0)
+        for spec in (weak22, weak11):
+            _assert_kernel_matches_closed_form(spec, 1e-15 / k)
 
 
 def test_degenerate_kernels_in_a_stack_leave_the_rest_solved():

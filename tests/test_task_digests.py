@@ -49,14 +49,14 @@ CASES = {
     ),
     "amplify_cycle": (
         {"task": "amplify", "system": CYCLE_SYSTEM},
-        "d13982063d0ea3b2e60dd8cfb7cccc13f6547d2c3a94da3f9799601c44201099",
-        "6d965833a8658732fb46fecb8a4592c887535e54cccd05d479a5c446641ee58a",
+        "bbc85bb764a1b61b1f9695975296c5151f66084cec0519e218bfe4246cb30646",
+        "b4d016e492fd522f09d2bd1b27a24cb1750e5030b5ac52e3a1b71a366ebd4679",
     ),
     "amplify_cycle_tm_grid": (
         {"task": "amplify", "system": CYCLE_SYSTEM,
          "amplify": {"tM": {"min": 0.2, "max": 1.5, "steps": 7}, "h": 1e-3}},
-        "0327add3e13efb5c3810a308a87f62213eedc2ba2c22b6fb8a33d74b783f8980",
-        "859fcb6ffc18a3e9efb45fff271508e462c60739464707efb5daa8f3a569b1fc",
+        "29de55226fcf7f86b597382123de5c8016558b528a5980291b1f6adb7e245c42",
+        "eeb445aafcc28329d98fdf3cc0e03603149ea77c8e4c58fec83eab736c807109",
     ),
     "steady": (
         {"task": "steady"},
