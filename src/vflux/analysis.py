@@ -110,7 +110,7 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
     """:func:`max_rectification` of each spec over one bias grid, as one batch.
 
     The forward and backward configurations of every spec and bias form
-    one stack of generators with one stacked kernel solve; currents and
+    one stack of generators with one stacked kernel; currents and
     factors are array expressions in the order of :func:`rectification`.
     Returns one ``(rj_max, deltaT_star)`` per spec, or the
     :class:`VfluxError` that scanning the grid with :func:`rectification`

@@ -30,7 +30,7 @@ from .liouvillian import (
     build_generator_batch,
 )
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates, evaluate_valid
-from .steady import SteadyStateBatch, _deflated, steady_state, steady_state_batch
+from .steady import SteadyStateBatch, steady_state, steady_state_batch
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -167,20 +167,23 @@ def pseudo_inverse_R(spec: SystemSpec) -> np.ndarray:
 
     With ``Q = 1 - |P0><I|`` the returned matrix satisfies ``R L = Q``,
     ``R |P0> = 0`` and ``<I| R = 0``: it is the group inverse of ``L``,
-    ``Q A^-1 Q`` with ``A`` the deflated generator whose solve gives the
-    steady state.  Raises the steady state's
-    :class:`DegenerateSteadyStateError` when the kernel is not isolated.
+    ``Q A^-1 Q`` with ``A = L - s|e><I|``, ``e = I/3``, ``s = max|L_ij|`` over
+    the population block; raises the steady state's error when it has one.
     """
     gen = build_generator(spec)
-    return _projected_inverse(_deflated(gen.matrix)[0], steady_state(gen).vector)
+    return _projected_inverse(gen.matrix, steady_state(gen).vector)
 
 
-def _projected_inverse(deflated: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """:func:`pseudo_inverse_R` from the deflated generator and steady state
-    ``p0`` of one point, or from :attr:`SteadyStateBatch.deflated` and the
-    states ``(N, 5)`` of a stack."""
+def _projected_inverse(m: np.ndarray, p0: np.ndarray, errors=()) -> np.ndarray:
+    """:func:`pseudo_inverse_R` from the generator(s) and steady state(s) of one
+    point or a stack; the points in ``errors`` are inverted as the identity,
+    since one exactly singular matrix fails a whole stacked ``inv``."""
+    s = np.abs(m[..., :3, :3]).max(axis=(-2, -1))
+    a = m - s[..., None, None] * np.outer(TRACE_VECTOR / 3.0, TRACE_VECTOR)
+    if errors:
+        a[list(errors)] = np.eye(5)
     q = np.eye(5, dtype=complex) - p0[..., :, None] * TRACE_VECTOR
-    return q @ np.linalg.inv(deflated) @ q
+    return q @ np.linalg.inv(a) @ q
 
 
 def cumulants_perturbative(
@@ -207,7 +210,7 @@ def cumulants_perturbative(
     rates = build_rates(spec)
     gen = build_generator(spec, rates)
     p0 = steady_state(gen).vector
-    r = _projected_inverse(_deflated(gen.matrix)[0], p0)
+    r = _projected_inverse(gen.matrix, p0)
     chi0 = CountingFields.zero(kind)
     h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
     return _recursion_set(bath, kind, _recursion(h, r, p0, order))
@@ -258,7 +261,7 @@ def _recursion_batch(rates: RateSet, states: SteadyStateBatch,
     """:func:`cumulants_perturbative` of a stack of valid rates and their
     steady states: one :class:`CumulantSet` or error per point."""
     errors = states.errors
-    r = _projected_inverse(states.deflated, states.vectors)
+    r = _projected_inverse(states.matrices, states.vectors, errors)
     chi0 = CountingFields.zero(kind)
     h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
     raw = _recursion(h, r, states.vectors[:, :, None], order)

@@ -7,10 +7,12 @@ with a different BLAS/LAPACK.
 
 Regeneration rewrites ``golden/digests.json`` and is refused unless
 maintainer mode is switched on (``--maintainer`` or VFLUX_MAINTAINER=1).
+``--write DIR`` saves the CSVs that ``--verify --against DIR`` diffs against.
 
 Run as a module::
 
-    python -m vflux.golden --verify
+    python -m vflux.golden --verify [--against DIR]
+    python -m vflux.golden --write DIR
     python -m vflux.golden --regenerate --maintainer [--case NAME]
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,9 +59,7 @@ def load_cases(root: Path | None = None) -> list[GoldenCase]:
 
 
 def compute_csv(case: GoldenCase) -> str:
-    config = load_config(case.config_path)
-    columns, rows = compute_rows(config)
-    return render_csv(columns, rows)
+    return render_csv(*compute_rows(load_config(case.config_path)))
 
 
 def digest_of(text: str) -> str:
@@ -72,36 +73,44 @@ def verify(case: GoldenCase, csv_text: str | None = None) -> tuple[bool, str]:
     return actual == case.digest, actual
 
 
-def compare_numeric(a: str, b: str, atol: float = 1e-12):
-    """First cell where two CSV texts differ by more than ``atol``.
-
-    Returns ``(row, column, cell_a, cell_b)``, or None when every cell is
-    equal text or floats within ``atol``.  ``row`` counts data rows from 1
-    (0 is the header), ``column`` is the header name of ``a``, and a row or
-    cell present in one text only is compared against None.
-    """
-    lines_a = a.strip().split("\n")
-    lines_b = b.strip().split("\n")
+def _differing_cells(a: str, b: str):
+    """Each ``(row, column, cell_a, cell_b)`` whose texts differ: ``row`` from 1
+    (0 is the header), the header name of ``a``, None for a missing cell."""
+    lines_a, lines_b = a.strip().split("\n"), b.strip().split("\n")
     header = lines_a[0].split(",")
     for row, (line_a, line_b) in enumerate(zip_longest(lines_a, lines_b)):
         cells_a = [] if line_a is None else line_a.split(",")
         cells_b = [] if line_b is None else line_b.split(",")
         for col, (cell_a, cell_b) in enumerate(zip_longest(cells_a, cells_b)):
-            if cell_a == cell_b:
-                continue
-            try:
-                if abs(float(cell_a) - float(cell_b)) <= atol:
-                    continue
-            except (TypeError, ValueError):
-                pass
-            return row, header[col] if col < len(header) else col, cell_a, cell_b
-    return None
+            if cell_a != cell_b:
+                yield row, header[col] if col < len(header) else col, cell_a, cell_b
 
 
-def _diff_summary(old_digest: str, text: str, case: GoldenCase) -> str:
-    lines = text.count("\n")
-    return (f"{case.name}: digest {old_digest[:12]} -> {digest_of(text)[:12]} "
-            f"({lines - 1} data rows)")
+def _gap(cell_a, cell_b) -> tuple[float, float]:
+    """``(|a - b|, |a - b| / max(|a|, |b|))`` of two float cells; inf for text."""
+    try:
+        a, b = float(cell_a), float(cell_b)
+    except (TypeError, ValueError):
+        return math.inf, math.inf
+    return abs(a - b), abs(a - b) / (max(abs(a), abs(b)) or 1.0)
+
+
+def compare_numeric(a: str, b: str, atol: float = 1e-12):
+    """First cell of :func:`_differing_cells` that is not floats within
+    ``atol`` on both sides, or None."""
+    return next((cell for cell in _differing_cells(a, b) if not _gap(*cell[2:])[0] <= atol),
+                None)
+
+
+def column_diffs(a: str, b: str) -> dict:
+    """Per column with a differing cell: the number of such cells and their
+    largest absolute and relative difference (inf where one is text)."""
+    diffs: dict = {}
+    for _, column, cell_a, cell_b in _differing_cells(a, b):
+        count, gap, rel = diffs.get(column, (0, 0.0, 0.0))
+        new_gap, new_rel = _gap(cell_a, cell_b)
+        diffs[column] = (count + 1, max(gap, new_gap), max(rel, new_rel))
+    return diffs
 
 
 def regenerate(
@@ -121,7 +130,8 @@ def regenerate(
     entry["sha256"] = digest_of(text)
     index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-    print(_diff_summary(old, text, case))
+    rows = text.count("\n") - 1
+    print(f"{case.name}: digest {old[:12]} -> {entry['sha256'][:12]} ({rows} data rows)")
     return entry["sha256"]
 
 
@@ -133,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--verify", action="store_true")
     mode.add_argument("--regenerate", action="store_true")
+    mode.add_argument("--write", type=Path, metavar="DIR", help="save each case's CSV in DIR")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="with --verify: diff each mismatch against DIR/<case>.csv")
     parser.add_argument("--maintainer", action="store_true",
                         help="enable regeneration (or set VFLUX_MAINTAINER=1)")
     args = parser.parse_args(argv)
@@ -153,12 +166,21 @@ def main(argv: list[str] | None = None) -> int:
         try:
             if args.regenerate:
                 regenerate(case, maintainer=args.maintainer, root=args.root)
+            elif args.write:
+                args.write.mkdir(parents=True, exist_ok=True)
+                (args.write / f"{case.name}.csv").write_text(compute_csv(case), encoding="utf-8")
             else:
-                ok, actual = verify(case)
+                text = compute_csv(case)
+                ok, actual = verify(case, text)
                 print(f"{case.name}: {'ok' if ok else 'MISMATCH ' + actual}")
                 if not ok:
                     status = 1
-        except VfluxError as exc:
+                if not ok and args.against:
+                    old = (args.against / f"{case.name}.csv").read_text(encoding="utf-8")
+                    print(f"  first cell: {compare_numeric(old, text, atol=0.0)}")
+                    for column, (cells, gap, rel) in column_diffs(old, text).items():
+                        print(f"  {column}: {cells} cells, max abs {gap:.3e}, max rel {rel:.3e}")
+        except (OSError, VfluxError) as exc:
             print(f"error: {case.name}: {exc}", file=sys.stderr)
             status = 2
     return status

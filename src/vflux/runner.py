@@ -60,7 +60,7 @@ def _rows(items, evaluate, batch: int = 1) -> list[dict]:
     :class:`VfluxError` per item; an error fills that row's ``error`` cell.
     A batched grid (``batch > 1``, more than one batch) runs its batches on
     a thread pool with at most one batch per core in flight: a batch is one
-    grid row, evaluated as stacks whose LAPACK calls release the GIL, and
+    grid row, evaluated as array operations that release the GIL, and
     it gives the same bits on any thread.  Per-point plans run in the
     calling thread, where a pool would only add switching to Python-bound
     work.  Another exception from a batch cancels the batches not yet

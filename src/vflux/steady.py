@@ -3,8 +3,8 @@
 The three routes are deliberately independent so each can serve as an
 oracle for the others:
 
-* ``steady_state`` takes the kernel of the 5x5 generator from one linear
-  solve against the deflated generator (:func:`_deflated`);
+* ``steady_state`` eliminates the coherences exactly and takes the kernel
+  from the principal minors of the remaining real 3x3 matrix (:func:`_kernel`);
 * ``steady_state_resonant_two_bath`` and ``steady_state_three_terminal``
   evaluate closed-form solutions valid in their stated regimes;
 * ``steady_state_time_integration`` relaxes an initial state under the
@@ -13,49 +13,60 @@ oracle for the others:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSteadyStateError, UsageError
-from .liouvillian import TRACE_VECTOR, Generator, build_generator
+from .liouvillian import Generator, build_generator
 from .model import SystemSpec, build_rates
 
 NULLSPACE = "nullspace"
 ANALYTIC = "analytic"
 TIME_INTEGRATION = "time_integration"
 
-#: A deflated generator whose Hadamard ratio (:func:`_isolation_ratio`) is
-#: at most this has no isolated kernel; see ``docs/conventions.md``.
+#: A generator whose isolation ratio (:func:`_kernel`) is at most this has
+#: no isolated kernel; see ``docs/conventions.md``.
 ISOLATION_TOL = 1e-12
 
 #: Populations below this (negative) level set the positivity warning.
 POSITIVITY_TOL = -1e-8
 
-#: The population vector ``e`` with ``<I|e> = 1`` of the deflation ``L - s|e><I|``.
-_E = TRACE_VECTOR / 3.0
-_DEFLATION = np.outer(_E, TRACE_VECTOR)
-
 _ISOLATION_ERROR = "kernel not isolated: deflated generator has Hadamard ratio {:.3e}"
 
 
-def _deflated(m: np.ndarray):
-    """``A = L - s|e><I|`` and ``s`` of one generator or, per matrix, of a
-    stack ``(N, 5, 5)``.  ``A`` is invertible exactly when the kernel of
-    ``L`` is one-dimensional; then ``P0 = -A^-1 (s e)`` is the kernel vector
-    with ``<I|P0> = 1``.  ``s``, the largest ``|L_ij|`` of the population
-    block, makes the isolation ratio independent of the units of ``L`` and
-    of the level splitting on the coherence diagonal."""
-    s = np.abs(m[..., :3, :3]).max(axis=(-2, -1))
-    return m - s[..., None, None] * _DEFLATION, s
+def _minors(k):
+    """Principal 2x2 minors of a 3x3 ``k`` (nested rows of floats or arrays):
+    its kernel when its columns sum to zero (matrix-tree theorem)."""
+    return [k[a][a] * k[b][b] - k[a][b] * k[b][a] for a, b in ((1, 2), (0, 2), (0, 1))]
 
 
-def _isolation_ratio(a: np.ndarray):
-    """Hadamard ratio ``|det A| / prod_i ||row_i A||`` in ``[0, 1]`` of one
-    deflated generator or a stack; 0 for the zero matrix."""
-    norms = np.linalg.norm(a, axis=-1).prod(axis=-1)
-    return np.abs(np.linalg.det(a)) / np.maximum(norms, np.finfo(float).tiny)
+def _kernel(re, im, s, sqrt):
+    """Populations, ``rho12`` as ``(real, imag)``, isolation ratio and verdict
+    of one bare generator (nested float lists of its real and imaginary
+    parts, ``math.sqrt``) or of a stack (its ``(5, 5, N)`` parts, ``np.sqrt``)
+    in the same real, correctly rounded operations; ``s`` is the largest
+    ``|L_ij|`` of the population block.  See ``docs/physics.md``: the
+    coherences are eliminated exactly, ``K = L_pp + (2d/q) c r^T`` and
+    ``|det A| = s q |tot|``.  A zero ``s``, ``q`` or ``tot`` gives ratio 0.
+    """
+    d, delta = -re[3][3], -im[3][3]
+    q = d * d + delta * delta
+    g = 2.0 * d / (q + (q == 0))
+    c, r = [row[3] for row in re[:3]], re[3][:3]
+    minors = _minors([[re[i][j] + g * c[i] * r[j] for j in range(3)] for i in range(3)])
+    tot = minors[0] + minors[1] + minors[2]
+    third = s / 3.0
+    dev = [[x - third for x in row[:3]] for row in re[:3]]
+    norms = [sqrt(a * a + b * b + e * e + 2.0 * ci * ci) for (a, b, e), ci in zip(dev, c)]
+    den = norms[0] * norms[1] * norms[2] * (r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + q)
+    ratio = s * q * abs(tot) / (den + (den == 0))
+    ok = ratio > ISOLATION_TOL
+    pop = [m / (tot * ok + (1 - ok)) for m in minors]  # divides by 1 where not ok
+    u = (r[0] * pop[0] + r[1] * pop[1] + r[2] * pop[2]) / (q + (q == 0))
+    return pop, (u * d, -(u * delta)), ratio, ok
 
 
 @dataclass(frozen=True)
@@ -121,31 +132,31 @@ def steady_state(gen: Generator) -> SteadyState:
     if gen.chi is not None and not gen.chi.is_zero:
         raise UsageError("steady_state requires the undressed generator")
     m = gen.matrix
-    a, s = _deflated(m)
-    ratio = float(_isolation_ratio(a))
-    if not ratio > ISOLATION_TOL:
+    re = m.real.tolist()
+    s = max(abs(x) for row in re[:3] for x in row[:3])
+    pop, (x, y), ratio, ok = _kernel(re, m.imag.tolist(), s, math.sqrt)
+    if not ok:
         raise DegenerateSteadyStateError(_ISOLATION_ERROR.format(ratio))
-    return _finalize(np.linalg.solve(a, -s * _E), m, NULLSPACE)
+    return _finalize(np.array([*pop, complex(x, y), complex(x, -y)]), m, NULLSPACE)
 
 
 @dataclass(frozen=True)
 class SteadyStateBatch:
-    """Steady states of N bare generators, from one stacked solve.
+    """Steady states of N bare generators, from one stacked kernel.
 
     Row ``n`` of ``vectors``, ``residuals`` and ``positivity_warnings``
     equals the :class:`SteadyState` that :func:`steady_state` returns for
     generator ``n``, bit for bit.  ``errors`` maps the index of each
     generator without a unique steady state to the
     :class:`DegenerateSteadyStateError` text :func:`steady_state` raises for
-    it; those rows hold no state.  ``deflated`` holds the matrices that
-    were solved: :func:`_deflated`, or the identity where isolation failed.
+    it; those rows hold no state.  ``matrices`` holds the solved generators.
     """
 
     vectors: np.ndarray
     residuals: np.ndarray
     positivity_warnings: np.ndarray
     errors: dict[int, str]
-    deflated: np.ndarray
+    matrices: np.ndarray
 
     def state(self, n: int) -> SteadyState:
         """Row ``n`` as a :class:`SteadyState`; raises its error if it has one."""
@@ -158,17 +169,15 @@ class SteadyStateBatch:
 def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
     """Kernel vectors of a stack of bare generators, shape ``(N, 5, 5)``.
 
-    Applies the tests of :func:`steady_state` to each matrix (isolation
-    ratio, zero trace, positivity).  A matrix that fails the isolation test
-    is solved as the identity: one exactly singular matrix would fail the
-    whole stacked solve.  The residuals use stacked ``np.matmul``, which
-    matches the per-matrix product bit for bit where ``np.einsum`` does not.
+    One :func:`_kernel` on the stack, then the tests of :func:`steady_state`
+    per matrix (isolation, zero trace, positivity).  The residuals use a
+    stacked ``np.matmul``, bitwise equal to one matrix's where ``einsum`` is not.
     """
-    a, s = _deflated(matrices)
-    ratio = _isolation_ratio(a)
-    isolated = ratio > ISOLATION_TOL
-    a[~isolated] = np.eye(5)
-    vectors = np.linalg.solve(a, (-s[:, None] * _E)[:, :, None])[:, :, 0]
+    parts = matrices.transpose(1, 2, 0)
+    s = np.abs(parts.real[:3, :3]).max(axis=(0, 1))
+    pop, (x, y), ratio, isolated = _kernel(parts.real, parts.imag, s, np.sqrt)
+    vectors = np.stack([*pop, x, x], axis=-1).astype(complex)
+    vectors.imag[:, 3], vectors.imag[:, 4] = y, -y
     trace = vectors[:, 0] + vectors[:, 1] + vectors[:, 2]
     usable = isolated & ~(np.abs(trace) < 1e-300)
     vectors = vectors / np.where(usable, trace, 1.0)[:, None]
@@ -177,7 +186,7 @@ def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
     errors = {n: _ISOLATION_ERROR.format(ratio[n]) if not isolated[n]
               else "steady-state candidate has zero trace"
               for n in np.flatnonzero(~usable).tolist()}
-    return SteadyStateBatch(vectors, residuals, positivity, errors, a)
+    return SteadyStateBatch(vectors, residuals, positivity, errors, matrices)
 
 
 def steady_state_resonant_two_bath(spec: SystemSpec) -> SteadyState:
@@ -300,12 +309,8 @@ def coherence_vanishing_residual(spec: SystemSpec) -> float:
     it carries the opposite sign of the steady-state coherence.
     """
     r = build_rates(spec)
-    gen = build_generator(spec)
-    block = gen.matrix[:3, :3].real
-    # matrix-tree theorem: the kernel of a rate matrix with zero column sums
-    # is proportional to its principal minors
-    minors = np.linalg.det(np.stack([block[np.ix_(k, k)] for k in ((1, 2), (0, 2), (0, 1))]))
-    pop = minors / minors.sum()
+    minors = _minors(build_generator(spec, r).matrix[:3, :3].real.tolist())
+    pop = [m / (minors[0] + minors[1] + minors[2]) for m in minors]
     return float(
         r.gamma_minus(1, 2, 1) * pop[0]
         + r.gamma_minus(1, 2, 2) * pop[1]

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -6,10 +7,12 @@ import pytest
 
 from vflux.errors import UsageError
 from vflux.golden import (
+    column_diffs,
     compare_numeric,
     compute_csv,
     digest_of,
     load_cases,
+    main,
     regenerate,
     verify,
 )
@@ -47,6 +50,59 @@ def test_numeric_comparator():
     assert compare_numeric(a + "extra,row\n", a) == (2, "h1", "extra", None)
     assert compare_numeric(a, "h1,h2\n1.0000000000000000e+00,y\n") == (1, "h2", "x", "y")
     assert compare_numeric(a, "h1,h2\n1.0000000000000000e+00\n") == (1, "h2", "x", None)
+
+
+def test_column_diffs():
+    a = "h1,h2,error\n1.0,2.0,\n4.0,0.0,\n"
+    b = "h1,h2,error\n1.0,2.5,\n3.0,-0.0,DomainError: x\n"
+    assert column_diffs(a, b) == {"h2": (2, 0.5, 0.2), "h1": (1, 1.0, 0.25),
+                                  "error": (1, math.inf, math.inf)}
+    assert column_diffs(a, a) == {}
+
+
+def _one_case_root(tmp_path, name="steady_cycle", digest=None):
+    """A golden directory holding one case of the corpus."""
+    root = tmp_path / "golden"
+    shutil.copytree(ROOT / "configs", root / "configs")
+    index = json.loads((ROOT / "digests.json").read_text())
+    index["cases"] = {name: index["cases"][name]}
+    if digest is not None:
+        index["cases"][name]["sha256"] = digest
+    (root / "digests.json").write_text(json.dumps(index))
+    return root
+
+
+def test_write_saves_each_case_csv(tmp_path, capsys):
+    root = _one_case_root(tmp_path)
+    out = tmp_path / "csv"
+    assert main(["--root", str(root), "--write", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["steady_cycle.csv"]
+    assert (out / "steady_cycle.csv").read_text() == compute_csv(load_cases(root)[0])
+    assert main(["--root", str(root), "--verify", "--against", str(out)]) == 0
+    assert capsys.readouterr().out == "steady_cycle: ok\n"
+
+
+def test_verify_against_prints_the_numeric_diff(tmp_path, capsys):
+    # a stored CSV whose rho11 cell of the first row is off by 2.5e-16
+    root = _one_case_root(tmp_path, digest="0" * 64)
+    text = compute_csv(load_cases(root)[0])
+    header, first, rest = text.split("\n", 2)
+    col = header.split(",").index("rho11")
+    cells = first.split(",")
+    new_cell = float(cells[col]) + 2.5e-16
+    old_cell, cells[col] = cells[col], f"{new_cell:.16e}"
+    stored = tmp_path / "old"
+    stored.mkdir()
+    (stored / "steady_cycle.csv").write_text("\n".join([header, ",".join(cells), rest]))
+    assert main(["--root", str(root), "--verify", "--against", str(stored)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("steady_cycle: MISMATCH ")
+    assert lines[1] == f"  first cell: {(1, 'rho11', cells[col], old_cell)}"
+    gap = abs(float(cells[col]) - float(old_cell))
+    rel = gap / max(abs(float(cells[col])), abs(float(old_cell)))
+    assert lines[2:] == [f"  rho11: 1 cells, max abs {gap:.3e}, max rel {rel:.3e}"]
+    # a missing stored CSV is an error, not a traceback
+    assert main(["--root", str(root), "--verify", "--against", str(tmp_path)]) == 2
 
 
 def test_regenerate_refused_without_maintainer(tmp_path, monkeypatch):

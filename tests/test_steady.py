@@ -6,10 +6,12 @@ import pytest
 
 from vflux.config import config_for_target
 from vflux.errors import DegenerateSteadyStateError, UsageError
-from vflux.liouvillian import Generator, build_generator
+from vflux.liouvillian import TRACE_VECTOR, Generator, build_generator
 from vflux.model import SystemSpec
 from vflux.runner import _fig3, _rows
 from vflux.steady import (
+    ISOLATION_TOL,
+    _kernel,
     coherence_vanishing_residual,
     evolve,
     steady_state,
@@ -124,6 +126,43 @@ def test_degenerate_detection_for_decoupled_system():
                 steady_state(build_generator(spec))
 
 
+def _degenerate_generators():
+    """All couplings zero, at resonance (L = 0) and detuned (only the
+    coherences rotate), and the exact double dark corner."""
+    return [build_generator(SystemSpec(eps1, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)).matrix
+            for eps1 in (1.0, 1.5)] + [build_generator(two_bath_spec(BOUND, BOUND)).matrix]
+
+
+def test_degenerate_inputs_give_one_error_text_on_both_shapes():
+    # the closed-form kernel divides by s, q and tot nowhere unguarded: the
+    # scalar raises the isolation error, not ZeroDivisionError, and every
+    # stack position gives the same text without a numpy warning
+    valid = [build_generator(spec).matrix for spec in (MAX_BIAS_SPEC, cycle_spec(0.5))]
+    for matrix in _degenerate_generators():
+        with pytest.raises(DegenerateSteadyStateError) as info:
+            steady_state(Generator(matrix, MAX_BIAS_SPEC))
+        assert "not isolated" in str(info.value)
+        for pos in range(3):
+            stack = np.stack(valid[:pos] + [matrix] + valid[pos:])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert steady_state_batch(stack).errors == {pos: str(info.value)}
+
+
+def test_scalar_kernel_calls_no_linear_algebra(monkeypatch):
+    calls = []
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type) and not name.startswith("_"):
+            def counted(*args, _name=name, _original=fn, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+    gen = build_generator(MAX_BIAS_SPEC)
+    steady_state(gen)
+    assert calls == []
+
+
 def test_degenerate_detection_at_double_dark_corner():
     spec = two_bath_spec(BOUND, BOUND)
     with warnings.catch_warnings():
@@ -164,6 +203,43 @@ def _eig_test_accepts(matrix):
     eigvals = np.linalg.eigvals(matrix)
     smallest, second = np.sort(np.abs(eigvals.real))[:2]
     return second > max(1e3 * smallest, 1e-12 * np.abs(eigvals).max())
+
+
+def _lu_route(matrix):
+    """The kernel route the closed form replaced: one solve against the
+    deflated generator ``A = L - s|e><I|`` and the Hadamard ratio of ``A``
+    from ``det``.  Returns the trace-normalized state (None when the ratio
+    is at most the threshold) and the ratio."""
+    s = np.abs(matrix[:3, :3]).max()
+    a = matrix - s * np.outer(TRACE_VECTOR / 3.0, TRACE_VECTOR)
+    ratio = abs(np.linalg.det(a)) / max(np.linalg.norm(a, axis=-1).prod(), np.finfo(float).tiny)
+    if not ratio > ISOLATION_TOL:
+        return None, ratio
+    vector = np.linalg.solve(a, -s * TRACE_VECTOR / 3.0)
+    return vector / vector[:3].sum(), ratio
+
+
+def test_closed_form_kernel_matches_the_lu_route():
+    # same verdict, states within a few ulps over the ratio (the kernel's
+    # condition), and the ratio of |det A| = s q |tot| within the rounding
+    # of the det-based one
+    weak = [SystemSpec(1.5, 0.5, 2.0, 1.0, 0.5, 1e-2 * a, 1e-2 * b, 0, 1e-2 * a, 1e-2 * b, 0, 0)
+            for k in (1e-3, 1e-6, 1e-9, 1e-10) for a, b in ((1.0, k), (k, 1.0))]
+    near_corner = [two_bath_spec((1.0 - f) * BOUND, (1.0 - f) * BOUND, eps=eps)
+                   for f in (1e-3, 1e-5, 1e-7) for eps in (0.7, 1.0)]
+    specs = seeded_conserving_specs(40) + seeded_leak_specs(20) + weak + near_corner
+    for spec in specs:
+        matrix = build_generator(spec).matrix
+        oracle, oracle_ratio = _lu_route(matrix)
+        s = float(np.abs(matrix[:3, :3]).max())
+        _, _, ratio, ok = _kernel(matrix.real.tolist(), matrix.imag.tolist(), s, math.sqrt)
+        assert ok == (oracle is not None)
+        assert abs(ratio - oracle_ratio) <= 1e-3 * oracle_ratio
+        if ok:
+            assert np.abs(steady_state(Generator(matrix, spec)).vector - oracle).max() <= (
+                4e-16 / ratio)
+    for matrix in _degenerate_generators():
+        assert _lu_route(matrix)[0] is None
 
 
 def _assert_kernel_matches_closed_form(spec, tol):

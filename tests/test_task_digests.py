@@ -24,23 +24,23 @@ CYCLE_SYSTEM = {
 CASES = {
     "currents": (
         {"task": "currents"},
-        "1587807fbdfe7c1fe2581b5590f30a5f161532bead27f1a1d354142ac57c6951",
-        "4a5b616d9f80ca6bb9d2a6c6992058bc2ccfc6d5bbed4f856fa2fdd462b3b56e",
+        "591905590bc91a970d793875c87b9b62bf3bbc61603609216562ce6bf0434d94",
+        "c28beadee11e6d12f76cc837764171be8ef1167ca613780da7b7d920dc8fa340",
     ),
     "cumulants_order4": (
         {"task": "cumulants", "cumulants": {"order": 4}},
-        "8e83f19d9613c4eb45a3a9d8188955ca06e9b56b0438733d9f8eaca5007ea95e",
-        "3708877d5dfe80997a48c5bb91e228d7c21bc3a128c34da6acb306c283289b4e",
+        "95e6f35b2cf8bd83064c9458bc446b2d6e62434922b0194d20d6b0bfe897fc81",
+        "b2f009149946f00e6e9b91253483fed8054ea00345ce030f9de9a0df1da8643a",
     ),
     "cumulants_left_particle": (
         {"task": "cumulants", "cumulants": {"bath": "L", "kind": "particle", "order": 3}},
-        "9b2551c8de36f8f52946aa24873c77e2d0d8bbeff90f1d024a8c76504ffe1e30",
-        "db5ca8eb15bf3dfff387e65245e711e364fc18a4e994f49f5df796db6bccd7fb",
+        "9ee426433e3c9cfd180ad06779b85943b5507d4e2ecbd3dc59d0edf3653291d9",
+        "796f5af8d365a74ec94a1f1bc71cfd8c4eafa76da8bcc27450baabf8921cc2fd",
     ),
     "rectify": (
         {"task": "rectify", "system": {"gL12": 0.008}},
-        "e4764b53a80e559ea174c092948cd95ac05749b56efc6dac05a874c22109bbea",
-        "207f41f7d4ce07bfd4060a17bd5566315f456c5f529432f3fd860cdc1c13406e",
+        "648c3cc6ae031ba1107b977c5e26872665839948cf9cb84592bcca49819c1472",
+        "0a4d083a37eae7e9c8bafb2ab888821c657fc3e6e6a17fef94e02a7fd6abd0ce",
     ),
     "rectify_bias_too_large": (
         {"task": "rectify", "rectify": {"deltaT": 2.5}},
@@ -49,27 +49,27 @@ CASES = {
     ),
     "amplify_cycle": (
         {"task": "amplify", "system": CYCLE_SYSTEM},
-        "bbc85bb764a1b61b1f9695975296c5151f66084cec0519e218bfe4246cb30646",
-        "b4d016e492fd522f09d2bd1b27a24cb1750e5030b5ac52e3a1b71a366ebd4679",
+        "65361ef386a45da8e11b920d9d7c00f42cfb5ce578f062493dd00c38dde24f93",
+        "439ae1f5fe1dfb7d54edd43f062de9c80b3c4f452e61c4ac9d5106d1724399de",
     ),
     "amplify_cycle_tm_grid": (
         {"task": "amplify", "system": CYCLE_SYSTEM,
          "amplify": {"tM": {"min": 0.2, "max": 1.5, "steps": 7}, "h": 1e-3}},
-        "29de55226fcf7f86b597382123de5c8016558b528a5980291b1f6adb7e245c42",
-        "eeb445aafcc28329d98fdf3cc0e03603149ea77c8e4c58fec83eab736c807109",
+        "d87b89db816f22e53502278aca0c5c259eff8f864458e0ebfe58a5f9b0a2bdb9",
+        "b6c6e115a9627957e1e1224189d04d2e56a5a5b9c5564aaab398f33b0d782248",
     ),
     "steady": (
         {"task": "steady"},
-        "2bc38c97d29f6ef5f0b293ab3d0c25b4ef8a0e2772905845df32d54e29844898",
-        "8c470f7f2f83d8ffef89f871479e20b0b7aa8c3c2d1172ae4ba40a1de3b81e56",
+        "fac5b8afde95341ee0a8f1683978926421694869d8e508475d47ae2787242ac9",
+        "9515d83ca4b6bf4b181dd474ef3366bfb5d0e6b49cf9b4fb132193bcbcbb79b3",
     ),
     "sweep_across_bound": (
         {"task": "sweep", "sweep": {"axes": [
             {"field": "gL12", "min": 0.0, "max": 0.02, "steps": 5},
             {"field": "tempR", "min": 0.5, "max": 1.5, "steps": 3},
         ]}},
-        "0a0c1725bfd3115fc0336187919af2fff852b5fc72c86b880cdb5897ce347e22",
-        "5a326063c9a85adbe9bf4c62bad2ff21482fa61135146fdb22201786d0785cd7",
+        "1da3a96cad4d7479eca486b8b587271c92f3b132619f78a9665a623e9fc95204",
+        "3642cbc69eb5c832a3db617ee343c4da1e8c7df8da44d083eec235b918d2323f",
     ),
 }
 
