@@ -22,7 +22,7 @@ from .errors import (
     VfluxError,
 )
 from .fcs import richardson
-from .liouvillian import build_generator_batch
+from .liouvillian import _fill_block
 from .model import ENERGY, RateSet, SystemSpec, spec_arrays
 from .steady import steady_state_batch
 from .transport import bath_currents, heat_currents, particle_currents
@@ -144,7 +144,7 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
         params["tempL"] = np.tile(np.stack([hot, cold], axis=1).ravel(), len(valid))
         params["tempR"] = np.tile(np.stack([cold, hot], axis=1).ravel(), len(valid))
         rates = RateSet(params)
-        states = steady_state_batch(build_generator_batch(rates))
+        states = steady_state_batch(_fill_block(rates))
         j = bath_currents(rates, states.vectors.T, ENERGY)[1].reshape(len(valid), stop, 2)
         j_f, j_b = j[:, :, 0], j[:, :, 1]
         den = np.maximum(j_f, -j_b)

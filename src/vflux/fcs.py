@@ -8,8 +8,8 @@ on a projected inverse of the generator, and low orders from finite
 differences of the dominant eigenvalue.  The first is also available
 directly from the steady state, which is the recursion's first order.
 
-The ``*_batch`` functions run both routes on a stack of specs, with the
-bits and error texts of the scalar functions.
+The ``_*_batch`` cores run both routes on a stacked :class:`RateSet`, with
+the bits and error texts of the functions of one spec.
 """
 
 from __future__ import annotations
@@ -21,16 +21,10 @@ from math import comb
 import numpy as np
 
 from .errors import BranchError, DegenerateSteadyStateError, UsageError
-from .liouvillian import (
-    TRACE_VECTOR,
-    _chi_derivative,
-    _counting_matrix,
-    _fill_block,
-    build_generator,
-    build_generator_batch,
-)
-from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates, evaluate_valid
-from .steady import SteadyStateBatch, steady_state, steady_state_batch
+from .liouvillian import (TRACE_VECTOR, _chi_derivative, _counting_matrix, _fill_block,
+                          build_generator)
+from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates
+from .steady import SteadyStateBatch, steady_state
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -209,26 +203,30 @@ def cumulants_perturbative(
     _check_recursion(bath, kind, order)
     rates = build_rates(spec)
     gen = build_generator(spec, rates)
-    p0 = steady_state(gen).vector
-    r = _projected_inverse(gen.matrix, p0)
+    raw = _recursion(rates, gen.matrix, steady_state(gen).vector, bath, kind, order)
+    return _recursion_set(bath, kind, raw)
+
+
+def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: str,
+               order: int, errors=()) -> list:
+    """E_1..E_order of :func:`cumulants_perturbative`, complex, from the
+    rates, the bare generator(s) ``m`` and the steady state(s) ``p0`` of one
+    point or of a stack (``errors`` as in :func:`_projected_inverse`).
+
+    A stack runs as ``(N, 5, 1)`` columns, so that each product is a
+    stacked ``np.matmul`` on C-contiguous stacks, the trace row included:
+    ``TRACE_VECTOR @ v.T`` changes the last bit.  Its cumulants are
+    ``(N, 1, 1)`` arrays.
+    """
+    r = _projected_inverse(m, p0, errors)
     chi0 = CountingFields.zero(kind)
     h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
-    return _recursion_set(bath, kind, _recursion(h, r, p0, order))
-
-
-def _recursion(h: dict, r: np.ndarray, p0: np.ndarray, order: int) -> list:
-    """E_1..E_order of :func:`cumulants_perturbative`, complex, from the
-    derivatives ``h``, the projected inverse ``r`` and the steady state.
-
-    ``p0`` is one 5-vector, or a stack of ``(N, 5, 1)`` columns with
-    ``(N, 5, 5)`` matrices, so that each product is a stacked ``np.matmul``
-    on C-contiguous stacks, the trace row included: ``TRACE_VECTOR @ v.T``
-    changes the last bit.
-    """
     if p0.ndim == 1:
         def trace(v):
             return complex(TRACE_VECTOR @ v)
     else:
+        p0 = p0[:, :, None]
+
         def trace(v):
             return TRACE_VECTOR[None] @ v
 
@@ -261,26 +259,10 @@ def _recursion_batch(rates: RateSet, states: SteadyStateBatch,
     """:func:`cumulants_perturbative` of a stack of valid rates and their
     steady states: one :class:`CumulantSet` or error per point."""
     errors = states.errors
-    r = _projected_inverse(states.matrices, states.vectors, errors)
-    chi0 = CountingFields.zero(kind)
-    h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
-    raw = _recursion(h, r, states.vectors[:, :, None], order)
+    raw = _recursion(rates, states.matrices, states.vectors, bath, kind, order, errors)
     return [DegenerateSteadyStateError(errors[point]) if point in errors
             else _recursion_set(bath, kind, [complex(e[point, 0, 0]) for e in raw])
             for point in range(len(states.vectors))]
-
-
-def cumulants_perturbative_batch(specs, bath: str, kind: str, order: int = 2) -> list:
-    """:func:`cumulants_perturbative` of each spec, as one stack: its
-    :class:`CumulantSet` bit for bit, or its :class:`VfluxError` text for
-    text, with the same warnings."""
-    _check_recursion(bath, kind, order)
-
-    def evaluate(rates):
-        states = steady_state_batch(build_generator_batch(rates))
-        return _recursion_batch(rates, states, bath, kind, order)
-
-    return evaluate_valid(specs, evaluate)
 
 
 def cumulants_finite_difference(
@@ -313,15 +295,6 @@ def _difference_set(bath: str, kind: str, order: int, h: float,
         # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
         values.append(richardson(-2.0 * e_h.real / h**2, -2.0 * e_h2.real / (h / 2.0)**2))
     return CumulantSet(bath, kind, tuple(values), FINITE_DIFFERENCE, 0.0)
-
-
-def cumulants_finite_difference_batch(specs, bath: str, kind: str, order: int = 2,
-                                      h: float = FD_STEP) -> list:
-    """:func:`cumulants_finite_difference` of each spec, as one stack: its
-    :class:`CumulantSet` bit for bit, or its :class:`VfluxError` text for
-    text."""
-    _check_difference(bath, kind, order, h)
-    return evaluate_valid(specs, lambda rates: _difference_batch(rates, bath, kind, order, h))
 
 
 def _difference_batch(rates: RateSet, bath: str, kind: str, order: int, h: float) -> list:

@@ -54,8 +54,8 @@ class Generator:
 
 
 def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
-    """Assemble the 5x5 generator, with the points of a stack of rates on
-    a trailing axis (shape ``(5, 5) + rates.shape``).
+    """Assemble the 5x5 generator: shape ``rates.shape + (5, 5)``, so a
+    stack of rates gives a C-contiguous ``(N, 5, 5)`` stack.
 
     ``sandwich`` is the ``(gain, loss)`` pair of rate functions that fill
     the gain-type entries (:func:`_fill_sandwich`), dressed by
@@ -66,21 +66,21 @@ def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
     gMp, gMm = rates.gain_M, rates.loss_M
     delta = rates.delta
 
-    m = np.zeros((5, 5) + rates.shape, dtype=complex)
+    m = np.zeros(rates.shape + (5, 5), dtype=complex)
     # populations
-    m[0, 0] = -(gm(1, 1, 1) + gMm)
-    m[0, 1] = gMp
-    m[0, 3] = m[0, 4] = -0.5 * gm(1, 2, 2)
-    m[1, 0] = gMm
-    m[1, 1] = -(gm(2, 2, 2) + gMp)
-    m[1, 3] = m[1, 4] = -0.5 * gm(1, 2, 1)
-    m[2, 2] = -(rates.gamma_plus(1, 1, 1) + rates.gamma_plus(2, 2, 2))
+    m[..., 0, 0] = -(gm(1, 1, 1) + gMm)
+    m[..., 0, 1] = gMp
+    m[..., 0, 3] = m[..., 0, 4] = -0.5 * gm(1, 2, 2)
+    m[..., 1, 0] = gMm
+    m[..., 1, 1] = -(gm(2, 2, 2) + gMp)
+    m[..., 1, 3] = m[..., 1, 4] = -0.5 * gm(1, 2, 1)
+    m[..., 2, 2] = -(rates.gamma_plus(1, 1, 1) + rates.gamma_plus(2, 2, 2))
     # coherences
     damping = 0.5 * (gm(1, 1, 1) + gm(2, 2, 2)) + 0.5 * (gMp + gMm)
-    m[3, 0] = m[4, 0] = -0.5 * gm(1, 2, 1)
-    m[3, 1] = m[4, 1] = -0.5 * gm(1, 2, 2)
-    m[3, 3] = -1j * delta - damping
-    m[4, 4] = +1j * delta - damping
+    m[..., 3, 0] = m[..., 4, 0] = -0.5 * gm(1, 2, 1)
+    m[..., 3, 1] = m[..., 4, 1] = -0.5 * gm(1, 2, 2)
+    m[..., 3, 3] = -1j * delta - damping
+    m[..., 4, 4] = +1j * delta - damping
     _fill_sandwich(m, *(sandwich or (rates.gamma_plus, gm)))
     return m
 
@@ -89,12 +89,12 @@ def _fill_sandwich(m: np.ndarray, gain, loss) -> None:
     """Write the gain-type ("sandwich") entries of ``m``: the only entries
     that carry counting phases.  ``gain(i, j, k)`` and ``loss(i, j, k)`` are
     the rates of levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
-    m[0, 2] = gain(1, 1, 1)
-    m[1, 2] = gain(2, 2, 2)
-    m[3, 2] = m[4, 2] = 0.5 * (gain(1, 2, 1) + gain(1, 2, 2))
-    m[2, 0] = loss(1, 1, 1)
-    m[2, 1] = loss(2, 2, 2)
-    m[2, 3] = m[2, 4] = 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))
+    m[..., 0, 2] = gain(1, 1, 1)
+    m[..., 1, 2] = gain(2, 2, 2)
+    m[..., 3, 2] = m[..., 4, 2] = 0.5 * (gain(1, 2, 1) + gain(1, 2, 2))
+    m[..., 2, 0] = loss(1, 1, 1)
+    m[..., 2, 1] = loss(2, 2, 2)
+    m[..., 2, 3] = m[..., 2, 4] = 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))
 
 
 def _dressed_rates(rates: RateSet, chi: CountingFields, baths, order: int = 0):
@@ -117,20 +117,6 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, order: int = 0):
                                             for table, factor in terms))
 
     return summed(gains), summed(losses)
-
-
-def _points_first(m: np.ndarray) -> np.ndarray:
-    """A filled matrix of one point as it is; of a stack, as a C-contiguous
-    ``(N, 5, 5)`` copy (a stacked ``np.matmul`` on the strided view that
-    moving the trailing point axis gives does not keep the bits)."""
-    return np.ascontiguousarray(np.moveaxis(m, -1, 0)) if m.ndim == 3 else m
-
-
-def build_generator_batch(rates: RateSet) -> np.ndarray:
-    """Bare generators of a stack of rates as one C-contiguous ``(N, 5, 5)``
-    array; generator ``n`` equals ``build_generator`` of point ``n`` bit
-    for bit."""
-    return _points_first(_fill_block(rates))
 
 
 def build_generator(spec: SystemSpec, rates: RateSet | None = None) -> Generator:
@@ -156,9 +142,9 @@ def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator
 
 
 def _counting_matrix(rates: RateSet, chi: CountingFields) -> np.ndarray:
-    """Matrix of :func:`build_counting_generator` from built rates; for a
-    stack of rates, the ``(N, 5, 5)`` stack of :func:`_points_first`."""
-    return _points_first(_fill_block(rates, _dressed_rates(rates, chi, BATHS)))
+    """Matrix of :func:`build_counting_generator` from built rates, in the
+    shape of :func:`_fill_block`."""
+    return _fill_block(rates, _dressed_rates(rates, chi, BATHS))
 
 
 def generator_chi_derivative(
@@ -183,10 +169,10 @@ def generator_chi_derivative(
 
 def _chi_derivative(rates: RateSet, chi0: CountingFields, bath: str, order: int) -> np.ndarray:
     """:func:`generator_chi_derivative` from built rates, arguments
-    unchecked; for a stack of rates, the stack of :func:`_points_first`."""
-    h = np.zeros((5, 5) + rates.shape, dtype=complex)
+    unchecked, in the shape of :func:`_fill_block`."""
+    h = np.zeros(rates.shape + (5, 5), dtype=complex)
     _fill_sandwich(h, *_dressed_rates(rates, chi0, (bath,), order))
-    return _points_first(h)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,11 @@ def bose_occupation(omega: float, temp: float) -> float:
     Raises
     ------
     DomainError
-        If ``omega <= 0`` (zero-frequency divergence) or ``temp <= 0``.
+        If ``omega`` or ``temp`` is not finite, ``omega <= 0`` (zero-frequency
+        divergence) or ``temp <= 0``.
     """
+    if not (math.isfinite(omega) and math.isfinite(temp)):
+        raise DomainError(f"bose_occupation: omega and temp must be finite, got {omega}, {temp}")
     if omega <= 0.0:
         raise DomainError(f"bose_occupation: omega must be > 0, got {omega}")
     if temp <= 0.0:

@@ -42,7 +42,7 @@ from .steady import (
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, _reports_batch, current_reports_batch, heat_currents
+from .transport import CurrentReport, _reports_batch, heat_currents
 
 
 def _cores() -> int:
@@ -111,7 +111,8 @@ def _steady_evaluator(include_noise: bool):
     def evaluate(chunk):
         return [out if isinstance(out, VfluxError)
                 else {**_state_cells(out[0]), **_current_cells(out[1])}
-                for out in current_reports_batch([spec for spec, _ in chunk], include_noise)]
+                for out in evaluate_valid([spec for spec, _ in chunk],
+                                          lambda rates: _reports_batch(rates, include_noise))]
     return evaluate
 
 
@@ -221,14 +222,14 @@ def _sweep(config: ScenarioConfig):
 
 def _coupling_grid(config: ScenarioConfig):
     items = [(local, {}) for local in _coupling_specs(config.spec, 41)]
-    return items, _steady_evaluator(include_noise=False), 41
+    return items, _steady_evaluator(include_noise=False), len(items)
 
 
 def _fig2b(config: ScenarioConfig):
     deltas = np.linspace(0.0, 1.5, 31)
     items = [(replace(config.spec, tempR=float(tr), tempL=float(tr + dt)), {"deltaT": float(dt)})
              for tr in np.linspace(0.1, 2.0, 39) for dt in deltas]
-    return items, _steady_evaluator(include_noise=False), len(deltas)
+    return items, _steady_evaluator(include_noise=False), len(items)
 
 
 def _noise(chunk):
@@ -246,7 +247,8 @@ def _noise(chunk):
 
 
 def _fig21b(config: ScenarioConfig):
-    return [(local, {}) for local in _coupling_specs(config.spec, 41)], _noise, 41
+    items = [(local, {}) for local in _coupling_specs(config.spec, 41)]
+    return items, _noise, len(items)
 
 
 def _fig3(config: ScenarioConfig):

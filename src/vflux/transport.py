@@ -15,17 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, UsageError, VfluxError
-from .fcs import _recursion_batch, cumulants_perturbative
-from .liouvillian import build_generator, build_generator_batch
-from .model import (
-    ENERGY,
-    PARTICLE,
-    RateSet,
-    SystemSpec,
-    bose_occupation,
-    build_rates,
-    evaluate_valid,
-)
+from .fcs import _recursion, _recursion_batch, _recursion_set
+from .liouvillian import _fill_block, build_generator
+from .model import ENERGY, PARTICLE, RateSet, SystemSpec, bose_occupation, build_rates
 from .steady import SteadyState, steady_state, steady_state_batch
 
 #: Conservation residuals above this level flag the report.
@@ -175,14 +167,20 @@ class CurrentReport:
         state: SteadyState | None = None,
         include_noise: bool = True,
     ) -> "CurrentReport":
-        ss = state if state is not None else steady_state(build_generator(spec))
-        je = heat_currents(spec, ss)
-        jp = particle_currents(spec, ss)
-        se_rr = (
-            cumulants_perturbative(spec, "R", ENERGY, order=2).noise_power
-            if include_noise
-            else float("nan")
-        )
+        """Currents of ``state`` (default: the kernel of ``spec``) and, with
+        ``include_noise``, the right-bath energy noise power ``SeRR`` of
+        ``cumulants_perturbative(spec, "R", ENERGY, 2)``, which always comes
+        from the kernel; one rate set, one generator, at most one kernel."""
+        rates = build_rates(spec)
+        gen = build_generator(spec, rates)
+        kernel = steady_state(gen) if state is None or include_noise else None
+        ss = state if state is not None else kernel
+        je = bath_currents(rates, ss.vector, ENERGY)
+        jp = bath_currents(rates, ss.vector, PARTICLE)
+        se_rr = float("nan")
+        if include_noise:
+            raw = _recursion(rates, gen.matrix, kernel.vector, "R", ENERGY, 2)
+            se_rr = _recursion_set("R", ENERGY, raw).noise_power
         res_e = abs(je[0] + je[1] + je[2])
         res_p = abs(jp[0] + jp[1])
         return cls(je[0], je[1], je[2], jp[0], jp[1], jp[2], se_rr,
@@ -200,24 +198,18 @@ def _report_warnings(res_e, res_p, positivity: bool) -> tuple[str, ...]:
     return tuple(warn)
 
 
-def current_reports_batch(specs, include_noise: bool = True) -> list:
-    """Steady state and :class:`CurrentReport` of each spec, from one batch.
-
-    Returns one ``(SteadyState, CurrentReport)`` per spec, equal bit for bit
-    to ``steady_state(build_generator(spec))`` and
-    ``CurrentReport.from_spec(spec, state, include_noise)``, or the
-    :class:`VfluxError` that route raises for that spec.  The rates,
-    generators, kernels, currents and noise powers of the valid specs are
-    evaluated as arrays, with one stacked kernel and, for the
-    noise, the stacked recursion on the same generators and kernels.
-    """
-    return evaluate_valid(specs, lambda rates: _reports_batch(rates, include_noise))
-
-
 def _reports_batch(rates: RateSet, include_noise: bool = True) -> list:
-    """:func:`current_reports_batch` of a stack of valid rates, so that a
-    caller can give the same rates to another stacked route."""
-    states = steady_state_batch(build_generator_batch(rates))
+    """Steady state and :class:`CurrentReport` of each point of a stack of
+    valid rates, from one stacked kernel and, for the noise, the stacked
+    recursion on the same generators and kernels.
+
+    Returns one ``(SteadyState, CurrentReport)`` per point, equal bit for bit
+    to ``steady_state(build_generator(spec))`` and
+    ``CurrentReport.from_spec(spec, include_noise=include_noise)``, or the
+    :class:`VfluxError` that route raises.  A caller gives the same rates to
+    another stacked route (see :func:`vflux.model.evaluate_valid`).
+    """
+    states = steady_state_batch(_fill_block(rates))
     je = bath_currents(rates, states.vectors.T, ENERGY)
     jp = bath_currents(rates, states.vectors.T, PARTICLE)
     res_e = np.abs(je[0] + je[1] + je[2])

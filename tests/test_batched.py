@@ -9,8 +9,8 @@ every error the same text.  The stacked generators must also match the
 superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
-functions the same way, warnings included, and one ``fig21b`` grid row
-to at most one stacked LAPACK call per stage.  The grid engine's thread
+functions the same way, warnings included, and the ``fig21b`` target, one
+stack, to one stacked LAPACK call per stage.  The grid engine's thread
 pool must give the rows a serial map gives, pass on what a batch raises,
 leave no thread behind and leave per-point plans in the calling thread.
 """
@@ -39,16 +39,17 @@ from vflux.errors import (
     VfluxError,
 )
 from vflux.fcs import (
+    FD_STEP,
     CumulantSet,
+    _difference_batch,
+    _recursion_batch,
     cumulants_finite_difference,
-    cumulants_finite_difference_batch,
     cumulants_perturbative,
-    cumulants_perturbative_batch,
 )
 from vflux.liouvillian import (
     TRACE_VECTOR,
+    _fill_block,
     build_generator,
-    build_generator_batch,
     build_superoperator_full,
     project_block,
 )
@@ -60,6 +61,7 @@ from vflux.model import (
     RateSet,
     SystemSpec,
     build_rates,
+    evaluate_valid,
     spec_arrays,
 )
 from vflux import runner
@@ -68,8 +70,8 @@ from vflux.steady import steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
     CurrentReport,
+    _reports_batch,
     bath_currents,
-    current_reports_batch,
     heat_currents,
     particle_currents,
 )
@@ -109,6 +111,18 @@ def specs(draw, regime=None):
                       gr11, gr22, shrink[1] * math.sqrt(gr11 * gr22), g_m)
 
 
+def stacked(core, specs, *args) -> list:
+    """One outcome per spec, as the grid engine makes it: ``core(rates,
+    *args)`` on the stacked :class:`RateSet` of the valid specs, and a
+    :class:`DomainError` for each invalid one."""
+    return evaluate_valid(specs, lambda rates: core(rates, *args))
+
+
+def recursion(rates, bath, kind, order) -> list:
+    """The stacked recursion on the stack's own kernels."""
+    return _recursion_batch(rates, steady_state_batch(_fill_block(rates)), bath, kind, order)
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -133,7 +147,7 @@ def scalar_scan(spec, t0, grid):
 @given(st.lists(specs(), min_size=1, max_size=6))
 def test_kernel_and_currents_match_scalar_bitwise(batch):
     rates = RateSet(spec_arrays(batch))
-    matrices = build_generator_batch(rates)
+    matrices = _fill_block(rates)
     states = steady_state_batch(matrices)
     je = bath_currents(rates, states.vectors.T, ENERGY)
     jp = bath_currents(rates, states.vectors.T, PARTICLE)
@@ -176,7 +190,7 @@ SWAP_COHERENCES = [0, 1, 2, 4, 3]
 @PROPERTY
 @given(st.lists(specs(), min_size=1, max_size=6))
 def test_stacked_generators_match_independent_construction(batch):
-    matrices = build_generator_batch(RateSet(spec_arrays(batch)))
+    matrices = _fill_block(RateSet(spec_arrays(batch)))
     for m, spec in zip(matrices, batch):
         assert np.abs(m - project_block(build_superoperator_full(spec))).max() <= 1e-15
         assert np.abs(TRACE_VECTOR @ m).max() <= 1e-14
@@ -190,7 +204,7 @@ def test_stacked_generators_match_independent_construction(batch):
                           specs(DETUNED).map(lambda s: replace(s, gL12=0.0, gR12=0.0))),
                 min_size=1, max_size=6))
 def test_stacked_currents_conserve_in_conserving_regimes(batch):
-    for spec, (_, report) in zip(batch, current_reports_batch(batch, include_noise=False)):
+    for spec, (_, report) in zip(batch, stacked(_reports_batch, batch, False)):
         assert report.conservation_residual_energy <= CONSERVATION_TOL
         assert report.conservation_residual_particle <= CONSERVATION_TOL
 
@@ -198,7 +212,7 @@ def test_stacked_currents_conserve_in_conserving_regimes(batch):
 @PROPERTY
 @given(st.lists(specs(), min_size=1, max_size=4), st.booleans())
 def test_current_reports_match_from_spec(batch, include_noise):
-    for spec, (ss, report) in zip(batch, current_reports_batch(batch, include_noise)):
+    for spec, (ss, report) in zip(batch, stacked(_reports_batch, batch, include_noise)):
         assert same_bits(ss.vector, steady_state(build_generator(spec)).vector)
         expected = CurrentReport.from_spec(spec, include_noise=include_noise)
         assert report.warnings == expected.warnings
@@ -236,8 +250,8 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
         steady_state(build_generator(corner))
     expected = str(info.value)
     rates = RateSet(spec_arrays([corner]))
-    assert steady_state_batch(build_generator_batch(rates)).errors == {0: expected}
-    (out,) = current_reports_batch([corner], include_noise=False)
+    assert steady_state_batch(_fill_block(rates)).errors == {0: expected}
+    (out,) = stacked(_reports_batch, [corner], False)
     assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
 
     t0, grid = temp_l, np.array([0.5 * temp_l, temp_l])
@@ -290,10 +304,10 @@ def test_non_finite_spec_is_one_domain_error(batch, data, bad_value):
         return repr(out)
 
     t0, grid = 1.0, np.array([0.4, 1.2])
-    for evaluate in (lambda specs: current_reports_batch(specs, include_noise=False),
+    for evaluate in (lambda specs: stacked(_reports_batch, specs, False),
                      lambda specs: max_rectification_batch(specs, t0, grid),
-                     lambda specs: cumulants_perturbative_batch(specs, "R", ENERGY, 4),
-                     lambda specs: cumulants_finite_difference_batch(specs, "L", PARTICLE, 2)):
+                     lambda specs: stacked(recursion, specs, "R", ENERGY, 4),
+                     lambda specs: stacked(_difference_batch, specs, "L", PARTICLE, 2, FD_STEP)):
         out, expected = evaluate(mixed), evaluate(batch)
         assert isinstance(out[pos], DomainError) and "finiteness" in str(out[pos])
         assert all(fingerprint(out[n]) == fingerprint(expected[n])
@@ -319,7 +333,7 @@ def same_cumulants(out, expected) -> bool:
 def test_perturbative_cumulants_match_scalar_bitwise(batch, bath, kind, order):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for spec, out in zip(batch, cumulants_perturbative_batch(batch, bath, kind, order)):
+        for spec, out in zip(batch, stacked(recursion, batch, bath, kind, order)):
             assert same_cumulants(out, outcome(cumulants_perturbative, spec, bath, kind, order))
 
 
@@ -327,7 +341,7 @@ def test_perturbative_cumulants_match_scalar_bitwise(batch, bath, kind, order):
 @given(st.lists(specs(), min_size=1, max_size=5), st.sampled_from(BATHS),
        st.sampled_from(KINDS), st.integers(1, 2))
 def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order):
-    for spec, out in zip(batch, cumulants_finite_difference_batch(batch, bath, kind, order)):
+    for spec, out in zip(batch, stacked(_difference_batch, batch, bath, kind, order, FD_STEP)):
         assert same_cumulants(out, outcome(cumulants_finite_difference, spec, bath, kind, order))
 
 
@@ -341,11 +355,11 @@ def test_degenerate_corner_same_cumulant_errors_on_both_routes(eps, temp_l, frac
     others = data.draw(st.lists(specs(), max_size=2))
     pos = min(len(others), 1)
     batch = others[:pos] + [corner] + others[pos:]
-    recursion = cumulants_perturbative_batch(batch, bath, kind, 2)
-    differences = cumulants_finite_difference_batch(batch, bath, kind, 2)
-    assert isinstance(recursion[pos], DegenerateSteadyStateError)
+    recursions = stacked(recursion, batch, bath, kind, 2)
+    differences = stacked(_difference_batch, batch, bath, kind, 2, FD_STEP)
+    assert isinstance(recursions[pos], DegenerateSteadyStateError)
     assert isinstance(differences[pos], BranchError)
-    for spec, rec, fd in zip(batch, recursion, differences):
+    for spec, rec, fd in zip(batch, recursions, differences):
         assert same_cumulants(rec, outcome(cumulants_perturbative, spec, bath, kind, 2))
         assert same_cumulants(fd, outcome(cumulants_finite_difference, spec, bath, kind, 2))
 
@@ -364,22 +378,26 @@ def test_batch_warns_like_the_scalar_loop(monkeypatch):
     for kind in KINDS:
         scalar = texts(lambda: [cumulants_perturbative(s, "R", kind, 4) for s in batch])
         assert len(scalar) >= 6
-        assert texts(lambda: cumulants_perturbative_batch(batch, "R", kind, 4)) == scalar
-    assert texts(lambda: current_reports_batch(batch)) == texts(
+        assert texts(lambda: stacked(recursion, batch, "R", kind, 4)) == scalar
+    assert texts(lambda: stacked(_reports_batch, batch)) == texts(
         lambda: [CurrentReport.from_spec(s) for s in batch])
 
 
 def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
-    # the first grid row (gL12 = 0) stays clear of the degenerate corner
+    # the whole target is one stack, with the degenerate corner in it
     items, evaluate, batch = _fig21b(config_for_target("fig21b"))
+    assert batch == len(items) == 1681
     calls = Counter()
     for name in ("eig", "svd", "eigvals", "det", "solve", "inv"):
         def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    rows = _rows(items[:batch], evaluate, batch)
-    assert len(rows) == 41 and not any("error" in row for row in rows)
+    rows = _rows(items, evaluate, batch)
+    assert len(rows) == 1681
+    # the corner (gL12, gR12) = bounds is the last item and the only error
+    assert [n for n, row in enumerate(rows) if "error" in row] == [1680]
+    assert rows[-1]["error"].startswith("DegenerateSteadyStateError: kernel not isolated")
     # the closed-form kernel calls no LAPACK routine; the projected inverse
     # takes one, and the branch tracker two ramp steps at each of two chi steps
     assert calls == Counter({"eig": 0, "svd": 0, "det": 0, "solve": 0, "inv": 1, "eigvals": 4})
@@ -432,8 +450,13 @@ def test_pooled_rows_raise_what_a_batch_raises(monkeypatch):
 def test_run_leaves_no_thread_behind(monkeypatch):
     monkeypatch.setattr(runner, "_cores", lambda: 2)
     before = threading.active_count()
-    _, text = runner.run(config_for_target("fig2b"))
-    assert text.count("\n") == 1 + 39 * 31
+    # a two-axis sweep runs one batch per value of its first axis on the pool
+    _, text = runner.run(build_config({
+        "task": "sweep",
+        "sweep": {"axes": [{"field": "tempR", "min": 0.5, "max": 1.0, "steps": 3},
+                           {"field": "gL12", "min": 0.0, "max": 0.005, "steps": 5}]},
+    }))
+    assert text.count("\n") == 1 + 3 * 5
     assert threading.active_count() == before
 
 

@@ -4,6 +4,9 @@ import pytest
 from vflux.errors import UsageError
 from vflux.liouvillian import (
     TRACE_VECTOR,
+    _chi_derivative,
+    _counting_matrix,
+    _fill_block,
     build_counting_generator,
     build_generator,
     build_superoperator_full,
@@ -12,7 +15,16 @@ from vflux.liouvillian import (
     project_block,
     verify_block_decoupling,
 )
-from vflux.model import ENERGY, PARTICLE, CountingFields, SystemSpec, bose_occupation
+from vflux.model import (
+    ENERGY,
+    PARTICLE,
+    CountingFields,
+    RateSet,
+    SystemSpec,
+    bose_occupation,
+    build_rates,
+    spec_arrays,
+)
 from vflux.steady import evolve, steady_state
 
 from conftest import (
@@ -29,6 +41,25 @@ def test_trace_preservation():
     for spec in FIGURE_SPECS + seeded_conserving_specs(30):
         m = build_generator(spec).matrix
         assert np.abs(TRACE_VECTOR @ m).max() <= 1e-14
+
+
+def test_stacks_are_points_first_and_c_contiguous():
+    # a stack is born as (N, 5, 5) in C order, point n carrying the bits of
+    # its own (5, 5) fill; no copy or axis move is needed downstream
+    specs = FIGURE_SPECS + seeded_leak_specs(3)
+    chi = CountingFields(0.1, -0.2, PARTICLE)
+
+    def fills(rates):
+        return (_fill_block(rates), _counting_matrix(rates, chi),
+                _chi_derivative(rates, chi, "R", 2))
+
+    stacks = fills(RateSet(spec_arrays(specs)))
+    for stack in stacks:
+        assert stack.shape == (len(specs), 5, 5) and stack.flags.c_contiguous
+    for n, spec in enumerate(specs):
+        for stack, one in zip(stacks, fills(build_rates(spec))):
+            assert one.shape == (5, 5)
+            assert stack[n].tobytes() == one.tobytes()
 
 
 def test_population_coherence_decoupling_without_interference():

@@ -39,6 +39,14 @@ def test_bose_occupation_domain(omega, temp):
         bose_occupation(omega, temp)
 
 
+@pytest.mark.parametrize("omega,temp", [(1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0),
+                                        (1.0, math.nan), (-math.inf, 1.0), (1.0, -math.inf)])
+def test_bose_occupation_rejects_non_finite(omega, temp):
+    # (1, inf) used to divide by expm1(0) = 0, and NaN passed every comparison
+    with pytest.raises(DomainError, match="finite"):
+        bose_occupation(omega, temp)
+
+
 def test_build_rates_figure_parameters():
     r = build_rates(two_bath_spec())
     # both edge baths contribute at the common transition energy

@@ -1,11 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from vflux.errors import UsageError
+from vflux import transport
+from vflux.errors import DegenerateSteadyStateError, UsageError
 from vflux.fcs import cumulants_finite_difference, cumulants_perturbative, first_cumulant_direct
 from vflux.liouvillian import build_generator
-from vflux.model import ENERGY, PARTICLE, SystemSpec, build_rates
-from vflux.steady import steady_state, steady_state_resonant_two_bath
+from vflux.model import ENERGY, PARTICLE, RateSet, SystemSpec, build_rates
+from vflux.steady import (
+    steady_state,
+    steady_state_resonant_two_bath,
+    steady_state_time_integration,
+)
 from vflux.transport import (
     CurrentReport,
     closed_form_JR_no_interference,
@@ -164,3 +171,60 @@ def test_detuned_interference_report_flags_energy_leak():
     report = CurrentReport.from_spec(spec)
     assert "energy-conservation" in report.warnings
     assert "particle-conservation" not in report.warnings
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_report_is_the_composition_of_the_public_functions():
+    for spec in FIGURE_SPECS + seeded_leak_specs(5):
+        report = CurrentReport.from_spec(spec)
+        je, jp = heat_currents(spec), particle_currents(spec)
+        noise = cumulants_perturbative(spec, "R", ENERGY, 2).noise_power
+        assert all(_same_bits(a, b) for a, b in zip(
+            (report.JeL, report.JeR, report.JeM, report.JpL, report.JpR, report.JpM,
+             report.SeRR), (*je, *jp, noise)))
+
+
+def test_given_state_gives_the_currents_and_the_kernel_the_noise():
+    spec = MAX_BIAS_SPEC
+    # a relaxed state, not the kernel's bits
+    state = steady_state_time_integration(build_generator(spec), t_end=50.0)
+    assert not np.array_equal(state.vector, steady_state(build_generator(spec)).vector)
+    report = CurrentReport.from_spec(spec, state)
+    assert (report.JeL, report.JeR, report.JeM) == heat_currents(spec, state)
+    assert (report.JpL, report.JpR, report.JpM) == particle_currents(spec, state)
+    assert _same_bits(report.SeRR, cumulants_perturbative(spec, "R", ENERGY, 2).noise_power)
+
+
+def test_given_state_without_noise_solves_no_kernel():
+    # the corner has no isolated kernel; a given state still has currents
+    corner = two_bath_spec(BOUND, BOUND)
+    state = steady_state(build_generator(MAX_BIAS_SPEC))
+    report = CurrentReport.from_spec(corner, state, include_noise=False)
+    assert report.JeR == heat_currents(corner, state)[1] and np.isnan(report.SeRR)
+    with pytest.raises(DegenerateSteadyStateError):
+        CurrentReport.from_spec(corner, state)
+
+
+@pytest.mark.parametrize("given,include_noise,solves", [
+    (False, True, 1), (False, False, 1), (True, True, 1), (True, False, 0)])
+def test_report_builds_rates_once_and_solves_at_most_once(monkeypatch, given, include_noise,
+                                                           solves):
+    spec = MAX_BIAS_SPEC
+    state = steady_state(build_generator(spec)) if given else None
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    init = RateSet.__init__
+    monkeypatch.setattr(transport, "build_rates", counted("build_rates", transport.build_rates))
+    monkeypatch.setattr(transport, "steady_state", counted("steady_state", transport.steady_state))
+    monkeypatch.setattr(RateSet, "__init__", counted("RateSet", init))
+    CurrentReport.from_spec(spec, state, include_noise)
+    assert calls == Counter({"build_rates": 1, "RateSet": 1, "steady_state": solves})
