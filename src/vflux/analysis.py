@@ -22,9 +22,9 @@ from .errors import (
     VfluxError,
 )
 from .fcs import richardson
-from .liouvillian import _fill_block
+from .liouvillian import _entries
 from .model import ENERGY, RateSet, SystemSpec, spec_arrays
-from .steady import steady_state_batch
+from .steady import _error_text, _real_columns
 from .transport import bath_currents, heat_currents, particle_currents
 
 #: Denominators at or below this level make the figure of merit undefined.
@@ -110,8 +110,9 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
     """:func:`max_rectification` of each spec over one bias grid, as one batch.
 
     The forward and backward configurations of every spec and bias form
-    one stack of generators with one stacked kernel; currents and
-    factors are array expressions in the order of :func:`rectification`.
+    one stack of rates with one stacked kernel on its real entries
+    (:func:`vflux.steady._real_columns`); currents and factors are array
+    expressions in the order of :func:`rectification`.
     Returns one ``(rj_max, deltaT_star)`` per spec, or the
     :class:`VfluxError` that scanning the grid with :func:`rectification`
     raises first for it.
@@ -127,13 +128,14 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
     outcomes: dict[int, object] = {}
     valid = []
     if stop:
-        # every bias the scan reaches leaves both temperatures positive, so
-        # the first forward configuration is valid exactly when all are
+        # validate reads an edge temperature only by its sign and eps/temp;
+        # the scan keeps both in (0, t0 + |deltaT|/2 of its last bias], so a
+        # spec is valid throughout exactly when it is with both edges there.
+        # If not, the scan runs point by point to its first error.
+        hottest = t0 + abs(scan[stop - 1]) / 2.0
         for pos, spec in enumerate(specs):
-            try:
-                replace(spec, tempL=t0 + scan[0] / 2.0, tempR=t0 - scan[0] / 2.0).require_valid()
-            except DomainError as exc:
-                outcomes[pos] = exc
+            if replace(spec, tempL=hottest, tempR=hottest).validate():
+                outcomes[pos] = _scan_error(spec, t0, scan[:stop])
             else:
                 valid.append(pos)
     if valid:
@@ -144,17 +146,18 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
         params["tempL"] = np.tile(np.stack([hot, cold], axis=1).ravel(), len(valid))
         params["tempR"] = np.tile(np.stack([cold, hot], axis=1).ravel(), len(valid))
         rates = RateSet(params)
-        states = steady_state_batch(_fill_block(rates))
-        j = bath_currents(rates, states.vectors.T, ENERGY)[1].reshape(len(valid), stop, 2)
+        columns, ratio, isolated, usable = _real_columns(*_entries(rates))
+        j = bath_currents(rates, columns, ENERGY)[1].reshape(len(valid), stop, 2)
         j_f, j_b = j[:, :, 0], j[:, :, 1]
         den = np.maximum(j_f, -j_b)
         with np.errstate(divide="ignore", invalid="ignore"):
             rj = np.abs(j_f + j_b) / den
         # an indeterminate point (or a NaN factor) never moves the argmax
         score = np.where((den > RECTIFICATION_FLOOR) & ~np.isnan(rj), rj, -np.inf)
-        for row in sorted(states.errors):
+        for row in np.flatnonzero(~usable).tolist():
             pos = valid[row // (2 * stop)]
-            outcomes.setdefault(pos, DegenerateSteadyStateError(states.errors[row]))
+            error = DegenerateSteadyStateError(_error_text(ratio[row], isolated[row]))
+            outcomes.setdefault(pos, error)
         # np.argmax takes the first maximum in scan order: only a strictly
         # larger factor moves it.  A scan cut short by a bias error
         # returns no maximum.
@@ -163,6 +166,19 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
             if stop == len(scan) and pos not in outcomes and score[n, best] > -np.inf:
                 outcomes[pos] = (float(rj[n, best]), scan[best])
     return [outcomes.get(pos, fallback) for pos in range(len(specs))]
+
+
+def _scan_error(spec: SystemSpec, t0: float, biases) -> VfluxError | None:
+    """The first error of :func:`rectification` over ``biases`` other than
+    an indeterminate point, which the scan skips."""
+    for dt in biases:
+        try:
+            rectification(spec, t0, dt)
+        except IndeterminateRectificationError:
+            continue
+        except VfluxError as exc:
+            return exc
+    return None
 
 
 @dataclass(frozen=True)

@@ -53,35 +53,44 @@ class Generator:
         return "\n".join(lines) + "\n"
 
 
+def _entries(rates: RateSet):
+    """Real parts of the bare generator's rows and columns 0-3 (nested lists
+    of floats, or of arrays for a stack) and the level splitting ``delta``:
+    all its entries, as row and column 4 mirror 3 and the only imaginary
+    parts are ``Im L_33 = -delta`` and ``Im L_44 = delta``."""
+    gm, gp = rates.gamma_minus, rates.gamma_plus
+    gMp, gMm = rates.gain_M, rates.loss_M
+    cross1, cross2 = -0.5 * gm(1, 2, 2), -0.5 * gm(1, 2, 1)
+    damping = 0.5 * (gm(1, 1, 1) + gm(2, 2, 2)) + 0.5 * (gMp + gMm)
+    # 0.0 - damping is the real part of -1j * delta - damping, +0.0 at zero damping
+    return [[-(gm(1, 1, 1) + gMm), gMp, gp(1, 1, 1), cross1],
+            [gMm, -(gm(2, 2, 2) + gMp), gp(2, 2, 2), cross2],
+            [gm(1, 1, 1), gm(2, 2, 2), -(gp(1, 1, 1) + gp(2, 2, 2)),
+             0.5 * (gm(1, 2, 1) + gm(1, 2, 2))],
+            [cross2, cross1, 0.5 * (gp(1, 2, 1) + gp(1, 2, 2)), 0.0 - damping]], rates.delta
+
+
 def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
-    """Assemble the 5x5 generator: shape ``rates.shape + (5, 5)``, so a
-    stack of rates gives a C-contiguous ``(N, 5, 5)`` stack.
+    """Assemble the 5x5 generator from :func:`_entries`: shape
+    ``rates.shape + (5, 5)``, so a stack of rates gives a C-contiguous
+    ``(N, 5, 5)`` stack.
 
     ``sandwich`` is the ``(gain, loss)`` pair of rate functions that fill
     the gain-type entries (:func:`_fill_sandwich`), dressed by
     :func:`_dressed_rates`; ``rates`` supplies the undressed damping
     combinations.  Without it the bare rates fill them: the bare generator.
     """
-    gm = rates.gamma_minus
-    gMp, gMm = rates.gain_M, rates.loss_M
-    delta = rates.delta
-
+    re, delta = _entries(rates)
     m = np.zeros(rates.shape + (5, 5), dtype=complex)
-    # populations
-    m[..., 0, 0] = -(gm(1, 1, 1) + gMm)
-    m[..., 0, 1] = gMp
-    m[..., 0, 3] = m[..., 0, 4] = -0.5 * gm(1, 2, 2)
-    m[..., 1, 0] = gMm
-    m[..., 1, 1] = -(gm(2, 2, 2) + gMp)
-    m[..., 1, 3] = m[..., 1, 4] = -0.5 * gm(1, 2, 1)
-    m[..., 2, 2] = -(rates.gamma_plus(1, 1, 1) + rates.gamma_plus(2, 2, 2))
-    # coherences
-    damping = 0.5 * (gm(1, 1, 1) + gm(2, 2, 2)) + 0.5 * (gMp + gMm)
-    m[..., 3, 0] = m[..., 4, 0] = -0.5 * gm(1, 2, 1)
-    m[..., 3, 1] = m[..., 4, 1] = -0.5 * gm(1, 2, 2)
-    m[..., 3, 3] = -1j * delta - damping
-    m[..., 4, 4] = +1j * delta - damping
-    _fill_sandwich(m, *(sandwich or (rates.gamma_plus, gm)))
+    for i in range(4):
+        for j in range(4):
+            m.real[..., i, j] = re[i][j]
+    for k in range(3):
+        m.real[..., 4, k], m.real[..., k, 4] = re[3][k], re[k][3]
+    m.real[..., 4, 4] = re[3][3]
+    m.imag[..., 3, 3], m.imag[..., 4, 4] = -delta, delta
+    if sandwich:
+        _fill_sandwich(m, *sandwich)
     return m
 
 

@@ -33,6 +33,10 @@ BATHS = ("L", "R")
 #: below this the middle-bath thermal occupation diverges.
 GAP_MIN = 1e-9
 
+#: Smallest ``omega/temp`` with a finite occupation: ``expm1(x)`` is ``x``
+#: this low, and ``1/x`` overflows for every smaller ``x``.
+OCCUPATION_RATIO_MIN = math.nextafter(2.0 ** -1024, 1.0)
+
 
 def bose_occupation(omega: float, temp: float) -> float:
     """Thermal occupation 1/(exp(omega/temp) - 1) of a bosonic mode.
@@ -48,7 +52,9 @@ def bose_occupation(omega: float, temp: float) -> float:
     ------
     DomainError
         If ``omega`` or ``temp`` is not finite, ``omega <= 0`` (zero-frequency
-        divergence) or ``temp <= 0``.
+        divergence), ``temp <= 0``, or ``omega/temp`` is below
+        :data:`OCCUPATION_RATIO_MIN` (about 5.6e-309, zero included), where
+        the occupation is not finite.
     """
     if not (math.isfinite(omega) and math.isfinite(temp)):
         raise DomainError(f"bose_occupation: omega and temp must be finite, got {omega}, {temp}")
@@ -56,12 +62,15 @@ def bose_occupation(omega: float, temp: float) -> float:
         raise DomainError(f"bose_occupation: omega must be > 0, got {omega}")
     if temp <= 0.0:
         raise DomainError(f"bose_occupation: temp must be > 0, got {temp}")
+    ratio = omega / temp
+    if ratio < OCCUPATION_RATIO_MIN:
+        raise DomainError(f"bose_occupation: omega/temp = {ratio} leaves no finite occupation")
     try:
-        return 1.0 / math.expm1(omega / temp)
+        return 1.0 / math.expm1(ratio)
     except OverflowError:
         # exp(x) - 1 = exp(x) to double precision long before x ~ 709.8,
         # where expm1 overflows; exp(-x) underflows to 0.0 past x ~ 745
-        return math.exp(-omega / temp)
+        return math.exp(-ratio)
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,17 @@ def validate(spec: SystemSpec) -> list[str]:
         v.append(
             f"middle-bath gap: eps1 - eps2 = {spec.delta} must be >= {GAP_MIN} when gM > 0"
         )
+    # the pairs whose occupations the rates use (non-finite or non-positive: above)
+    for label, omega, name, temp, needed in (
+            ("eps1", spec.eps1, "tempL", spec.tempL, True),
+            ("eps1", spec.eps1, "tempR", spec.tempR, True),
+            ("eps2", spec.eps2, "tempL", spec.tempL, spec.eps2 > 0.0),
+            ("eps2", spec.eps2, "tempR", spec.tempR, spec.eps2 > 0.0),
+            ("eps1 - eps2", spec.delta, "tempM", spec.tempM, spec.gM > 0.0)):
+        if (needed and 0.0 < omega < math.inf and 0.0 < temp < math.inf
+                and omega / temp < OCCUPATION_RATIO_MIN):
+            v.append(f"occupation: {label} = {omega} over {name} = {temp} "
+                     "leaves no finite occupation")
     return v
 
 
@@ -256,19 +276,23 @@ def _rate_table(coef, occ, offset: float):
 def _occupation(omega, temp, needed):
     """:func:`bose_occupation` of ``(omega, temp)`` where ``needed``, else 0.0.
 
-    A stack is evaluated once per unique pair with ``math.expm1``:
-    ``np.expm1`` differs from it in the last ulp for some inputs.
+    Past its checks :func:`bose_occupation` reads only ``omega/temp``, so a
+    stack calls it on the first pair of each unique ratio (``math.expm1``:
+    ``np.expm1`` differs in the last ulp for some inputs).  A pair failing
+    the checks raises its own error, though a valid pair share its ratio.
     """
     if not isinstance(omega, np.ndarray):
         return bose_occupation(omega, temp) if needed else 0.0
     omega, temp, needed = np.broadcast_arrays(omega, temp, needed)
-    out = np.zeros(omega.shape)
-    # each pair viewed as one complex number (real omega, imaginary temp),
-    # which np.unique sorts far faster than rows
-    keys = np.stack([omega[needed], temp[needed]], axis=-1).view(complex).ravel()
-    pairs, inverse = np.unique(keys, return_inverse=True)
-    values = np.array([bose_occupation(z.real, z.imag) for z in pairs.tolist()], dtype=float)
-    out[needed] = values[inverse]
+    omega, temp = omega[needed], temp[needed]
+    checked = np.isfinite(omega) & np.isfinite(temp) & (omega > 0.0) & (temp > 0.0)
+    if not checked.all():
+        pos = int(np.argmin(checked))
+        bose_occupation(float(omega[pos]), float(temp[pos]))  # raises its DomainError
+    _, first, inverse = np.unique(omega / temp, return_index=True, return_inverse=True)
+    values = [bose_occupation(w, t) for w, t in zip(omega[first].tolist(), temp[first].tolist())]
+    out = np.zeros(needed.shape)
+    out[needed] = np.array(values, dtype=float)[inverse]
     return out
 
 

@@ -5,6 +5,9 @@ oracle for the others:
 
 * ``steady_state`` eliminates the coherences exactly and takes the kernel
   from the principal minors of the remaining real 3x3 matrix (:func:`_kernel`);
+  callers that need only currents run the same kernel on the generator's
+  real entries and get real columns, with no complex number
+  (:func:`_real_columns`);
 * ``steady_state_resonant_two_bath`` and ``steady_state_three_terminal``
   evaluate closed-form solutions valid in their stated regimes;
 * ``steady_state_time_integration`` relaxes an initial state under the
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSteadyStateError, UsageError
-from .liouvillian import Generator, build_generator
+from .liouvillian import Generator, _entries, build_generator
 from .model import SystemSpec, build_rates
 
 NULLSPACE = "nullspace"
@@ -35,6 +38,7 @@ ISOLATION_TOL = 1e-12
 POSITIVITY_TOL = -1e-8
 
 _ISOLATION_ERROR = "kernel not isolated: deflated generator has Hadamard ratio {:.3e}"
+_ZERO_TRACE_ERROR = "steady-state candidate has zero trace"
 
 
 def _minors(k):
@@ -43,16 +47,17 @@ def _minors(k):
     return [k[a][a] * k[b][b] - k[a][b] * k[b][a] for a, b in ((1, 2), (0, 2), (0, 1))]
 
 
-def _kernel(re, im, s, sqrt):
+def _kernel(re, delta, s, sqrt):
     """Populations, ``rho12`` as ``(real, imag)``, isolation ratio and verdict
-    of one bare generator (nested float lists of its real and imaginary
-    parts, ``math.sqrt``) or of a stack (its ``(5, 5, N)`` parts, ``np.sqrt``)
-    in the same real, correctly rounded operations; ``s`` is the largest
+    of one bare generator (nested float lists of its real parts, ``math.sqrt``)
+    or of a stack (``(5, 5, N)`` real parts or nested arrays, ``np.sqrt``) in
+    the same real, correctly rounded operations; only rows and columns 0-3
+    of ``re`` are read, ``delta = -Im L_33`` and ``s`` is the largest
     ``|L_ij|`` of the population block.  See ``docs/physics.md``: the
     coherences are eliminated exactly, ``K = L_pp + (2d/q) c r^T`` and
     ``|det A| = s q |tot|``.  A zero ``s``, ``q`` or ``tot`` gives ratio 0.
     """
-    d, delta = -re[3][3], -im[3][3]
+    d = -re[3][3]
     q = d * d + delta * delta
     g = 2.0 * d / (q + (q == 0))
     c, r = [row[3] for row in re[:3]], re[3][:3]
@@ -67,6 +72,45 @@ def _kernel(re, im, s, sqrt):
     pop = [m / (tot * ok + (1 - ok)) for m in minors]  # divides by 1 where not ok
     u = (r[0] * pop[0] + r[1] * pop[1] + r[2] * pop[2]) / (q + (q == 0))
     return pop, (u * d, -(u * delta)), ratio, ok
+
+
+def _error_text(ratio, isolated) -> str:
+    """Error text of a kernel that is not isolated, or of zero trace."""
+    return _ZERO_TRACE_ERROR if isolated else _ISOLATION_ERROR.format(ratio)
+
+
+def _solve(re, delta):
+    """:func:`_kernel` of one point (floats) or a stack (arrays), plus the
+    trace ``t`` of its populations and the verdict ``usable`` (isolated and
+    of nonzero trace); ``t`` is 1.0 where not usable."""
+    if isinstance(delta, np.ndarray):
+        s = np.abs([row[:3] for row in re[:3]]).max(axis=(0, 1))
+        pop, (x, y), ratio, isolated = _kernel(re, delta, s, np.sqrt)
+        t = pop[0] + pop[1] + pop[2]
+        usable = isolated & ~(np.abs(t) < 1e-300)
+        return pop, (x, y), ratio, isolated, usable, np.where(usable, t, 1.0)
+    s = max(abs(x) for row in re[:3] for x in row[:3])
+    pop, (x, y), ratio, isolated = _kernel(re, float(delta), s, math.sqrt)
+    t = pop[0] + pop[1] + pop[2]
+    usable = isolated and not (abs(t) < 1e-300)
+    return pop, (x, y), ratio, isolated, usable, t if usable else 1.0
+
+
+def _real_columns(re, delta):
+    """Trace-normalized real columns ``[rho11, rho22, rhogg, Re rho12,
+    Re rho21]`` of the kernel of the bare generator with entries ``re``
+    (:func:`vflux.liouvillian._entries`), its isolation ratio and the
+    verdicts ``isolated`` and ``usable`` (:func:`_solve`), for one point or
+    a stack; an unusable point holds no state.  These are the real parts of
+    :func:`steady_state`'s vector, signed zeros included: numpy divides
+    ``a + ib`` by ``t + 0j`` as ``(a + b*(0/t)) * (1/(t + 0*(0/t)))``
+    (Smith's method), not as ``a/t``.
+    """
+    pop, (x, y), ratio, isolated, usable, t = _solve(re, delta)
+    rat = 0.0 / t
+    scale = 1.0 / (t + 0.0 * rat)
+    columns = [(p + 0.0 * rat) * scale for p in pop]
+    return columns + [(x + y * rat) * scale, (x + -y * rat) * scale], ratio, isolated, usable
 
 
 @dataclass(frozen=True)
@@ -113,7 +157,7 @@ class SteadyState:
 def _finalize(vector: np.ndarray, gen_matrix: np.ndarray, method: str) -> SteadyState:
     trace = vector[0] + vector[1] + vector[2]
     if abs(trace) < 1e-300:
-        raise DegenerateSteadyStateError("steady-state candidate has zero trace")
+        raise DegenerateSteadyStateError(_ZERO_TRACE_ERROR)
     v = vector / trace
     residual = float(np.abs(gen_matrix @ v).max())
     warn = bool(min(v[0].real, v[1].real, v[2].real) < POSITIVITY_TOL)
@@ -132,9 +176,7 @@ def steady_state(gen: Generator) -> SteadyState:
     if gen.chi is not None and not gen.chi.is_zero:
         raise UsageError("steady_state requires the undressed generator")
     m = gen.matrix
-    re = m.real.tolist()
-    s = max(abs(x) for row in re[:3] for x in row[:3])
-    pop, (x, y), ratio, ok = _kernel(re, m.imag.tolist(), s, math.sqrt)
+    pop, (x, y), ratio, ok, _, _ = _solve(m.real.tolist(), -m.imag.item(3, 3))
     if not ok:
         raise DegenerateSteadyStateError(_ISOLATION_ERROR.format(ratio))
     return _finalize(np.array([*pop, complex(x, y), complex(x, -y)]), m, NULLSPACE)
@@ -174,18 +216,14 @@ def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
     stacked ``np.matmul``, bitwise equal to one matrix's where ``einsum`` is not.
     """
     parts = matrices.transpose(1, 2, 0)
-    s = np.abs(parts.real[:3, :3]).max(axis=(0, 1))
-    pop, (x, y), ratio, isolated = _kernel(parts.real, parts.imag, s, np.sqrt)
+    pop, (x, y), ratio, isolated, usable, t = _solve(parts.real, -parts.imag[3, 3])
     vectors = np.stack([*pop, x, x], axis=-1).astype(complex)
     vectors.imag[:, 3], vectors.imag[:, 4] = y, -y
-    trace = vectors[:, 0] + vectors[:, 1] + vectors[:, 2]
-    usable = isolated & ~(np.abs(trace) < 1e-300)
-    vectors = vectors / np.where(usable, trace, 1.0)[:, None]
+    # numpy divides by the trace as by the complex t + 0j
+    vectors = vectors / t[:, None]
     residuals = np.abs(np.matmul(matrices, vectors[:, :, None])[:, :, 0]).max(axis=-1)
     positivity = vectors[:, :3].real.min(axis=-1) < POSITIVITY_TOL
-    errors = {n: _ISOLATION_ERROR.format(ratio[n]) if not isolated[n]
-              else "steady-state candidate has zero trace"
-              for n in np.flatnonzero(~usable).tolist()}
+    errors = {n: _error_text(ratio[n], isolated[n]) for n in np.flatnonzero(~usable).tolist()}
     return SteadyStateBatch(vectors, residuals, positivity, errors, matrices)
 
 
@@ -309,7 +347,7 @@ def coherence_vanishing_residual(spec: SystemSpec) -> float:
     it carries the opposite sign of the steady-state coherence.
     """
     r = build_rates(spec)
-    minors = _minors(build_generator(spec, r).matrix[:3, :3].real.tolist())
+    minors = _minors(_entries(r)[0])
     pop = [m / (minors[0] + minors[1] + minors[2]) for m in minors]
     return float(
         r.gamma_minus(1, 2, 1) * pop[0]

@@ -4,8 +4,11 @@ Sign convention: a positive current flows *into* the named bath.  With that
 convention the three energy currents sum to zero and the left and right
 particle currents cancel; both residuals are attached to every report.
 
-The closed forms in this module are written out independently of the
-generic steady-state path so they can act as oracles for it.
+Without a given state, :func:`heat_currents` and :func:`particle_currents`
+take the kernel as real columns from the rate entries, with no complex
+generator (:func:`vflux.steady._real_columns`), and the bits of the complex
+route.  The closed forms in this module are written out independently of
+the generic steady-state path so they can act as oracles for it.
 """
 
 from __future__ import annotations
@@ -16,18 +19,22 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, UsageError, VfluxError
 from .fcs import _recursion, _recursion_batch, _recursion_set
-from .liouvillian import _fill_block, build_generator
+from .liouvillian import _entries, _fill_block, build_generator
 from .model import ENERGY, PARTICLE, RateSet, SystemSpec, bose_occupation, build_rates
-from .steady import SteadyState, steady_state, steady_state_batch
+from .steady import SteadyState, _error_text, _real_columns, steady_state, steady_state_batch
 
 #: Conservation residuals above this level flag the report.
 CONSERVATION_TOL = 1e-10
 
 
-def _resolve_state(spec: SystemSpec, state: SteadyState | None, rates) -> np.ndarray:
-    if state is None:
-        state = steady_state(build_generator(spec, rates))
-    return state.vector
+def _resolve_state(rates: RateSet, state: SteadyState | None):
+    """The vector of ``state``, else the real columns of the kernel of ``rates``."""
+    if state is not None:
+        return state.vector
+    columns, ratio, isolated, usable = _real_columns(*_entries(rates))
+    if not usable:
+        raise DegenerateSteadyStateError(_error_text(ratio, isolated))
+    return columns
 
 
 def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
@@ -40,7 +47,8 @@ def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
     (:meth:`RateSet.weights`); the particle weights are 1.0, and
     multiplying by 1.0 is exact.  ``v`` is one state vector, or the state
     vectors of a stack of rates as columns (shape ``(5, N)``), which gives
-    arrays of N currents.
+    arrays of N currents.  Only real parts are read, so the real columns of
+    :func:`vflux.steady._real_columns` serve as well.
     """
     w = rates.weights(kind)
     csum = (v[3] + v[4]).real
@@ -58,13 +66,13 @@ def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
 def heat_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Energy currents (JeL, JeR, JeM) into the three baths (see :func:`bath_currents`)."""
     rates = build_rates(spec)
-    return bath_currents(rates, _resolve_state(spec, state, rates), ENERGY)
+    return bath_currents(rates, _resolve_state(rates, state), ENERGY)
 
 
 def particle_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Excitation-number currents (JpL, JpR, JpM) into the three baths."""
     rates = build_rates(spec)
-    return bath_currents(rates, _resolve_state(spec, state, rates), PARTICLE)
+    return bath_currents(rates, _resolve_state(rates, state), PARTICLE)
 
 
 def closed_form_JeR_resonant(spec: SystemSpec) -> float:

@@ -284,6 +284,22 @@ def test_sweep_beyond_bound_is_a_domain_error_row(reach, steps):
             assert row["JeR"] == CurrentReport.from_spec(spec).JeR
 
 
+def test_occupation_without_finite_value_is_a_domain_error_row():
+    # eps2/temp leaves no finite occupation at eps2 = 1e-320
+    config = build_config({
+        "task": "sweep",
+        "system": {"eps1": 1.0, "gL12": 0.0, "gR12": 0.0, "gM": 0.0},
+        "sweep": {"axes": [{"field": "eps2", "min": 1e-320, "max": 0.5, "steps": 2}]},
+    })
+    _, rows = compute_rows(config)
+    bad = SystemSpec(**{name: rows[0][name] for name in SPEC_COLUMNS})
+    with pytest.raises(DomainError, match="occupation: eps2 = 1e-320") as info:
+        bad.require_valid()
+    assert rows[0]["error"] == f"DomainError: {info.value}"
+    good = SystemSpec(**{name: rows[1][name] for name in SPEC_COLUMNS})
+    assert "error" not in rows[1] and rows[1]["JeR"] == heat_currents(good)[1]
+
+
 @PROPERTY
 @given(st.lists(specs(), min_size=2, max_size=4), st.data(),
        st.sampled_from((math.nan, math.inf, -math.inf)))

@@ -10,12 +10,15 @@ from vflux.model import (
     BATHS,
     ENERGY,
     PARTICLE,
+    OCCUPATION_RATIO_MIN,
     CountingFields,
     SystemSpec,
+    _occupation,
     bose_occupation,
     build_rates,
     validate,
 )
+from vflux.transport import heat_currents
 
 from conftest import BOUND, FIGURE_SPECS, seeded_conserving_specs, two_bath_spec
 
@@ -45,6 +48,58 @@ def test_bose_occupation_rejects_non_finite(omega, temp):
     # (1, inf) used to divide by expm1(0) = 0, and NaN passed every comparison
     with pytest.raises(DomainError, match="finite"):
         bose_occupation(omega, temp)
+
+
+@pytest.mark.parametrize("omega,temp", [(5e-324, 1.0), (1e-320, 1e10), (1e-310, 1.0),
+                                        (1e-5, 1e305)])
+def test_bose_occupation_rejects_a_ratio_without_finite_occupation(omega, temp):
+    # 1/expm1(x) = 1/x overflows below x ~ 5.6e-309, and x = 0 divided by zero
+    with pytest.raises(DomainError, match="leaves no finite occupation"):
+        bose_occupation(omega, temp)
+
+
+def test_bose_occupation_finite_down_to_the_overflow():
+    assert bose_occupation(1e-300, 1.0) == pytest.approx(1e300, rel=1e-15)
+    # the threshold is the last ratio whose 1/expm1 is finite
+    low = OCCUPATION_RATIO_MIN
+    assert math.expm1(low) == low and bose_occupation(low, 1.0) == 1.0 / low < math.inf
+    assert 1.0 / math.nextafter(low, 0.0) == math.inf
+    with pytest.raises(DomainError, match="no finite occupation"):
+        bose_occupation(math.nextafter(low, 0.0), 1.0)
+
+
+def test_stacked_occupations_are_the_scalar_ones():
+    # pairs with one ratio share one evaluation, with the bits of each pair's own
+    omega = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 700.0])
+    temp = np.array([2.0, 1.0, 4.0, 0.3, 1e-3, 0.9])
+    needed = np.array([True, True, True, False, True, True])
+    out = _occupation(omega, temp, needed)
+    expected = [bose_occupation(w, t) if n else 0.0 for w, t, n in zip(omega, temp, needed)]
+    assert out.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("omega,temp", [((1.0, -1.0), (1.0, -1.0)), ((1.0, math.inf), (1.0, 1.0)),
+                                        ((1.0, 1e-320), (1.0, 1e10)), ((2.0, 1.0), (1.0, 0.0))])
+def test_stacked_occupation_raises_the_scalar_error(omega, temp):
+    # (-1, -1) has the ratio of (1, 1), and (1, 0) would divide by zero
+    with pytest.raises(DomainError) as expected:
+        bose_occupation(omega[1], temp[1])
+    with pytest.raises(DomainError) as info:
+        _occupation(np.array(omega), np.array(temp), True)
+    assert str(info.value) == str(expected.value)
+
+
+def test_validate_reports_an_occupation_without_finite_value():
+    # a valid spec before: heat_currents divided by zero at eps1/tempL = 0
+    spec = SystemSpec(1e-320, 1e-320, 1e10, 1.0, 1.0, 0.01, 0.01, 0.0, 0.01, 0.01, 0.0, 0.0)
+    assert validate(spec)[0] == ("occupation: eps1 = 1e-320 over tempL = 10000000000.0 "
+                                 "leaves no finite occupation")
+    assert len(validate(spec)) == 4
+    with pytest.raises(DomainError, match="occupation: eps1 = 1e-320 over tempL"):
+        heat_currents(spec)
+    middle = SystemSpec(1.0, 0.999999, 2.0, 1e303, 1.0, 0.01, 0.01, 0.0, 0.01, 0.01, 0.0, 0.01)
+    assert [v.split(" = ")[0] for v in validate(middle)] == ["occupation: eps1 - eps2"]
+    assert not validate(replace(middle, gM=0.0))
 
 
 def test_build_rates_figure_parameters():
