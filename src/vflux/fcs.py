@@ -8,8 +8,8 @@ on a projected inverse of the generator, and low orders from finite
 differences of the dominant eigenvalue.  The first is also available
 directly from the steady state, which is the recursion's first order.
 
-The ``_*_batch`` cores run both routes on a stacked :class:`RateSet`, with
-the bits and error texts of the functions of one spec.
+The ``_*_batch`` cores run both routes on a stacked :class:`RateSet` (finite
+differences on one spec's too), with the bits and error texts of one spec.
 """
 
 from __future__ import annotations
@@ -114,36 +114,32 @@ def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
         If two eigenvalues sit within 1e-9 of the maximal real part at the
         target counting field.
     """
-    return _dominant_eigenvalue(build_rates(spec), chi)
-
-
-def _dominant_eigenvalue(rates: RateSet, chi: CountingFields) -> complex:
-    """:func:`dominant_eigenvalue` from built rates."""
+    rates = build_rates(spec)
     if chi.is_zero:
         eigvals = np.linalg.eigvals(_fill_block(rates))
         return complex(eigvals[np.argmin(np.abs(eigvals))])
-    tracked = 0.0 + 0.0j
-    for fraction in (0.5, 1.0):
-        eigvals = np.linalg.eigvals(_counting_matrix(rates, chi.scaled(fraction)))
-        tracked = complex(eigvals[np.argmin(np.abs(eigvals - tracked))])
-    max_re = eigvals.real.max()
-    contenders = np.sort(eigvals.real)[::-1]
-    if len(contenders) > 1 and contenders[0] - contenders[1] < BRANCH_TOL:
-        raise BranchError(_BRANCH_ERROR.format(BRANCH_TOL, max_re))
-    return tracked
+    tracked, errors = _branch(*_spectra(rates, chi, (0.5, 1.0)))
+    if errors:
+        raise BranchError(errors[()])
+    return complex(tracked)
 
 
-def _dominant_eigenvalue_batch(rates: RateSet, chi: CountingFields):
-    """:func:`_dominant_eigenvalue` of a stack at a nonzero field: the tracked
-    eigenvalues, and the :class:`BranchError` text of each point with one."""
-    tracked = np.zeros(rates.shape, dtype=complex)
-    for fraction in (0.5, 1.0):
-        eigvals = np.linalg.eigvals(_counting_matrix(rates, chi.scaled(fraction)))
-        pick = np.argmin(np.abs(eigvals - tracked[:, None]), axis=-1)
-        tracked = eigvals[np.arange(len(pick)), pick]
-    top = np.sort(eigvals.real, axis=-1)[:, -2:]
-    return tracked, {n: _BRANCH_ERROR.format(BRANCH_TOL, top[n, 1])
-                     for n in np.flatnonzero(top[:, 1] - top[:, 0] < BRANCH_TOL).tolist()}
+def _spectra(rates: RateSet, chi: CountingFields, fractions) -> list:
+    """Dressed spectra, ``rates.shape + (5,)``, at each fraction of ``chi``."""
+    return [np.linalg.eigvals(_counting_matrix(rates, chi.scaled(f))) for f in fractions]
+
+
+def _branch(start, end):
+    """In each spectrum ``end``, the eigenvalue nearest the one of ``start``
+    (at half the field) nearest zero, for one point or a stack, and the
+    :class:`BranchError` text of each index (``()`` for one point) whose top
+    two real parts in ``end`` lie within :data:`BRANCH_TOL`."""
+    near = np.take_along_axis(start, np.argmin(np.abs(start), axis=-1)[..., None], -1)
+    pick = np.argmin(np.abs(end - near), axis=-1)[..., None]
+    top = np.sort(end.real, axis=-1)
+    return np.take_along_axis(end, pick, -1)[..., 0], {
+        tuple(n): _BRANCH_ERROR.format(BRANCH_TOL, top[tuple(n)][-1])
+        for n in np.argwhere(top[..., -1] - top[..., -2] < BRANCH_TOL)}
 
 
 def first_cumulant_direct(spec: SystemSpec, bath: str, kind: str) -> float:
@@ -279,10 +275,10 @@ def cumulants_finite_difference(
     size suffices; each stencil is Richardson-refined once.
     """
     _check_difference(bath, kind, order, h)
-    rates = build_rates(spec)
-    e_h = _dominant_eigenvalue(rates, _single_field(bath, kind, h))
-    e_h2 = _dominant_eigenvalue(rates, _single_field(bath, kind, h / 2.0))
-    return _difference_set(bath, kind, order, h, e_h, e_h2)
+    (outcome,) = _difference_batch(build_rates(spec), bath, kind, order, h)
+    if isinstance(outcome, BranchError):
+        raise outcome
+    return outcome
 
 
 def _difference_set(bath: str, kind: str, order: int, h: float,
@@ -298,12 +294,14 @@ def _difference_set(bath: str, kind: str, order: int, h: float,
 
 
 def _difference_batch(rates: RateSet, bath: str, kind: str, order: int, h: float) -> list:
-    """:func:`cumulants_finite_difference` of a stack of valid rates, whose
-    arguments were checked: one :class:`CumulantSet` or error per point."""
-    e_h, errors = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h))
-    e_h2, errors_h2 = _dominant_eigenvalue_batch(rates, _single_field(bath, kind, h / 2.0))
-    # the step h is evaluated first, so its error is the one raised
+    """:func:`cumulants_finite_difference` of one point's or a stack's valid,
+    checked rates: one :class:`CumulantSet` or error per point.  Step h is
+    tracked 0, h/2, h and step h/2 0, h/4, h/2: one spectrum at h/2 serves both."""
+    quarter, half, full = _spectra(rates, _single_field(bath, kind, h), (0.25, 0.5, 1.0))
+    e_h, errors = _branch(half, full)
+    e_h2, errors_h2 = _branch(quarter, half)
+    # a point with both errors reports the one of step h
     errors = {**errors_h2, **errors}
     return [BranchError(errors[n]) if n in errors
             else _difference_set(bath, kind, order, h, complex(e_h[n]), complex(e_h2[n]))
-            for n in range(len(e_h))]
+            for n in np.ndindex(e_h.shape)]

@@ -85,8 +85,11 @@ def _solve(re, delta):
     of nonzero trace); ``t`` is 1.0 where not usable."""
     if isinstance(delta, np.ndarray):
         s = np.abs([row[:3] for row in re[:3]]).max(axis=(0, 1))
-        pop, (x, y), ratio, isolated = _kernel(re, delta, s, np.sqrt)
-        t = pop[0] + pop[1] + pop[2]
+        # rates near the float limit overflow to inf and nan here, as they
+        # do silently in one point's Python floats; the ratio rejects them
+        with np.errstate(over="ignore", invalid="ignore"):
+            pop, (x, y), ratio, isolated = _kernel(re, delta, s, np.sqrt)
+            t = pop[0] + pop[1] + pop[2]
         usable = isolated & ~(np.abs(t) < 1e-300)
         return pop, (x, y), ratio, isolated, usable, np.where(usable, t, 1.0)
     s = max(abs(x) for row in re[:3] for x in row[:3])
@@ -344,11 +347,16 @@ def coherence_vanishing_residual(spec: SystemSpec) -> float:
             - (gain12(eps1) + gain12(eps2))*rhogg
 
     It vanishes at equal bath temperatures, and for two baths at resonance
-    it carries the opposite sign of the steady-state coherence.
+    it carries the opposite sign of the steady-state coherence.  Raises
+    :class:`DegenerateSteadyStateError` when the population block's kernel
+    candidate has zero trace (every coupling zero, say).
     """
     r = build_rates(spec)
     minors = _minors(_entries(r)[0])
-    pop = [m / (minors[0] + minors[1] + minors[2]) for m in minors]
+    tot = minors[0] + minors[1] + minors[2]
+    if tot == 0.0:
+        raise DegenerateSteadyStateError(_ZERO_TRACE_ERROR)
+    pop = [m / tot for m in minors]
     return float(
         r.gamma_minus(1, 2, 1) * pop[0]
         + r.gamma_minus(1, 2, 2) * pop[1]

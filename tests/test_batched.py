@@ -39,15 +39,20 @@ from vflux.errors import (
     VfluxError,
 )
 from vflux.fcs import (
+    BRANCH_TOL,
     FD_STEP,
+    FINITE_DIFFERENCE,
     CumulantSet,
     _difference_batch,
     _recursion_batch,
     cumulants_finite_difference,
     cumulants_perturbative,
+    dominant_eigenvalue,
+    richardson,
 )
 from vflux.liouvillian import (
     TRACE_VECTOR,
+    _counting_matrix,
     _fill_block,
     build_generator,
     build_superoperator_full,
@@ -58,6 +63,7 @@ from vflux.model import (
     ENERGY,
     KINDS,
     PARTICLE,
+    CountingFields,
     RateSet,
     SystemSpec,
     build_rates,
@@ -262,6 +268,23 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
     assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
 
 
+def test_overflowing_rates_fail_silently_like_one_point():
+    # occupations near 1e308 overflow the kernel's products to inf and nan;
+    # one point's Python floats do so without a warning, and so must a stack
+    spec = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.0, 0.0)
+    t0, grid = 0.5, np.array([0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSteadyStateError, match="Hadamard ratio nan") as info:
+            scalar_scan(spec, t0, grid)
+        (scan,) = max_rectification_batch([spec], t0, grid)
+        with pytest.raises(DegenerateSteadyStateError) as report_info:
+            CurrentReport.from_spec(spec)
+        (report,) = evaluate_valid([spec], _reports_batch)
+    assert isinstance(scan, DegenerateSteadyStateError) and str(scan) == str(info.value)
+    assert isinstance(report, DegenerateSteadyStateError) and str(report) == str(report_info.value)
+
+
 @PROPERTY
 @given(floats(1.01, 3.0), st.integers(2, 6))
 def test_sweep_beyond_bound_is_a_domain_error_row(reach, steps):
@@ -353,12 +376,67 @@ def test_perturbative_cumulants_match_scalar_bitwise(batch, bath, kind, order):
             assert same_cumulants(out, outcome(cumulants_perturbative, spec, bath, kind, order))
 
 
+def tracked_eigenvalue(rates, chi):
+    """The dominant eigenvalue as one point's own tracker found it, the
+    reference for the shared tracker: zero field, or a ramp of two
+    spectra (half field, then full), each pick nearest the last."""
+    if chi.is_zero:
+        eigvals = np.linalg.eigvals(_fill_block(rates))
+        return complex(eigvals[np.argmin(np.abs(eigvals))])
+    tracked = 0.0 + 0.0j
+    for fraction in (0.5, 1.0):
+        eigvals = np.linalg.eigvals(_counting_matrix(rates, chi.scaled(fraction)))
+        tracked = complex(eigvals[np.argmin(np.abs(eigvals - tracked))])
+    contenders = np.sort(eigvals.real)[::-1]
+    if contenders[0] - contenders[1] < BRANCH_TOL:
+        raise BranchError(f"two eigenvalues within {BRANCH_TOL} of the maximal real part "
+                          f"{eigvals.real.max():.3e}")
+    return tracked
+
+
+def tracked_differences(spec, bath, kind, order, h):
+    """Finite-difference cumulants from two separate ramps, to h and to
+    h/2 (four spectra); the error of step h is raised first."""
+    rates = build_rates(spec)
+
+    def at(step):
+        return tracked_eigenvalue(rates, CountingFields(step if bath == "L" else 0.0,
+                                                        step if bath == "R" else 0.0, kind))
+
+    e_h, e_h2 = at(h), at(h / 2.0)
+    values = [richardson(e_h.imag / h, e_h2.imag / (h / 2.0))]
+    if order == 2:
+        values.append(richardson(-2.0 * e_h.real / h**2, -2.0 * e_h2.real / (h / 2.0)**2))
+    return CumulantSet(bath, kind, tuple(values), FINITE_DIFFERENCE, 0.0)
+
+
+@st.composite
+def corners(draw):
+    """Specs with both cross couplings on their bound, where the counted
+    branch and the dark eigenvalue collide."""
+    eps, temp_l = draw(floats(0.5, 2.0)), draw(floats(1.0, 3.0))
+    frac, g = draw(floats(0.3, 0.7)), draw(floats(0.002, 0.02))
+    return SystemSpec(eps, eps, temp_l, 1.0, frac * temp_l, g, g, g, g, g, g, 0.0)
+
+
 @PROPERTY
-@given(st.lists(specs(), min_size=1, max_size=5), st.sampled_from(BATHS),
-       st.sampled_from(KINDS), st.integers(1, 2))
-def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order):
-    for spec, out in zip(batch, stacked(_difference_batch, batch, bath, kind, order, FD_STEP)):
-        assert same_cumulants(out, outcome(cumulants_finite_difference, spec, bath, kind, order))
+@given(st.lists(st.one_of(specs(), corners()), min_size=1, max_size=5), st.sampled_from(BATHS),
+       st.sampled_from(KINDS), st.integers(1, 2), st.sampled_from((FD_STEP, 1e-6, 1e-2)),
+       st.sampled_from((0.0, 1e-5, -3e-3, 0.2, 1e-3 + 2e-3j, 0.3 - 0.1j)))
+def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order, h, chi):
+    differences = stacked(_difference_batch, batch, bath, kind, order, h)
+    field = CountingFields(chi if bath == "L" else 0.0, chi if bath == "R" else 0.0, kind)
+    for spec, out in zip(batch, differences):
+        expected = outcome(tracked_differences, spec, bath, kind, order, h)
+        assert same_cumulants(out, expected)
+        assert same_cumulants(outcome(cumulants_finite_difference, spec, bath, kind, order, h),
+                              expected)
+        eigenvalue = outcome(dominant_eigenvalue, spec, field)
+        reference = outcome(tracked_eigenvalue, build_rates(spec), field)
+        if isinstance(reference, BranchError):
+            assert isinstance(eigenvalue, BranchError) and str(eigenvalue) == str(reference)
+        else:
+            assert same_bits(eigenvalue, reference)
 
 
 @PROPERTY
@@ -415,8 +493,8 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     assert [n for n, row in enumerate(rows) if "error" in row] == [1680]
     assert rows[-1]["error"].startswith("DegenerateSteadyStateError: kernel not isolated")
     # the closed-form kernel calls no LAPACK routine; the projected inverse
-    # takes one, and the branch tracker two ramp steps at each of two chi steps
-    assert calls == Counter({"eig": 0, "svd": 0, "det": 0, "solve": 0, "inv": 1, "eigvals": 4})
+    # takes one, and the stencil one spectrum each at h/4, h/2 and h
+    assert calls == Counter({"eig": 0, "svd": 0, "det": 0, "solve": 0, "inv": 1, "eigvals": 3})
 
 
 def test_pooled_rows_equal_a_serial_map(monkeypatch):

@@ -197,19 +197,27 @@ def test_fluctuation_symmetry_broken_by_energy_leak():
         assert _symmetry_gap(spec, ENERGY, affinity, chi_r) > 1e-10
 
 
-@pytest.mark.parametrize("call,builds", [
-    (lambda spec: first_cumulant_direct(spec, "R", ENERGY), 1),
-    (lambda spec: cumulants_perturbative(spec, "R", ENERGY, order=4), 1),
-    (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1),
+@pytest.mark.parametrize("call,builds,spectra", [
+    (lambda spec: first_cumulant_direct(spec, "R", ENERGY), 1, 0),
+    (lambda spec: cumulants_perturbative(spec, "R", ENERGY, order=4), 1, 0),
+    # one spectrum each at h/4, h/2 and h
+    (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1, 3),
 ], ids=["direct", "perturbative", "finite_difference"])
-def test_cumulant_routes_build_rates_once(monkeypatch, call, builds):
+def test_cumulant_routes_build_rates_once(monkeypatch, call, builds, spectra):
     count = []
     init = RateSet.__init__
+    eigvals = []
 
     def counting_init(self, params):
         count.append(1)
         init(self, params)
 
+    def counting_eigvals(a, _original=np.linalg.eigvals):
+        eigvals.append(1)
+        return _original(a)
+
     monkeypatch.setattr(RateSet, "__init__", counting_init)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     call(two_bath_spec(0.7 * BOUND, 0.4 * BOUND))
     assert len(count) == builds
+    assert len(eigvals) == spectra

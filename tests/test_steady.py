@@ -336,6 +336,13 @@ def test_coherence_vanishing_residual_zero_cases():
     assert abs(coherence_vanishing_residual(eq)) <= 1e-16
 
 
+def test_coherence_vanishing_residual_uncoupled_is_degenerate():
+    # every coupling zero: the population minors sum to zero
+    spec = SystemSpec(1.0, 1.0, 2.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(DegenerateSteadyStateError, match="zero trace"):
+        coherence_vanishing_residual(spec)
+
+
 def test_coherence_vanishing_residual_cosign():
     # residual and coherence carry opposite signs across the coupling grid
     grid = np.linspace(0.0, BOUND, 20)
