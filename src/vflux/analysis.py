@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fcs import richardson
 from .liouvillian import _entries
-from .model import ENERGY, RateSet, SystemSpec, spec_arrays
+from .model import ENERGY, RateSet, SystemSpec, _valid_points, spec_arrays
 from .steady import _error_text, _real_columns
 from .transport import bath_currents, heat_currents, particle_currents
 
@@ -110,42 +110,40 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
     """:func:`max_rectification` of each spec over one bias grid, as one batch.
 
     The forward and backward configurations of every spec and bias form
-    one stack of rates with one stacked kernel on its real entries
-    (:func:`vflux.steady._real_columns`); currents and factors are array
-    expressions in the order of :func:`rectification`.
-    Returns one ``(rj_max, deltaT_star)`` per spec, or the
-    :class:`VfluxError` that scanning the grid with :func:`rectification`
-    raises first for it.
+    one stack of rates, spec fields ``(n, 1)`` times edge temperatures
+    ``(1, 2*m)`` (:class:`vflux.model.RateSet`), with one stacked kernel on
+    its real entries (:func:`vflux.steady._real_columns`); currents and
+    factors are array expressions in the order of :func:`rectification`.
+    A grid that is not 1-D raises :class:`UsageError`.  Returns one
+    ``(rj_max, deltaT_star)`` per spec, or the :class:`VfluxError` that
+    scanning the grid with :func:`rectification` raises first for it.
     """
-    grid = default_deltaT_grid(t0) if deltaT_grid is None else np.asarray(deltaT_grid)
+    grid = _grid(default_deltaT_grid(t0) if deltaT_grid is None else deltaT_grid)
     scan = [float(grid[idx]) for idx in np.argsort(np.abs(grid), kind="stable")]
     # rectification rejects a bias of at least 2*t0, and the scan stops at
     # the first one
     stop = next((pos for pos, dt in enumerate(scan) if _bias_error(t0, dt)), len(scan))
     fallback = (_bias_error(t0, scan[stop]) if stop < len(scan)
                 else IndeterminateRectificationError("every grid point was indeterminate"))
-    biases = np.array(scan[:stop])
-    outcomes: dict[int, object] = {}
-    valid = []
-    if stop:
-        # validate reads an edge temperature only by its sign and eps/temp;
-        # the scan keeps both in (0, t0 + |deltaT|/2 of its last bias], so a
-        # spec is valid throughout exactly when it is with both edges there.
-        # If not, the scan runs point by point to its first error.
-        hottest = t0 + abs(scan[stop - 1]) / 2.0
-        for pos, spec in enumerate(specs):
-            if replace(spec, tempL=hottest, tempR=hottest).validate():
-                outcomes[pos] = _scan_error(spec, t0, scan[:stop])
-            else:
-                valid.append(pos)
+    if not stop:
+        return [fallback] * len(specs)
+    # validate reads an edge temperature only by its sign and eps/temp, and
+    # the scan keeps both in (0, t0 + |deltaT|/2 of its last bias]: a spec
+    # invalid with both edges there is scanned point by point.
+    params = spec_arrays(specs)
+    hottest = t0 + abs(scan[stop - 1]) / 2.0
+    ok = _valid_points({**params, "tempL": hottest, "tempR": hottest})
+    outcomes = {pos: _scan_error(specs[pos], t0, scan[:stop])
+                for pos in np.flatnonzero(~ok).tolist()}
+    valid = np.flatnonzero(ok).tolist()
     if valid:
-        # rows ordered (spec, bias, forward/backward), the order of the scan
-        params = {name: np.repeat(values, 2 * stop)
-                  for name, values in spec_arrays([specs[pos] for pos in valid]).items()}
+        # spec fields (n, 1) times (bias, forward/backward) (1, 2*stop)
+        biases = np.array(scan[:stop])
         hot, cold = t0 + biases / 2.0, t0 - biases / 2.0
-        params["tempL"] = np.tile(np.stack([hot, cold], axis=1).ravel(), len(valid))
-        params["tempR"] = np.tile(np.stack([cold, hot], axis=1).ravel(), len(valid))
-        rates = RateSet(params)
+        factors = {name: values[valid, None] for name, values in params.items()}
+        factors["tempL"] = np.stack([hot, cold], axis=1).reshape(1, -1)
+        factors["tempR"] = np.stack([cold, hot], axis=1).reshape(1, -1)
+        rates = RateSet(factors)
         columns, ratio, isolated, usable = _real_columns(*_entries(rates))
         j = bath_currents(rates, columns, ENERGY)[1].reshape(len(valid), stop, 2)
         j_f, j_b = j[:, :, 0], j[:, :, 1]
@@ -154,10 +152,9 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
             rj = np.abs(j_f + j_b) / den
         # an indeterminate point (or a NaN factor) never moves the argmax
         score = np.where((den > RECTIFICATION_FLOOR) & ~np.isnan(rj), rj, -np.inf)
-        for row in np.flatnonzero(~usable).tolist():
-            pos = valid[row // (2 * stop)]
-            error = DegenerateSteadyStateError(_error_text(ratio[row], isolated[row]))
-            outcomes.setdefault(pos, error)
+        for n, point in zip(*np.nonzero(~usable)):
+            error = DegenerateSteadyStateError(_error_text(ratio[n, point], isolated[n, point]))
+            outcomes.setdefault(valid[n], error)
         # np.argmax takes the first maximum in scan order: only a strictly
         # larger factor moves it.  A scan cut short by a bias error
         # returns no maximum.
@@ -166,6 +163,14 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
             if stop == len(scan) and pos not in outcomes and score[n, best] > -np.inf:
                 outcomes[pos] = (float(rj[n, best]), scan[best])
     return [outcomes.get(pos, fallback) for pos in range(len(specs))]
+
+
+def _grid(values) -> np.ndarray:
+    """A scan's grid as an array; :class:`UsageError` unless it is 1-D."""
+    grid = np.asarray(values)
+    if grid.ndim != 1:
+        raise UsageError(f"a scan grid must be 1-D, got shape {grid.shape}")
+    return grid
 
 
 def _scan_error(spec: SystemSpec, t0: float, biases) -> VfluxError | None:
@@ -203,9 +208,12 @@ class AmplificationResult:
 def _tM_response(currents, spec: SystemSpec, tM: float, h: float | None = None):
     """Step and d/dTM of ``currents(spec)`` (middle-bath current last) at
     ``tM``: central differences with steps ``h`` (default 1e-4*tM) and
-    ``h/2``, Richardson-refined once.  Raises :class:`UsageError` when
-    ``tM - h <= 0`` and :class:`IndeterminateAmplificationError` when the
-    middle-bath current does not respond."""
+    ``h/2``, Richardson-refined once.  Raises :class:`UsageError` unless
+    ``h`` is finite and positive and ``tM - h > 0``, and
+    :class:`IndeterminateAmplificationError` when the middle-bath current
+    does not respond."""
+    if h is not None and not (np.isfinite(h) and h > 0.0):
+        raise UsageError(f"h = {h} must be finite and > 0")
     step = 1e-4 * tM if h is None else h
     if tM - step <= 0.0:
         raise UsageError(f"tM - h = {tM - step} must stay positive")
@@ -251,7 +259,7 @@ def max_amplification(spec: SystemSpec, tM_grid: np.ndarray | None = None) -> fl
     ratio monotonically.  Grid points where the response is undefined (a
     step reaching ``tM <= 0``, or no middle-bath response) are skipped.
     """
-    grid = default_tM_grid() if tM_grid is None else np.asarray(tM_grid)
+    grid = _grid(default_tM_grid() if tM_grid is None else tM_grid)
     prefactor = cyclic_amplification_analytic(spec.eps1, spec.eps2)
     best = None
     for tm in grid:

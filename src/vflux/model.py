@@ -100,13 +100,9 @@ class SystemSpec:
     def delta(self) -> float:
         return self.eps1 - self.eps2
 
-    def validate(self) -> list[str]:
-        return validate(self)
-
     def require_valid(self) -> "SystemSpec":
-        violations = validate(self)
-        if violations:
-            raise DomainError("invalid SystemSpec: " + "; ".join(violations))
+        if validate(self):
+            raise _invalid(self)
         return self
 
     def content_hash(self) -> str:
@@ -136,48 +132,62 @@ def validate(spec: SystemSpec) -> list[str]:
     Reports rather than raises, so a configuration loader can surface all
     problems at once.
     """
-    # every comparison below is false for NaN
-    v = [f"finiteness: {name} = {getattr(spec, name)} must be finite"
-         for name in SPEC_FIELDS if not math.isfinite(getattr(spec, name))]
-    for name in ("tempL", "tempM", "tempR"):
-        if getattr(spec, name) <= 0.0:
-            v.append(f"temperature positivity: {name} = {getattr(spec, name)} must be > 0")
-    for name in ("gL11", "gL22", "gL12", "gR11", "gR22", "gR12", "gM"):
-        if getattr(spec, name) < 0.0:
-            v.append(f"coefficient nonnegativity: {name} = {getattr(spec, name)} must be >= 0")
-    if spec.eps1 < spec.eps2:
-        v.append(f"level ordering: eps1 = {spec.eps1} must be >= eps2 = {spec.eps2}")
-    if spec.eps1 <= 0.0:
-        v.append(f"level positivity: eps1 = {spec.eps1} must be > 0")
-    if spec.eps2 < 0.0:
-        v.append(f"level positivity: eps2 = {spec.eps2} must be >= 0")
-    elif spec.eps2 == 0.0 and (spec.gL22 > 0.0 or spec.gR22 > 0.0):
-        v.append("level positivity: eps2 = 0 requires gL22 = gR22 = 0 (single-channel limit)")
-    for side in ("L", "R"):
-        g11 = getattr(spec, f"g{side}11")
-        g22 = getattr(spec, f"g{side}22")
-        g12 = getattr(spec, f"g{side}12")
-        bound = interference_bound(g11, g22)
-        if g12 > bound:
-            v.append(
-                f"interference bound: g{side}12 = {g12} exceeds sqrt(g{side}11*g{side}22) = {bound}"
-            )
-    if spec.gM > 0.0 and spec.delta < GAP_MIN:
-        v.append(
-            f"middle-bath gap: eps1 - eps2 = {spec.delta} must be >= {GAP_MIN} when gM > 0"
-        )
-    # the pairs whose occupations the rates use (non-finite or non-positive: above)
-    for label, omega, name, temp, needed in (
-            ("eps1", spec.eps1, "tempL", spec.tempL, True),
-            ("eps1", spec.eps1, "tempR", spec.tempR, True),
-            ("eps2", spec.eps2, "tempL", spec.tempL, spec.eps2 > 0.0),
-            ("eps2", spec.eps2, "tempR", spec.tempR, spec.eps2 > 0.0),
-            ("eps1 - eps2", spec.delta, "tempM", spec.tempM, spec.gM > 0.0)):
-        if (needed and 0.0 < omega < math.inf and 0.0 < temp < math.inf
-                and omega / temp < OCCUPATION_RATIO_MIN):
-            v.append(f"occupation: {label} = {omega} over {name} = {temp} "
-                     "leaves no finite occupation")
-    return v
+    failed = _violations(vars(spec), math.sqrt, max)
+    if not any(failed):
+        return []
+    values = {**vars(spec), "delta": spec.delta,
+              "bound_L": interference_bound(spec.gL11, spec.gL22),
+              "bound_R": interference_bound(spec.gR11, spec.gR22)}
+    return [text.format_map(values) for bad, text in zip(failed, _TEXTS, strict=True) if bad]
+
+
+#: The text of each flag of :func:`_violations`, in its order.
+_TEXTS = (
+    *(f"finiteness: {name} = {{{name}}} must be finite" for name in SPEC_FIELDS),
+    *(f"temperature positivity: {name} = {{{name}}} must be > 0"
+      for name in ("tempL", "tempM", "tempR")),
+    *(f"coefficient nonnegativity: {name} = {{{name}}} must be >= 0"
+      for name in ("gL11", "gL22", "gL12", "gR11", "gR22", "gR12", "gM")),
+    "level ordering: eps1 = {eps1} must be >= eps2 = {eps2}",
+    "level positivity: eps1 = {eps1} must be > 0",
+    "level positivity: eps2 = {eps2} must be >= 0",
+    "level positivity: eps2 = 0 requires gL22 = gR22 = 0 (single-channel limit)",
+    *(f"interference bound: g{side}12 = {{g{side}12}} exceeds sqrt(g{side}11*g{side}22) = "
+      f"{{bound_{side}}}" for side in BATHS),
+    f"middle-bath gap: eps1 - eps2 = {{delta}} must be >= {GAP_MIN} when gM > 0",
+    *(f"occupation: {eps} = {{{eps}}} over {name} = {{{name}}} leaves no finite occupation"
+      for eps in ("eps1", "eps2") for name in ("tempL", "tempR")),
+    "occupation: eps1 - eps2 = {delta} over tempM = {tempM} leaves no finite occupation",
+)
+
+
+def _violations(p, sqrt, maximum) -> tuple:
+    """One flag per invariant of :func:`validate`, in the order of ``_TEXTS``, of
+    one point (``p`` maps SystemSpec fields to floats; ``math.sqrt``, ``max``)
+    or a stack (arrays that broadcast; ``np.sqrt``, ``np.maximum``)."""
+    values = [p[name] for name in SPEC_FIELDS]
+    eps1, eps2, t_l, t_m, t_r, gl11, gl22, gl12, gr11, gr22, gr12, g_m = values
+    delta = eps1 - eps2
+    # omega/temp under the floor, both positive and finite (t + (t == 0) is never 0)
+    occupation = [(0.0 < w) & (w < math.inf) & (0.0 < t) & (t < math.inf)
+                  & (w / (t + (t == 0.0)) < OCCUPATION_RATIO_MIN)
+                  for w, t in ((eps1, t_l), (eps1, t_r), (eps2, t_l), (eps2, t_r), (delta, t_m))]
+    # x - x is NaN for NaN and +-inf; every other comparison with NaN is false
+    return (*[x - x != 0.0 for x in values],
+            t_l <= 0.0, t_m <= 0.0, t_r <= 0.0,
+            gl11 < 0.0, gl22 < 0.0, gl12 < 0.0, gr11 < 0.0, gr22 < 0.0, gr12 < 0.0, g_m < 0.0,
+            eps1 < eps2, eps1 <= 0.0, eps2 < 0.0,
+            (eps2 == 0.0) & ((gl22 > 0.0) | (gr22 > 0.0)),
+            gl12 > sqrt(maximum(gl11, 0.0) * maximum(gl22, 0.0)),
+            gr12 > sqrt(maximum(gr11, 0.0) * maximum(gr22, 0.0)),
+            (g_m > 0.0) & (delta < GAP_MIN),
+            *occupation[:4], (g_m > 0.0) & occupation[4])
+
+
+def _valid_points(params) -> np.ndarray:
+    """Whether each point of a stack passes :func:`validate` (no text built)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ~np.any(np.broadcast_arrays(*_violations(params, np.sqrt, np.maximum)), axis=0)
 
 
 @dataclass(frozen=True)
@@ -219,11 +229,11 @@ class RateSet:
     Rates are stored as nested tuples ``[i][j][k]`` with levels
     ``i, j in {0, 1}`` (for excited states 1, 2) and ``k in {0, 1}``
     selecting the energy argument ``eps1`` or ``eps2``.  ``params`` maps
-    every SystemSpec field to a float, for one point (see
-    :func:`build_rates`), or to an array of length N, for a stack of
-    points (see :func:`spec_arrays`); every entry is then a float or an
-    array of length N, and ``shape`` is ``()`` or ``(N,)``.  Both run the
-    same operations, so an entry of a stack carries the bits of that
+    every SystemSpec field to a float, for one point (see :func:`build_rates`),
+    or to arrays of a stack of points (see :func:`spec_arrays`), of one
+    shape or factors of it (spec fields ``(n, 1)``, temperatures ``(1, m)``;
+    see :func:`_occupation`); ``shape`` is ``()`` or the stack's.  Both run
+    the same operations, so an entry of a stack carries the bits of that
     point's own rate set.  The points are not validated here.
     """
 
@@ -233,7 +243,8 @@ class RateSet:
     def __init__(self, params):
         self.eps1, self.eps2 = params["eps1"], params["eps2"]
         self.delta = self.eps1 - self.eps2
-        self.shape = getattr(self.eps1, "shape", ())
+        self.shape = (np.broadcast_shapes(*map(np.shape, params.values()))
+                      if isinstance(self.eps1, np.ndarray) else ())
         self.occL, self.gainL, self.lossL = self._bath(
             params["tempL"], (params["gL11"], params["gL12"], params["gL22"]))
         self.occR, self.gainR, self.lossR = self._bath(
@@ -276,22 +287,34 @@ def _rate_table(coef, occ, offset: float):
 def _occupation(omega, temp, needed):
     """:func:`bose_occupation` of ``(omega, temp)`` where ``needed``, else 0.0.
 
-    Past its checks :func:`bose_occupation` reads only ``omega/temp``, so a
-    stack calls it on the first pair of each unique ratio (``math.expm1``:
-    ``np.expm1`` differs in the last ulp for some inputs).  A pair failing
-    the checks raises its own error, though a valid pair share its ratio.
+    Past its checks :func:`bose_occupation` (``math.expm1``: ``np.expm1`` is
+    off by an ulp for some inputs) reads only ``omega/temp``, so a stack calls
+    it on each pair of unique factor values where ``omega``/``needed`` and
+    ``temp`` are factors (``(n, 1)``, ``(1, m)``; no stack-sized sort), else
+    on the first pair of each unique ratio.  A failing needed pair raises.
     """
     if not isinstance(omega, np.ndarray):
         return bose_occupation(omega, temp) if needed else 0.0
+    bad = needed & ~((np.isfinite(omega) & (omega > 0.0)) & (np.isfinite(temp) & (temp > 0.0)))
+    if bad.any():
+        pos = int(np.argmax(bad))
+        bose_occupation(float(np.broadcast_to(omega, bad.shape).flat[pos]),
+                        float(np.broadcast_to(temp, bad.shape).flat[pos]))  # raises its DomainError
+    out = np.zeros(bad.shape)
+    if omega.size * np.size(temp) == out.size:
+        needed = np.broadcast_to(needed, omega.shape)
+        if needed.any():  # an unneeded energy takes the place of a needed one
+            energies, rows = np.unique(np.where(needed, omega, omega[needed][0]),
+                                       return_inverse=True)
+            temps, cols = np.unique(temp, return_inverse=True)
+            table = [[bose_occupation(w, t) for t in temps.tolist()] for w in energies.tolist()]
+            out = np.where(needed, np.array(table)[rows.reshape(omega.shape),
+                                                   cols.reshape(np.shape(temp))], 0.0)
+        return out
     omega, temp, needed = np.broadcast_arrays(omega, temp, needed)
     omega, temp = omega[needed], temp[needed]
-    checked = np.isfinite(omega) & np.isfinite(temp) & (omega > 0.0) & (temp > 0.0)
-    if not checked.all():
-        pos = int(np.argmin(checked))
-        bose_occupation(float(omega[pos]), float(temp[pos]))  # raises its DomainError
     _, first, inverse = np.unique(omega / temp, return_index=True, return_inverse=True)
     values = [bose_occupation(w, t) for w, t in zip(omega[first].tolist(), temp[first].tolist())]
-    out = np.zeros(needed.shape)
     out[needed] = np.array(values, dtype=float)[inverse]
     return out
 
@@ -307,22 +330,19 @@ def spec_arrays(specs) -> dict[str, np.ndarray]:
             for name in SPEC_FIELDS}
 
 
+def _invalid(spec: SystemSpec) -> DomainError:
+    return DomainError("invalid SystemSpec: " + "; ".join(validate(spec)))
+
 
 def evaluate_valid(specs, evaluate) -> list:
     """One outcome per spec: ``evaluate`` maps the stacked :class:`RateSet`
     of the valid ``specs`` to one outcome per valid spec, and an invalid
-    spec's outcome is its :class:`DomainError`."""
-    outcomes: list = [None] * len(specs)
-    valid = []
-    for pos, spec in enumerate(specs):
-        try:
-            spec.require_valid()
-        except DomainError as exc:
-            outcomes[pos] = exc
-        else:
-            valid.append(pos)
-    if valid:
-        for pos, out in zip(valid, evaluate(RateSet(spec_arrays([specs[p] for p in valid]))),
-                            strict=True):
+    spec's outcome is its :class:`DomainError` (:func:`_valid_points`)."""
+    params = spec_arrays(specs)
+    valid = _valid_points(params)
+    outcomes: list = [None if ok else _invalid(spec) for spec, ok in zip(specs, valid.tolist())]
+    if valid.any():
+        rates = RateSet({name: values[valid] for name, values in params.items()})
+        for pos, out in zip(np.flatnonzero(valid).tolist(), evaluate(rates), strict=True):
             outcomes[pos] = out
     return outcomes

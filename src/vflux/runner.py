@@ -13,8 +13,6 @@ that row's ``error`` column and the run continues.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -45,43 +43,17 @@ from .steady import (
 from .transport import CurrentReport, _reports_batch, heat_currents
 
 
-def _cores() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _rows(items, evaluate, batch: int = 1) -> list[dict]:
-    """Rows of ``(spec, cells)`` items, evaluated ``batch`` items at a time.
-
-    ``evaluate`` maps a list of items to one dict of result cells or one
-    :class:`VfluxError` per item; an error fills that row's ``error`` cell.
-    A batched grid (``batch > 1``, more than one batch) runs its batches on
-    a thread pool with at most one batch per core in flight: a batch is one
-    grid row, evaluated as array operations that release the GIL, and
-    it gives the same bits on any thread.  Per-point plans run in the
-    calling thread, where a pool would only add switching to Python-bound
-    work.  Another exception from a batch cancels the batches not yet
-    started and reaches the caller; no thread outlives the call.
-    """
-    chunks = [items[start:start + batch] for start in range(0, len(items), batch)]
-    workers = min(_cores(), len(chunks)) if batch > 1 else 1
-    if workers > 1:
-        pool = ThreadPoolExecutor(workers)
-        try:
-            outcomes = list(pool.map(evaluate, chunks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        outcomes = map(evaluate, chunks)
+    """Rows of ``(spec, cells)`` items, evaluated ``batch`` items at a time
+    in the calling thread (a thread pool gained nothing; see
+    ``docs/conventions.md``).  ``evaluate`` maps a list of items to one dict
+    of result cells or one :class:`VfluxError` per item; an error fills that
+    row's ``error`` cell."""
     rows = []
-    for chunk, outs in zip(chunks, outcomes):
-        for (spec, cells), out in zip(chunk, outs):
-            row = {"spec_hash": spec.content_hash()}
-            row.update((name, getattr(spec, name)) for name in SPEC_COLUMNS)
-            row.update(cells)
+    for start in range(0, len(items), batch):
+        chunk = items[start:start + batch]
+        for (spec, cells), out in zip(chunk, evaluate(chunk)):
+            row = {"spec_hash": spec.content_hash(), **vars(spec), **cells}
             row.update({"error": f"{type(out).__name__}: {out}"}
                        if isinstance(out, VfluxError) else out)
             rows.append(row)
@@ -144,9 +116,9 @@ def _current_cells(report: CurrentReport) -> dict:
 
 def _coupling_specs(spec: SystemSpec, points: int) -> list[SystemSpec]:
     """(gL12, gR12) grid from zero to each bath's interference bound, gL12 outer."""
-    return [replace(spec, gL12=float(gl), gR12=float(gr))
-            for gl in np.linspace(0.0, interference_bound(spec.gL11, spec.gL22), points)
-            for gr in np.linspace(0.0, interference_bound(spec.gR11, spec.gR22), points)]
+    return [SystemSpec(**{**vars(spec), "gL12": gl, "gR12": gr})
+            for gl in np.linspace(0.0, interference_bound(spec.gL11, spec.gL22), points).tolist()
+            for gr in np.linspace(0.0, interference_bound(spec.gR11, spec.gR22), points).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def _solve(re, delta):
     trace ``t`` of its populations and the verdict ``usable`` (isolated and
     of nonzero trace); ``t`` is 1.0 where not usable."""
     if isinstance(delta, np.ndarray):
-        s = np.abs([row[:3] for row in re[:3]]).max(axis=(0, 1))
+        s = np.abs(np.broadcast_arrays(*(x for row in re[:3] for x in row[:3]))).max(axis=0)
         # rates near the float limit overflow to inf and nan here, as they
         # do silently in one point's Python floats; the ratio rejects them
         with np.errstate(over="ignore", invalid="ignore"):

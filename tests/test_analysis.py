@@ -10,6 +10,7 @@ from vflux.analysis import (
     default_deltaT_grid,
     max_amplification,
     max_rectification,
+    max_rectification_batch,
     rectification,
 )
 from vflux.errors import (
@@ -146,6 +147,26 @@ def test_max_amplification_skips_non_positive_middle_temperatures():
     assert max_amplification(spec, mixed) == max_amplification(spec, positive)
     with pytest.raises(IndeterminateAmplificationError):
         max_amplification(spec, [-1.0, 0.0])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+def test_amplification_rejects_a_step_that_is_not_finite_and_positive(h):
+    # h = 0 divided by zero into NaN betas, and a negative h came back as
+    # stencil_h < 0
+    with pytest.raises(UsageError, match=f"h = {h} must be finite and > 0"):
+        amplification(cycle_spec(), 1.0, h)
+
+
+@pytest.mark.parametrize("grid", [np.array([[0.1, 0.2]]), np.array(0.5), [[0.5], [1.0]]])
+def test_scans_reject_a_grid_that_is_not_one_dimensional(grid):
+    # a 2-D bias grid raised IndexError, and max_amplification iterated the
+    # rows of a 2-D tM grid
+    with pytest.raises(UsageError, match="must be 1-D"):
+        max_rectification_batch([two_bath_spec(BOUND, 0.0)], 1.0, grid)
+    with pytest.raises(UsageError, match="must be 1-D"):
+        max_rectification(two_bath_spec(BOUND, 0.0), 1.0, grid)
+    with pytest.raises(UsageError, match="must be 1-D"):
+        max_amplification(cycle_spec(), grid)
 
 
 def test_cyclic_amplification_analytic_values():

@@ -10,15 +10,13 @@ superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and the ``fig21b`` target, one
-stack, to one stacked LAPACK call per stage.  The grid engine's thread
-pool must give the rows a serial map gives, pass on what a batch raises,
-leave no thread behind and leave per-point plans in the calling thread.
+stack, to one stacked LAPACK call per stage.  A grid of several batches
+must give the rows its batches give one at a time.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from collections import Counter
 from dataclasses import astuple, fields, replace
@@ -29,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vflux.analysis import max_rectification_batch, rectification
+from vflux.analysis import default_deltaT_grid, max_rectification_batch, rectification
 from vflux.config import build_config, config_for_target
 from vflux.errors import (
     BranchError,
@@ -70,7 +68,6 @@ from vflux.model import (
     evaluate_valid,
     spec_arrays,
 )
-from vflux import runner
 from vflux.runner import SPEC_COLUMNS, _fig21b, _rows, _sweep, compute_rows
 from vflux.steady import steady_state, steady_state_batch
 from vflux.transport import (
@@ -82,7 +79,7 @@ from vflux.transport import (
     particle_currents,
 )
 
-from conftest import seeded_conserving_specs, seeded_leak_specs
+from conftest import invalid_specs, seeded_conserving_specs, seeded_leak_specs
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -245,6 +242,27 @@ def test_rectification_factor_matches_scalar_bitwise(batch, t0, fractions, over_
             assert type(out) is type(expected) and str(out) == str(expected)
         else:
             assert same_bits(out[0], expected[0]) and out[1] == expected[1]
+
+
+def test_rectification_scan_matches_the_point_scan_on_invalid_specs():
+    # each invariant broken at least once, specs invalid only at the scan's
+    # hottest edge, and valid specs between them, in one batch
+    corpus = [spec for _, spec in invalid_specs()] + seeded_conserving_specs(6)
+    t0, grid = 1.0, default_deltaT_grid(1.0)
+    outcomes = max_rectification_batch(corpus, t0, grid)
+    kinds = Counter()
+    for spec, out in zip(corpus, outcomes, strict=True):
+        expected = outcome(scalar_scan, spec, t0, grid)
+        kinds[type(expected).__name__] += 1
+        if isinstance(expected, VfluxError):
+            assert type(out) is type(expected) and str(out) == str(expected)
+        else:
+            assert same_bits(out[0], expected[0]) and out[1] == expected[1]
+    # the four specs with a bad edge temperature are valid once the scan
+    # sets both; of the hot-edge pair, the one with eps2 coupled to the edge
+    # baths overflows its rates before it turns invalid
+    assert kinds == Counter({"DomainError": len(corpus) - 11, "tuple": 6 + 4,
+                             "DegenerateSteadyStateError": 1})
 
 
 @PROPERTY
@@ -497,7 +515,7 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     assert calls == Counter({"eig": 0, "svd": 0, "det": 0, "solve": 0, "inv": 1, "eigvals": 3})
 
 
-def test_pooled_rows_equal_a_serial_map(monkeypatch):
+def test_multi_batch_rows_equal_single_batch_rows():
     # gL12 crosses its interference bound 0.01 on every tempR, so each grid
     # row holds DomainError rows between valid ones
     items, evaluate, batch = _sweep(build_config({
@@ -505,64 +523,11 @@ def test_pooled_rows_equal_a_serial_map(monkeypatch):
         "sweep": {"axes": [{"field": "tempR", "min": 0.5, "max": 1.0, "steps": 4},
                            {"field": "gL12", "min": 0.0, "max": 0.015, "steps": 7}]},
     }))
-    threads = set()
-
-    def recorded(chunk):
-        threads.add(threading.get_ident())
-        return evaluate(chunk)
-
-    monkeypatch.setattr(runner, "_cores", lambda: 2)
-    pooled = _rows(items, recorded, batch)
-    assert threading.get_ident() not in threads
-    serial = [row for start in range(0, len(items), batch)
+    assert batch == 7
+    rows = _rows(items, evaluate, batch)
+    single = [row for start in range(0, len(items), batch)
               for row in _rows(items[start:start + batch], evaluate, batch)]
-    assert len(pooled) == len(items) == 28
-    assert {"error" in row for row in pooled} == {True, False}
+    assert len(rows) == len(items) == 28
+    assert {"error" in row for row in rows} == {True, False}
     # repr round-trips every float, so equal reprs are equal bits
-    assert repr(pooled) == repr(serial)
-
-
-def test_pooled_rows_raise_what_a_batch_raises(monkeypatch):
-    monkeypatch.setattr(runner, "_cores", lambda: 2)
-    before = threading.active_count()
-    started = []
-
-    def evaluate(chunk):
-        started.append(chunk[0])
-        if chunk[0] == 0:
-            raise RuntimeError("not a physics error")
-        # slow enough that the failure cancels the batches not yet started
-        threading.Event().wait(0.1)
-        return [{} for _ in chunk]
-
-    with pytest.raises(RuntimeError, match="not a physics error"):
-        _rows(list(range(40)), evaluate, 2)
-    assert threading.active_count() == before
-    assert 0 in started and len(started) < 20
-
-
-def test_run_leaves_no_thread_behind(monkeypatch):
-    monkeypatch.setattr(runner, "_cores", lambda: 2)
-    before = threading.active_count()
-    # a two-axis sweep runs one batch per value of its first axis on the pool
-    _, text = runner.run(build_config({
-        "task": "sweep",
-        "sweep": {"axes": [{"field": "tempR", "min": 0.5, "max": 1.0, "steps": 3},
-                           {"field": "gL12", "min": 0.0, "max": 0.005, "steps": 5}]},
-    }))
-    assert text.count("\n") == 1 + 3 * 5
-    assert threading.active_count() == before
-
-
-def test_per_point_plan_runs_in_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(runner, "_cores", lambda: 2)
-    threads = set()
-
-    def recorded(spec):
-        threads.add(threading.get_ident())
-        return heat_currents(spec)
-
-    monkeypatch.setattr(runner, "heat_currents", recorded)
-    _, rows = compute_rows(config_for_target("fig5b"))
-    assert len(rows) == 39
-    assert threads == {threading.get_ident()}
+    assert repr(rows) == repr(single)

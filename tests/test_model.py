@@ -9,18 +9,26 @@ from vflux.liouvillian import _dressed_rates
 from vflux.model import (
     BATHS,
     ENERGY,
+    GAP_MIN,
     PARTICLE,
     OCCUPATION_RATIO_MIN,
+    SPEC_FIELDS,
     CountingFields,
+    RateSet,
     SystemSpec,
     _occupation,
+    _valid_points,
     bose_occupation,
     build_rates,
+    evaluate_valid,
+    interference_bound,
+    spec_arrays,
     validate,
 )
 from vflux.transport import heat_currents
 
-from conftest import BOUND, FIGURE_SPECS, seeded_conserving_specs, two_bath_spec
+from conftest import (BOUND, FIGURE_SPECS, invalid_specs, seeded_conserving_specs,
+                      seeded_leak_specs, two_bath_spec)
 
 # frozen with 50-digit arithmetic
 N_1_1 = 0.5819767068693264
@@ -87,6 +95,124 @@ def test_stacked_occupation_raises_the_scalar_error(omega, temp):
     with pytest.raises(DomainError) as info:
         _occupation(np.array(omega), np.array(temp), True)
     assert str(info.value) == str(expected.value)
+
+
+def test_factor_occupations_are_the_scalar_ones():
+    # spec fields (n, 1) times temperatures (1, m): eps/temp from 1e-3 past
+    # the overflow of expm1 (~709.78) and the underflow of exp(-x) (~745),
+    # an unneeded eps2 = 0 and an unneeded middle bath (gM = 0)
+    eps = np.array([[1.0], [0.0], [800.0], [1.0], [2.5]])
+    temp = np.array([[1e3, 2.0, 1.1, 1.0, 1e-3]])
+    needed = eps > 0.0
+    out = _occupation(eps, temp, needed)
+    expected = [[bose_occupation(w, t) if n else 0.0 for t in temp[0].tolist()]
+                for w, n in zip(eps[:, 0].tolist(), needed[:, 0].tolist())]
+    assert out.shape == (5, 5) and out.tobytes() == np.array(expected).tobytes()
+    # 800/1.1 takes the exp(-x) branch, 800/1e-3 underflows it
+    assert 0.0 < out[2, 2] < 1e-300 and out[2, 4] == 0.0
+    specs = [SystemSpec(1.0, 0.0, 2.0, 1.0, 1.0, 0.02, 0.0, 0.0, 0.005, 0.0, 0.0, 0.0),
+             SystemSpec(800.0, 750.0, 1.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.0, 0.01),
+             SystemSpec(1.2, 0.7, 2.0, 0.02, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.004, 0.0)]
+    temps = np.array([0.9, 1.0, 1e-3, 2.0, 1.1, 0.5])
+    factors = {name: values[:, None] for name, values in spec_arrays(specs).items()}
+    factors["tempL"], factors["tempR"] = temps[None], temps[::-1][None]
+    rates = RateSet(factors)
+    assert rates.shape == (3, 6)
+    for n, spec in enumerate(specs):
+        for m, (t_l, t_r) in enumerate(zip(temps.tolist(), temps[::-1].tolist())):
+            one = build_rates(replace(spec, tempL=t_l, tempR=t_r))
+            for name in ("occL", "occR", "occM", "gainL", "gainR", "lossL", "lossR",
+                         "gain_M", "loss_M"):
+                for entry, value in zip(leaves(getattr(rates, name)), leaves(getattr(one, name)),
+                                        strict=True):
+                    point = np.broadcast_to(entry, rates.shape)[n, m]
+                    assert point.tobytes() == np.float64(value).tobytes()
+
+
+def leaves(table) -> list:
+    """The entries of a nested tuple of rates, depth first."""
+    if isinstance(table, tuple):
+        return [leaf for part in table for leaf in leaves(part)]
+    return [table]
+
+
+def reference_validate(spec: SystemSpec) -> list[str]:
+    """The per-point validate, one comparison per invariant, kept as the
+    reference for the texts and the stacked validity check."""
+    v = [f"finiteness: {name} = {getattr(spec, name)} must be finite"
+         for name in SPEC_FIELDS if not math.isfinite(getattr(spec, name))]
+    for name in ("tempL", "tempM", "tempR"):
+        if getattr(spec, name) <= 0.0:
+            v.append(f"temperature positivity: {name} = {getattr(spec, name)} must be > 0")
+    for name in ("gL11", "gL22", "gL12", "gR11", "gR22", "gR12", "gM"):
+        if getattr(spec, name) < 0.0:
+            v.append(f"coefficient nonnegativity: {name} = {getattr(spec, name)} must be >= 0")
+    if spec.eps1 < spec.eps2:
+        v.append(f"level ordering: eps1 = {spec.eps1} must be >= eps2 = {spec.eps2}")
+    if spec.eps1 <= 0.0:
+        v.append(f"level positivity: eps1 = {spec.eps1} must be > 0")
+    if spec.eps2 < 0.0:
+        v.append(f"level positivity: eps2 = {spec.eps2} must be >= 0")
+    elif spec.eps2 == 0.0 and (spec.gL22 > 0.0 or spec.gR22 > 0.0):
+        v.append("level positivity: eps2 = 0 requires gL22 = gR22 = 0 (single-channel limit)")
+    for side in ("L", "R"):
+        g12 = getattr(spec, f"g{side}12")
+        bound = interference_bound(getattr(spec, f"g{side}11"), getattr(spec, f"g{side}22"))
+        if g12 > bound:
+            v.append(f"interference bound: g{side}12 = {g12} exceeds "
+                     f"sqrt(g{side}11*g{side}22) = {bound}")
+    if spec.gM > 0.0 and spec.delta < GAP_MIN:
+        v.append(f"middle-bath gap: eps1 - eps2 = {spec.delta} must be >= {GAP_MIN} when gM > 0")
+    for label, omega, name, temp, needed in (
+            ("eps1", spec.eps1, "tempL", spec.tempL, True),
+            ("eps1", spec.eps1, "tempR", spec.tempR, True),
+            ("eps2", spec.eps2, "tempL", spec.tempL, spec.eps2 > 0.0),
+            ("eps2", spec.eps2, "tempR", spec.tempR, spec.eps2 > 0.0),
+            ("eps1 - eps2", spec.delta, "tempM", spec.tempM, spec.gM > 0.0)):
+        if (needed and 0.0 < omega < math.inf and 0.0 < temp < math.inf
+                and omega / temp < OCCUPATION_RATIO_MIN):
+            v.append(f"occupation: {label} = {omega} over {name} = {temp} "
+                     "leaves no finite occupation")
+    return v
+
+
+def validity_corpus() -> list[SystemSpec]:
+    return ([spec for _, spec in invalid_specs()] + FIGURE_SPECS
+            + seeded_conserving_specs(20) + seeded_leak_specs(5))
+
+
+def test_validate_matches_the_per_point_reference():
+    for label, spec in invalid_specs():
+        texts = validate(spec)
+        assert texts == reference_validate(spec)
+        assert (label == "hot edge") == (not texts)
+        assert label == "hot edge" or any(text.startswith(label) for text in texts)
+        if label == "hot edge":
+            hot = reference_validate(replace(spec, tempL=1.6, tempR=1.6))
+            assert [text.split(" = ")[0] for text in hot] == ["occupation: eps2"] * 2
+    for spec in validity_corpus():
+        assert validate(spec) == reference_validate(spec)
+
+
+def test_stacked_validity_agrees_with_validate():
+    corpus = validity_corpus()
+    params = spec_arrays(corpus)
+    assert _valid_points(params).tolist() == [not validate(spec) for spec in corpus]
+    for spec in corpus:
+        assert _valid_points(spec_arrays([spec])).tolist() == [not validate(spec)]
+    # edge temperatures as one float each, as the rectification scan checks them
+    for hot in (1.0, 1.5, 1.95):
+        edges = {**params, "tempL": hot, "tempR": hot}
+        assert _valid_points(edges).tolist() == [
+            not validate(replace(spec, tempL=hot, tempR=hot)) for spec in corpus]
+    outcomes = evaluate_valid(corpus, lambda rates: [rates.shape] * rates.shape[0])
+    for spec, out in zip(corpus, outcomes):
+        if validate(spec):
+            with pytest.raises(DomainError) as info:
+                spec.require_valid()
+            assert isinstance(out, DomainError) and str(out) == str(info.value)
+        else:
+            assert out == (len(corpus) - sum(bool(validate(s)) for s in corpus),)
 
 
 def test_validate_reports_an_occupation_without_finite_value():
