@@ -137,16 +137,20 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
                 for pos in np.flatnonzero(~ok).tolist()}
     valid = np.flatnonzero(ok).tolist()
     if valid:
-        # spec fields (n, 1) times (bias, forward/backward) (1, 2*stop)
+        # spec fields (n, 1), or (1, 1) where shared, times (bias,
+        # forward/backward) (1, 2*stop)
         biases = np.array(scan[:stop])
         hot, cold = t0 + biases / 2.0, t0 - biases / 2.0
-        factors = {name: values[valid, None] for name, values in params.items()}
+        factors = {name: _factor(values[valid]) for name, values in params.items()}
         factors["tempL"] = np.stack([hot, cold], axis=1).reshape(1, -1)
         factors["tempR"] = np.stack([cold, hot], axis=1).reshape(1, -1)
         rates = RateSet(factors)
-        columns, ratio, isolated, usable = _real_columns(*_entries(rates))
-        j = bath_currents(rates, columns, ENERGY)[1].reshape(len(valid), stop, 2)
-        j_f, j_b = j[:, :, 0], j[:, :, 1]
+        # a stack of shared fields only is (1, 2*stop)
+        shape = (len(valid), 2 * stop)
+        columns, *verdicts = _real_columns(*_entries(rates))
+        ratio, isolated, usable = (np.broadcast_to(x, shape) for x in verdicts)
+        j = np.broadcast_to(bath_currents(rates, columns, ENERGY)[1], shape)
+        j_f, j_b = j[:, 0::2], j[:, 1::2]
         den = np.maximum(j_f, -j_b)
         with np.errstate(divide="ignore", invalid="ignore"):
             rj = np.abs(j_f + j_b) / den
@@ -158,11 +162,20 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
         # np.argmax takes the first maximum in scan order: only a strictly
         # larger factor moves it.  A scan cut short by a bias error
         # returns no maximum.
-        for n, pos in enumerate(valid):
-            best = int(np.argmax(score[n]))
-            if stop == len(scan) and pos not in outcomes and score[n, best] > -np.inf:
-                outcomes[pos] = (float(rj[n, best]), scan[best])
+        if stop == len(scan):
+            best = np.argmax(score, axis=1)
+            top = score[np.arange(len(valid)), best]  # rj where it is not -inf
+            for pos, at, value in zip(valid, best.tolist(), top.tolist()):
+                if value > -np.inf:
+                    outcomes.setdefault(pos, (value, scan[at]))
     return [outcomes.get(pos, fallback) for pos in range(len(specs))]
+
+
+def _factor(values: np.ndarray) -> np.ndarray:
+    """One spec field of a scan's stack as an ``(n, 1)`` factor, or ``(1, 1)``
+    when its n values carry the same bits (``-0.0 == 0.0`` but the two differ)."""
+    bits = values.view(np.int64)
+    return values[:1, None] if (bits == bits[0]).all() else values[:, None]
 
 
 def _grid(values) -> np.ndarray:

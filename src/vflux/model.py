@@ -289,9 +289,11 @@ def _occupation(omega, temp, needed):
 
     Past its checks :func:`bose_occupation` (``math.expm1``: ``np.expm1`` is
     off by an ulp for some inputs) reads only ``omega/temp``, so a stack calls
-    it on each pair of unique factor values where ``omega``/``needed`` and
-    ``temp`` are factors (``(n, 1)``, ``(1, m)``; no stack-sized sort), else
-    on the first pair of each unique ratio.  A failing needed pair raises.
+    it on each pair of unique factor values where ``omega`` and ``temp`` are
+    factors (``(n, 1)`` or ``(1, 1)`` times ``(1, m)``: their sizes multiply
+    to the stack's; no stack-sized sort) and ``needed`` varies along
+    ``omega`` only, else on the first pair of each unique ratio.  A failing
+    needed pair raises.
     """
     if not isinstance(omega, np.ndarray):
         return bose_occupation(omega, temp) if needed else 0.0
@@ -301,7 +303,8 @@ def _occupation(omega, temp, needed):
         bose_occupation(float(np.broadcast_to(omega, bad.shape).flat[pos]),
                         float(np.broadcast_to(temp, bad.shape).flat[pos]))  # raises its DomainError
     out = np.zeros(bad.shape)
-    if omega.size * np.size(temp) == out.size:
+    if (omega.size * np.size(temp) == out.size
+            and np.broadcast_shapes(np.shape(needed), omega.shape) == omega.shape):
         needed = np.broadcast_to(needed, omega.shape)
         if needed.any():  # an unneeded energy takes the place of a needed one
             energies, rows = np.unique(np.where(needed, omega, omega[needed][0]),

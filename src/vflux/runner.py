@@ -13,6 +13,7 @@ that row's ``error`` column and the run continues.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -223,6 +224,11 @@ def _fig21b(config: ScenarioConfig):
     return items, _noise, len(items)
 
 
+#: Grid rows of ``fig3`` per rectification scan stack (51 couplings times 100
+#: bias variants each); measured choice in ``docs/conventions.md``.
+FIG3_STACK_ROWS = 5
+
+
 def _fig3(config: ScenarioConfig):
     t0 = config.option("rectify.t0", 1.0)
 
@@ -231,7 +237,8 @@ def _fig3(config: ScenarioConfig):
                 else {"rj_max": out[0], "deltaT_star": out[1]}
                 for out in max_rectification_batch([spec for spec, _ in chunk], t0)]
 
-    return [(local, {"t0": t0}) for local in _coupling_specs(config.spec, 51)], evaluate, 51
+    items = [(local, {"t0": t0}) for local in _coupling_specs(config.spec, 51)]
+    return items, evaluate, FIG3_STACK_ROWS * 51
 
 
 def _middle_temperatures(config: ScenarioConfig) -> list:
@@ -306,25 +313,43 @@ def format_cell(value) -> str:
 
 
 def render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+    """CSV text of ``rows``, one :func:`format_cell` per cell, written column
+    by column so that a column formats each distinct ``float`` once."""
+    cells = [_column_cells([row.get(col) for row in rows]) for col in columns]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _column_cells(values) -> list[str]:
+    """:func:`format_cell` of each value, memoized for ``float`` cells (by
+    value, zeros by sign, and a NaN only by identity: it equals nothing)."""
+    texts: dict = {}
+    out = []
+    for value in values:
+        if type(value) is float:
+            key = value if value else value.hex()  # 0.0 == -0.0
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = format_cell(value)
+        else:
+            text = format_cell(value)
+        out.append(text)
+    return out
+
+
+def _json_value(value):
+    """A cell as a JSON value: numpy scalars as Python numbers, and a float
+    that is not finite as ``None`` (``null``; RFC 8259 has no NaN)."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else None
+    return value
 
 
 def render_json(columns, rows) -> str:
-    payload = []
-    for row in rows:
-        cell = {}
-        for col in columns:
-            value = row.get(col)
-            if isinstance(value, (np.integer,)):
-                value = int(value)
-            elif isinstance(value, (np.floating,)):
-                value = float(value)
-            cell[col] = value
-        payload.append(cell)
-    return json.dumps(payload, indent=2) + "\n"
+    payload = [{col: _json_value(row.get(col)) for col in columns} for row in rows]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def run(config: ScenarioConfig, out_path: str | Path | None = None) -> tuple[Path | None, str]:

@@ -27,7 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vflux.analysis import default_deltaT_grid, max_rectification_batch, rectification
+from vflux.analysis import (_factor, default_deltaT_grid, max_rectification_batch,
+                            rectification)
 from vflux.config import build_config, config_for_target
 from vflux.errors import (
     BranchError,
@@ -112,6 +113,22 @@ def specs(draw, regime=None):
     return SystemSpec(eps1, eps2, temp_l, temp_m, temp_r,
                       gl11, gl22, shrink[0] * math.sqrt(gl11 * gl22),
                       gr11, gr22, shrink[1] * math.sqrt(gr11 * gr22), g_m)
+
+
+@st.composite
+def shared_stacks(draw):
+    """Specs of one regime that share a random subset of their fields with
+    one base spec: the rectification scan stacks a field whose values carry
+    the same bits as one ``(1, 1)`` factor, so these mix shared and varying
+    fields, and every field shared when nothing is redrawn."""
+    regime = draw(st.sampled_from((RESONANT, DETUNED, DARK_CORNER)))
+    base = draw(specs(regime))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        other = draw(specs(regime))
+        redrawn = draw(st.sets(st.sampled_from(SPEC_COLUMNS)))
+        batch.append(replace(base, **{name: getattr(other, name) for name in redrawn}))
+    return batch
 
 
 def stacked(core, specs, *args) -> list:
@@ -230,18 +247,50 @@ def outcome(fn, *args):
         return exc
 
 
-@PROPERTY
-@given(st.lists(specs(), min_size=1, max_size=3), floats(0.5, 2.0),
-       st.permutations((0.3, 0.8, 1.4, 1.9, 2.0)), st.booleans())
-def test_rectification_factor_matches_scalar_bitwise(batch, t0, fractions, over_bias):
-    # in any grid order; a bias of 2*t0 makes the scan end in a UsageError
-    grid = np.array([f * t0 for f in fractions if over_bias or f < 2.0])
-    for spec, out in zip(batch, max_rectification_batch(batch, t0, grid)):
+def assert_scan_matches_the_point_scan(batch, t0, grid) -> list:
+    """The outcomes of one stacked scan of ``batch``, each held to
+    :func:`scalar_scan`, bit for bit and error text for error text."""
+    outcomes = max_rectification_batch(batch, t0, grid)
+    for spec, out in zip(batch, outcomes, strict=True):
         expected = outcome(scalar_scan, spec, t0, grid)
         if isinstance(expected, VfluxError):
             assert type(out) is type(expected) and str(out) == str(expected)
         else:
             assert same_bits(out[0], expected[0]) and out[1] == expected[1]
+    return outcomes
+
+
+@PROPERTY
+@given(st.one_of(st.lists(specs(), min_size=1, max_size=3), shared_stacks()), floats(0.5, 2.0),
+       st.permutations((0.3, 0.8, 1.4, 1.9, 2.0)), st.booleans())
+def test_rectification_factor_matches_scalar_bitwise(batch, t0, fractions, over_bias):
+    # in any grid order; a bias of 2*t0 makes the scan end in a UsageError
+    grid = np.array([f * t0 for f in fractions if over_bias or f < 2.0])
+    assert_scan_matches_the_point_scan(batch, t0, grid)
+
+
+def test_rectification_scan_with_shared_fields_matches_the_point_scan():
+    t0, grid = 1.0, default_deltaT_grid(1.0)
+    # eps1 and eps2 shared, so the middle gap is one (1, 1) factor while
+    # the middle bath's temperature and coupling vary, gM = 0 included
+    cycle = [SystemSpec(1.1, 0.9, 2.0, temp_m, 0.5, 0.01, 0.005, 0.0, 0.004, 0.01, 0.0, g_m)
+             for temp_m, g_m in ((0.5, 0.01), (1.0, 0.0), (1.5, 0.02), (0.7, 0.01))]
+    outcomes = assert_scan_matches_the_point_scan(cycle, t0, grid)
+    assert all(isinstance(out, tuple) for out in outcomes)
+    # every field shared: one spec, and copies of it
+    for batch in ([cycle[0]], [cycle[0]] * 3, [cycle[2]] * 2):
+        assert_scan_matches_the_point_scan(batch, t0, grid)
+    # 0.0 and -0.0 compare equal but are two factor values
+    assert _factor(np.array([0.0, -0.0])).shape == (2, 1)
+    assert _factor(np.array([-0.0, -0.0])).shape == (1, 1)
+    assert_scan_matches_the_point_scan([cycle[0], replace(cycle[0], gL12=-0.0)], t0, grid)
+    # invalid only at the hot edge, next to valid specs that share all but
+    # eps2 or gM with them
+    hot = [spec for name, spec in invalid_specs() if name == "hot edge"]
+    batch = [*hot, replace(hot[0], eps2=0.5), replace(hot[1], gM=0.01), *hot]
+    outcomes = assert_scan_matches_the_point_scan(batch, t0, grid)
+    assert {type(out).__name__ for out in outcomes} == {
+        "DomainError", "DegenerateSteadyStateError", "tuple"}
 
 
 def test_rectification_scan_matches_the_point_scan_on_invalid_specs():

@@ -1,13 +1,15 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from vflux.cli import main as cli_main
 from vflux.config import build_config, config_for_target, load_config
 from vflux.errors import ConfigError
-from vflux.runner import compute_rows, format_cell, render_csv, run
+from vflux.runner import compute_rows, format_cell, render_csv, render_json, run
 
 
 def write(tmp_path, name, text):
@@ -138,6 +140,18 @@ def test_csv_formatting_is_scientific_17_digits():
     assert format_cell(3) == "3"
 
 
+def test_render_csv_matches_a_per_cell_rendering():
+    nan = float("nan")
+    column = [0.0, -0.0, 0.0, -0.0, nan, nan, float("-nan"), math.inf, -math.inf, math.inf,
+              0.1, 0.1, np.float64(0.1), np.float64(-0.0), np.float64(nan), 1, 1.0, True,
+              np.int64(1), False, 0, None, "", "x", "1.0", 0.1]
+    rows = [{"a": value, "b": 1.0 / (pos + 1)} for pos, value in enumerate(column)]
+    expected = "".join(f"{','.join(format_cell(row.get(col)) for col in ('a', 'b', 'c'))}\n"
+                       for row in rows)
+    assert render_csv(("a", "b", "c"), rows) == "a,b,c\n" + expected
+    assert render_csv(("a", "b"), []) == "a,b\n"
+
+
 def test_render_csv_deterministic():
     config = config_for_target("fig4b")
     a = render_csv(*compute_rows(config))
@@ -150,6 +164,19 @@ def test_run_writes_file(tmp_path):
     path, text = run(config, out_path=tmp_path / "out.csv")
     assert path.read_text(encoding="utf-8") == text
     assert text.startswith("spec_hash,")
+
+
+def test_json_output_has_no_non_finite_number(reproduce_outputs):
+    # fig21a computes no noise: its SeRR cells are NaN, but in the one
+    # error row, which has none
+    columns, rows, _ = reproduce_outputs["fig21a"]
+    assert sum(math.isnan(row.get("SeRR", 0.0)) for row in rows) == 1680
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = json.loads(render_json(columns, rows), parse_constant=reject)
+    assert [row["SeRR"] for row in payload] == [None] * len(rows)
 
 
 def test_json_output_round_trips(tmp_path):
