@@ -109,14 +109,18 @@ def max_rectification(
 def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = None) -> list:
     """:func:`max_rectification` of each spec over one bias grid, as one batch.
 
-    The forward and backward configurations of every spec and bias form
-    one stack of rates, spec fields ``(n, 1)`` times edge temperatures
-    ``(1, 2*m)`` (:class:`vflux.model.RateSet`), with one stacked kernel on
-    its real entries (:func:`vflux.steady._real_columns`); currents and
-    factors are array expressions in the order of :func:`rectification`.
-    A grid that is not 1-D raises :class:`UsageError`.  Returns one
-    ``(rj_max, deltaT_star)`` per spec, or the :class:`VfluxError` that
-    scanning the grid with :func:`rectification` raises first for it.
+    A spec's backward configuration is its L<->R mirror's forward one,
+    bit for bit (``docs/conventions.md``, "Rectification temperature
+    convention"), so the scan solves hot-left biases only: ``J_f`` is the
+    right-bath current of the spec's row, ``J_b`` the left-bath current of
+    its mirror's (:func:`_mirror_rows`).  Whole mirror groups run in
+    stacks of at most :data:`SCAN_STACK_POINTS` points, each one stacked
+    kernel on real entries (:func:`_stack_scan`), and verdicts are read in
+    the scan order of :func:`rectification` (bias, then forward before
+    backward).  A grid that is not 1-D raises :class:`UsageError`.
+    Returns one ``(rj_max, deltaT_star)`` per spec, or the
+    :class:`VfluxError` that scanning the grid with :func:`rectification`
+    raises first for it.
     """
     grid = _grid(default_deltaT_grid(t0) if deltaT_grid is None else deltaT_grid)
     scan = [float(grid[idx]) for idx in np.argsort(np.abs(grid), kind="stable")]
@@ -136,39 +140,109 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
     outcomes = {pos: _scan_error(specs[pos], t0, scan[:stop])
                 for pos in np.flatnonzero(~ok).tolist()}
     valid = np.flatnonzero(ok).tolist()
-    if valid:
-        # spec fields (n, 1), or (1, 1) where shared, times (bias,
-        # forward/backward) (1, 2*stop)
-        biases = np.array(scan[:stop])
-        hot, cold = t0 + biases / 2.0, t0 - biases / 2.0
-        factors = {name: _factor(values[valid]) for name, values in params.items()}
-        factors["tempL"] = np.stack([hot, cold], axis=1).reshape(1, -1)
-        factors["tempR"] = np.stack([cold, hot], axis=1).reshape(1, -1)
-        rates = RateSet(factors)
-        # a stack of shared fields only is (1, 2*stop)
-        shape = (len(valid), 2 * stop)
-        columns, *verdicts = _real_columns(*_entries(rates))
-        ratio, isolated, usable = (np.broadcast_to(x, shape) for x in verdicts)
-        j = np.broadcast_to(bath_currents(rates, columns, ENERGY)[1], shape)
-        j_f, j_b = j[:, 0::2], j[:, 1::2]
-        den = np.maximum(j_f, -j_b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rj = np.abs(j_f + j_b) / den
-        # an indeterminate point (or a NaN factor) never moves the argmax
-        score = np.where((den > RECTIFICATION_FLOOR) & ~np.isnan(rj), rj, -np.inf)
-        for n, point in zip(*np.nonzero(~usable)):
-            error = DegenerateSteadyStateError(_error_text(ratio[n, point], isolated[n, point]))
-            outcomes.setdefault(valid[n], error)
+    params = {name: values[valid] for name, values in params.items()}
+    rows, starts, forward, backward = _mirror_rows(params)
+    biases = np.array(scan[:stop])
+    edges = {"tempL": (t0 + biases / 2.0)[None], "tempR": (t0 - biases / 2.0)[None]}
+    for lo, hi in _stacks(starts, len(rows), stop):
+        members = np.flatnonzero((forward >= lo) & (forward < hi))
+        score, errors = _stack_scan(params, rows[lo:hi], edges,
+                                    forward[members] - lo, backward[members] - lo)
+        for n, error in errors.items():
+            outcomes.setdefault(valid[members[n]], error)
         # np.argmax takes the first maximum in scan order: only a strictly
         # larger factor moves it.  A scan cut short by a bias error
         # returns no maximum.
         if stop == len(scan):
             best = np.argmax(score, axis=1)
-            top = score[np.arange(len(valid)), best]  # rj where it is not -inf
-            for pos, at, value in zip(valid, best.tolist(), top.tolist()):
+            top = score[np.arange(len(members)), best]  # rj where it is not -inf
+            for n, at, value in zip(members.tolist(), best.tolist(), top.tolist()):
                 if value > -np.inf:
-                    outcomes.setdefault(pos, (value, scan[at]))
+                    outcomes.setdefault(valid[n], (value, scan[at]))
     return [outcomes.get(pos, fallback) for pos in range(len(specs))]
+
+
+#: Kernel points (stack rows times biases) per stack of the rectification
+#: scan; measured choice in ``docs/conventions.md``.
+SCAN_STACK_POINTS = 12_750
+
+#: Each field the scan reads, and the field its L<->R mirror takes it from
+#: (the scan sets the edge temperatures itself).
+MIRRORED = {"eps1": "eps1", "eps2": "eps2", "tempM": "tempM", "gM": "gM",
+            "gL11": "gR11", "gL22": "gR22", "gL12": "gR12",
+            "gR11": "gL11", "gR22": "gL22", "gR12": "gL12"}
+
+
+def _mirror_rows(params):
+    """Stack rows of a scan of the specs with fields ``params``, the first
+    row of each group, and each spec's row and its mirror's row.
+
+    A row is ``(spec, mirrored)``: the fields of that spec, or of its
+    mirror.  Specs whose fields carry the same bits share a row (a spec
+    with ``-0.0`` for ``0.0`` does not), and a group is a spec's row and
+    its mirror's, or one row for a spec that is its own mirror.  A mirror
+    in the batch carries the bits of the swapped fields, so it takes the
+    row of the spec it mirrors."""
+    names = list(MIRRORED)
+    bits = np.stack([params[name] for name in names], axis=1).view(np.int64)
+    keys = list(map(tuple, bits.tolist()))
+    mirrors = list(map(tuple, bits[:, [names.index(MIRRORED[name]) for name in names]].tolist()))
+    row_of, rows, starts = {}, [], []
+    for n, (key, mirror) in enumerate(zip(keys, mirrors)):
+        if key in row_of:
+            continue
+        starts.append(len(rows))
+        row_of[key] = len(rows)
+        rows.append((n, False))
+        if mirror != key:
+            row_of[mirror] = len(rows)
+            rows.append((n, True))
+    return (rows, starts, np.array([row_of[key] for key in keys], dtype=np.intp),
+            np.array([row_of[mirror] for mirror in mirrors], dtype=np.intp))
+
+
+def _stacks(starts, count: int, stop: int):
+    """``(lo, hi)`` ranges of the ``count`` rows of whole groups (first rows
+    ``starts``) of at most :data:`SCAN_STACK_POINTS` points, ``stop`` per
+    row, or of one group."""
+    size = max(SCAN_STACK_POINTS // stop, 1)
+    lo = 0
+    for start, end in zip(starts, [*starts[1:], count]):
+        if end - lo > size and start > lo:
+            yield lo, start
+            lo = start
+    if count > lo:
+        yield lo, count
+
+
+def _stack_scan(params, rows, edges, f, b):
+    """Rectification factors ``(len(f), m)`` of one stack of rows
+    (:func:`_mirror_rows`) at the hot-left edge temperatures ``edges``, each
+    ``(1, m)``, with ``-inf`` where indeterminate, and the first kernel
+    error of each spec in scan order, by index into ``f``.  Spec ``n`` runs
+    forward on row ``f[n]`` and backward on row ``b[n]``; spec fields are
+    ``(len(rows), 1)`` factors, or ``(1, 1)`` where shared."""
+    spec, mirrored = (np.array(x) for x in zip(*rows))
+    rates = RateSet({**{name: _factor(np.where(mirrored, params[source][spec],
+                                               params[name][spec]))
+                        for name, source in MIRRORED.items()}, **edges})
+    shape = (len(rows), edges["tempL"].shape[1])
+    columns, *verdicts = _real_columns(*_entries(rates))
+    ratio, isolated, usable = (np.broadcast_to(x, shape) for x in verdicts)
+    j_l, j_r, _ = (np.broadcast_to(x, shape) for x in bath_currents(rates, columns, ENERGY))
+    j_f, j_b = j_r[f], j_l[b]
+    den = np.maximum(j_f, -j_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rj = np.abs(j_f + j_b) / den
+    # (spec, bias, forward/backward), flattened to the scan order
+    unusable = ~np.stack([usable[f], usable[b]], axis=2).reshape(len(f), -1)
+    errors: dict = {}
+    for n, point in zip(*np.nonzero(unusable)):
+        row, at = (f, b)[point % 2][n], point // 2
+        errors.setdefault(int(n), DegenerateSteadyStateError(
+            _error_text(ratio[row, at], isolated[row, at])))
+    # an indeterminate point (or a NaN factor) never moves the argmax
+    return np.where((den > RECTIFICATION_FLOOR) & ~np.isnan(rj), rj, -np.inf), errors
 
 
 def _factor(values: np.ndarray) -> np.ndarray:

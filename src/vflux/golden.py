@@ -19,7 +19,9 @@ Run as a module::
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -74,13 +76,12 @@ def verify(case: GoldenCase, csv_text: str | None = None) -> tuple[bool, str]:
 
 
 def _differing_cells(a: str, b: str):
-    """Each ``(row, column, cell_a, cell_b)`` whose texts differ: ``row`` from 1
-    (0 is the header), the header name of ``a``, None for a missing cell."""
-    lines_a, lines_b = a.strip().split("\n"), b.strip().split("\n")
-    header = lines_a[0].split(",")
-    for row, (line_a, line_b) in enumerate(zip_longest(lines_a, lines_b)):
-        cells_a = [] if line_a is None else line_a.split(",")
-        cells_b = [] if line_b is None else line_b.split(",")
+    """Each ``(row, column, cell_a, cell_b)`` whose texts differ, the rows read
+    as CSV (a quoted cell may hold commas): ``row`` from 1 (0 is the
+    header), the header name of ``a``, None for a missing cell."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(text))) for text in (a, b))
+    header = rows_a[0] if rows_a else []
+    for row, (cells_a, cells_b) in enumerate(zip_longest(rows_a, rows_b, fillvalue=[])):
         for col, (cell_a, cell_b) in enumerate(zip_longest(cells_a, cells_b)):
             if cell_a != cell_b:
                 yield row, header[col] if col < len(header) else col, cell_a, cell_b

@@ -60,13 +60,14 @@ def _entries(rates: RateSet):
     parts are ``Im L_33 = -delta`` and ``Im L_44 = delta``."""
     gm, gp = rates.gamma_minus, rates.gamma_plus
     gMp, gMm = rates.gain_M, rates.loss_M
-    cross1, cross2 = -0.5 * gm(1, 2, 2), -0.5 * gm(1, 2, 1)
-    damping = 0.5 * (gm(1, 1, 1) + gm(2, 2, 2)) + 0.5 * (gMp + gMm)
+    m11, m22, m121, m122 = gm(1, 1, 1), gm(2, 2, 2), gm(1, 2, 1), gm(1, 2, 2)
+    p11, p22 = gp(1, 1, 1), gp(2, 2, 2)
+    cross1, cross2 = -0.5 * m122, -0.5 * m121
+    damping = 0.5 * (m11 + m22) + 0.5 * (gMp + gMm)
     # 0.0 - damping is the real part of -1j * delta - damping, +0.0 at zero damping
-    return [[-(gm(1, 1, 1) + gMm), gMp, gp(1, 1, 1), cross1],
-            [gMm, -(gm(2, 2, 2) + gMp), gp(2, 2, 2), cross2],
-            [gm(1, 1, 1), gm(2, 2, 2), -(gp(1, 1, 1) + gp(2, 2, 2)),
-             0.5 * (gm(1, 2, 1) + gm(1, 2, 2))],
+    return [[-(m11 + gMm), gMp, p11, cross1],
+            [gMm, -(m22 + gMp), p22, cross2],
+            [m11, m22, -(p11 + p22), 0.5 * (m121 + m122)],
             [cross2, cross1, 0.5 * (gp(1, 2, 1) + gp(1, 2, 2)), 0.0 - damping]], rates.delta
 
 

@@ -106,15 +106,33 @@ class SystemSpec:
         return self
 
     def content_hash(self) -> str:
-        """Short stable hash of the resolved parameter set."""
-        # repr of the float value, so specs that compare equal (1, 1.0,
-        # np.float64(1.0)) hash equal
-        text = "|".join(f"{name}={float(getattr(self, name))!r}" for name in SPEC_FIELDS)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        """Short stable hash of the resolved parameter set (:func:`spec_hashes`)."""
+        return spec_hashes([self])[0]
 
 
 #: SystemSpec field names in declaration order.
 SPEC_FIELDS = tuple(f.name for f in fields(SystemSpec))
+
+
+def spec_hashes(specs) -> list[str]:
+    """:meth:`SystemSpec.content_hash` of each spec: 12 hex digits of the
+    SHA-256 of ``name=repr(float(value))`` over the fields, joined by
+    ``|``.  The repr of the float value makes specs that compare equal (1,
+    1.0, np.float64(1.0)) hash equal; each field formats each distinct
+    value once (zeros by sign, as ``-0.0 == 0.0``)."""
+    columns = []
+    for name in SPEC_FIELDS:
+        texts: dict = {}
+        column = []
+        for spec in specs:
+            value = float(getattr(spec, name))
+            key = value if value else value.hex()
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = f"{name}={value!r}"
+            column.append(text)
+        columns.append(column)
+    return [hashlib.sha256("|".join(parts).encode()).hexdigest()[:12] for parts in zip(*columns)]
 
 
 def interference_bound(g11: float, g22: float) -> float:

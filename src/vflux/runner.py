@@ -34,7 +34,7 @@ from .fcs import (FD_STEP, _difference_batch, cumulants_finite_difference,
                   cumulants_perturbative)
 from .liouvillian import build_generator
 from .model import (ENERGY, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, evaluate_valid,
-                    interference_bound)
+                    interference_bound, spec_hashes)
 from .steady import (
     steady_state,
     steady_state_resonant_two_bath,
@@ -53,8 +53,9 @@ def _rows(items, evaluate, batch: int = 1) -> list[dict]:
     rows = []
     for start in range(0, len(items), batch):
         chunk = items[start:start + batch]
-        for (spec, cells), out in zip(chunk, evaluate(chunk)):
-            row = {"spec_hash": spec.content_hash(), **vars(spec), **cells}
+        hashes = spec_hashes([spec for spec, _ in chunk])
+        for (spec, cells), out, spec_hash in zip(chunk, evaluate(chunk), hashes):
+            row = {"spec_hash": spec_hash, **vars(spec), **cells}
             row.update({"error": f"{type(out).__name__}: {out}"}
                        if isinstance(out, VfluxError) else out)
             rows.append(row)
@@ -224,11 +225,6 @@ def _fig21b(config: ScenarioConfig):
     return items, _noise, len(items)
 
 
-#: Grid rows of ``fig3`` per rectification scan stack (51 couplings times 100
-#: bias variants each); measured choice in ``docs/conventions.md``.
-FIG3_STACK_ROWS = 5
-
-
 def _fig3(config: ScenarioConfig):
     t0 = config.option("rectify.t0", 1.0)
 
@@ -237,8 +233,10 @@ def _fig3(config: ScenarioConfig):
                 else {"rj_max": out[0], "deltaT_star": out[1]}
                 for out in max_rectification_batch([spec for spec, _ in chunk], t0)]
 
+    # one batch: a spec's L<->R mirror sits in another grid row, and the
+    # scan bounds its stacks itself
     items = [(local, {"t0": t0}) for local in _coupling_specs(config.spec, 51)]
-    return items, evaluate, FIG3_STACK_ROWS * 51
+    return items, evaluate, len(items)
 
 
 def _middle_temperatures(config: ScenarioConfig) -> list:
@@ -314,14 +312,16 @@ def format_cell(value) -> str:
 
 def render_csv(columns, rows) -> str:
     """CSV text of ``rows``, one :func:`format_cell` per cell, written column
-    by column so that a column formats each distinct ``float`` once."""
+    by column so that a column formats each distinct ``float`` once.  A cell
+    holding a comma, a quote or a line break is quoted (RFC 4180)."""
     cells = [_column_cells([row.get(col) for row in rows]) for col in columns]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _column_cells(values) -> list[str]:
-    """:func:`format_cell` of each value, memoized for ``float`` cells (by
-    value, zeros by sign, and a NaN only by identity: it equals nothing)."""
+    """:func:`format_cell` of each value as a CSV field, memoized for
+    ``float`` cells (by value, zeros by sign, and a NaN only by identity: it
+    equals nothing), which never need quoting."""
     texts: dict = {}
     out = []
     for value in values:
@@ -331,9 +331,17 @@ def _column_cells(values) -> list[str]:
             if text is None:
                 text = texts[key] = format_cell(value)
         else:
-            text = format_cell(value)
+            text = _field(format_cell(value))
         out.append(text)
     return out
+
+
+def _field(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, when it holds
+    a comma, a quote or a line break (RFC 4180 minimal quoting)."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json_value(value):

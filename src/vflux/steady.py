@@ -59,9 +59,11 @@ def _kernel(re, delta, s, sqrt):
     """
     d = -re[3][3]
     q = d * d + delta * delta
-    g = 2.0 * d / (q + (q == 0))
+    q_or_1 = q + (q == 0)
+    g = 2.0 * d / q_or_1
     c, r = [row[3] for row in re[:3]], re[3][:3]
-    minors = _minors([[re[i][j] + g * c[i] * r[j] for j in range(3)] for i in range(3)])
+    gc = [g * ci for ci in c]
+    minors = _minors([[re[i][j] + gc[i] * r[j] for j in range(3)] for i in range(3)])
     tot = minors[0] + minors[1] + minors[2]
     third = s / 3.0
     dev = [[x - third for x in row[:3]] for row in re[:3]]
@@ -69,8 +71,9 @@ def _kernel(re, delta, s, sqrt):
     den = norms[0] * norms[1] * norms[2] * (r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + q)
     ratio = s * q * abs(tot) / (den + (den == 0))
     ok = ratio > ISOLATION_TOL
-    pop = [m / (tot * ok + (1 - ok)) for m in minors]  # divides by 1 where not ok
-    u = (r[0] * pop[0] + r[1] * pop[1] + r[2] * pop[2]) / (q + (q == 0))
+    tot_or_1 = tot * ok + (1 - ok)  # divides by 1 where not ok
+    pop = [m / tot_or_1 for m in minors]
+    u = (r[0] * pop[0] + r[1] * pop[1] + r[2] * pop[2]) / q_or_1
     return pop, (u * d, -(u * delta)), ratio, ok
 
 
@@ -111,8 +114,9 @@ def _real_columns(re, delta):
     """
     pop, (x, y), ratio, isolated, usable, t = _solve(re, delta)
     rat = 0.0 / t
-    scale = 1.0 / (t + 0.0 * rat)
-    columns = [(p + 0.0 * rat) * scale for p in pop]
+    zero = 0.0 * rat
+    scale = 1.0 / (t + zero)
+    columns = [(p + zero) * scale for p in pop]
     return columns + [(x + y * rat) * scale, (x + -y * rat) * scale], ratio, isolated, usable
 
 

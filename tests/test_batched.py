@@ -11,7 +11,10 @@ the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and the ``fig21b`` target, one
 stack, to one stacked LAPACK call per stage.  A grid of several batches
-must give the rows its batches give one at a time.
+must give the rows its batches give one at a time.  The rectification
+scan, which solves a spec's backward bias as its L<->R mirror's forward
+bias, is held to the point scan on batches with mirror pairs, and the
+``fig3`` bytes to the golden digest at any stack size.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vflux.analysis import (_factor, default_deltaT_grid, max_rectification_batch,
-                            rectification)
+from vflux import analysis
+from vflux.analysis import (_factor, _mirror_rows, default_deltaT_grid,
+                            max_rectification_batch, rectification)
 from vflux.config import build_config, config_for_target
+from vflux.golden import digest_of, load_cases
 from vflux.errors import (
     BranchError,
     DegenerateSteadyStateError,
@@ -69,8 +74,8 @@ from vflux.model import (
     evaluate_valid,
     spec_arrays,
 )
-from vflux.runner import SPEC_COLUMNS, _fig21b, _rows, _sweep, compute_rows
-from vflux.steady import steady_state, steady_state_batch
+from vflux.runner import SPEC_COLUMNS, _fig21b, _rows, _sweep, compute_rows, render_csv
+from vflux.steady import _real_columns, steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
     CurrentReport,
@@ -80,7 +85,7 @@ from vflux.transport import (
     particle_currents,
 )
 
-from conftest import invalid_specs, seeded_conserving_specs, seeded_leak_specs
+from conftest import DETUNED_SPEC, invalid_specs, seeded_conserving_specs, seeded_leak_specs
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -129,6 +134,34 @@ def shared_stacks(draw):
         redrawn = draw(st.sets(st.sampled_from(SPEC_COLUMNS)))
         batch.append(replace(base, **{name: getattr(other, name) for name in redrawn}))
     return batch
+
+
+def mirror(spec: SystemSpec) -> SystemSpec:
+    """``spec`` with its coupling sets and its edge temperatures swapped."""
+    return replace(spec, tempL=spec.tempR, tempR=spec.tempL,
+                   gL11=spec.gR11, gL22=spec.gR22, gL12=spec.gR12,
+                   gR11=spec.gL11, gR22=spec.gL22, gR12=spec.gL12)
+
+
+@st.composite
+def mirror_batches(draw):
+    """Scan batches with L<->R mirror pairs: drawn specs, the mirrors of some
+    of them (at other edge temperatures, which the scan overwrites), a spec
+    that is its own mirror, a spec next to a mirror that differs from its
+    own only in the sign of a zero (so the two do not pair), and invalid
+    specs, in any order."""
+    base = draw(st.lists(specs(), min_size=1, max_size=3))
+    batch = list(base)
+    for spec in base:
+        if draw(st.booleans()):
+            batch.append(replace(mirror(spec), tempL=draw(floats(0.3, 3.0)),
+                                 tempR=draw(floats(0.3, 3.0))))
+    own = draw(specs(RESONANT))
+    batch.append(replace(own, gR11=own.gL11, gR22=own.gL22, gR12=own.gL12))
+    zero = replace(draw(specs()), gL12=0.0)
+    batch += [zero, replace(mirror(zero), gR12=-0.0)]
+    batch += draw(st.lists(st.sampled_from([spec for _, spec in invalid_specs()]), max_size=3))
+    return draw(st.permutations(batch))
 
 
 def stacked(core, specs, *args) -> list:
@@ -261,8 +294,8 @@ def assert_scan_matches_the_point_scan(batch, t0, grid) -> list:
 
 
 @PROPERTY
-@given(st.one_of(st.lists(specs(), min_size=1, max_size=3), shared_stacks()), floats(0.5, 2.0),
-       st.permutations((0.3, 0.8, 1.4, 1.9, 2.0)), st.booleans())
+@given(st.one_of(st.lists(specs(), min_size=1, max_size=3), shared_stacks(), mirror_batches()),
+       floats(0.5, 2.0), st.permutations((0.3, 0.8, 1.4, 1.9, 2.0)), st.booleans())
 def test_rectification_factor_matches_scalar_bitwise(batch, t0, fractions, over_bias):
     # in any grid order; a bias of 2*t0 makes the scan end in a UsageError
     grid = np.array([f * t0 for f in fractions if over_bias or f < 2.0])
@@ -314,6 +347,102 @@ def test_rectification_scan_matches_the_point_scan_on_invalid_specs():
                              "DegenerateSteadyStateError": 1})
 
 
+def test_mirror_relabels_the_edge_currents_bit_for_bit():
+    # gamma_+- = gain/loss_L + gain/loss_R is an IEEE sum, which commutes,
+    # so a spec and its mirror have the same generator bits, and
+    # bath_currents runs the same operations on either edge bath; the
+    # rectification scan takes J_b from the mirror's forward point on this
+    corpus = seeded_conserving_specs() + seeded_leak_specs() + [OVERFLOWING]
+    for spec in corpus:
+        expected, got = outcome(heat_currents, spec), outcome(heat_currents, mirror(spec))
+        if isinstance(expected, VfluxError):
+            assert type(got) is type(expected) and str(got) == str(expected)
+        else:
+            assert same_bits(got, (expected[1], expected[0], expected[2]))
+    assert sum(isinstance(outcome(heat_currents, spec), VfluxError) for spec in corpus) == 1
+
+
+def test_scan_reports_the_first_kernel_error_in_scan_order(monkeypatch):
+    # rates near the float limit: at the first bias the forward point's
+    # kernel overflows to ratio 0 and the backward point's (its mirror's
+    # forward point) to NaN; the forward point comes first
+    eps = 4.057046395945866e-64
+    spec = SystemSpec(eps, eps, 1.0, 1.0, 1.0, 0.003, 0.003, 0.0, 0.01, 0.01, 0.005, 0.0)
+    t0, grid = 1.0, default_deltaT_grid(1.0)
+    dt = float(grid[0])
+    texts = [str(outcome(heat_currents, replace(spec, tempL=t0 + sign * dt / 2,
+                                                tempR=t0 - sign * dt / 2)))
+             for sign in (1.0, -1.0)]
+    assert texts[0].endswith("ratio 0.000e+00") and texts[1].endswith("ratio nan")
+    (out,) = assert_scan_matches_the_point_scan([spec], t0, grid)
+    assert str(out) == texts[0]
+
+    # a forward point at bias 3 and a backward point at bias 1 flagged:
+    # bias comes first, then forward before backward
+    def flagged(re, delta):
+        columns, *verdicts = _real_columns(re, delta)
+        shape = np.broadcast(*columns).shape
+        ratio, isolated, usable = (np.broadcast_to(x, shape).copy() for x in verdicts)
+        for row, at in ((0, 3), (1, 1)):
+            ratio[row, at], isolated[row, at], usable[row, at] = 100.0 * row + at, False, False
+        return columns, ratio, isolated, usable
+
+    monkeypatch.setattr(analysis, "_real_columns", flagged)
+    for batch in ([DETUNED_SPEC], [mirror(DETUNED_SPEC), DETUNED_SPEC]):
+        assert [str(out) for out in max_rectification_batch(batch, t0, grid)] == [
+            "kernel not isolated: deflated generator has Hadamard ratio 1.010e+02"] * len(batch)
+
+
+def test_mirror_rows_pair_by_bits():
+    spec = replace(DETUNED_SPEC, gL12=0.0)
+    twin = mirror(spec)
+
+    def rows(batch):
+        return _mirror_rows(spec_arrays(batch))
+
+    # a pair takes two rows, whatever the order and the edge temperatures;
+    # an unpaired spec takes them too, and copies share them
+    for batch, forward, backward in (([spec, twin], [0, 1], [1, 0]),
+                                     ([twin, replace(spec, tempL=9.0), spec], [0, 1, 1], [1, 0, 0]),
+                                     ([spec, spec], [0, 0], [1, 1])):
+        got = rows(batch)
+        assert got[:2] == ([(0, False), (0, True)], [0])
+        assert (got[2].tolist(), got[3].tolist()) == (forward, backward)
+    # a zero of the other sign does not pair
+    assert rows([spec, replace(twin, gR12=-0.0)])[:2] == (
+        [(0, False), (0, True), (1, False), (1, True)], [0, 2])
+    # a spec that is its own mirror takes one row
+    own = replace(DETUNED_SPEC, gR11=DETUNED_SPEC.gL11, gR22=DETUNED_SPEC.gL22,
+                  gR12=DETUNED_SPEC.gL12)
+    got, starts, forward, backward = rows([own])
+    assert (got, starts, forward.tolist(), backward.tolist()) == ([(0, False)], [0], [0], [0])
+
+
+def test_fig3_solves_each_forward_point_once(monkeypatch):
+    # every (gL12, gR12) cell's mirror (gR12, gL12) is in the grid, so the
+    # 2,601 specs take 2,601 rows of 50 hot-left biases: 130,050 points,
+    # where forward and backward points of each spec took 260,100
+    points = []
+
+    def counted(re, delta):
+        out = _real_columns(re, delta)
+        points.append(np.broadcast(*out[0]).size)
+        return out
+
+    monkeypatch.setattr(analysis, "_real_columns", counted)
+    compute_rows(config_for_target("fig3"))
+    assert sum(points) == 51 * 51 * 50
+    assert max(points) <= analysis.SCAN_STACK_POINTS
+
+
+@pytest.mark.parametrize("points", [1, 10**9])
+def test_fig3_bytes_do_not_depend_on_the_stack_size(monkeypatch, points):
+    # one group (a spec and its mirror) per stack, and the whole grid in one
+    monkeypatch.setattr(analysis, "SCAN_STACK_POINTS", points)
+    (case,) = [case for case in load_cases() if case.name == "fig3"]
+    assert digest_of(render_csv(*compute_rows(config_for_target("fig3")))) == case.digest
+
+
 @PROPERTY
 @given(floats(0.5, 2.0), floats(1.0, 3.0), floats(0.3, 0.7), floats(0.002, 0.02))
 def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
@@ -335,10 +464,13 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
     assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
 
 
+#: Occupations near 1e308 overflow the kernel's products to inf and nan.
+OVERFLOWING = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.0, 0.0)
+
+
 def test_overflowing_rates_fail_silently_like_one_point():
-    # occupations near 1e308 overflow the kernel's products to inf and nan;
-    # one point's Python floats do so without a warning, and so must a stack
-    spec = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.0, 0.0)
+    # one point's Python floats overflow without a warning, and so must a stack
+    spec = OVERFLOWING
     t0, grid = 0.5, np.array([0.1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

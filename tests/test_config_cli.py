@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -150,6 +152,23 @@ def test_render_csv_matches_a_per_cell_rendering():
                        for row in rows)
     assert render_csv(("a", "b", "c"), rows) == "a,b,c\n" + expected
     assert render_csv(("a", "b"), []) == "a,b\n"
+
+
+def test_error_cell_with_a_comma_is_one_quoted_field():
+    # the indeterminate text of deltaT = 0 holds a comma
+    columns, rows = compute_rows(build_config({"task": "rectify",
+                                               "rectify": {"deltaT": 0.0}}))
+    text = render_csv(columns, rows)
+    error = "IndeterminateRectificationError: both currents vanish at t0=1.0, deltaT=0.0"
+    assert f',"{error}"\n' in text
+    (header, row) = csv.reader(io.StringIO(text))
+    assert header == list(columns) and len(row) == len(columns) and row[-1] == error
+    # quotes are doubled, and a line break is kept inside the field
+    cells = ['a "b"', "x\ny", "p\rq", "plain", None]
+    text = render_csv(("a",), [{"a": cell} for cell in cells])
+    assert text == 'a\n"a ""b"""\n"x\ny"\n"p\rq"\nplain\n\n'
+    assert [row for row in csv.reader(io.StringIO(text, newline=""))] == [
+        ["a"], *([cell] for cell in cells[:-1]), []]
 
 
 def test_render_csv_deterministic():

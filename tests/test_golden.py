@@ -52,6 +52,15 @@ def test_numeric_comparator():
     assert compare_numeric(a, "h1,h2\n1.0000000000000000e+00\n") == (1, "h2", "x", None)
 
 
+def test_differing_cells_read_quoted_cells():
+    # a quoted error cell holds commas; the cells after it stay aligned
+    a = 'h1,error,h2\n1.0,"E: a, b",2.0\n'
+    b = 'h1,error,h2\n1.0,"E: a, c",2.5\n'
+    assert compare_numeric(a, b) == (1, "error", "E: a, b", "E: a, c")
+    assert column_diffs(a, b) == {"error": (1, math.inf, math.inf), "h2": (1, 0.5, 0.2)}
+    assert column_diffs(a, a) == {}
+
+
 def test_column_diffs():
     a = "h1,h2,error\n1.0,2.0,\n4.0,0.0,\n"
     b = "h1,h2,error\n1.0,2.5,\n3.0,-0.0,DomainError: x\n"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from vflux.model import (
     evaluate_valid,
     interference_bound,
     spec_arrays,
+    spec_hashes,
     validate,
 )
 from vflux.transport import heat_currents
@@ -341,6 +343,24 @@ def test_content_hash_equal_for_equal_specs():
     assert specs[0] == specs[1] == specs[2]
     assert len({spec.content_hash() for spec in specs}) == 1
     assert specs[0].content_hash() == two_bath_spec().content_hash()
+
+
+def test_spec_hashes_are_the_per_spec_hashes():
+    # the former per-spec hash, written out; a column memo must key 0.0 and
+    # -0.0 apart (they compare equal) and give 1, 1.0 and np.float64(1.0) one text
+    def reference(spec):
+        text = "|".join(f"{name}={float(getattr(spec, name))!r}" for name in SPEC_FIELDS)
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    base = two_bath_spec()
+    specs = [base, replace(base, gL12=-0.0), replace(base, gR12=-0.0, gL12=0.0),
+             replace(base, eps1=1, tempM=np.float64(1.0)), replace(base, gM=math.nan),
+             replace(base, gM=math.inf), *seeded_conserving_specs(20)]
+    hashes = spec_hashes(specs)
+    assert hashes == [reference(spec) for spec in specs]
+    assert hashes == [spec.content_hash() for spec in specs]
+    assert hashes[0] == hashes[3] and len({hashes[0], hashes[1], hashes[2]}) == 3
+    assert spec_hashes([]) == []
 
 
 def test_counting_fields_kind_checked():
