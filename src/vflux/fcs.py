@@ -8,8 +8,10 @@ on a projected inverse of the generator, and low orders from finite
 differences of the dominant eigenvalue.  The first is also available
 directly from the steady state, which is the recursion's first order.
 
-The ``_*_batch`` cores run both routes on a stacked :class:`RateSet` (finite
-differences on one spec's too), with the bits and error texts of one spec.
+The array cores :func:`_recursion` and :func:`_differences` run both routes
+on one spec's :class:`RateSet` or a stacked one, with the bits and error
+texts of one spec; the ``_*_batch`` functions wrap their arrays as one
+:class:`CumulantSet` or error per point.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 import numpy as np
 
 from .errors import BranchError, DegenerateSteadyStateError, UsageError
-from .liouvillian import (TRACE_VECTOR, _chi_derivative, _counting_matrix, _fill_block,
-                          build_generator)
+from .liouvillian import (TRACE_VECTOR, _check_order, _chi_derivative, _counting_matrix,
+                          _fill_block, build_generator)
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates
 from .steady import SteadyStateBatch, steady_state
 
@@ -83,14 +86,12 @@ def _check_bath_kind(bath: str, kind: str):
 
 def _check_recursion(bath: str, kind: str, order: int):
     _check_bath_kind(bath, kind)
-    if not 1 <= order <= 4:
-        raise UsageError(f"cumulant order must be in 1..4, got {order}")
+    _check_order("cumulant", order, 4)
 
 
 def _check_difference(bath: str, kind: str, order: int, h: float):
     _check_bath_kind(bath, kind)
-    if not 1 <= order <= 2:
-        raise UsageError(f"finite-difference order must be 1 or 2, got {order}")
+    _check_order("finite-difference", order, 2)
     if not 1e-6 <= h <= 1e-2:
         raise UsageError(f"finite-difference step must lie in [1e-6, 1e-2], got {h}")
 
@@ -131,13 +132,13 @@ def _spectra(rates: RateSet, chi: CountingFields, fractions) -> list:
 
 def _branch(start, end):
     """In each spectrum ``end``, the eigenvalue nearest the one of ``start``
-    (at half the field) nearest zero, for one point or a stack, and the
-    :class:`BranchError` text of each index (``()`` for one point) whose top
-    two real parts in ``end`` lie within :data:`BRANCH_TOL`."""
+    (at half the field) nearest zero, a scalar for one point and an array for
+    a stack, and the :class:`BranchError` text of each index (``()`` for one
+    point) whose top two real parts in ``end`` lie within :data:`BRANCH_TOL`."""
     near = np.take_along_axis(start, np.argmin(np.abs(start), axis=-1)[..., None], -1)
     pick = np.argmin(np.abs(end - near), axis=-1)[..., None]
     top = np.sort(end.real, axis=-1)
-    return np.take_along_axis(end, pick, -1)[..., 0], {
+    return np.take_along_axis(end, pick, -1)[..., 0][()], {
         tuple(n): _BRANCH_ERROR.format(BRANCH_TOL, top[tuple(n)][-1])
         for n in np.argwhere(top[..., -1] - top[..., -2] < BRANCH_TOL)}
 
@@ -212,7 +213,10 @@ def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: s
     A stack runs as ``(N, 5, 1)`` columns, so that each product is a
     stacked ``np.matmul`` on C-contiguous stacks, the trace row included:
     ``TRACE_VECTOR @ v.T`` changes the last bit.  Its cumulants are
-    ``(N, 1, 1)`` arrays.
+    ``(N, 1, 1)`` arrays.  The product of two of its complex arrays in the
+    correction term is written out in real parts: numpy may fuse an array
+    product's multiplies and adds, where one point's Python product rounds
+    each, which changed the last bit of an imaginary residue.
     """
     r = _projected_inverse(m, p0, errors)
     chi0 = CountingFields.zero(kind)
@@ -220,17 +224,26 @@ def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: s
     if p0.ndim == 1:
         def trace(v):
             return complex(TRACE_VECTOR @ v)
+
+        times = mul
     else:
         p0 = p0[:, :, None]
 
         def trace(v):
             return TRACE_VECTOR[None] @ v
 
+        def times(a, b):
+            out = np.empty_like(a)
+            out.real = a.real * b.real - a.imag * b.imag
+            out.imag = a.real * b.imag + a.imag * b.real
+            return out
+
     energies: dict = {}
     states: dict[int, np.ndarray] = {0: p0}
     for big_n in range(1, order + 1):
         e = sum(comb(big_n, n) * trace(h[n] @ states[big_n - n]) for n in range(1, big_n + 1))
-        e -= sum(comb(big_n, k) * energies[k] * trace(states[big_n - k]) for k in range(1, big_n))
+        e -= sum(times(comb(big_n, k) * energies[k], trace(states[big_n - k]))
+                 for k in range(1, big_n))
         energies[big_n] = e
         accum = np.zeros(p0.shape, dtype=complex)
         for n in range(1, big_n + 1):
@@ -239,14 +252,23 @@ def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: s
     return [energies[n] for n in range(1, order + 1)]
 
 
+def _residues(raw: list, errors=()) -> list:
+    """Largest imaginary part over the orders of the recursion's complex
+    cumulants ``raw`` (see :func:`_recursion`), one float per point (a list
+    of one for one point); warns about each above :data:`IMAG_WARN`, in
+    point order, except at the points in ``errors``, which hold no kernel."""
+    residues = np.abs(np.imag(raw)).max(axis=0).ravel()
+    for n in np.flatnonzero(residues > IMAG_WARN).tolist():
+        if n not in errors:
+            warnings.warn(f"cumulants carry imaginary residue {residues[n]:.3e}",
+                          RuntimeWarning, stacklevel=4)
+    return residues.tolist()
+
+
 def _recursion_set(bath: str, kind: str, raw: list) -> CumulantSet:
-    """The recursion's complex cumulants as a :class:`CumulantSet`; warns
-    about an imaginary residue above :data:`IMAG_WARN`."""
-    residue = max(abs(e.imag) for e in raw)
-    if residue > IMAG_WARN:
-        warnings.warn(
-            f"cumulants carry imaginary residue {residue:.3e}", RuntimeWarning, stacklevel=3
-        )
+    """One point's recursion cumulants as a :class:`CumulantSet`; warns as
+    :func:`_residues` does."""
+    (residue,) = _residues(raw)
     return CumulantSet(bath, kind, tuple(e.real for e in raw), PERTURBATIVE, residue)
 
 
@@ -256,8 +278,10 @@ def _recursion_batch(rates: RateSet, states: SteadyStateBatch,
     steady states: one :class:`CumulantSet` or error per point."""
     errors = states.errors
     raw = _recursion(rates, states.matrices, states.vectors, bath, kind, order, errors)
+    residues = _residues(raw, errors)
+    values = np.concatenate([e.real for e in raw], axis=-1)[:, 0].tolist()
     return [DegenerateSteadyStateError(errors[point]) if point in errors
-            else _recursion_set(bath, kind, [complex(e[point, 0, 0]) for e in raw])
+            else CumulantSet(bath, kind, tuple(values[point]), PERTURBATIVE, residues[point])
             for point in range(len(states.vectors))]
 
 
@@ -281,27 +305,29 @@ def cumulants_finite_difference(
     return outcome
 
 
-def _difference_set(bath: str, kind: str, order: int, h: float,
-                    e_h: complex, e_h2: complex) -> CumulantSet:
+def _differences(rates: RateSet, bath: str, kind: str, order: int, h: float):
     """The Richardson-refined stencils of :func:`cumulants_finite_difference`
-    from the dominant eigenvalues at steps ``h`` and ``h/2``."""
+    on one point's or a stack's valid, checked rates: one array per order,
+    of ``rates.shape`` (a scalar for one point), and the :class:`BranchError` text of each index (as
+    :func:`_branch` keys it) whose branch is ambiguous at step h or h/2, that
+    of step h where both are.  Step h is tracked 0, h/2, h and step h/2 0,
+    h/4, h/2: one spectrum at h/2 serves both."""
+    quarter, half, full = _spectra(rates, _single_field(bath, kind, h), (0.25, 0.5, 1.0))
+    e_h, errors = _branch(half, full)
+    e_h2, errors_h2 = _branch(quarter, half)
     # d E0 / d(i chi) at 0: odd part is purely imaginary by symmetry
     values = [richardson(e_h.imag / h, e_h2.imag / (h / 2.0))]
     if order >= 2:
         # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
         values.append(richardson(-2.0 * e_h.real / h**2, -2.0 * e_h2.real / (h / 2.0)**2))
-    return CumulantSet(bath, kind, tuple(values), FINITE_DIFFERENCE, 0.0)
+    return values, {**errors_h2, **errors}
 
 
 def _difference_batch(rates: RateSet, bath: str, kind: str, order: int, h: float) -> list:
-    """:func:`cumulants_finite_difference` of one point's or a stack's valid,
-    checked rates: one :class:`CumulantSet` or error per point.  Step h is
-    tracked 0, h/2, h and step h/2 0, h/4, h/2: one spectrum at h/2 serves both."""
-    quarter, half, full = _spectra(rates, _single_field(bath, kind, h), (0.25, 0.5, 1.0))
-    e_h, errors = _branch(half, full)
-    e_h2, errors_h2 = _branch(quarter, half)
-    # a point with both errors reports the one of step h
-    errors = {**errors_h2, **errors}
+    """:func:`_differences` as one :class:`CumulantSet` or
+    :class:`BranchError` per point."""
+    values, errors = _differences(rates, bath, kind, order, h)
+    cells = zip(*(np.ravel(v).tolist() for v in values))
     return [BranchError(errors[n]) if n in errors
-            else _difference_set(bath, kind, order, h, complex(e_h[n]), complex(e_h2[n]))
-            for n in np.ndindex(e_h.shape)]
+            else CumulantSet(bath, kind, cell, FINITE_DIFFERENCE, 0.0)
+            for n, cell in zip(np.ndindex(rates.shape), cells)]

@@ -16,8 +16,6 @@ holds them against each other entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -83,13 +81,14 @@ def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
     """
     re, delta = _entries(rates)
     m = np.zeros(rates.shape + (5, 5), dtype=complex)
+    real, imag = m.real, m.imag
     for i in range(4):
         for j in range(4):
-            m.real[..., i, j] = re[i][j]
+            real[..., i, j] = re[i][j]
     for k in range(3):
-        m.real[..., 4, k], m.real[..., k, 4] = re[3][k], re[k][3]
-    m.real[..., 4, 4] = re[3][3]
-    m.imag[..., 3, 3], m.imag[..., 4, 4] = -delta, delta
+        real[..., 4, k], real[..., k, 4] = re[3][k], re[k][3]
+    real[..., 4, 4] = re[3][3]
+    imag[..., 3, 3], imag[..., 4, 4] = -delta, delta
     if sandwich:
         _fill_sandwich(m, *sandwich)
     return m
@@ -123,8 +122,13 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, order: int = 0):
         losses.append((loss, (+w) ** order * np.exp(+1j * w * chi_u)))
 
     def summed(terms):
-        return lambda i, j, k: reduce(add, (table[i - 1][j - 1][k - 1] * factor[k - 1]
-                                            for table, factor in terms))
+        def rate(i, j, k):
+            total = None
+            for table, factor in terms:
+                term = table[i - 1][j - 1][k - 1] * factor[k - 1]
+                total = term if total is None else total + term
+            return total
+        return rate
 
     return summed(gains), summed(losses)
 
@@ -170,11 +174,20 @@ def generator_chi_derivative(
     at order ``n``, and zero elsewhere.  A bath with all couplings zero
     yields the zero matrix.
     """
-    if not 1 <= order <= 4:
-        raise UsageError(f"derivative order must be in 1..4, got {order}")
+    _check_order("derivative", order, 4)
     if bath not in BATHS:
         raise UsageError(f"bath must be 'L' or 'R', got {bath!r}")
     return _chi_derivative(build_rates(spec), chi0, bath, order)
+
+
+def _check_order(what: str, order, top: int) -> None:
+    """Raise :class:`UsageError` unless ``order`` is an integer (a Python or
+    numpy one, not a ``bool``) in ``1..top``."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise UsageError(f"{what} order must be an integer, got {order!r}")
+    if not 1 <= order <= top:
+        span = "1 or 2" if top == 2 else f"in 1..{top}"
+        raise UsageError(f"{what} order must be {span}, got {order}")
 
 
 def _chi_derivative(rates: RateSet, chi0: CountingFields, bath: str, order: int) -> np.ndarray:

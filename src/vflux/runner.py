@@ -29,19 +29,20 @@ from .analysis import (
     rectification,
 )
 from .config import ScenarioConfig
-from .errors import UsageError, VfluxError
-from .fcs import (FD_STEP, _difference_batch, cumulants_finite_difference,
+from .errors import BranchError, DegenerateSteadyStateError, UsageError, VfluxError
+from .fcs import (FD_STEP, _differences, _recursion, _residues, cumulants_finite_difference,
                   cumulants_perturbative)
-from .liouvillian import build_generator
+from .liouvillian import _fill_block, build_generator
 from .model import (ENERGY, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, evaluate_valid,
                     interference_bound, spec_hashes)
 from .steady import (
     steady_state,
+    steady_state_batch,
     steady_state_resonant_two_bath,
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, _reports_batch, heat_currents
+from .transport import CurrentReport, _reports_batch, bath_currents, heat_currents
 
 
 def _rows(items, evaluate, batch: int = 1) -> list[dict]:
@@ -209,14 +210,23 @@ def _fig2b(config: ScenarioConfig):
 def _noise(chunk):
     """Batched evaluator (see :func:`_rows`) of the right-bath energy current
     and noise power, the noise by recursion, then by finite differences,
-    both from one stacked :class:`RateSet`; ``fig21b`` lists the two noise
-    columns only."""
+    read as arrays from the stacked cores on one stacked :class:`RateSet`:
+    the kernel, its currents, the recursion on the same generators and
+    kernels, and the stencils.  A point without a kernel reports the
+    kernel's error, one with an ambiguous branch the :class:`BranchError`;
+    ``fig21b`` lists the two noise columns only."""
     def evaluate(rates):
-        return [report if isinstance(report, VfluxError)
-                else fd if isinstance(fd, VfluxError)
-                else {"JeR": report[1].JeR, "SeRR": report[1].SeRR, "SeRR_fd": fd.noise_power}
-                for report, fd in zip(_reports_batch(rates),
-                                      _difference_batch(rates, "R", ENERGY, 2, FD_STEP))]
+        states = steady_state_batch(_fill_block(rates))
+        kernel_errors = states.errors
+        je_r = bath_currents(rates, states.vectors.T, ENERGY)[1]
+        raw = _recursion(rates, states.matrices, states.vectors, "R", ENERGY, 2, kernel_errors)
+        _residues(raw, kernel_errors)
+        fd, branch_errors = _differences(rates, "R", ENERGY, 2, FD_STEP)
+        cells = zip(je_r.tolist(), raw[1].real.ravel().tolist(), fd[1].tolist())
+        return [DegenerateSteadyStateError(kernel_errors[n]) if n in kernel_errors
+                else BranchError(branch_errors[n,]) if (n,) in branch_errors
+                else {"JeR": j, "SeRR": se, "SeRR_fd": se_fd}
+                for n, (j, se, se_fd) in enumerate(cells)]
     return evaluate_valid([spec for spec, _ in chunk], evaluate)
 
 
@@ -321,15 +331,18 @@ def render_csv(columns, rows) -> str:
 def _column_cells(values) -> list[str]:
     """:func:`format_cell` of each value as a CSV field, memoized for
     ``float`` cells (by value, zeros by sign, and a NaN only by identity: it
-    equals nothing), which never need quoting."""
+    equals nothing), which never need quoting; a ``str`` is its own text."""
     texts: dict = {}
     out = []
     for value in values:
-        if type(value) is float:
+        kind = type(value)
+        if kind is float:
             key = value if value else value.hex()  # 0.0 == -0.0
             text = texts.get(key)
             if text is None:
-                text = texts[key] = format_cell(value)
+                text = texts[key] = format(value, ".16e")
+        elif kind is str:
+            text = _field(value)
         else:
             text = _field(format_cell(value))
         out.append(text)

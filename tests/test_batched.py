@@ -10,7 +10,9 @@ superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and the ``fig21b`` target, one
-stack, to one stacked LAPACK call per stage.  A grid of several batches
+stack, to one stacked LAPACK call per stage.  The evaluator of the noise
+grids reads its cells as arrays; it is held to the one-point public routes
+and must build no per-point object.  A grid of several batches
 must give the rows its batches give one at a time.  The rectification
 scan, which solves a spec's backward bias as its L<->R mirror's forward
 bias, is held to the point scan on batches with mirror pairs, and the
@@ -74,8 +76,9 @@ from vflux.model import (
     evaluate_valid,
     spec_arrays,
 )
-from vflux.runner import SPEC_COLUMNS, _fig21b, _rows, _sweep, compute_rows, render_csv
-from vflux.steady import _real_columns, steady_state, steady_state_batch
+from vflux.runner import (SPEC_COLUMNS, _fig21b, _noise, _rows, _sweep, compute_rows,
+                          render_csv)
+from vflux.steady import SteadyState, _real_columns, steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
     CurrentReport,
@@ -480,8 +483,10 @@ def test_overflowing_rates_fail_silently_like_one_point():
         with pytest.raises(DegenerateSteadyStateError) as report_info:
             CurrentReport.from_spec(spec)
         (report,) = evaluate_valid([spec], _reports_batch)
+        (noise,) = _noise([(spec, {})])
     assert isinstance(scan, DegenerateSteadyStateError) and str(scan) == str(info.value)
-    assert isinstance(report, DegenerateSteadyStateError) and str(report) == str(report_info.value)
+    for out in (report, noise):
+        assert isinstance(out, DegenerateSteadyStateError) and str(out) == str(report_info.value)
 
 
 @PROPERTY
@@ -575,6 +580,18 @@ def test_perturbative_cumulants_match_scalar_bitwise(batch, bath, kind, order):
             assert same_cumulants(out, outcome(cumulants_perturbative, spec, bath, kind, order))
 
 
+def test_stacked_recursion_rounds_the_consistency_term_like_one_point():
+    # numpy may fuse the multiplies and adds of an array's complex product,
+    # where a Python complex product rounds each; the correction term of
+    # E_3 gave this spec's imaginary residue another last bit on a stack
+    spec = SystemSpec(1.5891593417834327, 0.75, 2.70002313623393, 0.818359375,
+                      1.2666063302556672, 0.01171875, 0.011994952896088608,
+                      0.003067727518088353, 0.005548508159906125, 0.003305622838204852,
+                      8.907902089104312e-05, 0.009660120720265357)
+    (out,) = stacked(recursion, [spec], "L", ENERGY, 3)
+    assert same_cumulants(out, cumulants_perturbative(spec, "L", ENERGY, 3))
+
+
 def tracked_eigenvalue(rates, chi):
     """The dominant eigenvalue as one point's own tracker found it, the
     reference for the shared tracker: zero field, or a ramp of two
@@ -657,6 +674,84 @@ def test_degenerate_corner_same_cumulant_errors_on_both_routes(eps, temp_l, frac
         assert same_cumulants(fd, outcome(cumulants_finite_difference, spec, bath, kind, 2))
 
 
+# ---------------------------------------------------------------------------
+# The noise grids (fig21b, fig4b), read as arrays, against the point routes.
+
+@st.composite
+def near_corners(draw):
+    """Specs a relative 1e-8 off a corner on the right: the kernel is
+    isolated, but the branch is ambiguous at both steps of the stencil,
+    with different error texts."""
+    corner = draw(corners())
+    return replace(corner, gR12=(1.0 - 1e-8) * corner.gR12)
+
+
+#: Fixed specs of every kind a noise grid meets: both seeded corpora, the
+#: invalid specs and the overflowing one.
+NOISE_POOL = (seeded_conserving_specs(12) + seeded_leak_specs(6)
+              + [spec for _, spec in invalid_specs()] + [OVERFLOWING])
+
+
+def noise_point(spec) -> dict:
+    """The cells of ``runner._noise`` from the public one-point routes:
+    the spec's DomainError, then the kernel's error, then the BranchError."""
+    report = CurrentReport.from_spec(spec)
+    return {"JeR": report.JeR, "SeRR": report.SeRR,
+            "SeRR_fd": cumulants_finite_difference(spec, "R", ENERGY, 2).noise_power}
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.sampled_from(NOISE_POOL), specs(), corners(), near_corners()),
+                min_size=1, max_size=8))
+def test_noise_cells_match_the_point_routes(batch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cells = _noise([(spec, {}) for spec in batch])
+    assert len(cells) == len(batch)
+    for spec, out in zip(batch, cells):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = outcome(noise_point, spec)
+            # the point route's stencil, in turn, raises the error of step h first
+            fd = outcome(tracked_differences, spec, "R", ENERGY, 2, FD_STEP)
+        if isinstance(expected, VfluxError):
+            assert type(out) is type(expected) and str(out) == str(expected)
+            if isinstance(expected, BranchError):
+                assert type(fd) is BranchError and str(fd) == str(expected)
+        else:
+            assert list(out) == ["JeR", "SeRR", "SeRR_fd"]
+            assert all(type(value) is float for value in out.values())
+            assert all(same_bits(out[name], expected[name]) for name in out)
+            assert same_bits(expected["SeRR_fd"], fd.noise_power)
+
+
+def test_noise_reports_the_kernel_error_before_the_branch_error():
+    # an exact corner fails both, a near one the stencil only
+    corner = SystemSpec(1.0, 1.0, 2.0, 1.0, 1.0, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.0)
+    near = replace(corner, gR12=(1.0 - 1e-8) * corner.gR12)
+    fd = [outcome(cumulants_finite_difference, spec, "R", ENERGY, 2) for spec in (corner, near)]
+    assert all(isinstance(out, BranchError) for out in fd)
+    first, second, valid = _noise([(corner, {}), (near, {}), (DETUNED_SPEC, {})])
+    assert isinstance(first, DegenerateSteadyStateError)
+    assert isinstance(second, BranchError) and str(second) == str(fd[1])
+    assert isinstance(valid, dict)
+
+
+def test_fig21b_builds_no_per_point_object(monkeypatch):
+    made = Counter()
+    for cls in (SteadyState, CurrentReport, CumulantSet):
+        def counted(self, *args, _name=cls.__name__, _original=cls.__init__, **kwargs):
+            made[_name] += 1
+            _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    # the counters see the point routes' objects
+    CurrentReport.from_spec(DETUNED_SPEC)
+    assert made == Counter({"SteadyState": 1, "CurrentReport": 1, "CumulantSet": 1})
+    made.clear()
+    rows = _rows(*_fig21b(config_for_target("fig21b")))
+    assert len(rows) == 1681 and not made
+
+
 def test_batch_warns_like_the_scalar_loop(monkeypatch):
     # with the threshold at zero every nonzero residue is warned about
     monkeypatch.setattr("vflux.fcs.IMAG_WARN", 0.0)
@@ -672,8 +767,12 @@ def test_batch_warns_like_the_scalar_loop(monkeypatch):
         scalar = texts(lambda: [cumulants_perturbative(s, "R", kind, 4) for s in batch])
         assert len(scalar) >= 6
         assert texts(lambda: stacked(recursion, batch, "R", kind, 4)) == scalar
-    assert texts(lambda: stacked(_reports_batch, batch)) == texts(
-        lambda: [CurrentReport.from_spec(s) for s in batch])
+    reports = texts(lambda: [CurrentReport.from_spec(s) for s in batch])
+    assert len(reports) >= 6
+    assert texts(lambda: stacked(_reports_batch, batch)) == reports
+    # the noise grids warn about the recursion only, in point order
+    assert texts(lambda: _noise([(s, {}) for s in batch])) == texts(
+        lambda: [noise_point(s) for s in batch]) == reports
 
 
 def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):

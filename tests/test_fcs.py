@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,25 @@ def test_perturbative_order_guard():
         cumulants_perturbative(two_bath_spec(), "R", ENERGY, order=5)
     with pytest.raises(UsageError):
         cumulants_perturbative(two_bath_spec(), "M", ENERGY, order=2)
+
+
+#: Orders that are not integers, or are bools, which are ints to Python.
+NON_INTEGER_ORDERS = [1.5, 2.0, np.float64(1.0), True, np.bool_(True), "2", None]
+
+
+@pytest.mark.parametrize("order", NON_INTEGER_ORDERS, ids=repr)
+def test_cumulant_routes_reject_a_non_integer_order(order):
+    spec = two_bath_spec(0.7 * BOUND, 0.4 * BOUND)
+    for route in (cumulants_perturbative, cumulants_finite_difference):
+        with pytest.raises(UsageError, match=re.escape(f"order must be an integer, got {order!r}")):
+            route(spec, "R", ENERGY, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, np.int64(2), np.int8(1)], ids=repr)
+def test_cumulant_routes_take_a_numpy_integer_order(order):
+    spec = two_bath_spec(0.7 * BOUND, 0.4 * BOUND)
+    for route in (cumulants_perturbative, cumulants_finite_difference):
+        assert route(spec, "R", ENERGY, order).values == route(spec, "R", ENERGY, int(order)).values
 
 
 def test_finite_difference_equilibrium():

@@ -203,6 +203,12 @@ def test_chi_derivative_order_guard():
         generator_chi_derivative(two_bath_spec(), CountingFields.zero(ENERGY), "R", 5)
 
 
+@pytest.mark.parametrize("order", [1.5, 2.0, np.float64(1.0), True], ids=repr)
+def test_chi_derivative_rejects_a_non_integer_order(order):
+    with pytest.raises(UsageError, match="derivative order must be an integer"):
+        generator_chi_derivative(two_bath_spec(), CountingFields.zero(ENERGY), "R", order)
+
+
 def test_chi_derivative_at_nonzero_base_point():
     spec = two_bath_spec(0.7 * BOUND, 0.4 * BOUND)
     chi0 = 0.1
