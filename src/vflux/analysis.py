@@ -227,13 +227,14 @@ def _stack_scan(params, rows, edges, f, b):
                                                params[name][spec]))
                         for name, source in MIRRORED.items()}, **edges})
     shape = (len(rows), edges["tempL"].shape[1])
-    columns, *verdicts = _real_columns(*_entries(rates))
-    ratio, isolated, usable = (np.broadcast_to(x, shape) for x in verdicts)
-    j_l, j_r, _ = (np.broadcast_to(x, shape) for x in bath_currents(rates, columns, ENERGY))
-    j_f, j_b = j_r[f], j_l[b]
-    den = np.maximum(j_f, -j_b)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # as in one point's Python floats, rates near the float limit overflow silently
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        columns, *verdicts = _real_columns(*_entries(rates))
+        j_l, j_r, _ = (np.broadcast_to(x, shape) for x in bath_currents(rates, columns, ENERGY))
+        j_f, j_b = j_r[f], j_l[b]
+        den = np.maximum(j_f, -j_b)
         rj = np.abs(j_f + j_b) / den
+    ratio, isolated, usable = (np.broadcast_to(x, shape) for x in verdicts)
     # (spec, bias, forward/backward), flattened to the scan order
     unusable = ~np.stack([usable[f], usable[b]], axis=2).reshape(len(f), -1)
     errors: dict = {}

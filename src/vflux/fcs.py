@@ -10,8 +10,8 @@ directly from the steady state, which is the recursion's first order.
 
 The array cores :func:`_recursion` and :func:`_differences` run both routes
 on one spec's :class:`RateSet` or a stacked one, with the bits and error
-texts of one spec; the ``_*_batch`` functions wrap their arrays as one
-:class:`CumulantSet` or error per point.
+texts of one spec; the grid evaluator of :mod:`vflux.runner` reads their
+arrays as cells.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from operator import mul
 
 import numpy as np
 
-from .errors import BranchError, DegenerateSteadyStateError, UsageError
+from .errors import BranchError, UsageError
 from .liouvillian import (TRACE_VECTOR, _check_order, _chi_derivative, _counting_matrix,
-                          _fill_block, build_generator)
+                          build_generator)
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates
-from .steady import SteadyStateBatch, steady_state
+from .steady import steady_state
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -43,6 +43,7 @@ IMAG_WARN = 1e-10
 FD_STEP = 1e-4
 
 _BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
+_NOT_FINITE_ERROR = "dressed generator is not finite"
 
 
 @dataclass(frozen=True)
@@ -113,21 +114,34 @@ def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
     ------
     BranchError
         If two eigenvalues sit within 1e-9 of the maximal real part at the
-        target counting field.
+        target counting field, or if a dressed generator is not finite.
     """
     rates = build_rates(spec)
     if chi.is_zero:
-        eigvals = np.linalg.eigvals(_fill_block(rates))
-        return complex(eigvals[np.argmin(np.abs(eigvals))])
-    tracked, errors = _branch(*_spectra(rates, chi, (0.5, 1.0)))
+        (eigvals,), errors = _spectra(rates, chi, (1.0,))
+        tracked = eigvals[np.argmin(np.abs(eigvals))]
+    else:
+        spectra, errors = _spectra(rates, chi, (0.5, 1.0))
+        tracked, branch_errors = _branch(*spectra)
+        errors = {**branch_errors, **errors}
     if errors:
         raise BranchError(errors[()])
     return complex(tracked)
 
 
-def _spectra(rates: RateSet, chi: CountingFields, fractions) -> list:
-    """Dressed spectra, ``rates.shape + (5,)``, at each fraction of ``chi``."""
-    return [np.linalg.eigvals(_counting_matrix(rates, chi.scaled(f))) for f in fractions]
+def _spectra(rates: RateSet, chi: CountingFields, fractions):
+    """Dressed spectra, ``rates.shape + (5,)``, at each fraction of ``chi``,
+    and the :class:`BranchError` text of each index (as :func:`_branch` keys
+    it) whose dressed matrices are not all finite.  Those never reach
+    ``eigvals``, which rejects a whole stack for one of them: the identity
+    takes their place, as in :func:`_projected_inverse`."""
+    matrices = [_counting_matrix(rates, chi.scaled(f)) for f in fractions]
+    finite = np.all([np.isfinite(m).all(axis=(-2, -1)) for m in matrices], axis=0)
+    errors = {tuple(n): _NOT_FINITE_ERROR for n in np.argwhere(~finite)}
+    if errors:
+        for m in matrices:
+            m[~finite] = np.eye(5)
+    return [np.linalg.eigvals(m) for m in matrices], errors
 
 
 def _branch(start, end):
@@ -272,19 +286,6 @@ def _recursion_set(bath: str, kind: str, raw: list) -> CumulantSet:
     return CumulantSet(bath, kind, tuple(e.real for e in raw), PERTURBATIVE, residue)
 
 
-def _recursion_batch(rates: RateSet, states: SteadyStateBatch,
-                     bath: str, kind: str, order: int) -> list:
-    """:func:`cumulants_perturbative` of a stack of valid rates and their
-    steady states: one :class:`CumulantSet` or error per point."""
-    errors = states.errors
-    raw = _recursion(rates, states.matrices, states.vectors, bath, kind, order, errors)
-    residues = _residues(raw, errors)
-    values = np.concatenate([e.real for e in raw], axis=-1)[:, 0].tolist()
-    return [DegenerateSteadyStateError(errors[point]) if point in errors
-            else CumulantSet(bath, kind, tuple(values[point]), PERTURBATIVE, residues[point])
-            for point in range(len(states.vectors))]
-
-
 def cumulants_finite_difference(
     spec: SystemSpec,
     bath: str,
@@ -299,35 +300,27 @@ def cumulants_finite_difference(
     size suffices; each stencil is Richardson-refined once.
     """
     _check_difference(bath, kind, order, h)
-    (outcome,) = _difference_batch(build_rates(spec), bath, kind, order, h)
-    if isinstance(outcome, BranchError):
-        raise outcome
-    return outcome
+    values, errors = _differences(build_rates(spec), bath, kind, order, h)
+    if errors:
+        raise BranchError(errors[()])
+    return CumulantSet(bath, kind, tuple(map(float, values)), FINITE_DIFFERENCE, 0.0)
 
 
 def _differences(rates: RateSet, bath: str, kind: str, order: int, h: float):
     """The Richardson-refined stencils of :func:`cumulants_finite_difference`
     on one point's or a stack's valid, checked rates: one array per order,
-    of ``rates.shape`` (a scalar for one point), and the :class:`BranchError` text of each index (as
-    :func:`_branch` keys it) whose branch is ambiguous at step h or h/2, that
-    of step h where both are.  Step h is tracked 0, h/2, h and step h/2 0,
+    of ``rates.shape`` (a scalar for one point), and the :class:`BranchError`
+    text of each index (as :func:`_branch` keys it) whose dressed matrices
+    are not finite (:func:`_spectra`), else whose branch is ambiguous at
+    step h, else at step h/2.  Step h is tracked 0, h/2, h and step h/2 0,
     h/4, h/2: one spectrum at h/2 serves both."""
-    quarter, half, full = _spectra(rates, _single_field(bath, kind, h), (0.25, 0.5, 1.0))
-    e_h, errors = _branch(half, full)
+    (quarter, half, full), errors = _spectra(rates, _single_field(bath, kind, h),
+                                             (0.25, 0.5, 1.0))
+    e_h, errors_h = _branch(half, full)
     e_h2, errors_h2 = _branch(quarter, half)
     # d E0 / d(i chi) at 0: odd part is purely imaginary by symmetry
     values = [richardson(e_h.imag / h, e_h2.imag / (h / 2.0))]
     if order >= 2:
         # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
         values.append(richardson(-2.0 * e_h.real / h**2, -2.0 * e_h2.real / (h / 2.0)**2))
-    return values, {**errors_h2, **errors}
-
-
-def _difference_batch(rates: RateSet, bath: str, kind: str, order: int, h: float) -> list:
-    """:func:`_differences` as one :class:`CumulantSet` or
-    :class:`BranchError` per point."""
-    values, errors = _differences(rates, bath, kind, order, h)
-    cells = zip(*(np.ravel(v).tolist() for v in values))
-    return [BranchError(errors[n]) if n in errors
-            else CumulantSet(bath, kind, cell, FINITE_DIFFERENCE, 0.0)
-            for n, cell in zip(np.ndindex(rates.shape), cells)]
+    return values, {**errors_h2, **errors_h, **errors}

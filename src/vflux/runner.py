@@ -33,7 +33,7 @@ from .errors import BranchError, DegenerateSteadyStateError, UsageError, VfluxEr
 from .fcs import (FD_STEP, _differences, _recursion, _residues, cumulants_finite_difference,
                   cumulants_perturbative)
 from .liouvillian import _fill_block, build_generator
-from .model import (ENERGY, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, evaluate_valid,
+from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, evaluate_valid,
                     interference_bound, spec_hashes)
 from .steady import (
     steady_state,
@@ -42,20 +42,21 @@ from .steady import (
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, _reports_batch, bath_currents, heat_currents
+from .transport import CurrentReport, _report_warnings, bath_currents
 
 
-def _rows(items, evaluate, batch: int = 1) -> list[dict]:
+def _rows(items, evaluate, batch: int = 1, columns=None) -> list[dict]:
     """Rows of ``(spec, cells)`` items, evaluated ``batch`` items at a time
     in the calling thread (a thread pool gained nothing; see
-    ``docs/conventions.md``).  ``evaluate`` maps a list of items to one dict
-    of result cells or one :class:`VfluxError` per item; an error fills that
-    row's ``error`` cell."""
+    ``docs/conventions.md``).  ``evaluate(chunk, columns)`` maps a list of
+    items to one dict of result cells or one :class:`VfluxError` per item,
+    and need fill only the result ``columns`` (default: all it can); an
+    error fills that row's ``error`` cell."""
     rows = []
     for start in range(0, len(items), batch):
         chunk = items[start:start + batch]
         hashes = spec_hashes([spec for spec, _ in chunk])
-        for (spec, cells), out, spec_hash in zip(chunk, evaluate(chunk), hashes):
+        for (spec, cells), out, spec_hash in zip(chunk, evaluate(chunk, columns), hashes):
             row = {"spec_hash": spec_hash, **vars(spec), **cells}
             row.update({"error": f"{type(out).__name__}: {out}"}
                        if isinstance(out, VfluxError) else out)
@@ -70,7 +71,7 @@ def _each(*fns):
     serves batches of one; a :class:`VfluxError` it raises is that item's
     outcome.
     """
-    def evaluate(chunk):
+    def evaluate(chunk, columns):
         outcomes = []
         for fn, (spec, cells) in zip(fns, chunk, strict=True):
             try:
@@ -81,14 +82,48 @@ def _each(*fns):
     return evaluate
 
 
-def _steady_evaluator(include_noise: bool):
-    """Batched evaluator of steady-state and current cells (see :func:`_rows`)."""
-    def evaluate(chunk):
-        return [out if isinstance(out, VfluxError)
-                else {**_state_cells(out[0]), **_current_cells(out[1])}
-                for out in evaluate_valid([spec for spec, _ in chunk],
-                                          lambda rates: _reports_batch(rates, include_noise))]
+def _stacked(include_noise: bool):
+    """Batched evaluator (see :func:`_rows`) of the state, current and noise
+    cells, read as arrays from one stack's kernel, currents, recursion (with
+    ``include_noise``, else ``SeRR`` is NaN) and stencils (where ``SeRR_fd``
+    is filled); see ``docs/conventions.md``, "Batched grid evaluation".  As
+    one point's Python floats, a stack overflows silently."""
+    def evaluate(chunk, columns):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return evaluate_valid([spec for spec, _ in chunk],
+                                  lambda rates: _stack_cells(rates, include_noise, columns))
     return evaluate
+
+
+def _stack_cells(rates, include_noise: bool, columns) -> list:
+    """The cells of :func:`_stacked`, or the kernel's error, else the
+    :class:`BranchError` (only where ``SeRR_fd`` is filled), per point."""
+    states = steady_state_batch(_fill_block(rates))
+    v = states.vectors
+    je = bath_currents(rates, v.T, ENERGY)
+    jp = bath_currents(rates, v.T, PARTICLE)
+    res_e, res_p = np.abs(je[0] + je[1] + je[2]), np.abs(jp[0] + jp[1])
+    # np.abs of a complex array differs from one point's abs in the last bit
+    arrays = {"rho11": v[:, 0].real, "rho22": v[:, 1].real, "rhogg": v[:, 2].real,
+              "abs_rho12": np.hypot(v[:, 3].real, v[:, 3].imag),
+              "re_rho12": v[:, 3].real, "im_rho12": v[:, 3].imag, "residual": states.residuals,
+              "JeL": je[0], "JeR": je[1], "JeM": je[2], "JpL": jp[0], "JpR": jp[1], "JpM": jp[2],
+              "SeRR": np.full(len(v), math.nan), "res_energy": res_e, "res_particle": res_p}
+    errors = {n: DegenerateSteadyStateError(text) for n, text in states.errors.items()}
+    if include_noise:
+        raw = _recursion(rates, states.matrices, v, "R", ENERGY, 2, states.errors)
+        _residues(raw, states.errors)
+        arrays["SeRR"] = raw[1].real.ravel()
+    if columns is None or "SeRR_fd" in columns:
+        fd, branch_errors = _differences(rates, "R", ENERGY, 2, FD_STEP)
+        arrays["SeRR_fd"] = fd[1]
+        for (n,), text in branch_errors.items():
+            errors.setdefault(n, BranchError(text))
+    cells = {name: arrays[name].tolist() for name in columns or arrays if name in arrays}
+    if columns is None or "warnings" in columns:
+        cells["warnings"] = [";".join(_report_warnings(*flags)) for flags in zip(
+            res_e.tolist(), res_p.tolist(), states.positivity_warnings.tolist())]
+    return [errors.get(n, dict(zip(cells, row))) for n, row in enumerate(zip(*cells.values()))]
 
 
 def _state_cells(ss) -> dict:
@@ -192,53 +227,33 @@ def _sweep(config: ScenarioConfig):
     # of two axes, or the whole of one
     items = [(replace(config.spec, **{name: float(v) for (name, _), v in zip(axes, point)}), {})
              for point in product(*(values for _, values in axes))]
-    return items, _steady_evaluator(include_noise=True), len(axes[-1][1])
+    return items, _stacked(include_noise=True), len(axes[-1][1])
 
 
-def _coupling_grid(config: ScenarioConfig):
-    items = [(local, {}) for local in _coupling_specs(config.spec, 41)]
-    return items, _steady_evaluator(include_noise=False), len(items)
+def _stack(items, include_noise: bool = False):
+    """The plan of ``items`` as one stack (see :func:`_stacked`)."""
+    return items, _stacked(include_noise), len(items)
+
+
+def _coupling_grid(config: ScenarioConfig, include_noise: bool = False):
+    return _stack([(local, {}) for local in _coupling_specs(config.spec, 41)], include_noise)
 
 
 def _fig2b(config: ScenarioConfig):
     deltas = np.linspace(0.0, 1.5, 31)
     items = [(replace(config.spec, tempR=float(tr), tempL=float(tr + dt)), {"deltaT": float(dt)})
              for tr in np.linspace(0.1, 2.0, 39) for dt in deltas]
-    return items, _steady_evaluator(include_noise=False), len(items)
-
-
-def _noise(chunk):
-    """Batched evaluator (see :func:`_rows`) of the right-bath energy current
-    and noise power, the noise by recursion, then by finite differences,
-    read as arrays from the stacked cores on one stacked :class:`RateSet`:
-    the kernel, its currents, the recursion on the same generators and
-    kernels, and the stencils.  A point without a kernel reports the
-    kernel's error, one with an ambiguous branch the :class:`BranchError`;
-    ``fig21b`` lists the two noise columns only."""
-    def evaluate(rates):
-        states = steady_state_batch(_fill_block(rates))
-        kernel_errors = states.errors
-        je_r = bath_currents(rates, states.vectors.T, ENERGY)[1]
-        raw = _recursion(rates, states.matrices, states.vectors, "R", ENERGY, 2, kernel_errors)
-        _residues(raw, kernel_errors)
-        fd, branch_errors = _differences(rates, "R", ENERGY, 2, FD_STEP)
-        cells = zip(je_r.tolist(), raw[1].real.ravel().tolist(), fd[1].tolist())
-        return [DegenerateSteadyStateError(kernel_errors[n]) if n in kernel_errors
-                else BranchError(branch_errors[n,]) if (n,) in branch_errors
-                else {"JeR": j, "SeRR": se, "SeRR_fd": se_fd}
-                for n, (j, se, se_fd) in enumerate(cells)]
-    return evaluate_valid([spec for spec, _ in chunk], evaluate)
+    return _stack(items)
 
 
 def _fig21b(config: ScenarioConfig):
-    items = [(local, {}) for local in _coupling_specs(config.spec, 41)]
-    return items, _noise, len(items)
+    return _coupling_grid(config, include_noise=True)
 
 
 def _fig3(config: ScenarioConfig):
     t0 = config.option("rectify.t0", 1.0)
 
-    def evaluate(chunk):
+    def evaluate(chunk, columns):
         return [out if isinstance(out, VfluxError)
                 else {"rj_max": out[0], "deltaT_star": out[1]}
                 for out in max_rectification_batch([spec for spec, _ in chunk], t0)]
@@ -254,8 +269,7 @@ def _middle_temperatures(config: ScenarioConfig) -> list:
 
 
 def _fig4b(config: ScenarioConfig):
-    items = _middle_temperatures(config)
-    return items, _noise, len(items)
+    return _stack(_middle_temperatures(config), include_noise=True)
 
 
 def _fig5a(config: ScenarioConfig):
@@ -265,11 +279,7 @@ def _fig5a(config: ScenarioConfig):
 
 
 def _fig5b(config: ScenarioConfig):
-    def cells(spec):
-        je = heat_currents(spec)
-        return {"JeL": je[0], "JeR": je[1], "JeM": je[2]}
-
-    return _middle_temperatures(config), _each(cells)
+    return _stack(_middle_temperatures(config))
 
 
 _STATE_COLUMNS = ("rho11", "rho22", "rhogg", "re_rho12", "im_rho12", "residual")
@@ -302,7 +312,7 @@ def compute_rows(config: ScenarioConfig):
     if name not in _TABLE:
         raise UsageError(f"unknown task or reproduce target {name!r}")
     columns, plan = _TABLE[name]
-    return ("spec_hash", *SPEC_COLUMNS, *columns, "error"), _rows(*plan(config))
+    return ("spec_hash", *SPEC_COLUMNS, *columns, "error"), _rows(*plan(config), columns=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -207,13 +207,6 @@ class SteadyStateBatch:
     errors: dict[int, str]
     matrices: np.ndarray
 
-    def state(self, n: int) -> SteadyState:
-        """Row ``n`` as a :class:`SteadyState`; raises its error if it has one."""
-        if n in self.errors:
-            raise DegenerateSteadyStateError(self.errors[n])
-        return SteadyState(self.vectors[n], float(self.residuals[n]), NULLSPACE,
-                           bool(self.positivity_warnings[n]))
-
 
 def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
     """Kernel vectors of a stack of bare generators, shape ``(N, 5, 5)``.

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError, UsageError, VfluxError
-from .fcs import _recursion, _recursion_batch, _recursion_set
-from .liouvillian import _entries, _fill_block, build_generator
+from .errors import DegenerateSteadyStateError, UsageError
+from .fcs import _recursion, _recursion_set
+from .liouvillian import _entries, build_generator
 from .model import ENERGY, PARTICLE, RateSet, SystemSpec, bose_occupation, build_rates
-from .steady import SteadyState, _error_text, _real_columns, steady_state, steady_state_batch
+from .steady import SteadyState, _error_text, _real_columns, steady_state
 
 #: Conservation residuals above this level flag the report.
 CONSERVATION_TOL = 1e-10
@@ -204,36 +204,3 @@ def _report_warnings(res_e, res_p, positivity: bool) -> tuple[str, ...]:
     if positivity:
         warn.append("positivity")
     return tuple(warn)
-
-
-def _reports_batch(rates: RateSet, include_noise: bool = True) -> list:
-    """Steady state and :class:`CurrentReport` of each point of a stack of
-    valid rates, from one stacked kernel and, for the noise, the stacked
-    recursion on the same generators and kernels.
-
-    Returns one ``(SteadyState, CurrentReport)`` per point, equal bit for bit
-    to ``steady_state(build_generator(spec))`` and
-    ``CurrentReport.from_spec(spec, include_noise=include_noise)``, or the
-    :class:`VfluxError` that route raises.  A caller gives the same rates to
-    another stacked route (see :func:`vflux.model.evaluate_valid`).
-    """
-    states = steady_state_batch(_fill_block(rates))
-    je = bath_currents(rates, states.vectors.T, ENERGY)
-    jp = bath_currents(rates, states.vectors.T, PARTICLE)
-    res_e = np.abs(je[0] + je[1] + je[2])
-    res_p = np.abs(jp[0] + jp[1])
-    noise = (_recursion_batch(rates, states, "R", ENERGY, 2) if include_noise
-             else [None] * len(states.vectors))
-    outcomes = []
-    for n, cumulants in enumerate(noise):
-        if n in states.errors or isinstance(cumulants, VfluxError):
-            # the recursion gives a point without a kernel the kernel's error
-            outcomes.append(cumulants or DegenerateSteadyStateError(states.errors[n]))
-            continue
-        ss = states.state(n)
-        se_rr = float("nan") if cumulants is None else cumulants.noise_power
-        report = CurrentReport(je[0][n], je[1][n], je[2][n], jp[0][n], jp[1][n], jp[2][n],
-                               se_rr, res_e[n], res_p[n],
-                               _report_warnings(res_e[n], res_p[n], ss.positivity_warning))
-        outcomes.append((ss, report))
-    return outcomes

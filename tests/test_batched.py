@@ -10,10 +10,11 @@ superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and the ``fig21b`` target, one
-stack, to one stacked LAPACK call per stage.  The evaluator of the noise
-grids reads its cells as arrays; it is held to the one-point public routes
-and must build no per-point object.  A grid of several batches
-must give the rows its batches give one at a time.  The rectification
+stack, to one stacked LAPACK call per stage.  The one evaluator of every
+stacked grid reads its cells as arrays; the cells of each stacked target
+are held to the one-point public routes, and no target may build a
+per-point object.  A grid of several batches must give the rows its
+batches give one at a time.  The rectification
 scan, which solves a spec's backward bias as its L<->R mirror's forward
 bias, is held to the point scan on batches with mirror pairs, and the
 ``fig3`` bytes to the golden digest at any stack size.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, replace
 from itertools import product
 
 import numpy as np
@@ -48,9 +49,11 @@ from vflux.fcs import (
     BRANCH_TOL,
     FD_STEP,
     FINITE_DIFFERENCE,
+    PERTURBATIVE,
     CumulantSet,
-    _difference_batch,
-    _recursion_batch,
+    _differences,
+    _recursion,
+    _residues,
     cumulants_finite_difference,
     cumulants_perturbative,
     dominant_eigenvalue,
@@ -76,13 +79,12 @@ from vflux.model import (
     evaluate_valid,
     spec_arrays,
 )
-from vflux.runner import (SPEC_COLUMNS, _fig21b, _noise, _rows, _sweep, compute_rows,
-                          render_csv)
+from vflux.runner import (_TABLE, SPEC_COLUMNS, _current_cells, _fig21b, _rows, _state_cells,
+                          _sweep, compute_rows, render_csv)
 from vflux.steady import SteadyState, _real_columns, steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
     CurrentReport,
-    _reports_batch,
     bath_currents,
     heat_currents,
     particle_currents,
@@ -175,8 +177,79 @@ def stacked(core, specs, *args) -> list:
 
 
 def recursion(rates, bath, kind, order) -> list:
-    """The stacked recursion on the stack's own kernels."""
-    return _recursion_batch(rates, steady_state_batch(_fill_block(rates)), bath, kind, order)
+    """The stacked recursion on the stack's own kernels: one
+    :class:`CumulantSet`, or the kernel's error, per point."""
+    states = steady_state_batch(_fill_block(rates))
+    raw = _recursion(rates, states.matrices, states.vectors, bath, kind, order, states.errors)
+    residues = _residues(raw, states.errors)
+    values = np.concatenate([e.real for e in raw], axis=-1)[:, 0].tolist()
+    return [DegenerateSteadyStateError(states.errors[n]) if n in states.errors
+            else CumulantSet(bath, kind, tuple(values[n]), PERTURBATIVE, residues[n])
+            for n in range(len(values))]
+
+
+def differences(rates, bath, kind, order, h) -> list:
+    """The stacked stencils: one :class:`CumulantSet`, or the
+    :class:`BranchError`, per point."""
+    values, errors = _differences(rates, bath, kind, order, h)
+    return [BranchError(errors[n,]) if (n,) in errors
+            else CumulantSet(bath, kind, cell, FINITE_DIFFERENCE, 0.0)
+            for n, cell in enumerate(zip(*(v.tolist() for v in values)))]
+
+
+#: A config of each target whose plan is one stacked evaluator.
+STACKED = {target: config_for_target(target)
+           for target in ("fig2a", "fig2b", "fig21a", "fig21b", "fig4b", "fig5b")}
+STACKED["sweep"] = build_config({
+    "task": "sweep", "sweep": {"axes": [{"field": "tempR", "min": 0.5, "max": 1.0, "steps": 2}]}})
+
+
+def grid_cells(target, specs) -> list:
+    """One outcome per spec from the evaluator of ``target``'s plan,
+    filling the target's columns, as ``runner.compute_rows`` runs it."""
+    columns, plan = _TABLE[target]
+    _, evaluate, _ = plan(STACKED[target])
+    return evaluate([(spec, {}) for spec in specs], columns)
+
+
+def point_cells(target, spec) -> dict:
+    """``target``'s result cells of ``spec`` from the public one-point
+    routes, or the first error they raise: the spec's DomainError, then the
+    kernel's error, then the BranchError.  ``fig5b`` takes the currents
+    from ``heat_currents``; the other current columns come from
+    ``CurrentReport.from_spec``, with the noise on the targets whose plans
+    run it."""
+    if target == "fig5b":
+        return dict(zip(("JeL", "JeR", "JeM"), heat_currents(spec)))
+    columns = _TABLE[target][0]
+    report = CurrentReport.from_spec(spec, include_noise=target in ("sweep", "fig21b", "fig4b"))
+    cells = {**_state_cells(steady_state(build_generator(spec))), **_current_cells(report)}
+    if "SeRR_fd" in columns:
+        cells["SeRR_fd"] = cumulants_finite_difference(spec, "R", ENERGY, 2).noise_power
+    return {name: cells[name] for name in columns if name in cells}
+
+
+def assert_cells_match(target, batch) -> list:
+    """The outcomes of ``target``'s evaluator on ``batch``, each held to
+    :func:`point_cells`: the same columns, each a Python ``float`` (or the
+    ``warnings`` string) with the same bits, or the same error text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        outcomes = grid_cells(target, batch)
+    for spec, out in zip(batch, outcomes, strict=True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = outcome(point_cells, target, spec)
+        if isinstance(expected, VfluxError):
+            assert type(out) is type(expected) and str(out) == str(expected), (target, spec)
+            continue
+        assert list(out) == list(expected)
+        for name, value in out.items():
+            if name == "warnings":
+                assert type(value) is str and value == expected[name]
+            else:
+                assert type(value) is float and same_bits(value, expected[name]), (target, name)
+    return outcomes
 
 
 def same_bits(a, b) -> bool:
@@ -260,20 +333,10 @@ def test_stacked_generators_match_independent_construction(batch):
                           specs(DETUNED).map(lambda s: replace(s, gL12=0.0, gR12=0.0))),
                 min_size=1, max_size=6))
 def test_stacked_currents_conserve_in_conserving_regimes(batch):
-    for spec, (_, report) in zip(batch, stacked(_reports_batch, batch, False)):
-        assert report.conservation_residual_energy <= CONSERVATION_TOL
-        assert report.conservation_residual_particle <= CONSERVATION_TOL
-
-
-@PROPERTY
-@given(st.lists(specs(), min_size=1, max_size=4), st.booleans())
-def test_current_reports_match_from_spec(batch, include_noise):
-    for spec, (ss, report) in zip(batch, stacked(_reports_batch, batch, include_noise)):
-        assert same_bits(ss.vector, steady_state(build_generator(spec)).vector)
-        expected = CurrentReport.from_spec(spec, include_noise=include_noise)
-        assert report.warnings == expected.warnings
-        assert all(same_bits(getattr(report, f.name), getattr(expected, f.name))
-                   for f in fields(CurrentReport) if f.name != "warnings")
+    for cells in grid_cells("fig21a", batch):
+        assert cells["res_energy"] <= CONSERVATION_TOL
+        assert cells["res_particle"] <= CONSERVATION_TOL
+        assert cells["warnings"] == ""
 
 
 def outcome(fn, *args):
@@ -456,7 +519,7 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
     expected = str(info.value)
     rates = RateSet(spec_arrays([corner]))
     assert steady_state_batch(_fill_block(rates)).errors == {0: expected}
-    (out,) = stacked(_reports_batch, [corner], False)
+    (out,) = grid_cells("fig21a", [corner])
     assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
 
     t0, grid = temp_l, np.array([0.5 * temp_l, temp_l])
@@ -470,23 +533,54 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
 #: Occupations near 1e308 overflow the kernel's products to inf and nan.
 OVERFLOWING = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.0, 0.0)
 
+#: Valid, but with rates so near the float limit that the generator's
+#: entries overflow: no dressed generator of it is finite.
+NOT_FINITE = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, *(0.45815976690544913,) * 2, 0.0,
+                        *(0.45815976690544913,) * 2, 0.0, 0.0)
+
 
 def test_overflowing_rates_fail_silently_like_one_point():
-    # one point's Python floats overflow without a warning, and so must a stack
-    spec = OVERFLOWING
+    # one point's Python floats overflow without a warning, and so must a
+    # stack, next to a normal spec
     t0, grid = 0.5, np.array([0.1])
+    normal_scan = max_rectification_batch([DETUNED_SPEC], t0, grid)
+    normal = {target: repr(grid_cells(target, [DETUNED_SPEC])) for target in STACKED}
+    for spec in (OVERFLOWING, NOT_FINITE):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSteadyStateError, match="Hadamard ratio nan") as info:
+                scalar_scan(spec, t0, grid)
+            scan = max_rectification_batch([spec, DETUNED_SPEC], t0, grid)
+            with pytest.raises(DegenerateSteadyStateError) as report_info:
+                CurrentReport.from_spec(spec)
+            outcomes = {target: grid_cells(target, [spec, DETUNED_SPEC]) for target in STACKED}
+        assert isinstance(scan[0], DegenerateSteadyStateError) and str(scan[0]) == str(info.value)
+        assert scan[1:] == normal_scan
+        for target, (out, *rest) in outcomes.items():
+            # a grid reports the kernel's error first
+            assert isinstance(out, DegenerateSteadyStateError)
+            assert str(out) == str(report_info.value)
+            assert repr(rest) == normal[target]
+
+
+def test_generator_that_is_not_finite_is_a_branch_error():
+    # no dressed generator of NOT_FINITE is finite, and eigvals rejects a
+    # whole stack for one such matrix: the one-point stencil and tracker
+    # report it, and a stack keeps its other points
+    text = "dressed generator is not finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateSteadyStateError, match="Hadamard ratio nan") as info:
-            scalar_scan(spec, t0, grid)
-        (scan,) = max_rectification_batch([spec], t0, grid)
-        with pytest.raises(DegenerateSteadyStateError) as report_info:
-            CurrentReport.from_spec(spec)
-        (report,) = evaluate_valid([spec], _reports_batch)
-        (noise,) = _noise([(spec, {})])
-    assert isinstance(scan, DegenerateSteadyStateError) and str(scan) == str(info.value)
-    for out in (report, noise):
-        assert isinstance(out, DegenerateSteadyStateError) and str(out) == str(report_info.value)
+        for chi in (0.0, FD_STEP):
+            with pytest.raises(BranchError, match=text):
+                dominant_eigenvalue(NOT_FINITE, CountingFields(0.0, chi, ENERGY))
+        with pytest.raises(BranchError, match=text):
+            cumulants_finite_difference(NOT_FINITE, "R", ENERGY, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, errors = _differences(RateSet(spec_arrays([DETUNED_SPEC, NOT_FINITE])), "R",
+                                      ENERGY, 2, FD_STEP)
+    assert errors == {(1,): text}
+    expected = cumulants_finite_difference(DETUNED_SPEC, "R", ENERGY, 2).values
+    assert same_bits([value[0] for value in values], expected)
 
 
 @PROPERTY
@@ -542,15 +636,14 @@ def test_non_finite_spec_is_one_domain_error(batch, data, bad_value):
         # repr of a float round-trips, and keeps the sign of zero
         if isinstance(out, VfluxError):
             return f"{type(out).__name__}: {out}"
-        if isinstance(out, tuple) and isinstance(out[1], CurrentReport):
-            return repr(astuple(out[1]))
-        return repr(out)
+        return repr(astuple(out) if isinstance(out, CumulantSet) else out)
 
     t0, grid = 1.0, np.array([0.4, 1.2])
-    for evaluate in (lambda specs: stacked(_reports_batch, specs, False),
+    for evaluate in (lambda specs: grid_cells("sweep", specs),
+                     lambda specs: grid_cells("fig21b", specs),
                      lambda specs: max_rectification_batch(specs, t0, grid),
                      lambda specs: stacked(recursion, specs, "R", ENERGY, 4),
-                     lambda specs: stacked(_difference_batch, specs, "L", PARTICLE, 2, FD_STEP)):
+                     lambda specs: stacked(differences, specs, "L", PARTICLE, 2, FD_STEP)):
         out, expected = evaluate(mixed), evaluate(batch)
         assert isinstance(out[pos], DomainError) and "finiteness" in str(out[pos])
         assert all(fingerprint(out[n]) == fingerprint(expected[n])
@@ -640,9 +733,9 @@ def corners(draw):
        st.sampled_from(KINDS), st.integers(1, 2), st.sampled_from((FD_STEP, 1e-6, 1e-2)),
        st.sampled_from((0.0, 1e-5, -3e-3, 0.2, 1e-3 + 2e-3j, 0.3 - 0.1j)))
 def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order, h, chi):
-    differences = stacked(_difference_batch, batch, bath, kind, order, h)
+    stencils = stacked(differences, batch, bath, kind, order, h)
     field = CountingFields(chi if bath == "L" else 0.0, chi if bath == "R" else 0.0, kind)
-    for spec, out in zip(batch, differences):
+    for spec, out in zip(batch, stencils):
         expected = outcome(tracked_differences, spec, bath, kind, order, h)
         assert same_cumulants(out, expected)
         assert same_cumulants(outcome(cumulants_finite_difference, spec, bath, kind, order, h),
@@ -666,16 +759,16 @@ def test_degenerate_corner_same_cumulant_errors_on_both_routes(eps, temp_l, frac
     pos = min(len(others), 1)
     batch = others[:pos] + [corner] + others[pos:]
     recursions = stacked(recursion, batch, bath, kind, 2)
-    differences = stacked(_difference_batch, batch, bath, kind, 2, FD_STEP)
+    stencils = stacked(differences, batch, bath, kind, 2, FD_STEP)
     assert isinstance(recursions[pos], DegenerateSteadyStateError)
-    assert isinstance(differences[pos], BranchError)
-    for spec, rec, fd in zip(batch, recursions, differences):
+    assert isinstance(stencils[pos], BranchError)
+    for spec, rec, fd in zip(batch, recursions, stencils):
         assert same_cumulants(rec, outcome(cumulants_perturbative, spec, bath, kind, 2))
         assert same_cumulants(fd, outcome(cumulants_finite_difference, spec, bath, kind, 2))
 
 
 # ---------------------------------------------------------------------------
-# The noise grids (fig21b, fig4b), read as arrays, against the point routes.
+# The stacked grids, read as arrays, against the point routes.
 
 @st.composite
 def near_corners(draw):
@@ -686,55 +779,78 @@ def near_corners(draw):
     return replace(corner, gR12=(1.0 - 1e-8) * corner.gR12)
 
 
-#: Fixed specs of every kind a noise grid meets: both seeded corpora, the
-#: invalid specs and the overflowing one.
-NOISE_POOL = (seeded_conserving_specs(12) + seeded_leak_specs(6)
-              + [spec for _, spec in invalid_specs()] + [OVERFLOWING])
+#: Both cross couplings on their bound: no isolated kernel, no branch.
+CORNER = SystemSpec(1.0, 1.0, 2.0, 1.0, 1.0, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.0)
+
+#: Strong, detuned couplings at low temperatures: rho11 < -1e-8, so the
+#: positivity warning is set.
+NEGATIVE_POPULATION = SystemSpec(1.7, 0.28, 0.035, 0.8, 0.18, 0.75, 0.63, 0.44,
+                                 1.38, 0.36, 0.5, 0.0116)
+
+#: Fixed specs of every kind a stacked grid meets: both seeded corpora
+#: (the leak specs carry complex coherences), the invalid specs, a corner
+#: and a near corner, a negative population and rates near the float limit.
+CORPUS = (seeded_conserving_specs() + seeded_leak_specs() + [spec for _, spec in invalid_specs()]
+          + [CORNER, replace(CORNER, gR12=(1.0 - 1e-8) * CORNER.gR12), NEGATIVE_POPULATION,
+             OVERFLOWING, NOT_FINITE])
+
+#: The stacked targets that render SeRR_fd, and so run the stencils.
+STENCILS = sorted(target for target in STACKED if "SeRR_fd" in _TABLE[target][0])
 
 
-def noise_point(spec) -> dict:
-    """The cells of ``runner._noise`` from the public one-point routes:
-    the spec's DomainError, then the kernel's error, then the BranchError."""
-    report = CurrentReport.from_spec(spec)
-    return {"JeR": report.JeR, "SeRR": report.SeRR,
-            "SeRR_fd": cumulants_finite_difference(spec, "R", ENERGY, 2).noise_power}
+@pytest.mark.parametrize("target", sorted(STACKED))
+def test_stacked_cells_match_the_point_routes_on_the_corpus(target):
+    outcomes = assert_cells_match(target, CORPUS)
+    # the two hot-edge specs are valid: one has no kernel, as have the
+    # corner and the two near the float limit; the near corner has no
+    # branch where the stencils run
+    branch = int(target in STENCILS)
+    assert Counter(type(out).__name__ for out in outcomes) == Counter({
+        "dict": 120 + 3 - branch, "DomainError": len(invalid_specs()) - 2,
+        "DegenerateSteadyStateError": 4, "BranchError": branch})
+    if "warnings" in _TABLE[target][0]:
+        warned = outcomes[CORPUS.index(NEGATIVE_POPULATION)]["warnings"]
+        assert warned == "energy-conservation;positivity"
 
 
 @PROPERTY
-@given(st.lists(st.one_of(st.sampled_from(NOISE_POOL), specs(), corners(), near_corners()),
+@given(st.sampled_from(sorted(set(STACKED) - set(STENCILS))),
+       st.lists(st.one_of(specs(), corners(), st.sampled_from(CORPUS)), min_size=1, max_size=6))
+def test_current_reports_match_from_spec(target, batch):
+    # the sweep's columns with the noise, fig21a's without it, the
+    # coherence columns, and fig5b's against heat_currents
+    assert_cells_match(target, batch)
+
+
+@PROPERTY
+@given(st.sampled_from(STENCILS),
+       st.lists(st.one_of(st.sampled_from(CORPUS), specs(), corners(), near_corners()),
                 min_size=1, max_size=8))
-def test_noise_cells_match_the_point_routes(batch):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cells = _noise([(spec, {}) for spec in batch])
-    assert len(cells) == len(batch)
-    for spec, out in zip(batch, cells):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            expected = outcome(noise_point, spec)
-            # the point route's stencil, in turn, raises the error of step h first
-            fd = outcome(tracked_differences, spec, "R", ENERGY, 2, FD_STEP)
-        if isinstance(expected, VfluxError):
-            assert type(out) is type(expected) and str(out) == str(expected)
-            if isinstance(expected, BranchError):
-                assert type(fd) is BranchError and str(fd) == str(expected)
-        else:
-            assert list(out) == ["JeR", "SeRR", "SeRR_fd"]
-            assert all(type(value) is float for value in out.values())
-            assert all(same_bits(out[name], expected[name]) for name in out)
-            assert same_bits(expected["SeRR_fd"], fd.noise_power)
+def test_noise_cells_match_the_point_routes(target, batch):
+    for spec, out in zip(batch, assert_cells_match(target, batch)):
+        if isinstance(out, BranchError):
+            # the point route's former tracker (two ramps), in turn, raises
+            # the error of step h first
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fd = outcome(tracked_differences, spec, "R", ENERGY, 2, FD_STEP)
+            assert type(fd) is BranchError and str(fd) == str(out)
 
 
 def test_noise_reports_the_kernel_error_before_the_branch_error():
-    # an exact corner fails both, a near one the stencil only
-    corner = SystemSpec(1.0, 1.0, 2.0, 1.0, 1.0, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.0)
-    near = replace(corner, gR12=(1.0 - 1e-8) * corner.gR12)
-    fd = [outcome(cumulants_finite_difference, spec, "R", ENERGY, 2) for spec in (corner, near)]
+    # an exact corner fails both, a near one the stencil only, which only
+    # the targets that render SeRR_fd run
+    near = replace(CORNER, gR12=(1.0 - 1e-8) * CORNER.gR12)
+    fd = [outcome(cumulants_finite_difference, spec, "R", ENERGY, 2) for spec in (CORNER, near)]
     assert all(isinstance(out, BranchError) for out in fd)
-    first, second, valid = _noise([(corner, {}), (near, {}), (DETUNED_SPEC, {})])
-    assert isinstance(first, DegenerateSteadyStateError)
-    assert isinstance(second, BranchError) and str(second) == str(fd[1])
-    assert isinstance(valid, dict)
+    for target in STACKED:
+        first, second, valid = grid_cells(target, [CORNER, near, DETUNED_SPEC])
+        assert isinstance(first, DegenerateSteadyStateError)
+        if target in STENCILS:
+            assert isinstance(second, BranchError) and str(second) == str(fd[1])
+        else:
+            assert isinstance(second, dict)
+        assert isinstance(valid, dict)
 
 
 def test_fig21b_builds_no_per_point_object(monkeypatch):
@@ -748,8 +864,32 @@ def test_fig21b_builds_no_per_point_object(monkeypatch):
     CurrentReport.from_spec(DETUNED_SPEC)
     assert made == Counter({"SteadyState": 1, "CurrentReport": 1, "CumulantSet": 1})
     made.clear()
-    rows = _rows(*_fig21b(config_for_target("fig21b")))
-    assert len(rows) == 1681 and not made
+    sweep = build_config({"task": "sweep", "sweep": {"axes": [
+        {"field": "gL12", "min": 0.0, "max": 0.01, "steps": 5},
+        {"field": "tempM", "min": 0.5, "max": 2.0, "steps": 7}]}})
+    for config, count in ((config_for_target("fig21b"), 1681), (config_for_target("fig2a"), 1681),
+                          (config_for_target("fig21a"), 1681), (config_for_target("fig5b"), 39),
+                          (sweep, 35)):
+        _, rows = compute_rows(config)
+        assert len(rows) == count and not made
+
+
+@pytest.mark.parametrize("target,calls", [
+    ("fig21b", {"inv": 1, "eigvals": 3}), ("fig4b", {"inv": 1, "eigvals": 3}),
+    ("fig2a", {}), ("fig2b", {}), ("fig21a", {}), ("fig5b", {})])
+def test_stacked_targets_take_one_stacked_call_per_stage(monkeypatch, target, calls):
+    # the kernel calls no LAPACK routine; the recursion and the stencils
+    # run only on the targets that render the noise
+    counted = Counter()
+    for name in dir(np.linalg):
+        original = getattr(np.linalg, name)
+        if callable(original) and not isinstance(original, type):
+            def count(*args, _name=name, _original=original, **kwargs):
+                counted[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, count)
+    compute_rows(config_for_target(target))
+    assert counted == Counter(calls)
 
 
 def test_batch_warns_like_the_scalar_loop(monkeypatch):
@@ -769,10 +909,12 @@ def test_batch_warns_like_the_scalar_loop(monkeypatch):
         assert texts(lambda: stacked(recursion, batch, "R", kind, 4)) == scalar
     reports = texts(lambda: [CurrentReport.from_spec(s) for s in batch])
     assert len(reports) >= 6
-    assert texts(lambda: stacked(_reports_batch, batch)) == reports
-    # the noise grids warn about the recursion only, in point order
-    assert texts(lambda: _noise([(s, {}) for s in batch])) == texts(
-        lambda: [noise_point(s) for s in batch]) == reports
+    # the grids with the noise warn about the recursion only, in point
+    # order, and the others not at all
+    for target in STACKED:
+        expected = texts(lambda: [point_cells(target, s) for s in batch])
+        assert texts(lambda: grid_cells(target, batch)) == expected
+        assert expected == (reports if target in ("sweep", "fig21b", "fig4b") else [])
 
 
 def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
@@ -804,9 +946,10 @@ def test_multi_batch_rows_equal_single_batch_rows():
                            {"field": "gL12", "min": 0.0, "max": 0.015, "steps": 7}]},
     }))
     assert batch == 7
-    rows = _rows(items, evaluate, batch)
+    columns = _TABLE["sweep"][0]
+    rows = _rows(items, evaluate, batch, columns)
     single = [row for start in range(0, len(items), batch)
-              for row in _rows(items[start:start + batch], evaluate, batch)]
+              for row in _rows(items[start:start + batch], evaluate, batch, columns)]
     assert len(rows) == len(items) == 28
     assert {"error" in row for row in rows} == {True, False}
     # repr round-trips every float, so equal reprs are equal bits

@@ -88,7 +88,8 @@ def test_sweep_matches_dedicated_target():
     target_cols, target_rows = compute_rows(config_for_target("fig4b"))
     for sweep_row, fig_row in zip(rows, target_rows):
         assert sweep_row["tempM"] == fig_row["tempM"]
-        assert sweep_row["JeR"] == pytest.approx(fig_row["JeR"], abs=1e-15)
+        assert sweep_row["JeR"] == fig_row["JeR"]
+        assert sweep_row["SeRR"] == fig_row["SeRR"]
         assert sweep_row.get("error") is None
 
 
