@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fcs import richardson
 from .liouvillian import _entries
-from .model import ENERGY, RateSet, SystemSpec, _valid_points, spec_arrays
+from .model import ENERGY, RateSet, SystemSpec, _valid_points, spec_arrays, spec_at
 from .steady import _error_text, _real_columns
 from .transport import bath_currents, heat_currents, particle_currents
 
@@ -107,7 +107,14 @@ def max_rectification(
 
 
 def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = None) -> list:
-    """:func:`max_rectification` of each spec over one bias grid, as one batch.
+    """:func:`max_rectification` of each spec over one bias grid, as one
+    batch: :func:`max_rectification_columns` of their field columns."""
+    return max_rectification_columns(spec_arrays(specs), t0, deltaT_grid)
+
+
+def max_rectification_columns(params, t0: float, deltaT_grid: np.ndarray | None = None) -> list:
+    """:func:`max_rectification` of each point of the field columns
+    ``params`` (:func:`vflux.model.spec_arrays`) over one bias grid.
 
     A spec's backward configuration is its L<->R mirror's forward one,
     bit for bit (``docs/conventions.md``, "Rectification temperature
@@ -118,9 +125,10 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
     kernel on real entries (:func:`_stack_scan`), and verdicts are read in
     the scan order of :func:`rectification` (bias, then forward before
     backward).  A grid that is not 1-D raises :class:`UsageError`.
-    Returns one ``(rj_max, deltaT_star)`` per spec, or the
+    Returns one ``(rj_max, deltaT_star)`` per point, or the
     :class:`VfluxError` that scanning the grid with :func:`rectification`
-    raises first for it.
+    raises first for it; a SystemSpec is built only for a point scanned
+    that way.
     """
     grid = _grid(default_deltaT_grid(t0) if deltaT_grid is None else deltaT_grid)
     scan = [float(grid[idx]) for idx in np.argsort(np.abs(grid), kind="stable")]
@@ -129,15 +137,15 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
     stop = next((pos for pos, dt in enumerate(scan) if _bias_error(t0, dt)), len(scan))
     fallback = (_bias_error(t0, scan[stop]) if stop < len(scan)
                 else IndeterminateRectificationError("every grid point was indeterminate"))
+    size = len(params["eps1"])
     if not stop:
-        return [fallback] * len(specs)
+        return [fallback] * size
     # validate reads an edge temperature only by its sign and eps/temp, and
     # the scan keeps both in (0, t0 + |deltaT|/2 of its last bias]: a spec
     # invalid with both edges there is scanned point by point.
-    params = spec_arrays(specs)
     hottest = t0 + abs(scan[stop - 1]) / 2.0
     ok = _valid_points({**params, "tempL": hottest, "tempR": hottest})
-    outcomes = {pos: _scan_error(specs[pos], t0, scan[:stop])
+    outcomes = {pos: _scan_error(spec_at(params, pos), t0, scan[:stop])
                 for pos in np.flatnonzero(~ok).tolist()}
     valid = np.flatnonzero(ok).tolist()
     params = {name: values[valid] for name, values in params.items()}
@@ -159,7 +167,7 @@ def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = N
             for n, at, value in zip(members.tolist(), best.tolist(), top.tolist()):
                 if value > -np.inf:
                     outcomes.setdefault(valid[n], (value, scan[at]))
-    return [outcomes.get(pos, fallback) for pos in range(len(specs))]
+    return [outcomes.get(pos, fallback) for pos in range(size)]
 
 
 #: Kernel points (stack rows times biases) per stack of the rectification
@@ -185,20 +193,24 @@ def _mirror_rows(params):
     row of the spec it mirrors."""
     names = list(MIRRORED)
     bits = np.stack([params[name] for name in names], axis=1).view(np.int64)
-    keys = list(map(tuple, bits.tolist()))
-    mirrors = list(map(tuple, bits[:, [names.index(MIRRORED[name]) for name in names]].tolist()))
-    row_of, rows, starts = {}, [], []
-    for n, (key, mirror) in enumerate(zip(keys, mirrors)):
-        if key in row_of:
-            continue
-        starts.append(len(rows))
-        row_of[key] = len(rows)
-        rows.append((n, False))
-        if mirror != key:
-            row_of[mirror] = len(rows)
-            rows.append((n, True))
-    return (rows, starts, np.array([row_of[key] for key in keys], dtype=np.intp),
-            np.array([row_of[mirror] for mirror in mirrors], dtype=np.intp))
+    mirrors = bits[:, [names.index(MIRRORED[name]) for name in names]]
+    # equal bits, equal id (one lexsort; np.unique by rows is slower)
+    both = np.concatenate([bits, mirrors])
+    order = np.lexsort(both.T)
+    ids = np.empty(len(both), dtype=np.intp)
+    ids[order] = np.cumsum(np.r_[True, (both[order][1:] != both[order][:-1]).any(axis=1)]) - 1
+    key, mirror = ids.reshape(2, len(bits))
+    # a group, {key, mirror}, starts at the first spec that holds either;
+    # its rows are that spec's and, unless it is its own mirror, its mirror's
+    _, first, group = np.unique(np.minimum(key, mirror), return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(first))[group]
+    first.sort()
+    size = 1 + (key[first] != mirror[first])
+    starts = np.cumsum(size) - size
+    rows = [(n, mirrored) for n, count in zip(first.tolist(), size.tolist())
+            for mirrored in (False, True)[:count]]
+    own = key[first][group]
+    return rows, starts.tolist(), starts[group] + (key != own), starts[group] + (mirror != own)
 
 
 def _stacks(starts, count: int, stop: int):

@@ -107,32 +107,30 @@ class SystemSpec:
 
     def content_hash(self) -> str:
         """Short stable hash of the resolved parameter set (:func:`spec_hashes`)."""
-        return spec_hashes([self])[0]
+        return spec_hashes(spec_arrays([self]))[0]
 
 
 #: SystemSpec field names in declaration order.
 SPEC_FIELDS = tuple(f.name for f in fields(SystemSpec))
 
 
-def spec_hashes(specs) -> list[str]:
-    """:meth:`SystemSpec.content_hash` of each spec: 12 hex digits of the
-    SHA-256 of ``name=repr(float(value))`` over the fields, joined by
-    ``|``.  The repr of the float value makes specs that compare equal (1,
-    1.0, np.float64(1.0)) hash equal; each field formats each distinct
-    value once (zeros by sign, as ``-0.0 == 0.0``)."""
-    columns = []
-    for name in SPEC_FIELDS:
-        texts: dict = {}
-        column = []
-        for spec in specs:
-            value = float(getattr(spec, name))
-            key = value if value else value.hex()
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = f"{name}={value!r}"
-            column.append(text)
-        columns.append(column)
+def spec_hashes(params) -> list[str]:
+    """:meth:`SystemSpec.content_hash` of each point of the field columns
+    ``params`` (:func:`spec_arrays`): 12 hex digits of the SHA-256 of
+    ``name=repr(float(value))`` over the fields, joined by ``|``.  The repr
+    of the float value makes specs that compare equal (1, 1.0,
+    np.float64(1.0)) hash equal; each field formats each distinct value
+    once (:func:`distinct_texts`)."""
+    columns = [distinct_texts(params[name], f"{name}={{!r}}".format) for name in SPEC_FIELDS]
     return [hashlib.sha256("|".join(parts).encode()).hexdigest()[:12] for parts in zip(*columns)]
+
+
+def distinct_texts(values, text) -> list[str]:
+    """``text(value)`` of each float of ``values``, called once per distinct
+    bit pattern (so ``-0.0`` apart from ``0.0``, which compare equal)."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = np.array([text(value) for value in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def interference_bound(g11: float, g22: float) -> float:
@@ -351,19 +349,31 @@ def spec_arrays(specs) -> dict[str, np.ndarray]:
             for name in SPEC_FIELDS}
 
 
+def spec_at(params, pos: int) -> SystemSpec:
+    """The SystemSpec of point ``pos`` of the field columns ``params``."""
+    return SystemSpec(*(params[name][pos].item() for name in SPEC_FIELDS))
+
+
 def _invalid(spec: SystemSpec) -> DomainError:
     return DomainError("invalid SystemSpec: " + "; ".join(validate(spec)))
 
 
-def evaluate_valid(specs, evaluate) -> list:
-    """One outcome per spec: ``evaluate`` maps the stacked :class:`RateSet`
-    of the valid ``specs`` to one outcome per valid spec, and an invalid
-    spec's outcome is its :class:`DomainError` (:func:`_valid_points`)."""
-    params = spec_arrays(specs)
+def evaluate_valid(params, evaluate) -> tuple[dict, dict]:
+    """Cells and errors of the points of the field columns ``params``.
+
+    ``evaluate`` maps the stacked :class:`RateSet` of the valid points to
+    one list per column and ``{index: VfluxError}`` over them; an invalid
+    point's cells are None and its error is its :class:`DomainError`, the
+    one place a SystemSpec is built (:func:`_valid_points`)."""
     valid = _valid_points(params)
-    outcomes: list = [None if ok else _invalid(spec) for spec, ok in zip(specs, valid.tolist())]
-    if valid.any():
-        rates = RateSet({name: values[valid] for name, values in params.items()})
-        for pos, out in zip(np.flatnonzero(valid).tolist(), evaluate(rates), strict=True):
-            outcomes[pos] = out
-    return outcomes
+    errors = {pos: _invalid(spec_at(params, pos)) for pos in np.flatnonzero(~valid).tolist()}
+    if not errors:
+        return evaluate(RateSet(params))
+    keep = np.flatnonzero(valid)
+    cells, failed = (evaluate(RateSet({name: values[keep] for name, values in params.items()}))
+                     if keep.size else ({}, {}))
+    for name, column in cells.items():
+        values = iter(column)
+        cells[name] = [next(values) if ok else None for ok in valid.tolist()]
+    errors.update((int(keep[n]), exc) for n, exc in failed.items())
+    return cells, errors

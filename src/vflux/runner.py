@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +23,7 @@ from .analysis import (
     default_deltaT_grid,
     default_tM_grid,
     max_amplification,
-    max_rectification_batch,
+    max_rectification_columns,
     rectification,
 )
 from .config import ScenarioConfig
@@ -33,8 +31,8 @@ from .errors import BranchError, DegenerateSteadyStateError, UsageError, VfluxEr
 from .fcs import (FD_STEP, _differences, _recursion, _residues, cumulants_finite_difference,
                   cumulants_perturbative)
 from .liouvillian import _fill_block, build_generator
-from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, evaluate_valid,
-                    interference_bound, spec_hashes)
+from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, distinct_texts,
+                    evaluate_valid, interference_bound, spec_hashes)
 from .steady import (
     steady_state,
     steady_state_batch,
@@ -45,40 +43,51 @@ from .steady import (
 from .transport import CurrentReport, _report_warnings, bath_currents
 
 
-def _rows(items, evaluate, batch: int = 1, columns=None) -> list[dict]:
-    """Rows of ``(spec, cells)`` items, evaluated ``batch`` items at a time
-    in the calling thread (a thread pool gained nothing; see
-    ``docs/conventions.md``).  ``evaluate(chunk, columns)`` maps a list of
-    items to one dict of result cells or one :class:`VfluxError` per item,
-    and need fill only the result ``columns`` (default: all it can); an
-    error fills that row's ``error`` cell."""
-    rows = []
-    for start in range(0, len(items), batch):
-        chunk = items[start:start + batch]
-        hashes = spec_hashes([spec for spec, _ in chunk])
-        for (spec, cells), out, spec_hash in zip(chunk, evaluate(chunk, columns), hashes):
-            row = {"spec_hash": spec_hash, **vars(spec), **cells}
-            row.update({"error": f"{type(out).__name__}: {out}"}
-                       if isinstance(out, VfluxError) else out)
-            rows.append(row)
-    return rows
+def _rows(fields, cells, evaluate, batch: int | None = None, *, columns) -> dict:
+    """The table (column -> cells) of the points with the SystemSpec field
+    columns ``fields`` and item cell columns ``cells``, ``batch`` points
+    (default: all) at a time in the calling thread (``docs/conventions.md``).
+    ``evaluate(fields, cells, results)`` maps a batch to one list per
+    result column and ``{index: VfluxError}``; an error fills its row's
+    ``error`` cell, and its result cells are None."""
+    size = len(fields["eps1"])
+    results = [name for name in columns if name not in cells]
+    table: dict = {name: [] for name in results}
+    text = [None] * size
+    step = batch or max(size, 1)
+    for start in range(0, size, step):
+        part = slice(start, start + step)
+        out, errors = evaluate({name: values[part] for name, values in fields.items()},
+                               {name: values[part] for name, values in cells.items()}, results)
+        for name in results:
+            table[name] += out.get(name) or [None] * len(text[part])
+        for n, exc in errors.items():
+            text[start + n] = f"{type(exc).__name__}: {exc}"
+            for name in results:
+                table[name][start + n] = None
+    return {"spec_hash": spec_hashes(fields), **fields, **cells, **table, "error": text}
 
 
 def _each(*fns):
-    """Per-point evaluator (see :func:`_rows`).
-
-    Item ``n`` of a batch gets ``fns[n](spec, **cells)``, so one function
-    serves batches of one; a :class:`VfluxError` it raises is that item's
-    outcome.
-    """
-    def evaluate(chunk, columns):
-        outcomes = []
-        for fn, (spec, cells) in zip(fns, chunk, strict=True):
+    """Per-point evaluator (see :func:`_rows`): point ``n`` gets
+    ``fns[n % len(fns)](spec, **cells)`` with its own SystemSpec and item
+    cells; a :class:`VfluxError` it raises is that point's outcome."""
+    def evaluate(fields, cells, columns):
+        # the fields come in SystemSpec order
+        points = zip(*(np.asarray(column).tolist() for column in (*fields.values(),
+                                                                  *cells.values())))
+        out = {name: [None] * len(fields["eps1"]) for name in columns}
+        errors = {}
+        for n, values in enumerate(points):
             try:
-                outcomes.append(fn(spec, **cells))
+                result = fns[n % len(fns)](SystemSpec(*values[:len(fields)]),
+                                           **dict(zip(cells, values[len(fields):])))
             except VfluxError as exc:
-                outcomes.append(exc)
-        return outcomes
+                errors[n] = exc
+                continue
+            for name in out.keys() & result.keys():
+                out[name][n] = result[name]
+        return out, errors
     return evaluate
 
 
@@ -88,16 +97,16 @@ def _stacked(include_noise: bool):
     ``include_noise``, else ``SeRR`` is NaN) and stencils (where ``SeRR_fd``
     is filled); see ``docs/conventions.md``, "Batched grid evaluation".  As
     one point's Python floats, a stack overflows silently."""
-    def evaluate(chunk, columns):
+    def evaluate(fields, cells, columns):
         with np.errstate(over="ignore", invalid="ignore"):
-            return evaluate_valid([spec for spec, _ in chunk],
-                                  lambda rates: _stack_cells(rates, include_noise, columns))
+            return evaluate_valid(fields, lambda rates: _stack_cells(rates, include_noise, columns))
     return evaluate
 
 
-def _stack_cells(rates, include_noise: bool, columns) -> list:
-    """The cells of :func:`_stacked`, or the kernel's error, else the
-    :class:`BranchError` (only where ``SeRR_fd`` is filled), per point."""
+def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
+    """The cells of :func:`_stacked` in ``columns``, and the kernel's error,
+    else the :class:`BranchError` (only where ``SeRR_fd`` is filled), by
+    point."""
     states = steady_state_batch(_fill_block(rates))
     v = states.vectors
     je = bath_currents(rates, v.T, ENERGY)
@@ -114,16 +123,16 @@ def _stack_cells(rates, include_noise: bool, columns) -> list:
         raw = _recursion(rates, states.matrices, v, "R", ENERGY, 2, states.errors)
         _residues(raw, states.errors)
         arrays["SeRR"] = raw[1].real.ravel()
-    if columns is None or "SeRR_fd" in columns:
+    if "SeRR_fd" in columns:
         fd, branch_errors = _differences(rates, "R", ENERGY, 2, FD_STEP)
         arrays["SeRR_fd"] = fd[1]
         for (n,), text in branch_errors.items():
             errors.setdefault(n, BranchError(text))
-    cells = {name: arrays[name].tolist() for name in columns or arrays if name in arrays}
-    if columns is None or "warnings" in columns:
+    cells = {name: arrays[name].tolist() for name in columns if name in arrays}
+    if "warnings" in columns:
         cells["warnings"] = [";".join(_report_warnings(*flags)) for flags in zip(
             res_e.tolist(), res_p.tolist(), states.positivity_warnings.tolist())]
-    return [errors.get(n, dict(zip(cells, row))) for n, row in enumerate(zip(*cells.values()))]
+    return cells, errors
 
 
 def _state_cells(ss) -> dict:
@@ -152,17 +161,30 @@ def _current_cells(report: CurrentReport) -> dict:
     }
 
 
-def _coupling_specs(spec: SystemSpec, points: int) -> list[SystemSpec]:
+def _points(spec: SystemSpec, size: int, **varied) -> dict:
+    """Field columns of ``size`` points: each field of ``varied`` takes its
+    column of values, every other field the value of ``spec``."""
+    return {name: np.asarray(varied[name], dtype=float) if name in varied
+            else np.full(size, getattr(spec, name), dtype=float) for name in SPEC_COLUMNS}
+
+
+def _product(*axes):
+    """Each axis's column over the points of the product of ``axes``,
+    row-major (the first axis outermost)."""
+    return [values.ravel() for values in np.meshgrid(*axes, indexing="ij")]
+
+
+def _coupling_fields(spec: SystemSpec, points: int) -> dict:
     """(gL12, gR12) grid from zero to each bath's interference bound, gL12 outer."""
-    return [SystemSpec(**{**vars(spec), "gL12": gl, "gR12": gr})
-            for gl in np.linspace(0.0, interference_bound(spec.gL11, spec.gL22), points).tolist()
-            for gr in np.linspace(0.0, interference_bound(spec.gR11, spec.gR22), points).tolist()]
+    gl, gr = _product(np.linspace(0.0, interference_bound(spec.gL11, spec.gL22), points),
+                      np.linspace(0.0, interference_bound(spec.gR11, spec.gR22), points))
+    return _points(spec, points * points, gL12=gl, gR12=gr)
 
 
 # ---------------------------------------------------------------------------
 # Tasks and reproduction targets.  Each plan maps a config to the arguments
-# of _rows: the (spec, cells) items, their evaluator and, for a batched
-# grid, the batch size.
+# of _rows: the field columns, the item cell columns, their evaluator and,
+# for a grid evaluated in parts, the batch size.
 
 def _steady(config: ScenarioConfig):
     spec = config.spec
@@ -172,11 +194,11 @@ def _steady(config: ScenarioConfig):
     elif spec.gL12 == 0.0 and spec.gR12 == 0.0:
         solvers.append(lambda s: _state_cells(steady_state_three_terminal(s)))
     solvers.append(lambda s: _state_cells(steady_state_time_integration(build_generator(s))))
-    return [(spec, {})] * len(solvers), _each(*solvers), len(solvers)
+    return _points(spec, len(solvers)), {}, _each(*solvers)
 
 
 def _currents(config: ScenarioConfig):
-    return [(config.spec, {})], _each(lambda s: _current_cells(CurrentReport.from_spec(s)))
+    return _points(config.spec, 1), {}, _each(lambda s: _current_cells(CurrentReport.from_spec(s)))
 
 
 def _cumulants(config: ScenarioConfig):
@@ -190,9 +212,9 @@ def _cumulants(config: ScenarioConfig):
         lambda s, bath, kind: cells(cumulants_perturbative(s, bath, kind, order)),
         lambda s, bath, kind: cells(cumulants_finite_difference(s, bath, kind, min(order, 2))),
     )
-    point = {"bath": config.option("cumulants.bath", "R"),
-             "kind": config.option("cumulants.kind", ENERGY)}
-    return [(config.spec, point)] * 2, _each(*methods), 2
+    point = {"bath": [config.option("cumulants.bath", "R")] * 2,
+             "kind": [config.option("cumulants.kind", ENERGY)] * 2}
+    return _points(config.spec, 2), point, _each(*methods)
 
 
 def _rectify(config: ScenarioConfig):
@@ -202,8 +224,9 @@ def _rectify(config: ScenarioConfig):
         res = rectification(spec, t0, deltaT)
         return {"j_forward": res.j_forward, "j_backward": res.j_backward, "rj": res.rj}
 
-    grid = config.option("rectify.deltaT", default_deltaT_grid(t0))
-    return [(config.spec, {"t0": t0, "deltaT": float(dt)}) for dt in grid], _each(cells)
+    grid = np.asarray(config.option("rectify.deltaT", default_deltaT_grid(t0)), dtype=float)
+    return (_points(config.spec, len(grid)), {"t0": np.full(len(grid), t0), "deltaT": grid},
+            _each(cells))
 
 
 def _amplify(config: ScenarioConfig):
@@ -215,8 +238,8 @@ def _amplify(config: ScenarioConfig):
                 "dJeL_dTM": res.dJdTm[0], "dJeR_dTM": res.dJdTm[1], "dJeM_dTM": res.dJdTm[2],
                 "branch_theta": res.branch_theta, "branch_residual": res.branch_residual}
 
-    grid = config.option("amplify.tM", default_tM_grid())
-    return [(replace(config.spec, tempM=float(tm)), {"tM": float(tm)}) for tm in grid], _each(cells)
+    grid = np.asarray(config.option("amplify.tM", default_tM_grid()), dtype=float)
+    return _points(config.spec, len(grid), tempM=grid), {"tM": grid}, _each(cells)
 
 
 def _sweep(config: ScenarioConfig):
@@ -225,25 +248,19 @@ def _sweep(config: ScenarioConfig):
         raise UsageError("sweep needs 1 or 2 axes")
     # row-major (the first axis outermost); a batch is one value of the first
     # of two axes, or the whole of one
-    items = [(replace(config.spec, **{name: float(v) for (name, _), v in zip(axes, point)}), {})
-             for point in product(*(values for _, values in axes))]
-    return items, _stacked(include_noise=True), len(axes[-1][1])
-
-
-def _stack(items, include_noise: bool = False):
-    """The plan of ``items`` as one stack (see :func:`_stacked`)."""
-    return items, _stacked(include_noise), len(items)
+    columns = _product(*(values for _, values in axes))
+    fields = _points(config.spec, len(columns[0]),
+                     **{name: values for (name, _), values in zip(axes, columns)})
+    return fields, {}, _stacked(include_noise=True), len(axes[-1][1])
 
 
 def _coupling_grid(config: ScenarioConfig, include_noise: bool = False):
-    return _stack([(local, {}) for local in _coupling_specs(config.spec, 41)], include_noise)
+    return _coupling_fields(config.spec, 41), {}, _stacked(include_noise)
 
 
 def _fig2b(config: ScenarioConfig):
-    deltas = np.linspace(0.0, 1.5, 31)
-    items = [(replace(config.spec, tempR=float(tr), tempL=float(tr + dt)), {"deltaT": float(dt)})
-             for tr in np.linspace(0.1, 2.0, 39) for dt in deltas]
-    return _stack(items)
+    tr, dt = _product(np.linspace(0.1, 2.0, 39), np.linspace(0.0, 1.5, 31))
+    return _points(config.spec, len(tr), tempR=tr, tempL=tr + dt), {"deltaT": dt}, _stacked(False)
 
 
 def _fig21b(config: ScenarioConfig):
@@ -253,33 +270,33 @@ def _fig21b(config: ScenarioConfig):
 def _fig3(config: ScenarioConfig):
     t0 = config.option("rectify.t0", 1.0)
 
-    def evaluate(chunk, columns):
-        return [out if isinstance(out, VfluxError)
-                else {"rj_max": out[0], "deltaT_star": out[1]}
-                for out in max_rectification_batch([spec for spec, _ in chunk], t0)]
+    def evaluate(fields, cells, columns):
+        outcomes = max_rectification_columns(fields, t0)
+        errors = {n: out for n, out in enumerate(outcomes) if isinstance(out, VfluxError)}
+        best = [(None, None) if n in errors else out for n, out in enumerate(outcomes)]
+        return dict(zip(("rj_max", "deltaT_star"), map(list, zip(*best)))), errors
 
     # one batch: a spec's L<->R mirror sits in another grid row, and the
     # scan bounds its stacks itself
-    items = [(local, {"t0": t0}) for local in _coupling_specs(config.spec, 51)]
-    return items, evaluate, len(items)
+    return _coupling_fields(config.spec, 51), {"t0": np.full(51 * 51, t0)}, evaluate
 
 
-def _middle_temperatures(config: ScenarioConfig) -> list:
-    return [(replace(config.spec, tempM=float(tm)), {}) for tm in np.linspace(0.1, 2.0, 39)]
+def _middle_temperatures(config: ScenarioConfig) -> dict:
+    return _points(config.spec, 39, tempM=np.linspace(0.1, 2.0, 39))
 
 
 def _fig4b(config: ScenarioConfig):
-    return _stack(_middle_temperatures(config), include_noise=True)
+    return _middle_temperatures(config), {}, _stacked(include_noise=True)
 
 
 def _fig5a(config: ScenarioConfig):
-    items = [(replace(config.spec, gL22=float(g), gR11=float(g)), {"gamma": float(g)})
-             for g in np.linspace(0.0, 0.01, 21)]
-    return items, _each(lambda s, gamma: {"betaR_max": max_amplification(s)})
+    g = np.linspace(0.0, 0.01, 21)
+    return (_points(config.spec, len(g), gL22=g, gR11=g), {"gamma": g},
+            _each(lambda s, gamma: {"betaR_max": max_amplification(s)}))
 
 
 def _fig5b(config: ScenarioConfig):
-    return _stack(_middle_temperatures(config))
+    return _middle_temperatures(config), {}, _stacked(include_noise=False)
 
 
 _STATE_COLUMNS = ("rho11", "rho22", "rhogg", "re_rho12", "im_rho12", "residual")
@@ -307,7 +324,8 @@ _TABLE = {
 
 
 def compute_rows(config: ScenarioConfig):
-    """Evaluate a scenario; returns (columns, rows)."""
+    """Evaluate a scenario; returns ``(columns, table)``, the table mapping
+    each column to its cells (see :func:`_rows`)."""
     name = config.reproduce_target if config.task == "reproduce" else config.task
     if name not in _TABLE:
         raise UsageError(f"unknown task or reproduce target {name!r}")
@@ -330,18 +348,23 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def render_csv(columns, rows) -> str:
-    """CSV text of ``rows``, one :func:`format_cell` per cell, written column
-    by column so that a column formats each distinct ``float`` once.  A cell
-    holding a comma, a quote or a line break is quoted (RFC 4180)."""
-    cells = [_column_cells([row.get(col) for row in rows]) for col in columns]
+def render_csv(columns, table) -> str:
+    """CSV text of ``table`` (column -> cells), one :func:`format_cell` per
+    cell, written column by column so that a column formats each distinct
+    ``float`` once.  A cell holding a comma, a quote or a line break is
+    quoted (RFC 4180)."""
+    cells = [_column_cells(table[col]) for col in columns]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _column_cells(values) -> list[str]:
-    """:func:`format_cell` of each value as a CSV field, memoized for
-    ``float`` cells (by value, zeros by sign, and a NaN only by identity: it
-    equals nothing), which never need quoting; a ``str`` is its own text."""
+    """:func:`format_cell` of each cell as a CSV field.  A float array
+    formats each distinct value once (:func:`vflux.model.distinct_texts`);
+    a list memoizes its ``float`` cells (by value, zeros by sign, and a NaN
+    only by identity: it equals nothing), which never need quoting, and a
+    ``str`` is its own text."""
+    if isinstance(values, np.ndarray):
+        return distinct_texts(values, "{:.16e}".format)
     texts: dict = {}
     out = []
     for value in values:
@@ -353,6 +376,8 @@ def _column_cells(values) -> list[str]:
                 text = texts[key] = format(value, ".16e")
         elif kind is str:
             text = _field(value)
+        elif value is None:
+            text = ""
         else:
             text = _field(format_cell(value))
         out.append(text)
@@ -378,8 +403,10 @@ def _json_value(value):
     return value
 
 
-def render_json(columns, rows) -> str:
-    payload = [{col: _json_value(row.get(col)) for col in columns} for row in rows]
+def render_json(columns, table) -> str:
+    """JSON text of ``table`` (column -> cells): one object per row."""
+    cells = [map(_json_value, table[col]) for col in columns]
+    payload = [dict(zip(columns, row)) for row in zip(*cells)]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -389,8 +416,9 @@ def run(config: ScenarioConfig, out_path: str | Path | None = None) -> tuple[Pat
     Returns ``(path, text)``; ``path`` is None when no output path is
     configured, in which case the caller renders ``text`` to stdout.
     """
-    columns, rows = compute_rows(config)
-    text = render_json(columns, rows) if config.out_format == "json" else render_csv(columns, rows)
+    columns, table = compute_rows(config)
+    text = (render_json(columns, table) if config.out_format == "json"
+            else render_csv(columns, table))
     target = out_path or config.out_path
     if target is None:
         return None, text

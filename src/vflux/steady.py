@@ -39,6 +39,8 @@ POSITIVITY_TOL = -1e-8
 
 _ISOLATION_ERROR = "kernel not isolated: deflated generator has Hadamard ratio {:.3e}"
 _ZERO_TRACE_ERROR = "steady-state candidate has zero trace"
+# rates near the float limit overflow a closed form's sums silently
+_NOT_FINITE_ERROR = "steady-state candidate is not finite"
 
 
 def _minors(k):
@@ -162,6 +164,8 @@ class SteadyState:
 
 
 def _finalize(vector: np.ndarray, gen_matrix: np.ndarray, method: str) -> SteadyState:
+    if not np.isfinite(vector).all():
+        raise DegenerateSteadyStateError(_NOT_FINITE_ERROR)
     trace = vector[0] + vector[1] + vector[2]
     if abs(trace) < 1e-300:
         raise DegenerateSteadyStateError(_ZERO_TRACE_ERROR)
@@ -296,11 +300,14 @@ def evolve(
     Uses an adaptive explicit Runge-Kutta scheme (fixed order, step control
     on local error).  Returns the final state vector; if ``t_end`` is
     reached before convergence, the state at ``t_end`` is returned and the
-    caller can inspect the residual.
+    caller can inspect the residual.  A generator that is not finite raises
+    :class:`DegenerateSteadyStateError` before any step.
     """
     if tol <= 0:
         raise UsageError("evolve: tol must be positive")
     m = gen.matrix
+    if not np.isfinite(m).all():
+        raise DegenerateSteadyStateError("generator is not finite")
     v = np.asarray(init, dtype=complex).copy()
     if np.abs(m @ v).max() < tol:
         return v
@@ -346,7 +353,8 @@ def coherence_vanishing_residual(spec: SystemSpec) -> float:
     It vanishes at equal bath temperatures, and for two baths at resonance
     it carries the opposite sign of the steady-state coherence.  Raises
     :class:`DegenerateSteadyStateError` when the population block's kernel
-    candidate has zero trace (every coupling zero, say).
+    candidate has zero trace (every coupling zero, say) or the value is not
+    finite.
     """
     r = build_rates(spec)
     minors = _minors(_entries(r)[0])
@@ -354,8 +362,11 @@ def coherence_vanishing_residual(spec: SystemSpec) -> float:
     if tot == 0.0:
         raise DegenerateSteadyStateError(_ZERO_TRACE_ERROR)
     pop = [m / tot for m in minors]
-    return float(
+    residual = float(
         r.gamma_minus(1, 2, 1) * pop[0]
         + r.gamma_minus(1, 2, 2) * pop[1]
         - (r.gamma_plus(1, 2, 1) + r.gamma_plus(1, 2, 2)) * pop[2]
     )
+    if not math.isfinite(residual):
+        raise DegenerateSteadyStateError(_NOT_FINITE_ERROR)
+    return residual

@@ -96,6 +96,11 @@ def seeded_leak_specs(count: int = 20, seed: int = 777) -> list[SystemSpec]:
 #: A detuned three-bath spec with interference and every field in range.
 DETUNED_SPEC = SystemSpec(1.2, 0.7, 2.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.004, 0.01)
 
+#: Valid, but with rates so near the float limit that the generator's
+#: entries overflow: no dressed generator of it is finite.
+NOT_FINITE = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, *(0.45815976690544913,) * 2, 0.0,
+                        *(0.45815976690544913,) * 2, 0.0, 0.0)
+
 #: Smallest ``omega/temp`` with a finite occupation (``model.OCCUPATION_RATIO_MIN``).
 _RATIO_MIN = math.nextafter(2.0 ** -1024, 1.0)
 
@@ -145,10 +150,18 @@ def conserving_corpus():
 def reproduce_outputs():
     """One full run of every reproduction target, shared across modules.
 
-    Maps target name to (columns, rows, csv_text).
+    Maps target name to (columns, table, csv_text).
     """
     out = {}
     for target in REPRODUCE_TARGETS:
-        columns, rows = compute_rows(config_for_target(target))
-        out[target] = (columns, rows, render_csv(columns, rows))
+        columns, table = compute_rows(config_for_target(target))
+        out[target] = (columns, table, render_csv(columns, table))
     return out
+
+
+def table_rows(table) -> list[dict]:
+    """The rows of a ``compute_rows`` table as dicts: each column's cell,
+    None where it is empty, and Python floats for an array column."""
+    columns = [cells.tolist() if isinstance(cells, np.ndarray) else cells
+               for cells in table.values()]
+    return [dict(zip(table, row)) for row in zip(*columns)]

@@ -2,7 +2,7 @@
 
 The figure datasets are produced once per session by the shared
 ``reproduce_outputs`` fixture; criteria that grade those figures read the
-produced rows rather than recomputing the grids.
+rows of the produced tables rather than recomputing the grids.
 """
 
 import pathlib
@@ -29,7 +29,7 @@ from vflux.steady import (
 )
 from vflux.transport import CurrentReport, closed_form_JR_no_interference, heat_currents
 
-from conftest import BOUND, FIGURE_SPECS, cycle_spec, two_bath_spec
+from conftest import BOUND, FIGURE_SPECS, cycle_spec, table_rows, two_bath_spec
 
 GOLDEN_ROOT = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
@@ -83,7 +83,7 @@ def test_c02_oracle_equivalence_suite(conserving_corpus):
 
 
 def test_c03_coherence_structure_fig2a(reproduce_outputs):
-    _, rows, _ = reproduce_outputs["fig2a"]
+    rows = table_rows(reproduce_outputs["fig2a"][1])
     ok_rows = valid_rows(rows)
     assert len(rows) == 41 * 41
     diag = [r for r in ok_rows if r["gL12"] == r["gR12"]]
@@ -97,7 +97,7 @@ def test_c03_coherence_structure_fig2a(reproduce_outputs):
 
 
 def test_c04_coherence_vs_bias_fig2b(reproduce_outputs):
-    _, rows, _ = reproduce_outputs["fig2b"]
+    rows = table_rows(reproduce_outputs["fig2b"][1])
     cut = sorted(
         (r for r in valid_rows(rows)
          if abs(r["tempR"] - 0.5) < 1e-9 and r["deltaT"] >= 0.05 - 1e-12),
@@ -122,7 +122,7 @@ def test_c05b_rectification_optimum_location(reproduce_outputs):
     # the interference bound.  On a bound edge one bath is fully
     # interfering and the factor rises toward the degenerate corner (see
     # docs/conventions.md), so the full-grid maximum is checked separately.
-    _, rows, _ = reproduce_outputs["fig3"]
+    rows = table_rows(reproduce_outputs["fig3"][1])
     ok_rows = valid_rows(rows)
     step = BOUND / 50.0
     interior = [r for r in ok_rows if r["gL12"] < BOUND and r["gR12"] < BOUND]
@@ -165,7 +165,7 @@ def test_c06_symmetric_interference_null():
 def test_c06_fig3_symmetric_diagonal_null(reproduce_outputs):
     # on gL12 == gR12 the factor vanishes by L<->R symmetry: rj_max is
     # rounding noise there, and its deltaT_star carries no information
-    _, rows, _ = reproduce_outputs["fig3"]
+    rows = table_rows(reproduce_outputs["fig3"][1])
     diagonal = [r for r in valid_rows(rows) if r["gL12"] == r["gR12"]]
     worst = max(r["rj_max"] for r in diagonal)
     report("criterion 6 (fig3 symmetric diagonal null)", len(diagonal) == 50 and worst <= 1e-10,
@@ -202,7 +202,7 @@ def test_c08_cyclic_amplification(reproduce_outputs):
             res = amplification(cycle_spec(float(tm), gamma), float(tm))
             branch_residuals.append(res.branch_residual)
 
-    _, rows, _ = reproduce_outputs["fig5a"]
+    rows = table_rows(reproduce_outputs["fig5a"][1])
     betas = [(r["gamma"], r["betaR_max"]) for r in valid_rows(rows)]
     values = [b for _, b in betas]
     monotone = all(b < a for a, b in zip(values, values[1:]))
@@ -216,7 +216,7 @@ def test_c08_cyclic_amplification(reproduce_outputs):
 
 
 def test_c09_no_ndtc_fig4b(reproduce_outputs):
-    _, rows, _ = reproduce_outputs["fig4b"]
+    rows = table_rows(reproduce_outputs["fig4b"][1])
     ordered = sorted(valid_rows(rows), key=lambda r: r["tempM"])
     je = [r["JeR"] for r in ordered]
     se = [r["SeRR"] for r in ordered]
@@ -228,8 +228,8 @@ def test_c09_no_ndtc_fig4b(reproduce_outputs):
 
 
 def test_c10_noise_power_structure_fig21(reproduce_outputs):
-    _, rows_j, _ = reproduce_outputs["fig21a"]
-    _, rows_s, _ = reproduce_outputs["fig21b"]
+    rows_j = table_rows(reproduce_outputs["fig21a"][1])
+    rows_s = table_rows(reproduce_outputs["fig21b"][1])
     step = BOUND / 40.0
 
     corner_j = [r for r in rows_j if r["gL12"] == r["gR12"] == BOUND]

@@ -24,12 +24,12 @@ from vflux.errors import (
 from vflux.config import config_for_target
 from vflux.fcs import _projected_inverse
 from vflux.liouvillian import build_generator
-from vflux.model import PARTICLE, SystemSpec, bose_occupation, build_rates
+from vflux.model import PARTICLE, SystemSpec, bose_occupation, build_rates, spec_at
 from vflux.runner import SPEC_COLUMNS, _fig5a
 from vflux.steady import steady_state
 from vflux.transport import bath_currents, closed_form_JeR_resonant, particle_currents
 
-from conftest import BOUND, cycle_spec, two_bath_spec
+from conftest import BOUND, cycle_spec, table_rows, two_bath_spec
 
 
 def swap_coupling_sets(spec: SystemSpec) -> SystemSpec:
@@ -180,14 +180,14 @@ def test_tM_response_matches_the_analytic_response():
     # with R the projected inverse and dL/dTM from the middle-bath rates
     # gM*n and gM*(1 + n), dn/dTM = n*(n + 1)*(delta/TM)/TM.  The stencil's
     # relative error reads at most 3.2e-9 on these 2,100 points.
-    items, _ = _fig5a(config_for_target("fig5a"))
+    fields, _, _ = _fig5a(config_for_target("fig5a"))
     # dL/dTM over gM*dn/dTM: the middle bath moves populations 1 <-> 2 and
     # damps both coherences
     pattern = np.zeros((5, 5))
     pattern[0, 0] = pattern[1, 1] = pattern[3, 3] = pattern[4, 4] = -1.0
     pattern[0, 1] = pattern[1, 0] = 1.0
     worst = 0.0
-    for spec, _ in items:
+    for spec in (spec_at(fields, n) for n in range(len(fields["eps1"]))):
         for tm in default_tM_grid().tolist():
             _, stencil = _tM_response(particle_currents, spec, tm)
             local = replace(spec, tempM=tm)
@@ -223,8 +223,7 @@ def closed_form_rj(spec: SystemSpec, t0: float, deltaT: float) -> float:
 def test_fig3_matches_resonant_closed_form(reproduce_outputs):
     # the fig3 base system is resonant two-bath with equal diagonal
     # couplings, the whole domain of the closed form
-    _, rows, _ = reproduce_outputs["fig3"]
-    valid = [r for r in rows if r.get("error") is None]
+    valid = [r for r in table_rows(reproduce_outputs["fig3"][1]) if r["error"] is None]
     off_diagonal = [r for r in valid if r["gL12"] != r["gR12"]]
     diagonal = [r for r in valid if r["gL12"] == r["gR12"]]
     assert (len(off_diagonal), len(diagonal)) == (2550, 50)

@@ -90,7 +90,8 @@ from vflux.transport import (
     particle_currents,
 )
 
-from conftest import DETUNED_SPEC, invalid_specs, seeded_conserving_specs, seeded_leak_specs
+from conftest import (DETUNED_SPEC, NOT_FINITE, invalid_specs, seeded_conserving_specs,
+                      seeded_leak_specs)
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -173,7 +174,9 @@ def stacked(core, specs, *args) -> list:
     """One outcome per spec, as the grid engine makes it: ``core(rates,
     *args)`` on the stacked :class:`RateSet` of the valid specs, and a
     :class:`DomainError` for each invalid one."""
-    return evaluate_valid(specs, lambda rates: core(rates, *args))
+    cells, errors = evaluate_valid(spec_arrays(specs),
+                                   lambda rates: ({"out": core(rates, *args)}, {}))
+    return [errors[n] if n in errors else cells["out"][n] for n in range(len(specs))]
 
 
 def recursion(rates, bath, kind, order) -> list:
@@ -206,10 +209,14 @@ STACKED["sweep"] = build_config({
 
 def grid_cells(target, specs) -> list:
     """One outcome per spec from the evaluator of ``target``'s plan,
-    filling the target's columns, as ``runner.compute_rows`` runs it."""
+    filling the target's result columns, as ``runner.compute_rows`` runs
+    it: a dict of its cells, or its error."""
     columns, plan = _TABLE[target]
-    _, evaluate, _ = plan(STACKED[target])
-    return evaluate([(spec, {}) for spec in specs], columns)
+    _, item_cells, evaluate, *_ = plan(STACKED[target])
+    cells, errors = evaluate(spec_arrays(specs), {},
+                             [name for name in columns if name not in item_cells])
+    return [errors[n] if n in errors else {name: values[n] for name, values in cells.items()}
+            for n in range(len(specs))]
 
 
 def point_cells(target, spec) -> dict:
@@ -533,12 +540,6 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
 #: Occupations near 1e308 overflow the kernel's products to inf and nan.
 OVERFLOWING = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.0, 0.0)
 
-#: Valid, but with rates so near the float limit that the generator's
-#: entries overflow: no dressed generator of it is finite.
-NOT_FINITE = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, *(0.45815976690544913,) * 2, 0.0,
-                        *(0.45815976690544913,) * 2, 0.0, 0.0)
-
-
 def test_overflowing_rates_fail_silently_like_one_point():
     # one point's Python floats overflow without a warning, and so must a
     # stack, next to a normal spec
@@ -591,18 +592,18 @@ def test_sweep_beyond_bound_is_a_domain_error_row(reach, steps):
         "system": {"gL12": 0.005},
         "sweep": {"axes": [{"field": "gL12", "min": 0.0, "max": reach * 0.01, "steps": steps}]},
     })
-    _, rows = compute_rows(config)
-    assert len(rows) == steps
-    for row in rows:
-        spec = SystemSpec(**{name: row[name] for name in SPEC_COLUMNS})
-        if row["gL12"] > 0.01:
+    _, table = compute_rows(config)
+    assert len(table["error"]) == steps
+    for n, (error, je_r) in enumerate(zip(table["error"], table["JeR"])):
+        spec = SystemSpec(**{name: table[name][n].item() for name in SPEC_COLUMNS})
+        if spec.gL12 > 0.01:
             with pytest.raises(DomainError) as info:
                 spec.require_valid()
-            assert row["error"] == f"DomainError: {info.value}"
-            assert "JeR" not in row
+            assert error == f"DomainError: {info.value}"
+            assert je_r is None
         else:
-            assert "error" not in row
-            assert row["JeR"] == CurrentReport.from_spec(spec).JeR
+            assert error is None
+            assert je_r == CurrentReport.from_spec(spec).JeR
 
 
 def test_occupation_without_finite_value_is_a_domain_error_row():
@@ -612,13 +613,13 @@ def test_occupation_without_finite_value_is_a_domain_error_row():
         "system": {"eps1": 1.0, "gL12": 0.0, "gR12": 0.0, "gM": 0.0},
         "sweep": {"axes": [{"field": "eps2", "min": 1e-320, "max": 0.5, "steps": 2}]},
     })
-    _, rows = compute_rows(config)
-    bad = SystemSpec(**{name: rows[0][name] for name in SPEC_COLUMNS})
+    _, table = compute_rows(config)
+    bad, good = (SystemSpec(**{name: table[name][n].item() for name in SPEC_COLUMNS})
+                 for n in (0, 1))
     with pytest.raises(DomainError, match="occupation: eps2 = 1e-320") as info:
         bad.require_valid()
-    assert rows[0]["error"] == f"DomainError: {info.value}"
-    good = SystemSpec(**{name: rows[1][name] for name in SPEC_COLUMNS})
-    assert "error" not in rows[1] and rows[1]["JeR"] == heat_currents(good)[1]
+    assert table["error"][0] == f"DomainError: {info.value}" and table["JeR"][0] is None
+    assert table["error"][1] is None and table["JeR"][1] == heat_currents(good)[1]
 
 
 @PROPERTY
@@ -870,8 +871,33 @@ def test_fig21b_builds_no_per_point_object(monkeypatch):
     for config, count in ((config_for_target("fig21b"), 1681), (config_for_target("fig2a"), 1681),
                           (config_for_target("fig21a"), 1681), (config_for_target("fig5b"), 39),
                           (sweep, 35)):
-        _, rows = compute_rows(config)
-        assert len(rows) == count and not made
+        _, table = compute_rows(config)
+        assert len(table["error"]) == count and not made
+
+
+def test_grids_build_no_per_row_spec(monkeypatch):
+    # a grid runs on field columns: a SystemSpec is built only for the
+    # config itself and for a row that is invalid (to format its
+    # DomainError) or that the rectification scan takes point by point
+    sweep = build_config({"task": "sweep", "sweep": {"axes": [
+        {"field": "gL12", "min": 0.0, "max": 0.02, "steps": 9},
+        {"field": "tempR", "min": 0.5, "max": 1.5, "steps": 4}]}})
+    configs = {target: config_for_target(target) for target in ("fig3", "fig21b", "fig2b")}
+    made = Counter()
+    original = SystemSpec.__init__
+
+    def counted(self, *args, **kwargs):
+        made["SystemSpec"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SystemSpec, "__init__", counted)
+    for config, rows, invalid in zip((*configs.values(), sweep), (2601, 1681, 1209, 36),
+                                     (0, 0, 0, 16)):
+        made.clear()
+        _, table = compute_rows(config)
+        assert len(table["error"]) == rows
+        assert sum(str(error).startswith("DomainError") for error in table["error"]) == invalid
+        assert made["SystemSpec"] <= 1 + invalid
 
 
 @pytest.mark.parametrize("target,calls", [
@@ -919,19 +945,20 @@ def test_batch_warns_like_the_scalar_loop(monkeypatch):
 
 def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     # the whole target is one stack, with the degenerate corner in it
-    items, evaluate, batch = _fig21b(config_for_target("fig21b"))
-    assert batch == len(items) == 1681
+    fields, cells, evaluate = _fig21b(config_for_target("fig21b"))
+    assert len(fields["eps1"]) == 1681 and not cells
     calls = Counter()
     for name in ("eig", "svd", "eigvals", "det", "solve", "inv"):
         def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    rows = _rows(items, evaluate, batch)
-    assert len(rows) == 1681
-    # the corner (gL12, gR12) = bounds is the last item and the only error
-    assert [n for n, row in enumerate(rows) if "error" in row] == [1680]
-    assert rows[-1]["error"].startswith("DegenerateSteadyStateError: kernel not isolated")
+    table = _rows(fields, cells, evaluate, columns=_TABLE["fig21b"][0])
+    assert len(table["error"]) == 1681
+    # the corner (gL12, gR12) = bounds is the last point and the only error
+    assert [n for n, error in enumerate(table["error"]) if error] == [1680]
+    assert table["error"][-1].startswith("DegenerateSteadyStateError: kernel not isolated")
+    assert table["SeRR"][-1] is table["SeRR_fd"][-1] is None
     # the closed-form kernel calls no LAPACK routine; the projected inverse
     # takes one, and the stencil one spectrum each at h/4, h/2 and h
     assert calls == Counter({"eig": 0, "svd": 0, "det": 0, "solve": 0, "inv": 1, "eigvals": 3})
@@ -940,17 +967,21 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
 def test_multi_batch_rows_equal_single_batch_rows():
     # gL12 crosses its interference bound 0.01 on every tempR, so each grid
     # row holds DomainError rows between valid ones
-    items, evaluate, batch = _sweep(build_config({
+    fields, cells, evaluate, batch = _sweep(build_config({
         "task": "sweep",
         "sweep": {"axes": [{"field": "tempR", "min": 0.5, "max": 1.0, "steps": 4},
                            {"field": "gL12", "min": 0.0, "max": 0.015, "steps": 7}]},
     }))
     assert batch == 7
     columns = _TABLE["sweep"][0]
-    rows = _rows(items, evaluate, batch, columns)
-    single = [row for start in range(0, len(items), batch)
-              for row in _rows(items[start:start + batch], evaluate, batch, columns)]
-    assert len(rows) == len(items) == 28
-    assert {"error" in row for row in rows} == {True, False}
+    table = _rows(fields, cells, evaluate, batch, columns=columns)
+    whole = _rows(fields, cells, evaluate, columns=columns)
+    parts = [_rows({name: values[start:start + batch] for name, values in fields.items()},
+                   cells, evaluate, columns=columns) for start in range(0, 28, batch)]
+    single = {name: [cell for part in parts for cell in list(part[name])] for name in table}
+    assert len(table["error"]) == 28
+    assert {error is None for error in table["error"]} == {True, False}
     # repr round-trips every float, so equal reprs are equal bits
-    assert repr(rows) == repr(single)
+    for other in (whole, single):
+        assert repr({name: list(cells) for name, cells in table.items()}) == repr(
+            {name: list(cells) for name, cells in other.items()})

@@ -83,14 +83,12 @@ def test_sweep_matches_dedicated_target():
                    "gL12": 0.0, "gR12": 0.0, "gM": 0.01},
         "sweep": {"axes": [{"field": "tempM", "min": 0.1, "max": 2.0, "steps": 39}]},
     }
-    columns, rows = compute_rows(build_config(raw))
-    assert len(rows) == 39
-    target_cols, target_rows = compute_rows(config_for_target("fig4b"))
-    for sweep_row, fig_row in zip(rows, target_rows):
-        assert sweep_row["tempM"] == fig_row["tempM"]
-        assert sweep_row["JeR"] == fig_row["JeR"]
-        assert sweep_row["SeRR"] == fig_row["SeRR"]
-        assert sweep_row.get("error") is None
+    _, sweep = compute_rows(build_config(raw))
+    assert len(sweep["tempM"]) == 39
+    _, target = compute_rows(config_for_target("fig4b"))
+    for name in ("tempM", "JeR", "SeRR"):
+        assert list(sweep[name]) == list(target[name])
+    assert sweep["error"] == [None] * 39
 
 
 def test_two_axis_sweep_row_major_order():
@@ -101,8 +99,8 @@ def test_two_axis_sweep_row_major_order():
             {"field": "tempR", "min": 0.5, "max": 1.5, "steps": 3},
         ]},
     }
-    _, rows = compute_rows(build_config(raw))
-    pairs = [(row["tempL"], row["tempR"]) for row in rows]
+    _, table = compute_rows(build_config(raw))
+    pairs = list(zip(table["tempL"].tolist(), table["tempR"].tolist()))
     assert pairs == [(1.0, 0.5), (1.0, 1.0), (1.0, 1.5),
                      (2.0, 0.5), (2.0, 1.0), (2.0, 1.5)]
 
@@ -113,8 +111,8 @@ def test_sweep_row_error_does_not_abort():
         "task": "sweep",
         "sweep": {"axes": [{"field": "gL12", "min": 0.0, "max": 0.02, "steps": 5}]},
     }
-    _, rows = compute_rows(build_config(raw))
-    errors = [row.get("error") for row in rows]
+    _, table = compute_rows(build_config(raw))
+    errors = table["error"]
     assert errors[0] is None and errors[-1] is not None
     assert "interference bound" in errors[-1]
 
@@ -128,11 +126,11 @@ def test_sweep_rows_conserve_or_warn():
                    "tempL": 2.0, "tempR": 0.7},
         "sweep": {"axes": [{"field": "tempR", "min": 0.4, "max": 1.2, "steps": 5}]},
     }
-    _, rows = compute_rows(build_config(raw))
-    for row in rows:
-        assert row.get("error") is None
-        if row["res_energy"] > 1e-10 or row["res_particle"] > 1e-10:
-            assert row["warnings"] != ""
+    _, table = compute_rows(build_config(raw))
+    assert table["error"] == [None] * 5
+    for res_e, res_p, warned in zip(table["res_energy"], table["res_particle"], table["warnings"]):
+        if res_e > 1e-10 or res_p > 1e-10:
+            assert warned != ""
 
 
 def test_csv_formatting_is_scientific_17_digits():
@@ -148,25 +146,31 @@ def test_render_csv_matches_a_per_cell_rendering():
     column = [0.0, -0.0, 0.0, -0.0, nan, nan, float("-nan"), math.inf, -math.inf, math.inf,
               0.1, 0.1, np.float64(0.1), np.float64(-0.0), np.float64(nan), 1, 1.0, True,
               np.int64(1), False, 0, None, "", "x", "1.0", 0.1]
-    rows = [{"a": value, "b": 1.0 / (pos + 1)} for pos, value in enumerate(column)]
-    expected = "".join(f"{','.join(format_cell(row.get(col)) for col in ('a', 'b', 'c'))}\n"
-                       for row in rows)
-    assert render_csv(("a", "b", "c"), rows) == "a,b,c\n" + expected
-    assert render_csv(("a", "b"), []) == "a,b\n"
+    table = {"a": column, "b": [1.0 / (pos + 1) for pos in range(len(column))],
+             "c": [None] * len(column)}
+    expected = "".join(f"{','.join(format_cell(table[col][n]) for col in ('a', 'b', 'c'))}\n"
+                       for n in range(len(column)))
+    assert render_csv(("a", "b", "c"), table) == "a,b,c\n" + expected
+    assert render_csv(("a", "b"), {"a": [], "b": np.array([])}) == "a,b\n"
+    # a float array column renders as its cells do in a list
+    values = np.array([0.0, -0.0, nan, -math.inf, 0.1, 0.1, 5e-324, 1.0])
+    assert (render_csv(("v",), {"v": values})
+            == render_csv(("v",), {"v": values.tolist()})
+            == "v\n" + "".join(f"{format_cell(value)}\n" for value in values.tolist()))
 
 
 def test_error_cell_with_a_comma_is_one_quoted_field():
     # the indeterminate text of deltaT = 0 holds a comma
-    columns, rows = compute_rows(build_config({"task": "rectify",
-                                               "rectify": {"deltaT": 0.0}}))
-    text = render_csv(columns, rows)
+    columns, table = compute_rows(build_config({"task": "rectify",
+                                                "rectify": {"deltaT": 0.0}}))
+    text = render_csv(columns, table)
     error = "IndeterminateRectificationError: both currents vanish at t0=1.0, deltaT=0.0"
     assert f',"{error}"\n' in text
     (header, row) = csv.reader(io.StringIO(text))
     assert header == list(columns) and len(row) == len(columns) and row[-1] == error
     # quotes are doubled, and a line break is kept inside the field
     cells = ['a "b"', "x\ny", "p\rq", "plain", None]
-    text = render_csv(("a",), [{"a": cell} for cell in cells])
+    text = render_csv(("a",), {"a": cells})
     assert text == 'a\n"a ""b"""\n"x\ny"\n"p\rq"\nplain\n\n'
     assert [row for row in csv.reader(io.StringIO(text, newline=""))] == [
         ["a"], *([cell] for cell in cells[:-1]), []]
@@ -189,14 +193,14 @@ def test_run_writes_file(tmp_path):
 def test_json_output_has_no_non_finite_number(reproduce_outputs):
     # fig21a computes no noise: its SeRR cells are NaN, but in the one
     # error row, which has none
-    columns, rows, _ = reproduce_outputs["fig21a"]
-    assert sum(math.isnan(row.get("SeRR", 0.0)) for row in rows) == 1680
+    columns, table, _ = reproduce_outputs["fig21a"]
+    assert sum(math.isnan(cell) for cell in table["SeRR"] if cell is not None) == 1680
 
     def reject(token):
         raise ValueError(f"{token} is not JSON")
 
-    payload = json.loads(render_json(columns, rows), parse_constant=reject)
-    assert [row["SeRR"] for row in payload] == [None] * len(rows)
+    payload = json.loads(render_json(columns, table), parse_constant=reject)
+    assert [row["SeRR"] for row in payload] == [None] * len(table["SeRR"])
 
 
 def test_json_output_round_trips(tmp_path):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vflux.errors import DomainError
 from vflux.liouvillian import _dressed_rates
@@ -29,7 +31,7 @@ from vflux.model import (
 )
 from vflux.transport import heat_currents
 
-from conftest import (BOUND, FIGURE_SPECS, invalid_specs, seeded_conserving_specs,
+from conftest import (BOUND, DETUNED_SPEC, FIGURE_SPECS, invalid_specs, seeded_conserving_specs,
                       seeded_leak_specs, two_bath_spec)
 
 # frozen with 50-digit arithmetic
@@ -207,14 +209,17 @@ def test_stacked_validity_agrees_with_validate():
         edges = {**params, "tempL": hot, "tempR": hot}
         assert _valid_points(edges).tolist() == [
             not validate(replace(spec, tempL=hot, tempR=hot)) for spec in corpus]
-    outcomes = evaluate_valid(corpus, lambda rates: [rates.shape] * rates.shape[0])
-    for spec, out in zip(corpus, outcomes):
+    cells, errors = evaluate_valid(
+        params, lambda rates: ({"shape": [rates.shape] * len(rates.eps1)}, {}))
+    for n, spec in enumerate(corpus):
         if validate(spec):
             with pytest.raises(DomainError) as info:
                 spec.require_valid()
-            assert isinstance(out, DomainError) and str(out) == str(info.value)
+            assert isinstance(errors[n], DomainError) and str(errors[n]) == str(info.value)
+            assert cells["shape"][n] is None
         else:
-            assert out == (len(corpus) - sum(bool(validate(s)) for s in corpus),)
+            assert n not in errors
+            assert cells["shape"][n] == (len(corpus) - sum(bool(validate(s)) for s in corpus),)
 
 
 def test_validate_reports_an_occupation_without_finite_value():
@@ -356,11 +361,48 @@ def test_spec_hashes_are_the_per_spec_hashes():
     specs = [base, replace(base, gL12=-0.0), replace(base, gR12=-0.0, gL12=0.0),
              replace(base, eps1=1, tempM=np.float64(1.0)), replace(base, gM=math.nan),
              replace(base, gM=math.inf), *seeded_conserving_specs(20)]
-    hashes = spec_hashes(specs)
+    hashes = spec_hashes(spec_arrays(specs))
     assert hashes == [reference(spec) for spec in specs]
     assert hashes == [spec.content_hash() for spec in specs]
     assert hashes[0] == hashes[3] and len({hashes[0], hashes[1], hashes[2]}) == 3
-    assert spec_hashes([]) == []
+    assert spec_hashes(spec_arrays([])) == []
+
+
+def written_out_hash(spec) -> str:
+    """The per-spec content hash, written out field by field."""
+    text = "|".join(f"{name}={float(getattr(spec, name))!r}" for name in SPEC_FIELDS)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+#: Field values a column memo could confuse: zeros of both signs,
+#: subnormals, one value as an int, a float and a numpy float, and the
+#: values that compare unequal to themselves or to everything finite.
+AWKWARD = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1, 1.0,
+                           np.float64(1.0), np.float64(-0.0), math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def hash_batches(draw):
+    """Specs with awkward field values, some repeated."""
+    value = st.one_of(AWKWARD, st.floats(allow_nan=False), st.integers(-3, 3))
+    batch = [SystemSpec(*(draw(value) for _ in SPEC_FIELDS))
+             for _ in range(draw(st.integers(1, 6)))]
+    batch += draw(st.lists(st.sampled_from(batch), max_size=4))
+    return draw(st.permutations(batch))
+
+
+@settings(database=None, deadline=None, max_examples=80)
+@given(hash_batches())
+def test_spec_hashes_of_columns_are_the_written_out_hashes(batch):
+    hashes = spec_hashes(spec_arrays(batch))
+    assert hashes == [written_out_hash(spec) for spec in batch]
+    assert hashes == [spec.content_hash() for spec in batch]
+
+
+def test_content_hash_literals():
+    # computed before the hash read field columns
+    assert two_bath_spec().content_hash() == "5bc2ed54c426"
+    assert replace(DETUNED_SPEC, gR12=-0.0, eps2=5e-324).content_hash() == "122f532fbb92"
 
 
 def test_counting_fields_kind_checked():

@@ -1,14 +1,15 @@
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from vflux.config import config_for_target
+from vflux.config import build_config, config_for_target
 from vflux.errors import DegenerateSteadyStateError, UsageError
 from vflux.liouvillian import TRACE_VECTOR, Generator, build_generator
-from vflux.model import SystemSpec
-from vflux.runner import _fig3, _rows
+from vflux.model import SPEC_FIELDS, SystemSpec
+from vflux.runner import _fig3, _rows, compute_rows
 from vflux.steady import (
     ISOLATION_TOL,
     _kernel,
@@ -24,6 +25,7 @@ from vflux.steady import (
 from conftest import (
     BOUND,
     MAX_BIAS_SPEC,
+    NOT_FINITE,
     cycle_spec,
     seeded_conserving_specs,
     seeded_leak_specs,
@@ -279,14 +281,43 @@ def test_degenerate_kernels_in_a_stack_leave_the_rest_solved():
     zero = build_generator(SystemSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0))
     dark = build_generator(two_bath_spec(BOUND, BOUND))
     # the last fig3 grid row ends on the exactly singular corner
-    items, evaluate, batch = _fig3(config_for_target("fig3"))
+    fields, cells, evaluate = _fig3(config_for_target("fig3"))
+    last = {name: values[-51:] for name, values in fields.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stack = np.stack([zero.matrix, build_generator(MAX_BIAS_SPEC).matrix, dark.matrix])
         assert sorted(steady_state_batch(stack).errors) == [0, 2]
-        rows = _rows(items[-batch:], evaluate, batch)
-    assert [n for n, row in enumerate(rows) if "error" in row] == [batch - 1]
-    assert "kernel not isolated" in rows[-1]["error"]
+        table = _rows(last, {"t0": cells["t0"][-51:]}, evaluate, columns=("t0", "rj_max"))
+    assert [n for n, error in enumerate(table["error"]) if error] == [50]
+    assert "kernel not isolated" in table["error"][-1] and table["rj_max"][-1] is None
+
+
+@pytest.mark.parametrize("solve", [steady_state_resonant_two_bath, steady_state_three_terminal,
+                                   coherence_vanishing_residual])
+def test_closed_forms_reject_a_spec_whose_rates_overflow(solve):
+    # valid, but the rates near 1e308 overflow the closed forms' sums to
+    # inf and nan, where the kernel finds no isolated kernel
+    with pytest.raises(DegenerateSteadyStateError, match="Hadamard ratio nan"):
+        steady_state(build_generator(NOT_FINITE))
+    with pytest.raises(DegenerateSteadyStateError, match="not finite"):
+        solve(NOT_FINITE)
+
+
+def test_time_integration_rejects_a_generator_that_is_not_finite(monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a generator that is not finite")
+
+    monkeypatch.setattr("vflux.steady.solve_ivp", integrate)
+    gen = build_generator(NOT_FINITE)
+    assert not np.isfinite(gen.matrix).all()
+    with pytest.raises(DegenerateSteadyStateError, match="generator is not finite"):
+        steady_state_time_integration(gen)
+    # the steady task: the kernel, a closed form and the integrator, each
+    # one error row
+    fields = dict(zip(SPEC_FIELDS, astuple(NOT_FINITE)))
+    columns, table = compute_rows(build_config({"task": "steady", "system": fields}))
+    assert table["method"] == [None] * 3
+    assert [text.split(":")[0] for text in table["error"]] == ["DegenerateSteadyStateError"] * 3
 
 
 def test_evolve_fixed_point():

@@ -3,7 +3,9 @@
 Each config is run through ``compute_rows`` and rendered both ways; the
 SHA-256 of the CSV and of the JSON text must not move.  Together with the
 golden corpus (every reproduce target and two ``steady`` cases) this holds
-every task path of the runner to its bytes.
+every task path of the runner to its bytes, and three grid paths the
+goldens do not reach: a ``fig3`` scanned point by point, ``DomainError``
+rows in a stacked grid, and a ``-0.0`` field value in a two-axis sweep.
 """
 
 import hashlib
@@ -63,6 +65,31 @@ CASES = {
         "fac5b8afde95341ee0a8f1683978926421694869d8e508475d47ae2787242ac9",
         "9515d83ca4b6bf4b181dd474ef3366bfb5d0e6b49cf9b4fb132193bcbcbb79b3",
     ),
+    # eps/temp leaves no finite occupation at the scan's hottest edge,
+    # t0 + 0.95*t0 = 1.95, so every spec is scanned point by point
+    "fig3_invalid_at_the_hot_edge": (
+        {"task": "reproduce", "reproduce": "fig3",
+         "system": {"eps1": 1e-308, "eps2": 1e-308, "tempL": 1.5, "tempR": 1.0}},
+        "3f1f95f7d8ead49b6abb34ecdfe1aa9e3b8bc4c31c87b06e0e32e7acb6b9c11c",
+        "234a0e59a72618ece5d8c98b9140c8063df6fc8bb7ff8c14d06fe0496680c9cd",
+    ),
+    # eps2/temp leaves no finite occupation from a temperature of about
+    # 0.54: 1,164 DomainError rows among 45 kernel errors.  The fig2a and
+    # fig21b grids vary only the cross couplings, which stay in their
+    # bounds, so a valid config gives them no DomainError row.
+    "fig2b_domain_error_rows": (
+        {"task": "reproduce", "reproduce": "fig2b", "system": {"eps2": 3e-309}},
+        "359ae727a8d49341c70188ea3fa219e695d526280249a00c2ae3ca9ae730189c",
+        "1d3a3fccf6aac6c71b6557f01583682c5ce88a846000ccfff5837f26db749590",
+    ),
+    "sweep_negative_zero": (
+        {"task": "sweep", "sweep": {"axes": [
+            {"field": "gR12", "min": -0.0, "max": 0.0, "steps": 2},
+            {"field": "gL12", "min": -0.0, "max": 0.005, "steps": 3},
+        ]}},
+        "5506fdf17d6db3d41b271b5224e8ef301c51614c426ecc9183ebddbd4e04ba85",
+        "de2a5e2d47fa89a50b4ce3d1495aa9b4224d54dc40f8d750e813a32121c3a3f4",
+    ),
     "sweep_across_bound": (
         {"task": "sweep", "sweep": {"axes": [
             {"field": "gL12", "min": 0.0, "max": 0.02, "steps": 5},
@@ -81,5 +108,6 @@ def _sha(text: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_task_output_bytes_pinned(name):
     raw, csv_sha, json_sha = CASES[name]
-    columns, rows = compute_rows(build_config(raw))
-    assert (_sha(render_csv(columns, rows)), _sha(render_json(columns, rows))) == (csv_sha, json_sha)
+    columns, table = compute_rows(build_config(raw))
+    assert _sha(render_csv(columns, table)) == csv_sha
+    assert _sha(render_json(columns, table)) == json_sha
