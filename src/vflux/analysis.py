@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fcs import richardson
 from .liouvillian import _entries
-from .model import ENERGY, RateSet, SystemSpec, _valid_points, spec_arrays, spec_at
+from .model import ENERGY, RateSet, SystemSpec, _invalid, _valid_points, spec_arrays, spec_at
 from .steady import _error_text, _real_columns
 from .transport import bath_currents, heat_currents, particle_currents
 
@@ -127,8 +127,8 @@ def max_rectification_columns(params, t0: float, deltaT_grid: np.ndarray | None 
     backward).  A grid that is not 1-D raises :class:`UsageError`.
     Returns one ``(rj_max, deltaT_star)`` per point, or the
     :class:`VfluxError` that scanning the grid with :func:`rectification`
-    raises first for it; a SystemSpec is built only for a point scanned
-    that way.
+    raises first for it; a SystemSpec is built only for the text of a
+    :class:`DomainError` (:func:`_scan_errors`).
     """
     grid = _grid(default_deltaT_grid(t0) if deltaT_grid is None else deltaT_grid)
     scan = [float(grid[idx]) for idx in np.argsort(np.abs(grid), kind="stable")]
@@ -142,11 +142,12 @@ def max_rectification_columns(params, t0: float, deltaT_grid: np.ndarray | None 
         return [fallback] * size
     # validate reads an edge temperature only by its sign and eps/temp, and
     # the scan keeps both in (0, t0 + |deltaT|/2 of its last bias]: a spec
-    # invalid with both edges there is scanned point by point.
+    # invalid with both edges there takes the scan for invalid points.
     hottest = t0 + abs(scan[stop - 1]) / 2.0
     ok = _valid_points({**params, "tempL": hottest, "tempR": hottest})
-    outcomes = {pos: _scan_error(spec_at(params, pos), t0, scan[:stop])
-                for pos in np.flatnonzero(~ok).tolist()}
+    bad = np.flatnonzero(~ok)
+    outcomes = dict(zip(bad.tolist(), _scan_errors(
+        {name: values[bad] for name, values in params.items()}, t0, scan[:stop])))
     valid = np.flatnonzero(ok).tolist()
     params = {name: values[valid] for name, values in params.items()}
     rows, starts, forward, backward = _mirror_rows(params)
@@ -273,17 +274,46 @@ def _grid(values) -> np.ndarray:
     return grid
 
 
-def _scan_error(spec: SystemSpec, t0: float, biases) -> VfluxError | None:
-    """The first error of :func:`rectification` over ``biases`` other than
-    an indeterminate point, which the scan skips."""
-    for dt in biases:
-        try:
-            rectification(spec, t0, dt)
-        except IndeterminateRectificationError:
-            continue
-        except VfluxError as exc:
-            return exc
-    return None
+def _scan_errors(params, t0: float, biases) -> list:
+    """The first error of :func:`rectification` over ``biases`` of each
+    point of the field columns ``params``, other than an indeterminate
+    point, which the scan skips, or None.
+
+    One stacked validity check gives each spec's first invalid point in
+    scan order (bias, then forward before backward).  The valid points
+    before it, each spec's own and no more, are solved as flat stacks of at
+    most :data:`SCAN_STACK_POINTS` with the fields and edge temperatures
+    :func:`rectification` gives them; the first kernel error among them is
+    the outcome, else that invalid point's :class:`DomainError`.  A
+    SystemSpec is built only for that error's text.
+    """
+    dt = np.asarray(biases, dtype=float)
+    hot, cold = t0 + dt / 2.0, t0 - dt / 2.0
+    edges = {"tempL": np.column_stack([hot, cold]).ravel(),
+             "tempR": np.column_stack([cold, hot]).ravel()}
+    size, points = len(params["eps1"]), len(edges["tempL"])
+    invalid = ~_valid_points({**{name: values[:, None] for name, values in params.items()},
+                              **{name: temps[None] for name, temps in edges.items()}})
+    first = np.where(invalid.any(axis=1), invalid.argmax(axis=1), points)
+    spec = np.repeat(np.arange(size), first)
+    at = np.arange(len(spec)) - np.repeat(np.cumsum(first) - first, first)
+    outcomes: list = [None] * size
+    for lo in range(0, len(spec), SCAN_STACK_POINTS):
+        n, pos = spec[lo:lo + SCAN_STACK_POINTS], at[lo:lo + SCAN_STACK_POINTS]
+        # as in one point's Python floats, rates near the float limit overflow silently
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rates = RateSet({**{name: values[n] for name, values in params.items()},
+                             **{name: temps[pos] for name, temps in edges.items()}})
+            _, ratio, isolated, usable = _real_columns(*_entries(rates))
+        for k in np.flatnonzero(~usable).tolist():
+            if outcomes[n[k]] is None:
+                outcomes[n[k]] = DegenerateSteadyStateError(_error_text(ratio[k], isolated[k]))
+    at_first = {**params, **{name: np.take(temps, first, mode="clip")
+                             for name, temps in edges.items()}}
+    for n in np.flatnonzero(first < points).tolist():
+        if outcomes[n] is None:
+            outcomes[n] = _invalid(spec_at(at_first, n))
+    return outcomes
 
 
 @dataclass(frozen=True)

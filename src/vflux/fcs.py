@@ -16,7 +16,9 @@ arrays as cells.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from operator import mul
@@ -41,6 +43,10 @@ IMAG_WARN = 1e-10
 
 #: Default step in chi of the finite-difference cumulants.
 FD_STEP = 1e-4
+
+#: Fewest matrices a thread of a split stacked ``eigvals`` takes
+#: (:func:`_eigvals`); measured crossover in ``docs/conventions.md``.
+SPLIT_MATRICES = 500
 
 _BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
 _NOT_FINITE_ERROR = "dressed generator is not finite"
@@ -131,17 +137,41 @@ def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
 
 def _spectra(rates: RateSet, chi: CountingFields, fractions):
     """Dressed spectra, ``rates.shape + (5,)``, at each fraction of ``chi``,
-    and the :class:`BranchError` text of each index (as :func:`_branch` keys
-    it) whose dressed matrices are not all finite.  Those never reach
-    ``eigvals``, which rejects a whole stack for one of them: the identity
-    takes their place, as in :func:`_projected_inverse`."""
-    matrices = [_counting_matrix(rates, chi.scaled(f)) for f in fractions]
-    finite = np.all([np.isfinite(m).all(axis=(-2, -1)) for m in matrices], axis=0)
+    from one :func:`_eigvals` of their stack, and the :class:`BranchError`
+    text of each index (as :func:`_branch` keys it) whose dressed matrices
+    are not all finite.  Those never reach ``eigvals``, which rejects a
+    whole stack for one of them: the identity takes their place, as in
+    :func:`_projected_inverse`."""
+    matrices = np.stack([_counting_matrix(rates, chi.scaled(f)) for f in fractions])
+    finite = np.isfinite(matrices).all(axis=(0, -2, -1))
     errors = {tuple(n): _NOT_FINITE_ERROR for n in np.argwhere(~finite)}
     if errors:
-        for m in matrices:
-            m[~finite] = np.eye(5)
-    return [np.linalg.eigvals(m) for m in matrices], errors
+        matrices[:, ~finite] = np.eye(5)
+    return list(_eigvals(matrices)), errors
+
+
+def _cores() -> int:
+    """CPUs this process may run on (``os.cpu_count()`` where the platform
+    has no ``os.sched_getaffinity``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals`` of a stack of matrices.  A stack of at least
+    two :data:`SPLIT_MATRICES` runs as up to one contiguous chunk per core,
+    each on a thread of a pool made and shut down inside the call (LAPACK's
+    ``zgeev`` releases the GIL), concatenated in order; a smaller one is one
+    call in the calling thread.  Each matrix is solved alone, so the bits do
+    not depend on the split."""
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    chunks = min(_cores(), len(flat) // SPLIT_MATRICES)
+    if chunks < 2:
+        return np.linalg.eigvals(stack)
+    with ThreadPoolExecutor(chunks) as pool:
+        parts = list(pool.map(np.linalg.eigvals, np.array_split(flat, chunks)))
+    return np.concatenate(parts).reshape(stack.shape[:-1])
 
 
 def _branch(start, end):

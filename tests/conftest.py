@@ -101,6 +101,27 @@ DETUNED_SPEC = SystemSpec(1.2, 0.7, 2.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01
 NOT_FINITE = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, *(0.45815976690544913,) * 2, 0.0,
                         *(0.45815976690544913,) * 2, 0.0, 0.0)
 
+def lapack_calls(monkeypatch, names) -> list:
+    """``(name, matrices)`` of each later call of the ``np.linalg``
+    functions ``names``, from any thread (``list.append`` is atomic)."""
+    calls = []
+    for name in names:
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, math.prod(np.shape(a)[:-2])))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+#: A ``fig3`` system whose levels keep a finite occupation at the bias
+#: scan's lower edge temperatures but not at its hottest, with couplings
+#: small enough that every kernel before that point is isolated: each of
+#: the 2,601 specs ends in its ``DomainError`` after about 80 solved points.
+LATE_INVALID_SYSTEM = {
+    "eps1": 1e-308, "eps2": 1e-308, "tempL": 1.5, "tempR": 1.0,
+    "gL11": 1e-300, "gL22": 1e-300, "gR11": 1e-300, "gR22": 1e-300,
+}
+
 #: Smallest ``omega/temp`` with a finite occupation (``model.OCCUPATION_RATIO_MIN``).
 _RATIO_MIN = math.nextafter(2.0 ** -1024, 1.0)
 

@@ -10,14 +10,16 @@ superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and the ``fig21b`` target, one
-stack, to one stacked LAPACK call per stage.  The one evaluator of every
+stack, to one stacked LAPACK call per stage (``eigvals`` split into at
+most one call per core).  The one evaluator of every
 stacked grid reads its cells as arrays; the cells of each stacked target
 are held to the one-point public routes, and no target may build a
 per-point object.  A grid of several batches must give the rows its
 batches give one at a time.  The rectification
 scan, which solves a spec's backward bias as its L<->R mirror's forward
-bias, is held to the point scan on batches with mirror pairs, and the
-``fig3`` bytes to the golden digest at any stack size.
+bias, is held to the point scan on batches with mirror pairs and on
+specs that turn invalid inside the scan, and the ``fig3`` bytes to the
+golden digest at any stack size.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vflux import analysis
+from vflux import analysis, fcs
 from vflux.analysis import (_factor, _mirror_rows, default_deltaT_grid,
                             max_rectification_batch, rectification)
 from vflux.config import build_config, config_for_target
@@ -90,8 +92,8 @@ from vflux.transport import (
     particle_currents,
 )
 
-from conftest import (DETUNED_SPEC, NOT_FINITE, invalid_specs, seeded_conserving_specs,
-                      seeded_leak_specs)
+from conftest import (DETUNED_SPEC, LATE_INVALID_SYSTEM, NOT_FINITE, invalid_specs,
+                      lapack_calls, seeded_conserving_specs, seeded_leak_specs)
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -508,6 +510,24 @@ def test_fig3_solves_each_forward_point_once(monkeypatch):
     assert max(points) <= analysis.SCAN_STACK_POINTS
 
 
+def test_specs_invalid_late_in_the_scan_take_no_point_scan(monkeypatch):
+    # the point scan ran rectification, two heat_currents calls, for each
+    # bias before a spec's first invalid point: 215,883 calls on this grid
+    calls = []
+
+    def counted(spec, *args, _original=analysis.heat_currents):
+        calls.append(1)
+        return _original(spec, *args)
+
+    monkeypatch.setattr(analysis, "heat_currents", counted)
+    config = build_config({"task": "reproduce", "reproduce": "fig3",
+                           "system": LATE_INVALID_SYSTEM})
+    _, table = compute_rows(config)
+    assert len(table["error"]) == 2601
+    assert all(error.startswith("DomainError: invalid SystemSpec") for error in table["error"])
+    assert len(calls) <= 2601
+
+
 @pytest.mark.parametrize("points", [1, 10**9])
 def test_fig3_bytes_do_not_depend_on_the_stack_size(monkeypatch, points):
     # one group (a spec and its mirror) per stack, and the whole grid in one
@@ -900,22 +920,36 @@ def test_grids_build_no_per_row_spec(monkeypatch):
         assert made["SystemSpec"] <= 1 + invalid
 
 
+def assert_one_stacked_call_per_stage(calls, matrices):
+    """``calls`` (:func:`lapack_calls`) hand each routine the ``matrices``
+    it maps to in one call; ``eigvals`` takes up to one call per core from
+    two :data:`vflux.fcs.SPLIT_MATRICES` on (``fig21b``), and one below
+    (``fig4b``)."""
+    handed, made = Counter(), Counter()
+    for name, count in calls:
+        handed[name] += count
+        made[name] += 1
+    assert handed == Counter(matrices)
+    for name in made:
+        if name == "eigvals" and matrices[name] >= 2 * fcs.SPLIT_MATRICES:
+            assert 1 <= made[name] <= fcs._cores()
+        else:
+            assert made[name] == 1
+
+
 @pytest.mark.parametrize("target,calls", [
-    ("fig21b", {"inv": 1, "eigvals": 3}), ("fig4b", {"inv": 1, "eigvals": 3}),
+    ("fig21b", {"inv": 1681, "eigvals": 3 * 1681}), ("fig4b", {"inv": 39, "eigvals": 3 * 39}),
     ("fig2a", {}), ("fig2b", {}), ("fig21a", {}), ("fig5b", {})])
 def test_stacked_targets_take_one_stacked_call_per_stage(monkeypatch, target, calls):
     # the kernel calls no LAPACK routine; the recursion and the stencils
-    # run only on the targets that render the noise
-    counted = Counter()
-    for name in dir(np.linalg):
-        original = getattr(np.linalg, name)
-        if callable(original) and not isinstance(original, type):
-            def count(*args, _name=name, _original=original, **kwargs):
-                counted[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, count)
+    # run only on the targets that render the noise: one stacked inv of
+    # every point, and eigvals of its spectra at h/4, h/2 and h.  calls
+    # maps a routine to the matrices it is handed.
+    routines = [name for name in dir(np.linalg)
+                if callable(routine := getattr(np.linalg, name)) and not isinstance(routine, type)]
+    made = lapack_calls(monkeypatch, routines)
     compute_rows(config_for_target(target))
-    assert counted == Counter(calls)
+    assert_one_stacked_call_per_stage(made, calls)
 
 
 def test_batch_warns_like_the_scalar_loop(monkeypatch):
@@ -947,12 +981,7 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     # the whole target is one stack, with the degenerate corner in it
     fields, cells, evaluate = _fig21b(config_for_target("fig21b"))
     assert len(fields["eps1"]) == 1681 and not cells
-    calls = Counter()
-    for name in ("eig", "svd", "eigvals", "det", "solve", "inv"):
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = lapack_calls(monkeypatch, ("eig", "svd", "eigvals", "det", "solve", "inv"))
     table = _rows(fields, cells, evaluate, columns=_TABLE["fig21b"][0])
     assert len(table["error"]) == 1681
     # the corner (gL12, gR12) = bounds is the last point and the only error
@@ -960,8 +989,9 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     assert table["error"][-1].startswith("DegenerateSteadyStateError: kernel not isolated")
     assert table["SeRR"][-1] is table["SeRR_fd"][-1] is None
     # the closed-form kernel calls no LAPACK routine; the projected inverse
-    # takes one, and the stencil one spectrum each at h/4, h/2 and h
-    assert calls == Counter({"eig": 0, "svd": 0, "det": 0, "solve": 0, "inv": 1, "eigvals": 3})
+    # takes one, and the stencil one spectrum each at h/4, h/2 and h, split
+    # across at most one eigvals call per core
+    assert_one_stacked_call_per_stage(calls, {"inv": 1681, "eigvals": 3 * 1681})
 
 
 def test_multi_batch_rows_equal_single_batch_rows():

@@ -16,7 +16,7 @@ from vflux.model import ENERGY, PARTICLE, CountingFields, RateSet, SystemSpec
 from vflux.steady import steady_state, steady_state_resonant_two_bath
 from vflux.transport import heat_currents, particle_currents
 
-from conftest import BOUND, FIGURE_SPECS, MAX_BIAS_SPEC, cycle_spec, two_bath_spec
+from conftest import BOUND, FIGURE_SPECS, MAX_BIAS_SPEC, cycle_spec, lapack_calls, two_bath_spec
 
 
 def test_dominant_eigenvalue_zero_field():
@@ -218,27 +218,22 @@ def test_fluctuation_symmetry_broken_by_energy_leak():
         assert _symmetry_gap(spec, ENERGY, affinity, chi_r) > 1e-10
 
 
-@pytest.mark.parametrize("call,builds,spectra", [
+@pytest.mark.parametrize("call,builds,matrices", [
     (lambda spec: first_cumulant_direct(spec, "R", ENERGY), 1, 0),
     (lambda spec: cumulants_perturbative(spec, "R", ENERGY, order=4), 1, 0),
-    # one spectrum each at h/4, h/2 and h
+    # one eigvals of the spectra at h/4, h/2 and h
     (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1, 3),
 ], ids=["direct", "perturbative", "finite_difference"])
-def test_cumulant_routes_build_rates_once(monkeypatch, call, builds, spectra):
+def test_cumulant_routes_build_rates_once(monkeypatch, call, builds, matrices):
     count = []
     init = RateSet.__init__
-    eigvals = []
 
     def counting_init(self, params):
         count.append(1)
         init(self, params)
 
-    def counting_eigvals(a, _original=np.linalg.eigvals):
-        eigvals.append(1)
-        return _original(a)
-
     monkeypatch.setattr(RateSet, "__init__", counting_init)
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    eigvals = lapack_calls(monkeypatch, ["eigvals"])
     call(two_bath_spec(0.7 * BOUND, 0.4 * BOUND))
     assert len(count) == builds
-    assert len(eigvals) == spectra
+    assert eigvals == ([("eigvals", matrices)] if matrices else [])

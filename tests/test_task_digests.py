@@ -4,8 +4,9 @@ Each config is run through ``compute_rows`` and rendered both ways; the
 SHA-256 of the CSV and of the JSON text must not move.  Together with the
 golden corpus (every reproduce target and two ``steady`` cases) this holds
 every task path of the runner to its bytes, and three grid paths the
-goldens do not reach: a ``fig3`` scanned point by point, ``DomainError``
-rows in a stacked grid, and a ``-0.0`` field value in a two-axis sweep.
+goldens do not reach: a ``fig3`` whose specs turn invalid inside the bias
+scan (at its first bias, or after many), ``DomainError`` rows in a
+stacked grid, and a ``-0.0`` field value in a two-axis sweep.
 """
 
 import hashlib
@@ -14,6 +15,8 @@ import pytest
 
 from vflux.config import build_config
 from vflux.runner import compute_rows, render_csv, render_json
+
+from conftest import LATE_INVALID_SYSTEM
 
 #: The three-bath cycle: left bath on the upper transition, right bath on
 #: the lower one, middle bath on the excited-excited hop.
@@ -66,12 +69,20 @@ CASES = {
         "9515d83ca4b6bf4b181dd474ef3366bfb5d0e6b49cf9b4fb132193bcbcbb79b3",
     ),
     # eps/temp leaves no finite occupation at the scan's hottest edge,
-    # t0 + 0.95*t0 = 1.95, so every spec is scanned point by point
+    # t0 + 0.95*t0 = 1.95, so every spec takes the scan for invalid points
     "fig3_invalid_at_the_hot_edge": (
         {"task": "reproduce", "reproduce": "fig3",
          "system": {"eps1": 1e-308, "eps2": 1e-308, "tempL": 1.5, "tempR": 1.0}},
         "3f1f95f7d8ead49b6abb34ecdfe1aa9e3b8bc4c31c87b06e0e32e7acb6b9c11c",
         "234a0e59a72618ece5d8c98b9140c8063df6fc8bb7ff8c14d06fe0496680c9cd",
+    ),
+    # with diagonal couplings of 1e-300 each spec turns invalid only late
+    # in the scan, at eps/tempL below the occupation floor: 2,601
+    # DomainError rows after the kernels of every valid point before them
+    "fig3_invalid_late_in_the_scan": (
+        {"task": "reproduce", "reproduce": "fig3", "system": LATE_INVALID_SYSTEM},
+        "d9a4de35a77ed46a5dc20add71b84249bbb63ee49a41e4ac5b2c03233849ae85",
+        "ec374eebec508be87996b3bdebf26a156114edf0da1491cd6062b5516141d174",
     ),
     # eps2/temp leaves no finite occupation from a temperature of about
     # 0.54: 1,164 DomainError rows among 45 kernel errors.  The fig2a and
