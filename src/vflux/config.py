@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 from .model import BATHS, ENERGY, KINDS, SPEC_FIELDS, SystemSpec, interference_bound, validate
@@ -251,6 +250,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
     ``overrides`` replaces top-level keys of the file (the command line sets
     ``task`` and ``reproduce`` this way).
     """
+    import yaml  # only a file needs the parser; see "Import cost" in docs/conventions.md
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

@@ -1,9 +1,10 @@
 """Golden-file regression corpus.
 
 Each case binds a checked-in configuration to the SHA-256 digest of the
-CSV it produces.  Digests are exact per platform; a numeric fallback
-comparator (absolute tolerance 1e-12 per cell) exists for environments
-with a different BLAS/LAPACK.
+CSV it produces.  Digests are exact per BLAS/LAPACK build.  The numeric
+comparator (:func:`compare_numeric`, absolute tolerance 1e-12 per cell)
+does not bridge builds yet: another OpenBLAS kernel moves three cases
+beyond it (README, "Determinism and golden files").
 
 Regeneration rewrites ``golden/digests.json`` and is refused unless
 maintainer mode is switched on (``--maintainer`` or VFLUX_MAINTAINER=1).

@@ -12,15 +12,21 @@ oracle for the others:
   evaluate closed-form solutions valid in their stated regimes;
 * ``steady_state_time_integration`` relaxes an initial state under the
   dynamics with an adaptive explicit integrator.
+
+The integrator, scipy's ``solve_ivp``, is imported on first use (by
+:func:`evolve` or by reading ``vflux.steady.solve_ivp``): importing
+``scipy.integrate`` takes several times longer than the rest of the
+package, and only this oracle needs it.  ``vflux.steady.solve_ivp`` stays
+the one binding :func:`evolve` calls, so it can be patched.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DegenerateSteadyStateError, UsageError
 from .liouvillian import Generator, _entries, build_generator
@@ -41,6 +47,16 @@ _ISOLATION_ERROR = "kernel not isolated: deflated generator has Hadamard ratio {
 _ZERO_TRACE_ERROR = "steady-state candidate has zero trace"
 # rates near the float limit overflow a closed form's sums silently
 _NOT_FINITE_ERROR = "steady-state candidate is not finite"
+
+
+def __getattr__(name):
+    # PEP 562: runs only while ``solve_ivp`` is not yet a module global
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()[name] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _minors(k):
@@ -315,6 +331,7 @@ def evolve(
     def rhs(_t, y):
         return m @ y
 
+    solve_ivp = sys.modules[__name__].solve_ivp
     t = 0.0
     chunk = 100.0
     while t < t_end:

@@ -1,15 +1,28 @@
-"""Every name a module of the package imports at module level is used.
+"""What the package imports, and when.
 
-No linter is part of the toolchain, so a deletion that leaves an import
+Every name a module of the package imports at module level is used.  No
+linter is part of the toolchain, so a deletion that leaves an import
 without a use would pass unnoticed; this check parses each module with
 ``ast`` instead.  A name counts as used where the module reads it (an
 attribute access reads its base name) or lists it in ``__all__``.
+
+No module imports scipy when it is imported: ``import scipy.integrate``
+takes several times longer than the rest of the package, and only the
+time-integration oracle needs it (``docs/conventions.md``, "Import
+cost").  A static scan guards the source, and a fresh interpreter guards
+what actually loads.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import vflux
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vflux"
 
@@ -44,3 +57,112 @@ def test_unused_imports_are_found():
               "__all__ = ['UsageError']\n"
               "def f(x: np.ndarray):\n    return root(x)\n")
     assert unused_imports(source) == ["os", "comb"]
+
+
+def import_time_modules(node) -> list[str]:
+    """Modules that the import statements under ``node`` name, in source
+    order, leaving out function bodies: what importing the module runs
+    (module level, class bodies, ``if`` and ``try`` blocks).  A relative
+    import keeps its leading dots."""
+    names = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            names += [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names.append("." * child.level + (child.module or ""))
+        names += import_time_modules(child)
+    return names
+
+
+def scipy_imports(source: str) -> list[str]:
+    return [name for name in import_time_modules(ast.parse(source))
+            if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_module_imports_no_scipy_when_imported(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_time_scipy_imports_are_found():
+    source = ("import numpy as np, scipy.linalg\n"
+              "from scipy.integrate import solve_ivp as integrate\n"
+              "from .scipy import x\n"
+              "try:\n    from scipy import sparse\nexcept ImportError:\n    sparse = None\n"
+              "class Oracle:\n    import scipy.special\n"
+              "    def f(self):\n        import scipy.optimize\n"
+              "def g():\n    from scipy.linalg import expm\n    return expm\n")
+    assert scipy_imports(source) == ["scipy.linalg", "scipy.integrate", "scipy", "scipy.special"]
+
+
+COLD_START = """
+import json
+import sys
+import types
+
+import numpy as np
+
+import vflux, vflux.cli, vflux.config, vflux.golden, vflux.runner
+from vflux import SystemSpec, build_generator, cumulants_finite_difference, rectification, steady
+from vflux.config import build_config, config_for_target
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+
+def report(**seen):
+    print(json.dumps(seen), flush=True)
+
+
+report(imported=scipy_modules())
+for target in ("fig3", "fig21b"):
+    vflux.runner.run(config_for_target(target))
+vflux.runner.run(build_config({"task": "sweep", "sweep": {"axes": [
+    {"field": "tempR", "min": 0.5, "max": 1.0, "steps": 3},
+    {"field": "gL12", "min": 0.0, "max": 0.01, "steps": 3}]}}))
+spec = SystemSpec(1.2, 0.8, 2.0, 1.0, 0.5, 0.01, 0.01, 0.0, 0.01, 0.01, 0.0, 0.01)
+cumulants_finite_difference(spec, "R", "energy")
+rectification(spec, 1.5, 0.5)
+report(computed=scipy_modules())
+
+calls = []
+
+
+def integrate(fun, span, y0, **options):
+    calls.append(options["method"])
+    return types.SimpleNamespace(y=np.asarray(y0)[:, None])
+
+
+gen = build_generator(spec)
+steady.solve_ivp = integrate
+steady.evolve(gen, np.array([0, 0, 1, 0, 0], dtype=complex), t_end=1.0)
+report(patched_calls=calls, patched=scipy_modules())
+del steady.solve_ivp
+steady.steady_state_time_integration(gen, t_end=1.0)
+report(integrated="scipy.integrate" in sys.modules)
+import scipy.integrate
+
+report(bound=steady.solve_ivp is scipy.integrate.solve_ivp)
+"""
+
+
+def test_cold_start_loads_no_scipy_until_the_oracle_runs():
+    """A fresh interpreter imports the package and runs two reproduce
+    targets, a 2-axis sweep and the one-point noise and rectification
+    calls with no scipy module loaded; a patched ``vflux.steady.solve_ivp``
+    serves ``evolve`` without loading scipy either, and the oracle's first
+    run binds scipy's integrator there."""
+    src = str(Path(vflux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    seen = {}
+    for line in run.stdout.splitlines():
+        seen.update(json.loads(line))
+    assert seen.get("imported") == [] and seen.get("computed") == [], seen
+    assert run.returncode == 0, run.stderr
+    assert seen["patched_calls"] == ["DOP853"] and seen["patched"] == []
+    assert seen["integrated"] and seen["bound"]
