@@ -94,41 +94,32 @@ def max_rectification(
     Indeterminate grid points are skipped; ties break toward smaller
     |deltaT| (the grid is scanned in increasing-bias order and only a
     strictly larger value moves the argmax).  Evaluated by
-    :func:`max_rectification_batch` with one spec.
+    :func:`max_rectification_columns` with one spec.
 
     Returns
     -------
     (rj_max, deltaT_star)
     """
-    (outcome,) = max_rectification_batch([spec], t0, deltaT_grid)
+    (outcome,) = max_rectification_columns(spec_arrays([spec]), t0, deltaT_grid)
     if isinstance(outcome, VfluxError):
         raise outcome
     return outcome
-
-
-def max_rectification_batch(specs, t0: float, deltaT_grid: np.ndarray | None = None) -> list:
-    """:func:`max_rectification` of each spec over one bias grid, as one
-    batch: :func:`max_rectification_columns` of their field columns."""
-    return max_rectification_columns(spec_arrays(specs), t0, deltaT_grid)
 
 
 def max_rectification_columns(params, t0: float, deltaT_grid: np.ndarray | None = None) -> list:
     """:func:`max_rectification` of each point of the field columns
     ``params`` (:func:`vflux.model.spec_arrays`) over one bias grid.
 
-    A spec's backward configuration is its L<->R mirror's forward one,
-    bit for bit (``docs/conventions.md``, "Rectification temperature
-    convention"), so the scan solves hot-left biases only: ``J_f`` is the
-    right-bath current of the spec's row, ``J_b`` the left-bath current of
-    its mirror's (:func:`_mirror_rows`).  Whole mirror groups run in
-    stacks of at most :data:`SCAN_STACK_POINTS` points, each one stacked
-    kernel on real entries (:func:`_stack_scan`), and verdicts are read in
-    the scan order of :func:`rectification` (bias, then forward before
-    backward).  A grid that is not 1-D raises :class:`UsageError`.
+    A spec whose first invalid configuration in the scan order of
+    :func:`rectification` (bias, then forward before backward) lies at
+    bias ``k`` is scanned over the ``k`` biases before it (:func:`_scan`),
+    with the specs that share its ``k``; a valid spec is scanned over the
+    whole grid.  A grid that is not 1-D raises :class:`UsageError`.
     Returns one ``(rj_max, deltaT_star)`` per point, or the
     :class:`VfluxError` that scanning the grid with :func:`rectification`
-    raises first for it; a SystemSpec is built only for the text of a
-    :class:`DomainError` (:func:`_scan_errors`).
+    raises first for it: the first kernel error, else the
+    :class:`DomainError` at bias ``k``, the one place a SystemSpec is
+    built.
     """
     grid = _grid(default_deltaT_grid(t0) if deltaT_grid is None else deltaT_grid)
     scan = [float(grid[idx]) for idx in np.argsort(np.abs(grid), kind="stable")]
@@ -140,35 +131,70 @@ def max_rectification_columns(params, t0: float, deltaT_grid: np.ndarray | None 
     size = len(params["eps1"])
     if not stop:
         return [fallback] * size
+    biases = np.array(scan[:stop])
+    edges = {"tempL": t0 + biases / 2.0, "tempR": t0 - biases / 2.0}
     # validate reads an edge temperature only by its sign and eps/temp, and
     # the scan keeps both in (0, t0 + |deltaT|/2 of its last bias]: a spec
-    # invalid with both edges there takes the scan for invalid points.
+    # valid with both edges there is valid at every point
     hottest = t0 + abs(scan[stop - 1]) / 2.0
-    ok = _valid_points({**params, "tempL": hottest, "tempR": hottest})
-    bad = np.flatnonzero(~ok)
-    outcomes = dict(zip(bad.tolist(), _scan_errors(
-        {name: values[bad] for name, values in params.items()}, t0, scan[:stop])))
-    valid = np.flatnonzero(ok).tolist()
-    params = {name: values[valid] for name, values in params.items()}
+    bad = np.flatnonzero(~_valid_points({**params, "tempL": hottest, "tempR": hottest}))
+    first = np.full(size, stop)
+    if bad.size:
+        # it reads the two edges alike, so the backward point of a bias is
+        # invalid with its forward one, which comes first
+        invalid = ~_valid_points({**{name: values[bad, None] for name, values in params.items()},
+                                  **{name: temps[None] for name, temps in edges.items()}})
+        first[bad] = np.where(invalid.any(axis=1), invalid.argmax(axis=1), stop)
+    at_first = {**params, **{name: np.take(temps, first, mode="clip")
+                             for name, temps in edges.items()}}
+    outcomes = [fallback] * size
+    # a set, not np.unique: its first call in a forked child faults in about
+    # 1,600 pages (docs/conventions.md, "First calls in a forked pass")
+    for k in sorted(set(first.tolist())):
+        members = np.flatnonzero(first == k)
+        found = (_scan({name: values[members] for name, values in params.items()},
+                       {name: temps[None, :k] for name, temps in edges.items()}, scan[:k])
+                 if k else [None] * len(members))
+        for n, out in zip(members.tolist(), found):
+            if isinstance(out, VfluxError):
+                outcomes[n] = out
+            elif k < stop:
+                outcomes[n] = _invalid(spec_at(at_first, n))
+            elif out is not None and stop == len(scan):
+                outcomes[n] = out
+    return outcomes
+
+
+def _scan(params, edges, biases) -> list:
+    """Each spec's first kernel error over ``biases`` (in scan order), else
+    its ``(rj_max, deltaT_star)``, else None (every point indeterminate),
+    of the valid specs with the field columns ``params``; ``edges`` holds
+    the hot-left edge temperatures of the biases, each ``(1, m)``.
+
+    A spec's backward configuration is its L<->R mirror's forward one,
+    bit for bit (``docs/conventions.md``, "Rectification temperature
+    convention"), so the scan solves hot-left biases only: ``J_f`` is the
+    right-bath current of the spec's row, ``J_b`` the left-bath current of
+    its mirror's (:func:`_mirror_rows`).  Whole mirror groups run in
+    stacks of at most :data:`SCAN_STACK_POINTS` points, each one stacked
+    kernel on real entries (:func:`_stack_scan`)."""
     rows, starts, forward, backward = _mirror_rows(params)
-    biases = np.array(scan[:stop])
-    edges = {"tempL": (t0 + biases / 2.0)[None], "tempR": (t0 - biases / 2.0)[None]}
-    for lo, hi in _stacks(starts, len(rows), stop):
+    outcomes: list = [None] * len(forward)
+    for lo, hi in _stacks(starts, len(rows), len(biases)):
         members = np.flatnonzero((forward >= lo) & (forward < hi))
         score, errors = _stack_scan(params, rows[lo:hi], edges,
                                     forward[members] - lo, backward[members] - lo)
-        for n, error in errors.items():
-            outcomes.setdefault(valid[members[n]], error)
         # np.argmax takes the first maximum in scan order: only a strictly
-        # larger factor moves it.  A scan cut short by a bias error
-        # returns no maximum.
-        if stop == len(scan):
-            best = np.argmax(score, axis=1)
-            top = score[np.arange(len(members)), best]  # rj where it is not -inf
-            for n, at, value in zip(members.tolist(), best.tolist(), top.tolist()):
-                if value > -np.inf:
-                    outcomes.setdefault(valid[n], (value, scan[at]))
-    return [outcomes.get(pos, fallback) for pos in range(size)]
+        # larger factor moves it
+        best = np.argmax(score, axis=1)
+        top = score[np.arange(len(members)), best]  # rj where it is not -inf
+        for n, (spec, at, value) in enumerate(zip(members.tolist(), best.tolist(),
+                                                  top.tolist())):
+            if n in errors:
+                outcomes[spec] = errors[n]
+            elif value > -np.inf:
+                outcomes[spec] = (value, biases[at])
+    return outcomes
 
 
 #: Kernel points (stack rows times biases) per stack of the rectification
@@ -250,11 +276,11 @@ def _stack_scan(params, rows, edges, f, b):
     ratio, isolated, usable = (np.broadcast_to(x, shape) for x in verdicts)
     # (spec, bias, forward/backward), flattened to the scan order
     unusable = ~np.stack([usable[f], usable[b]], axis=2).reshape(len(f), -1)
-    errors: dict = {}
-    for n, point in zip(*np.nonzero(unusable)):
-        row, at = (f, b)[point % 2][n], point // 2
-        errors.setdefault(int(n), DegenerateSteadyStateError(
-            _error_text(ratio[row, at], isolated[row, at])))
+    failed = np.flatnonzero(unusable.any(axis=1))
+    point = unusable[failed].argmax(axis=1)
+    row = np.where(point % 2, b[failed], f[failed])
+    errors = {n: DegenerateSteadyStateError(_error_text(ratio[r, at], isolated[r, at]))
+              for n, r, at in zip(failed.tolist(), row.tolist(), (point // 2).tolist())}
     # an indeterminate point (or a NaN factor) never moves the argmax
     return np.where((den > RECTIFICATION_FLOOR) & ~np.isnan(rj), rj, -np.inf), errors
 
@@ -272,48 +298,6 @@ def _grid(values) -> np.ndarray:
     if grid.ndim != 1:
         raise UsageError(f"a scan grid must be 1-D, got shape {grid.shape}")
     return grid
-
-
-def _scan_errors(params, t0: float, biases) -> list:
-    """The first error of :func:`rectification` over ``biases`` of each
-    point of the field columns ``params``, other than an indeterminate
-    point, which the scan skips, or None.
-
-    One stacked validity check gives each spec's first invalid point in
-    scan order (bias, then forward before backward).  The valid points
-    before it, each spec's own and no more, are solved as flat stacks of at
-    most :data:`SCAN_STACK_POINTS` with the fields and edge temperatures
-    :func:`rectification` gives them; the first kernel error among them is
-    the outcome, else that invalid point's :class:`DomainError`.  A
-    SystemSpec is built only for that error's text.
-    """
-    dt = np.asarray(biases, dtype=float)
-    hot, cold = t0 + dt / 2.0, t0 - dt / 2.0
-    edges = {"tempL": np.column_stack([hot, cold]).ravel(),
-             "tempR": np.column_stack([cold, hot]).ravel()}
-    size, points = len(params["eps1"]), len(edges["tempL"])
-    invalid = ~_valid_points({**{name: values[:, None] for name, values in params.items()},
-                              **{name: temps[None] for name, temps in edges.items()}})
-    first = np.where(invalid.any(axis=1), invalid.argmax(axis=1), points)
-    spec = np.repeat(np.arange(size), first)
-    at = np.arange(len(spec)) - np.repeat(np.cumsum(first) - first, first)
-    outcomes: list = [None] * size
-    for lo in range(0, len(spec), SCAN_STACK_POINTS):
-        n, pos = spec[lo:lo + SCAN_STACK_POINTS], at[lo:lo + SCAN_STACK_POINTS]
-        # as in one point's Python floats, rates near the float limit overflow silently
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            rates = RateSet({**{name: values[n] for name, values in params.items()},
-                             **{name: temps[pos] for name, temps in edges.items()}})
-            _, ratio, isolated, usable = _real_columns(*_entries(rates))
-        for k in np.flatnonzero(~usable).tolist():
-            if outcomes[n[k]] is None:
-                outcomes[n[k]] = DegenerateSteadyStateError(_error_text(ratio[k], isolated[k]))
-    at_first = {**params, **{name: np.take(temps, first, mode="clip")
-                             for name, temps in edges.items()}}
-    for n in np.flatnonzero(first < points).tolist():
-        if outcomes[n] is None:
-            outcomes[n] = _invalid(spec_at(at_first, n))
-    return outcomes
 
 
 @dataclass(frozen=True)

@@ -305,32 +305,17 @@ def _occupation(omega, temp, needed):
 
     Past its checks :func:`bose_occupation` (``math.expm1``: ``np.expm1`` is
     off by an ulp for some inputs) reads only ``omega/temp``, so a stack calls
-    it on each pair of unique factor values where ``omega`` and ``temp`` are
-    factors (``(n, 1)`` or ``(1, 1)`` times ``(1, m)``: their sizes multiply
-    to the stack's; no stack-sized sort) and ``needed`` varies along
-    ``omega`` only, else on the first pair of each unique ratio.  A failing
-    needed pair raises.
+    it on the first needed pair of each unique ratio of the broadcast of
+    ``omega``, ``temp`` and ``needed``.  A failing needed pair raises.
     """
     if not isinstance(omega, np.ndarray):
         return bose_occupation(omega, temp) if needed else 0.0
+    omega, temp, needed = np.broadcast_arrays(omega, temp, needed)
     bad = needed & ~((np.isfinite(omega) & (omega > 0.0)) & (np.isfinite(temp) & (temp > 0.0)))
     if bad.any():
         pos = int(np.argmax(bad))
-        bose_occupation(float(np.broadcast_to(omega, bad.shape).flat[pos]),
-                        float(np.broadcast_to(temp, bad.shape).flat[pos]))  # raises its DomainError
-    out = np.zeros(bad.shape)
-    if (omega.size * np.size(temp) == out.size
-            and np.broadcast_shapes(np.shape(needed), omega.shape) == omega.shape):
-        needed = np.broadcast_to(needed, omega.shape)
-        if needed.any():  # an unneeded energy takes the place of a needed one
-            energies, rows = np.unique(np.where(needed, omega, omega[needed][0]),
-                                       return_inverse=True)
-            temps, cols = np.unique(temp, return_inverse=True)
-            table = [[bose_occupation(w, t) for t in temps.tolist()] for w in energies.tolist()]
-            out = np.where(needed, np.array(table)[rows.reshape(omega.shape),
-                                                   cols.reshape(np.shape(temp))], 0.0)
-        return out
-    omega, temp, needed = np.broadcast_arrays(omega, temp, needed)
+        bose_occupation(float(omega.flat[pos]), float(temp.flat[pos]))  # raises its DomainError
+    out = np.zeros(omega.shape)
     omega, temp = omega[needed], temp[needed]
     _, first, inverse = np.unique(omega / temp, return_index=True, return_inverse=True)
     values = [bose_occupation(w, t) for w, t in zip(omega[first].tolist(), temp[first].tolist())]

@@ -40,7 +40,7 @@ from .steady import (
     steady_state_three_terminal,
     steady_state_time_integration,
 )
-from .transport import CurrentReport, _report_warnings, bath_currents
+from .transport import _report_warnings, bath_currents
 
 
 def _rows(fields, cells, evaluate, batch: int | None = None, *, columns) -> dict:
@@ -107,7 +107,8 @@ def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
     """The cells of :func:`_stacked` in ``columns``, and the kernel's error,
     else the :class:`BranchError` (only where ``SeRR_fd`` is filled), by
     point."""
-    states = steady_state_batch(_fill_block(rates))
+    matrices = _fill_block(rates)
+    states = steady_state_batch(matrices)
     v = states.vectors
     je = bath_currents(rates, v.T, ENERGY)
     jp = bath_currents(rates, v.T, PARTICLE)
@@ -120,7 +121,7 @@ def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
               "SeRR": np.full(len(v), math.nan), "res_energy": res_e, "res_particle": res_p}
     errors = {n: DegenerateSteadyStateError(text) for n, text in states.errors.items()}
     if include_noise:
-        raw = _recursion(rates, states.matrices, v, "R", ENERGY, 2, states.errors)
+        raw = _recursion(rates, matrices, v, "R", ENERGY, 2, states.errors)
         _residues(raw, states.errors)
         arrays["SeRR"] = raw[1].real.ravel()
     if "SeRR_fd" in columns:
@@ -148,17 +149,6 @@ def _state_cells(ss) -> dict:
 
 _CURRENT_COLUMNS = ("JeL", "JeR", "JeM", "JpL", "JpR", "JpM", "SeRR",
                     "res_energy", "res_particle", "warnings")
-
-
-def _current_cells(report: CurrentReport) -> dict:
-    return {
-        "JeL": report.JeL, "JeR": report.JeR, "JeM": report.JeM,
-        "JpL": report.JpL, "JpR": report.JpR, "JpM": report.JpM,
-        "SeRR": report.SeRR,
-        "res_energy": report.conservation_residual_energy,
-        "res_particle": report.conservation_residual_particle,
-        "warnings": ";".join(report.warnings),
-    }
 
 
 def _points(spec: SystemSpec, size: int, **varied) -> dict:
@@ -198,7 +188,7 @@ def _steady(config: ScenarioConfig):
 
 
 def _currents(config: ScenarioConfig):
-    return _points(config.spec, 1), {}, _each(lambda s: _current_cells(CurrentReport.from_spec(s)))
+    return _points(config.spec, 1), {}, _stacked(include_noise=True)
 
 
 def _cumulants(config: ScenarioConfig):

@@ -218,14 +218,13 @@ class SteadyStateBatch:
     generator ``n``, bit for bit.  ``errors`` maps the index of each
     generator without a unique steady state to the
     :class:`DegenerateSteadyStateError` text :func:`steady_state` raises for
-    it; those rows hold no state.  ``matrices`` holds the solved generators.
+    it; those rows hold no state.
     """
 
     vectors: np.ndarray
     residuals: np.ndarray
     positivity_warnings: np.ndarray
     errors: dict[int, str]
-    matrices: np.ndarray
 
 
 def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
@@ -244,7 +243,7 @@ def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
     residuals = np.abs(np.matmul(matrices, vectors[:, :, None])[:, :, 0]).max(axis=-1)
     positivity = vectors[:, :3].real.min(axis=-1) < POSITIVITY_TOL
     errors = {n: _error_text(ratio[n], isolated[n]) for n in np.flatnonzero(~usable).tolist()}
-    return SteadyStateBatch(vectors, residuals, positivity, errors, matrices)
+    return SteadyStateBatch(vectors, residuals, positivity, errors)
 
 
 def steady_state_resonant_two_bath(spec: SystemSpec) -> SteadyState:

@@ -113,6 +113,12 @@ def lapack_calls(monkeypatch, names) -> list:
     return calls
 
 
+#: A ``fig3`` system whose levels have no finite occupation from the bias
+#: scan's 42nd bias on (eps/tempL under the floor), with rates near the
+#: float limit, so that every kernel before it fails: each of the 2,601
+#: specs ends in the kernel's error.
+HOT_EDGE_SYSTEM = {"eps1": 1e-308, "eps2": 1e-308, "tempL": 1.5, "tempR": 1.0}
+
 #: A ``fig3`` system whose levels keep a finite occupation at the bias
 #: scan's lower edge temperatures but not at its hottest, with couplings
 #: small enough that every kernel before that point is isolated: each of

@@ -12,7 +12,7 @@ from vflux.analysis import (
     default_tM_grid,
     max_amplification,
     max_rectification,
-    max_rectification_batch,
+    max_rectification_columns,
     rectification,
 )
 from vflux.errors import (
@@ -24,7 +24,7 @@ from vflux.errors import (
 from vflux.config import config_for_target
 from vflux.fcs import _projected_inverse
 from vflux.liouvillian import build_generator
-from vflux.model import PARTICLE, SystemSpec, bose_occupation, build_rates, spec_at
+from vflux.model import PARTICLE, SystemSpec, bose_occupation, build_rates, spec_arrays, spec_at
 from vflux.runner import SPEC_COLUMNS, _fig5a
 from vflux.steady import steady_state
 from vflux.transport import bath_currents, closed_form_JeR_resonant, particle_currents
@@ -168,7 +168,7 @@ def test_scans_reject_a_grid_that_is_not_one_dimensional(grid):
     # a 2-D bias grid raised IndexError, and max_amplification iterated the
     # rows of a 2-D tM grid
     with pytest.raises(UsageError, match="must be 1-D"):
-        max_rectification_batch([two_bath_spec(BOUND, 0.0)], 1.0, grid)
+        max_rectification_columns(spec_arrays([two_bath_spec(BOUND, 0.0)]), 1.0, grid)
     with pytest.raises(UsageError, match="must be 1-D"):
         max_rectification(two_bath_spec(BOUND, 0.0), 1.0, grid)
     with pytest.raises(UsageError, match="must be 1-D"):

@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from vflux import analysis, fcs
 from vflux.analysis import (_factor, _mirror_rows, default_deltaT_grid,
-                            max_rectification_batch, rectification)
+                            max_rectification, max_rectification_columns, rectification)
 from vflux.config import build_config, config_for_target
 from vflux.golden import digest_of, load_cases
 from vflux.errors import (
@@ -81,8 +81,8 @@ from vflux.model import (
     evaluate_valid,
     spec_arrays,
 )
-from vflux.runner import (_TABLE, SPEC_COLUMNS, _current_cells, _fig21b, _rows, _state_cells,
-                          _sweep, compute_rows, render_csv)
+from vflux.runner import (_TABLE, SPEC_COLUMNS, _fig21b, _rows, _state_cells, _sweep,
+                          compute_rows, render_csv)
 from vflux.steady import SteadyState, _real_columns, steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
@@ -92,8 +92,8 @@ from vflux.transport import (
     particle_currents,
 )
 
-from conftest import (DETUNED_SPEC, LATE_INVALID_SYSTEM, NOT_FINITE, invalid_specs,
-                      lapack_calls, seeded_conserving_specs, seeded_leak_specs)
+from conftest import (DETUNED_SPEC, HOT_EDGE_SYSTEM, LATE_INVALID_SYSTEM, NOT_FINITE,
+                      invalid_specs, lapack_calls, seeded_conserving_specs, seeded_leak_specs)
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -184,8 +184,9 @@ def stacked(core, specs, *args) -> list:
 def recursion(rates, bath, kind, order) -> list:
     """The stacked recursion on the stack's own kernels: one
     :class:`CumulantSet`, or the kernel's error, per point."""
-    states = steady_state_batch(_fill_block(rates))
-    raw = _recursion(rates, states.matrices, states.vectors, bath, kind, order, states.errors)
+    matrices = _fill_block(rates)
+    states = steady_state_batch(matrices)
+    raw = _recursion(rates, matrices, states.vectors, bath, kind, order, states.errors)
     residues = _residues(raw, states.errors)
     values = np.concatenate([e.real for e in raw], axis=-1)[:, 0].tolist()
     return [DegenerateSteadyStateError(states.errors[n]) if n in states.errors
@@ -232,7 +233,12 @@ def point_cells(target, spec) -> dict:
         return dict(zip(("JeL", "JeR", "JeM"), heat_currents(spec)))
     columns = _TABLE[target][0]
     report = CurrentReport.from_spec(spec, include_noise=target in ("sweep", "fig21b", "fig4b"))
-    cells = {**_state_cells(steady_state(build_generator(spec))), **_current_cells(report)}
+    cells = {**_state_cells(steady_state(build_generator(spec))),
+             "JeL": report.JeL, "JeR": report.JeR, "JeM": report.JeM,
+             "JpL": report.JpL, "JpR": report.JpR, "JpM": report.JpM, "SeRR": report.SeRR,
+             "res_energy": report.conservation_residual_energy,
+             "res_particle": report.conservation_residual_particle,
+             "warnings": ";".join(report.warnings)}
     if "SeRR_fd" in columns:
         cells["SeRR_fd"] = cumulants_finite_difference(spec, "R", ENERGY, 2).noise_power
     return {name: cells[name] for name in columns if name in cells}
@@ -358,7 +364,7 @@ def outcome(fn, *args):
 def assert_scan_matches_the_point_scan(batch, t0, grid) -> list:
     """The outcomes of one stacked scan of ``batch``, each held to
     :func:`scalar_scan`, bit for bit and error text for error text."""
-    outcomes = max_rectification_batch(batch, t0, grid)
+    outcomes = max_rectification_columns(spec_arrays(batch), t0, grid)
     for spec, out in zip(batch, outcomes, strict=True):
         expected = outcome(scalar_scan, spec, t0, grid)
         if isinstance(expected, VfluxError):
@@ -406,7 +412,7 @@ def test_rectification_scan_matches_the_point_scan_on_invalid_specs():
     # hottest edge, and valid specs between them, in one batch
     corpus = [spec for _, spec in invalid_specs()] + seeded_conserving_specs(6)
     t0, grid = 1.0, default_deltaT_grid(1.0)
-    outcomes = max_rectification_batch(corpus, t0, grid)
+    outcomes = max_rectification_columns(spec_arrays(corpus), t0, grid)
     kinds = Counter()
     for spec, out in zip(corpus, outcomes, strict=True):
         expected = outcome(scalar_scan, spec, t0, grid)
@@ -464,7 +470,7 @@ def test_scan_reports_the_first_kernel_error_in_scan_order(monkeypatch):
 
     monkeypatch.setattr(analysis, "_real_columns", flagged)
     for batch in ([DETUNED_SPEC], [mirror(DETUNED_SPEC), DETUNED_SPEC]):
-        assert [str(out) for out in max_rectification_batch(batch, t0, grid)] == [
+        assert [str(out) for out in max_rectification_columns(spec_arrays(batch), t0, grid)] == [
             "kernel not isolated: deflated generator has Hadamard ratio 1.010e+02"] * len(batch)
 
 
@@ -493,10 +499,17 @@ def test_mirror_rows_pair_by_bits():
     assert (got, starts, forward.tolist(), backward.tolist()) == ([(0, False)], [0], [0], [0])
 
 
-def test_fig3_solves_each_forward_point_once(monkeypatch):
+@pytest.mark.parametrize("system,total", [
+    (None, 51 * 51 * 50), (HOT_EDGE_SYSTEM, 51 * 51 * 41), (LATE_INVALID_SYSTEM, 41)],
+    ids=["default", "invalid-at-the-hot-edge", "invalid-late-in-the-scan"])
+def test_fig3_solves_each_forward_point_once(monkeypatch, system, total):
     # every (gL12, gR12) cell's mirror (gR12, gL12) is in the grid, so the
-    # 2,601 specs take 2,601 rows of 50 hot-left biases: 130,050 points,
-    # where forward and backward points of each spec took 260,100
+    # 2,601 specs take 2,601 rows of hot-left biases: 130,050 points, where
+    # forward and backward points of each spec took 260,100.  Both invalid
+    # systems turn invalid at the 42nd bias, so their specs take the same
+    # rows over the 41 biases before it (flat stacks of every valid point
+    # took 213,282); at couplings of 1e-300 the cross couplings' bound
+    # sqrt(1e-300 * 1e-300) is 0, so the 2,601 specs are one row.
     points = []
 
     def counted(re, delta):
@@ -505,9 +518,28 @@ def test_fig3_solves_each_forward_point_once(monkeypatch):
         return out
 
     monkeypatch.setattr(analysis, "_real_columns", counted)
-    compute_rows(config_for_target("fig3"))
-    assert sum(points) == 51 * 51 * 50
+    config = (config_for_target("fig3") if system is None else
+              build_config({"task": "reproduce", "reproduce": "fig3", "system": system}))
+    compute_rows(config)
+    assert sum(points) == total
     assert max(points) <= analysis.SCAN_STACK_POINTS
+
+
+def test_scan_builds_one_kernel_error_per_spec(monkeypatch):
+    # with every coupling 0 no kernel is isolated: each of the 100 points
+    # of the scan fails, and only the first one's text is the outcome
+    texts = []
+
+    def counted(ratio, isolated, _original=analysis._error_text):
+        texts.append(_original(ratio, isolated))
+        return texts[-1]
+
+    monkeypatch.setattr(analysis, "_error_text", counted)
+    spec = replace(DETUNED_SPEC, **dict.fromkeys(
+        ("gL11", "gL22", "gL12", "gR11", "gR22", "gR12", "gM"), 0.0))
+    with pytest.raises(DegenerateSteadyStateError) as info:
+        max_rectification(spec, 1.0)
+    assert texts == [str(info.value)]
 
 
 def test_specs_invalid_late_in_the_scan_take_no_point_scan(monkeypatch):
@@ -553,7 +585,7 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
     with pytest.raises(DegenerateSteadyStateError) as info:
         scalar_scan(corner, t0, grid)
     expected = str(info.value)
-    (out,) = max_rectification_batch([corner], t0, grid)
+    (out,) = max_rectification_columns(spec_arrays([corner]), t0, grid)
     assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
 
 
@@ -564,14 +596,14 @@ def test_overflowing_rates_fail_silently_like_one_point():
     # one point's Python floats overflow without a warning, and so must a
     # stack, next to a normal spec
     t0, grid = 0.5, np.array([0.1])
-    normal_scan = max_rectification_batch([DETUNED_SPEC], t0, grid)
+    normal_scan = max_rectification_columns(spec_arrays([DETUNED_SPEC]), t0, grid)
     normal = {target: repr(grid_cells(target, [DETUNED_SPEC])) for target in STACKED}
     for spec in (OVERFLOWING, NOT_FINITE):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSteadyStateError, match="Hadamard ratio nan") as info:
                 scalar_scan(spec, t0, grid)
-            scan = max_rectification_batch([spec, DETUNED_SPEC], t0, grid)
+            scan = max_rectification_columns(spec_arrays([spec, DETUNED_SPEC]), t0, grid)
             with pytest.raises(DegenerateSteadyStateError) as report_info:
                 CurrentReport.from_spec(spec)
             outcomes = {target: grid_cells(target, [spec, DETUNED_SPEC]) for target in STACKED}
@@ -662,7 +694,7 @@ def test_non_finite_spec_is_one_domain_error(batch, data, bad_value):
     t0, grid = 1.0, np.array([0.4, 1.2])
     for evaluate in (lambda specs: grid_cells("sweep", specs),
                      lambda specs: grid_cells("fig21b", specs),
-                     lambda specs: max_rectification_batch(specs, t0, grid),
+                     lambda specs: max_rectification_columns(spec_arrays(specs), t0, grid),
                      lambda specs: stacked(recursion, specs, "R", ENERGY, 4),
                      lambda specs: stacked(differences, specs, "L", PARTICLE, 2, FD_STEP)):
         out, expected = evaluate(mixed), evaluate(batch)

@@ -29,7 +29,7 @@ from vflux.analysis import (
     RECTIFICATION_FLOOR,
     amplification,
     default_deltaT_grid,
-    max_rectification_batch,
+    max_rectification_columns,
     rectification,
 )
 from vflux.config import config_for_target
@@ -149,7 +149,7 @@ def test_rectification_scan_equals_the_complex_route():
     specs = corpus(6, seed=41)
     for t0, grid in ((1.0, None), (0.8, np.array([0.6, -0.3, 1.5, 0.1]))):
         scan = default_deltaT_grid(t0) if grid is None else grid
-        for spec, out in zip(specs, max_rectification_batch(specs, t0, grid)):
+        for spec, out in zip(specs, max_rectification_columns(spec_arrays(specs), t0, grid)):
             assert bits(out) == bits(outcome(complex_scan, spec, t0, scan)), spec
 
 
@@ -160,7 +160,7 @@ def test_scan_invalid_only_when_hot_keeps_the_first_error_in_scan_order():
                              1e-300, 1e-300, 0.0, 0.0)
     good = SystemSpec(1.0, 1.0, 2.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01, 0.0, 0.0)
     grid = np.array([0.2, 1.0, 1.6, 1.9])
-    out = max_rectification_batch([good, hot_invalid], 1.0, grid)
+    out = max_rectification_columns(spec_arrays([good, hot_invalid]), 1.0, grid)
     for spec, result in zip((good, hot_invalid), out):
         expected = outcome(complex_scan, spec, 1.0, grid)
         assert bits(result) == bits(expected)

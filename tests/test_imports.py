@@ -4,7 +4,10 @@ Every name a module of the package imports at module level is used.  No
 linter is part of the toolchain, so a deletion that leaves an import
 without a use would pass unnoticed; this check parses each module with
 ``ast`` instead.  A name counts as used where the module reads it (an
-attribute access reads its base name) or lists it in ``__all__``.
+attribute access reads its base name) or lists it in ``__all__``.  In the
+same way every private module-level name (one leading underscore) is read,
+read as an attribute or imported somewhere in the package: a helper whose
+last caller went would otherwise stay, held up only by its tests.
 
 No module imports scipy when it is imported: ``import scipy.integrate``
 takes several times longer than the rest of the package, and only the
@@ -57,6 +60,60 @@ def test_unused_imports_are_found():
               "__all__ = ['UsageError']\n"
               "def f(x: np.ndarray):\n    return root(x)\n")
     assert unused_imports(source) == ["os", "comb"]
+
+
+def private_definitions(tree) -> list[str]:
+    """Module-level functions, classes and assignments of ``tree`` whose
+    names start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def references(tree) -> set[str]:
+    """Names that ``tree`` reads, reads as an attribute or imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private module-level name of ``sources``
+    (module -> source) that no module reads, reads as an attribute or
+    imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set().union(*map(references, trees.values()))
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in used]
+
+
+def test_package_uses_every_private_name():
+    # a private name is the package's own, so one that nothing in the
+    # package reads is left over from a deletion (tests may still call it)
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_names_are_found():
+    sources = {"a": ("import numpy as np\n_LIMIT = 1\n_shared: int = 2\n_TABLE = {}\n"
+                     "def _unused():\n    return _LIMIT\n"
+                     "def _helper():\n    pass\nclass _Old:\n    pass\n"
+                     "def __getattr__(name):\n    raise AttributeError(name)\n"),
+               "b": ("from .a import _helper\nimport a\n"
+                     "def f():\n    return _helper(), a._TABLE\n")}
+    assert dead_private_names(sources) == ["a._shared", "a._unused", "a._Old"]
 
 
 def import_time_modules(node) -> list[str]:

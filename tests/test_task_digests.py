@@ -16,7 +16,7 @@ import pytest
 from vflux.config import build_config
 from vflux.runner import compute_rows, render_csv, render_json
 
-from conftest import LATE_INVALID_SYSTEM
+from conftest import HOT_EDGE_SYSTEM, LATE_INVALID_SYSTEM
 
 #: The three-bath cycle: left bath on the upper transition, right bath on
 #: the lower one, middle bath on the excited-excited hop.
@@ -71,8 +71,7 @@ CASES = {
     # eps/temp leaves no finite occupation at the scan's hottest edge,
     # t0 + 0.95*t0 = 1.95, so every spec takes the scan for invalid points
     "fig3_invalid_at_the_hot_edge": (
-        {"task": "reproduce", "reproduce": "fig3",
-         "system": {"eps1": 1e-308, "eps2": 1e-308, "tempL": 1.5, "tempR": 1.0}},
+        {"task": "reproduce", "reproduce": "fig3", "system": HOT_EDGE_SYSTEM},
         "3f1f95f7d8ead49b6abb34ecdfe1aa9e3b8bc4c31c87b06e0e32e7acb6b9c11c",
         "234a0e59a72618ece5d8c98b9140c8063df6fc8bb7ff8c14d06fe0496680c9cd",
     ),
