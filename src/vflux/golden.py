@@ -1,26 +1,26 @@
 """Golden-file regression corpus.
 
 Each case binds a checked-in configuration to the SHA-256 digest of the
-CSV it produces.  Digests are exact per BLAS/LAPACK build.  The numeric
-comparator (:func:`compare_numeric`, absolute tolerance 1e-12 per cell)
-does not bridge builds yet: another OpenBLAS kernel moves three cases
-beyond it (README, "Determinism and golden files").
+CSV it produces, the case's identity, and stores that CSV as
+``golden/csv/<case>.csv.gz``.  A mismatch prints the first differing cell
+and, per column, the count and the largest absolute and relative
+difference of the differing cells (:func:`report`).  Digests are exact
+per BLAS/LAPACK build: another OpenBLAS kernel moves 3 (Haswell, Zen) or
+6 (Sandybridge, Prescott) of the 10, and 3 or 4 beyond :func:`compare_numeric`
+(1e-12 absolute per cell; README, "Determinism and golden files").
 
-Regeneration rewrites ``golden/digests.json`` and is refused unless
-maintainer mode is switched on (``--maintainer`` or VFLUX_MAINTAINER=1).
-``--write DIR`` saves the CSVs that ``--verify --against DIR`` diffs against.
+Regeneration prints the same report, then rewrites the stored CSV and the
+digest; it is refused unless maintainer mode is switched on
+(``--maintainer`` or VFLUX_MAINTAINER=1).  Run as a module::
 
-Run as a module::
-
-    python -m vflux.golden --verify [--against DIR]
-    python -m vflux.golden --write DIR
-    python -m vflux.golden --regenerate --maintainer [--case NAME]
+    python -m vflux.golden (--verify | --regenerate --maintainer) [--case NAME]
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gzip
 import hashlib
 import io
 import json
@@ -40,8 +40,7 @@ MAINTAINER_ENV = "VFLUX_MAINTAINER"
 
 
 def default_root() -> Path:
-    """Repository golden directory (sibling of the installed package in a
-    source checkout; overridable for tests)."""
+    """The repository's golden directory (another one is given with ``--root``)."""
     return Path(__file__).resolve().parents[2] / "golden"
 
 
@@ -50,6 +49,7 @@ class GoldenCase:
     name: str
     config_path: Path
     digest: str
+    csv_path: Path
 
 
 def load_cases(root: Path | None = None) -> list[GoldenCase]:
@@ -57,12 +57,18 @@ def load_cases(root: Path | None = None) -> list[GoldenCase]:
     index = json.loads((root / "digests.json").read_text(encoding="utf-8"))
     if index.get("schema") != DIGEST_SCHEMA:
         raise UsageError(f"unexpected golden digest schema {index.get('schema')!r}")
-    return [GoldenCase(name, root / entry["config"], entry["sha256"])
+    return [GoldenCase(name, root / entry["config"], entry["sha256"],
+                       root / "csv" / f"{name}.csv.gz")
             for name, entry in sorted(index["cases"].items())]
 
 
 def compute_csv(case: GoldenCase) -> str:
     return render_csv(*compute_rows(load_config(case.config_path)))
+
+
+def stored_csv(case: GoldenCase) -> str:
+    """The CSV text checked in for ``case``."""
+    return gzip.decompress(case.csv_path.read_bytes()).decode("utf-8")
 
 
 def digest_of(text: str) -> str:
@@ -78,10 +84,10 @@ def verify(case: GoldenCase, csv_text: str | None = None) -> tuple[bool, str]:
 
 def _differing_cells(a: str, b: str):
     """Each ``(row, column, cell_a, cell_b)`` whose texts differ, the rows read
-    as CSV (a quoted cell may hold commas): ``row`` from 1 (0 is the
-    header), the header name of ``a``, None for a missing cell."""
+    as CSV (a quoted cell may hold commas): ``row`` from 1 (0 is the header),
+    the header name of ``a`` (of ``b`` if ``a`` is empty), None for no cell."""
     rows_a, rows_b = (list(csv.reader(io.StringIO(text))) for text in (a, b))
-    header = rows_a[0] if rows_a else []
+    header = (rows_a or rows_b or [[]])[0]
     for row, (cells_a, cells_b) in enumerate(zip_longest(rows_a, rows_b, fillvalue=[])):
         for col, (cell_a, cell_b) in enumerate(zip_longest(cells_a, cells_b)):
             if cell_a != cell_b:
@@ -115,25 +121,29 @@ def column_diffs(a: str, b: str) -> dict:
     return diffs
 
 
-def regenerate(
-    case: GoldenCase,
-    maintainer: bool = False,
-    root: Path | None = None,
-) -> str:
-    """Refresh one case digest; refuses without the maintainer flag."""
+def report(old: str, new: str) -> None:
+    """Print the first differing cell and the :func:`column_diffs` of ``old`` against ``new``."""
+    print(f"  first cell: {next(_differing_cells(old, new), None)}")
+    for column, (cells, gap, rel) in column_diffs(old, new).items():
+        print(f"  {column}: {cells} cells, max abs {gap:.3e}, max rel {rel:.3e}")
+
+
+def regenerate(case: GoldenCase, maintainer: bool = False, root: Path | None = None) -> str:
+    """Report (an absent stored CSV reads as empty), then refresh one case."""
     if not (maintainer or os.environ.get(MAINTAINER_ENV) == "1"):
         raise UsageError("golden regeneration requires maintainer mode")
-    root = root or default_root()
+    index_path = (root or default_root()) / "digests.json"
     text = compute_csv(case)
-    index_path = root / "digests.json"
+    old_text = stored_csv(case) if case.csv_path.exists() else ""
     index = json.loads(index_path.read_text(encoding="utf-8"))
     entry = index["cases"][case.name]
-    old = entry["sha256"]
     entry["sha256"] = digest_of(text)
-    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
     rows = text.count("\n") - 1
-    print(f"{case.name}: digest {old[:12]} -> {entry['sha256'][:12]} ({rows} data rows)")
+    print(f"{case.name}: digest {case.digest[:12]} -> {entry['sha256'][:12]} ({rows} data rows)")
+    if old_text != text:
+        report(old_text, text)
+    case.csv_path.write_bytes(gzip.compress(text.encode("utf-8"), compresslevel=9, mtime=0))
+    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return entry["sha256"]
 
 
@@ -145,9 +155,6 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--verify", action="store_true")
     mode.add_argument("--regenerate", action="store_true")
-    mode.add_argument("--write", type=Path, metavar="DIR", help="save each case's CSV in DIR")
-    parser.add_argument("--against", type=Path, metavar="DIR",
-                        help="with --verify: diff each mismatch against DIR/<case>.csv")
     parser.add_argument("--maintainer", action="store_true",
                         help="enable regeneration (or set VFLUX_MAINTAINER=1)")
     args = parser.parse_args(argv)
@@ -168,21 +175,14 @@ def main(argv: list[str] | None = None) -> int:
         try:
             if args.regenerate:
                 regenerate(case, maintainer=args.maintainer, root=args.root)
-            elif args.write:
-                args.write.mkdir(parents=True, exist_ok=True)
-                (args.write / f"{case.name}.csv").write_text(compute_csv(case), encoding="utf-8")
             else:
                 text = compute_csv(case)
                 ok, actual = verify(case, text)
                 print(f"{case.name}: {'ok' if ok else 'MISMATCH ' + actual}")
                 if not ok:
-                    status = 1
-                if not ok and args.against:
-                    old = (args.against / f"{case.name}.csv").read_text(encoding="utf-8")
-                    print(f"  first cell: {compare_numeric(old, text, atol=0.0)}")
-                    for column, (cells, gap, rel) in column_diffs(old, text).items():
-                        print(f"  {column}: {cells} cells, max abs {gap:.3e}, max rel {rel:.3e}")
-        except (OSError, VfluxError) as exc:
+                    status = max(status, 1)
+                    report(stored_csv(case), text)
+        except (OSError, EOFError, VfluxError) as exc:
             print(f"error: {case.name}: {exc}", file=sys.stderr)
             status = 2
     return status

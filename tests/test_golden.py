@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import json
 import math
 import shutil
@@ -14,6 +16,8 @@ from vflux.golden import (
     load_cases,
     main,
     regenerate,
+    report,
+    stored_csv,
     verify,
 )
 
@@ -69,49 +73,118 @@ def test_column_diffs():
     assert column_diffs(a, a) == {}
 
 
-def _one_case_root(tmp_path, name="steady_cycle", digest=None):
-    """A golden directory holding one case of the corpus."""
+def test_stored_csvs_hash_to_the_digests():
+    # one stored CSV per case and no other file; each decompresses to the
+    # bytes its digest names
+    cases = load_cases(ROOT)
+    assert sorted(p.name for p in (ROOT / "csv").iterdir()) == sorted(
+        f"{case.name}.csv.gz" for case in cases)
+    for case in cases:
+        assert case.csv_path == ROOT / "csv" / f"{case.name}.csv.gz"
+        data = gzip.decompress(case.csv_path.read_bytes())
+        assert hashlib.sha256(data).hexdigest() == case.digest, case.name
+
+
+def test_report_names_a_signed_zero_cell(capsys):
+    # a cell that differs only in its sign bit is equal as a float, yet it
+    # is the first differing cell
+    old = "h1,h2\n0.0000000000000000e+00,1.0\n1.0,2.0\n"
+    new = "h1,h2\n-0.0000000000000000e+00,1.0\n1.0,2.5\n"
+    report(old, new)
+    assert capsys.readouterr().out.splitlines() == [
+        f"  first cell: {(1, 'h1', '0.0000000000000000e+00', '-0.0000000000000000e+00')}",
+        "  h1: 1 cells, max abs 0.000e+00, max rel 0.000e+00",
+        "  h2: 1 cells, max abs 5.000e-01, max rel 2.000e-01",
+    ]
+    report(old, old)
+    assert capsys.readouterr().out == "  first cell: None\n"
+
+
+def _case_root(tmp_path, digests, csvs=None):
+    """A golden directory holding the corpus cases named in ``digests``, each
+    with that digest (None keeps the corpus one) and with its stored CSV
+    text from ``csvs`` (absent: the corpus bytes)."""
     root = tmp_path / "golden"
     shutil.copytree(ROOT / "configs", root / "configs")
+    (root / "csv").mkdir()
     index = json.loads((ROOT / "digests.json").read_text())
-    index["cases"] = {name: index["cases"][name]}
-    if digest is not None:
-        index["cases"][name]["sha256"] = digest
+    index["cases"] = {name: index["cases"][name] for name in digests}
+    for name, digest in digests.items():
+        if digest is not None:
+            index["cases"][name]["sha256"] = digest
+        stored = root / "csv" / f"{name}.csv.gz"
+        if csvs and name in csvs:
+            stored.write_bytes(gzip.compress(csvs[name].encode(), mtime=0))
+        else:
+            shutil.copy(ROOT / "csv" / stored.name, stored)
     (root / "digests.json").write_text(json.dumps(index))
     return root
 
 
-def test_write_saves_each_case_csv(tmp_path, capsys):
-    root = _one_case_root(tmp_path)
-    out = tmp_path / "csv"
-    assert main(["--root", str(root), "--write", str(out)]) == 0
-    assert [p.name for p in out.iterdir()] == ["steady_cycle.csv"]
-    assert (out / "steady_cycle.csv").read_text() == compute_csv(load_cases(root)[0])
-    assert main(["--root", str(root), "--verify", "--against", str(out)]) == 0
+def _nudged(text, column="rho11", by=2.5e-16):
+    """``text`` with ``column`` of the first data row moved by ``by``; also
+    returns the moved and the original cell."""
+    header, first, rest = text.split("\n", 2)
+    col = header.split(",").index(column)
+    cells = first.split(",")
+    old_cell, cells[col] = cells[col], f"{float(cells[col]) + by:.16e}"
+    return "\n".join([header, ",".join(cells), rest]), cells[col], old_cell
+
+
+def test_verify_reads_the_stored_csv(tmp_path, capsys):
+    root = _case_root(tmp_path, {"steady_cycle": None})
+    case = load_cases(root)[0]
+    assert stored_csv(case) == compute_csv(case)
+    assert main(["--root", str(root), "--verify"]) == 0
     assert capsys.readouterr().out == "steady_cycle: ok\n"
 
 
-def test_verify_against_prints_the_numeric_diff(tmp_path, capsys):
+def test_verify_prints_the_numeric_diff(tmp_path, capsys):
     # a stored CSV whose rho11 cell of the first row is off by 2.5e-16
-    root = _one_case_root(tmp_path, digest="0" * 64)
-    text = compute_csv(load_cases(root)[0])
-    header, first, rest = text.split("\n", 2)
-    col = header.split(",").index("rho11")
-    cells = first.split(",")
-    new_cell = float(cells[col]) + 2.5e-16
-    old_cell, cells[col] = cells[col], f"{new_cell:.16e}"
-    stored = tmp_path / "old"
-    stored.mkdir()
-    (stored / "steady_cycle.csv").write_text("\n".join([header, ",".join(cells), rest]))
-    assert main(["--root", str(root), "--verify", "--against", str(stored)]) == 1
+    text = compute_csv(next(c for c in load_cases(ROOT) if c.name == "steady_cycle"))
+    stored, moved, old_cell = _nudged(text)
+    root = _case_root(tmp_path, {"steady_cycle": "0" * 64}, {"steady_cycle": stored})
+    assert main(["--root", str(root), "--verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("steady_cycle: MISMATCH ")
-    assert lines[1] == f"  first cell: {(1, 'rho11', cells[col], old_cell)}"
-    gap = abs(float(cells[col]) - float(old_cell))
-    rel = gap / max(abs(float(cells[col])), abs(float(old_cell)))
+    assert lines[1] == f"  first cell: {(1, 'rho11', moved, old_cell)}"
+    gap = abs(float(moved) - float(old_cell))
+    rel = gap / max(abs(float(moved)), abs(float(old_cell)))
     assert lines[2:] == [f"  rho11: 1 cells, max abs {gap:.3e}, max rel {rel:.3e}"]
-    # a missing stored CSV is an error, not a traceback
-    assert main(["--root", str(root), "--verify", "--against", str(tmp_path)]) == 2
+    # a truncated or missing stored CSV is an error, not a traceback
+    stored = root / "csv" / "steady_cycle.csv.gz"
+    stored.write_bytes(stored.read_bytes()[:-20])
+    assert main(["--root", str(root), "--verify"]) == 2
+    assert "error: steady_cycle:" in capsys.readouterr().err
+    stored.unlink()
+    assert main(["--root", str(root), "--verify"]) == 2
+    assert "error: steady_cycle:" in capsys.readouterr().err
+
+
+def test_regenerate_one_case_rewrites_only_its_bytes(tmp_path, capsys):
+    cases = {c.name: c for c in load_cases(ROOT)}
+    stored, moved, old_cell = _nudged(compute_csv(cases["steady_cycle"]))
+    root = _case_root(tmp_path, {"steady_cycle": "0" * 64, "steady_fig2b": "1" * 64},
+                      {"steady_cycle": stored})
+    other = (root / "csv" / "steady_fig2b.csv.gz").read_bytes()
+    assert main(["--root", str(root), "--regenerate", "--maintainer",
+                 "--case", "steady_cycle"]) == 0
+    digest = cases["steady_cycle"].digest
+    gap = abs(float(moved) - float(old_cell))
+    rel = gap / max(abs(float(moved)), abs(float(old_cell)))
+    assert capsys.readouterr().out.splitlines() == [
+        f"steady_cycle: digest {'0' * 12} -> {digest[:12]} (3 data rows)",
+        f"  first cell: {(1, 'rho11', moved, old_cell)}",
+        f"  rho11: 1 cells, max abs {gap:.3e}, max rel {rel:.3e}",
+    ]
+    index = json.loads((root / "digests.json").read_text())["cases"]
+    assert index["steady_cycle"] == {"config": "configs/steady_cycle.yaml", "sha256": digest}
+    assert index["steady_fig2b"]["sha256"] == "1" * 64
+    # the stored bytes are fixed: gzip level 9 with a zero timestamp
+    text = stored_csv(cases["steady_cycle"])
+    assert (root / "csv" / "steady_cycle.csv.gz").read_bytes() == gzip.compress(
+        text.encode(), compresslevel=9, mtime=0)
+    assert (root / "csv" / "steady_fig2b.csv.gz").read_bytes() == other
 
 
 def test_regenerate_refused_without_maintainer(tmp_path, monkeypatch):
@@ -122,16 +195,18 @@ def test_regenerate_refused_without_maintainer(tmp_path, monkeypatch):
 
 
 def test_regenerate_updates_tmp_copy(tmp_path, capsys):
-    shutil.copytree(ROOT / "configs", tmp_path / "configs")
-    index = json.loads((ROOT / "digests.json").read_text())
-    index["cases"] = {"steady_cycle": index["cases"]["steady_cycle"]}
-    index["cases"]["steady_cycle"]["sha256"] = "0" * 64
-    (tmp_path / "digests.json").write_text(json.dumps(index))
-    case = load_cases(tmp_path)[0]
-    new_digest = regenerate(case, maintainer=True, root=tmp_path)
-    assert "steady_cycle" in capsys.readouterr().out
-    stored = json.loads((tmp_path / "digests.json").read_text())
+    root = _case_root(tmp_path, {"steady_cycle": "0" * 64})
+    case = load_cases(root)[0]
+    # an absent stored CSV reads as empty: every cell is reported as new
+    case.csv_path.unlink()
+    new_digest = regenerate(case, maintainer=True, root=root)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("steady_cycle: digest ")
+    assert out[1] == f"  first cell: {(0, 'spec_hash', None, 'spec_hash')}"
+    assert "  rho11: 4 cells, max abs inf, max rel inf" in out
+    stored = json.loads((root / "digests.json").read_text())
     assert stored["cases"]["steady_cycle"]["sha256"] == new_digest
+    assert digest_of(stored_csv(case)) == new_digest
     # tolerance-neutral rerun leaves the digest unchanged
     assert digest_of(compute_csv(case)) == new_digest
 
