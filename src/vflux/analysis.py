@@ -10,6 +10,7 @@ the convention; it is fixed here once and used everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -66,8 +67,8 @@ def rectification(spec: SystemSpec, t0: float, deltaT: float) -> RectificationRe
     Raises
     ------
     IndeterminateRectificationError
-        When both configurations carry (numerically) no current, e.g. at
-        deltaT = 0.
+        When ``max(J_f, -J_b)`` is at most :data:`RECTIFICATION_FLOOR`: both
+        currents vanish (deltaT = 0), or neither runs forward (deltaT < 0).
     """
     bias_error = _bias_error(t0, deltaT)
     if bias_error is not None:
@@ -78,9 +79,9 @@ def rectification(spec: SystemSpec, t0: float, deltaT: float) -> RectificationRe
     j_b = heat_currents(backward)[1]
     den = max(j_f, -j_b)
     if den <= RECTIFICATION_FLOOR:
-        raise IndeterminateRectificationError(
-            f"both currents vanish at t0={t0}, deltaT={deltaT}"
-        )
+        why = ("both currents vanish" if max(abs(j_f), abs(j_b)) <= RECTIFICATION_FLOOR
+               else f"no forward current: max(J_f, -J_b) = {den:.3e}")
+        raise IndeterminateRectificationError(f"{why} at t0={t0}, deltaT={deltaT}")
     return RectificationResult(t0, deltaT, j_f, j_b, abs(j_f + j_b) / den)
 
 
@@ -323,9 +324,11 @@ def _tM_response(currents, spec: SystemSpec, tM: float, h: float | None = None):
     """Step and d/dTM of ``currents(spec)`` (middle-bath current last) at
     ``tM``: central differences with steps ``h`` (default 1e-4*tM) and
     ``h/2``, Richardson-refined once.  Raises :class:`UsageError` unless
-    ``h`` is finite and positive and ``tM - h > 0``, and
+    ``h`` is a finite positive real, not a bool, and ``tM - h > 0``, and
     :class:`IndeterminateAmplificationError` when the middle-bath current
     does not respond."""
+    if h is not None and (isinstance(h, bool) or not isinstance(h, Real)):
+        raise UsageError(f"h = {h!r} must be a real number")
     if h is not None and not (np.isfinite(h) and h > 0.0):
         raise UsageError(f"h = {h} must be finite and > 0")
     step = 1e-4 * tM if h is None else h

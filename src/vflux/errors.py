@@ -22,7 +22,7 @@ class BranchError(VfluxError):
 
 
 class IndeterminateRectificationError(VfluxError):
-    """Both forward and backward currents vanish; rectification undefined."""
+    """No current runs forward (``max(J_f, -J_b)`` at the floor); rectification undefined."""
 
 
 class IndeterminateAmplificationError(VfluxError):

@@ -21,6 +21,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
+from numbers import Real
 from operator import mul
 
 import numpy as np
@@ -50,6 +51,11 @@ SPLIT_MATRICES = 500
 
 _BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
 _NOT_FINITE_ERROR = "dressed generator is not finite"
+
+# The recursion's constants; ``@`` casts a float trace row anew each call.
+_TRACE_ROW = TRACE_VECTOR.astype(complex)
+_SPREAD = np.outer(TRACE_VECTOR / 3.0, TRACE_VECTOR)
+_IDENTITY = np.eye(5, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -91,14 +97,11 @@ def _check_bath_kind(bath: str, kind: str):
         raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _check_recursion(bath: str, kind: str, order: int):
-    _check_bath_kind(bath, kind)
-    _check_order("cumulant", order, 4)
-
-
 def _check_difference(bath: str, kind: str, order: int, h: float):
     _check_bath_kind(bath, kind)
     _check_order("finite-difference", order, 2)
+    if isinstance(h, bool) or not isinstance(h, Real):
+        raise UsageError(f"finite-difference step must be a real number, got {h!r}")
     if not 1e-6 <= h <= 1e-2:
         raise UsageError(f"finite-difference step must lie in [1e-6, 1e-2], got {h}")
 
@@ -144,9 +147,10 @@ def _spectra(rates: RateSet, chi: CountingFields, fractions):
     :func:`_projected_inverse`."""
     matrices = np.stack([_counting_matrix(rates, chi.scaled(f)) for f in fractions])
     finite = np.isfinite(matrices).all(axis=(0, -2, -1))
+    if finite.all():
+        return list(_eigvals(matrices)), {}
     errors = {tuple(n): _NOT_FINITE_ERROR for n in np.argwhere(~finite)}
-    if errors:
-        matrices[:, ~finite] = np.eye(5)
+    matrices[:, ~finite] = np.eye(5)
     return list(_eigvals(matrices)), errors
 
 
@@ -179,6 +183,11 @@ def _branch(start, end):
     (at half the field) nearest zero, a scalar for one point and an array for
     a stack, and the :class:`BranchError` text of each index (``()`` for one
     point) whose top two real parts in ``end`` lie within :data:`BRANCH_TOL`."""
+    if start.ndim == 1:  # plain indexing, to the same bits
+        top = np.sort(end.real)
+        tracked = end[np.argmin(np.abs(end - start[np.argmin(np.abs(start))]))]
+        gap = top[-1] - top[-2] < BRANCH_TOL
+        return tracked, {(): _BRANCH_ERROR.format(BRANCH_TOL, top[-1])} if gap else {}
     near = np.take_along_axis(start, np.argmin(np.abs(start), axis=-1)[..., None], -1)
     pick = np.argmin(np.abs(end - near), axis=-1)[..., None]
     top = np.sort(end.real, axis=-1)
@@ -192,7 +201,7 @@ def first_cumulant_direct(spec: SystemSpec, bath: str, kind: str) -> float:
     _check_bath_kind(bath, kind)
     rates = build_rates(spec)
     p0 = steady_state(build_generator(spec, rates)).vector
-    h1 = _chi_derivative(rates, CountingFields.zero(kind), bath, 1)
+    (h1,) = _chi_derivative(rates, CountingFields.zero(kind), bath, (1,))
     value = complex(TRACE_VECTOR @ (h1 @ p0))
     return float(value.real)
 
@@ -214,10 +223,10 @@ def _projected_inverse(m: np.ndarray, p0: np.ndarray, errors=()) -> np.ndarray:
     point or a stack; the points in ``errors`` are inverted as the identity,
     since one exactly singular matrix fails a whole stacked ``inv``."""
     s = np.abs(m[..., :3, :3]).max(axis=(-2, -1))
-    a = m - s[..., None, None] * np.outer(TRACE_VECTOR / 3.0, TRACE_VECTOR)
+    a = m - s[..., None, None] * _SPREAD
     if errors:
         a[list(errors)] = np.eye(5)
-    q = np.eye(5, dtype=complex) - p0[..., :, None] * TRACE_VECTOR
+    q = _IDENTITY - p0[..., :, None] * TRACE_VECTOR
     return q @ np.linalg.inv(a) @ q
 
 
@@ -241,7 +250,8 @@ def cumulants_perturbative(
     |P_n> are built with R (which annihilates <I|); it is kept as a cheap
     consistency term.
     """
-    _check_recursion(bath, kind, order)
+    _check_bath_kind(bath, kind)
+    _check_order("cumulant", order, 4)
     rates = build_rates(spec)
     gen = build_generator(spec, rates)
     raw = _recursion(rates, gen.matrix, steady_state(gen).vector, bath, kind, order)
@@ -260,21 +270,21 @@ def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: s
     ``(N, 1, 1)`` arrays.  The product of two of its complex arrays in the
     correction term is written out in real parts: numpy may fuse an array
     product's multiplies and adds, where one point's Python product rounds
-    each, which changed the last bit of an imaginary residue.
+    each, which changed the last bit of an imaginary residue.  Each
+    ``H_n |P_{N-n}>`` and ``<I|P_k>`` is made once, from one dressing.
     """
     r = _projected_inverse(m, p0, errors)
-    chi0 = CountingFields.zero(kind)
-    h = {n: _chi_derivative(rates, chi0, bath, n) for n in range(1, order + 1)}
+    h = _chi_derivative(rates, CountingFields.zero(kind), bath, range(1, order + 1))
     if p0.ndim == 1:
         def trace(v):
-            return complex(TRACE_VECTOR @ v)
+            return complex(_TRACE_ROW @ v)
 
         times = mul
     else:
         p0 = p0[:, :, None]
 
         def trace(v):
-            return TRACE_VECTOR[None] @ v
+            return _TRACE_ROW[None] @ v
 
         def times(a, b):
             out = np.empty_like(a)
@@ -284,15 +294,19 @@ def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: s
 
     energies: dict = {}
     states: dict[int, np.ndarray] = {0: p0}
+    traces: dict = {}
     for big_n in range(1, order + 1):
-        e = sum(comb(big_n, n) * trace(h[n] @ states[big_n - n]) for n in range(1, big_n + 1))
-        e -= sum(times(comb(big_n, k) * energies[k], trace(states[big_n - k]))
+        products = [h[n - 1] @ states[big_n - n] for n in range(1, big_n + 1)]
+        e = sum(comb(big_n, n) * trace(hp) for n, hp in enumerate(products, 1))
+        e -= sum(times(comb(big_n, k) * energies[k], traces[big_n - k])
                  for k in range(1, big_n))
         energies[big_n] = e
         accum = np.zeros(p0.shape, dtype=complex)
-        for n in range(1, big_n + 1):
-            accum += comb(big_n, n) * (energies[n] * states[big_n - n] - h[n] @ states[big_n - n])
+        for n, hp in enumerate(products, 1):
+            accum += comb(big_n, n) * (energies[n] * states[big_n - n] - hp)
         states[big_n] = r @ accum
+        if big_n < order:
+            traces[big_n] = trace(states[big_n])
     return [energies[n] for n in range(1, order + 1)]
 
 

@@ -15,7 +15,9 @@ holds them against each other entry by entry.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -72,7 +74,8 @@ def _entries(rates: RateSet):
 def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
     """Assemble the 5x5 generator from :func:`_entries`: shape
     ``rates.shape + (5, 5)``, so a stack of rates gives a C-contiguous
-    ``(N, 5, 5)`` stack.
+    ``(N, 5, 5)`` stack.  A stack is written as ``(N, 25)``; one point's 25
+    entries are Python numbers, made an array by one call.
 
     ``sandwich`` is the ``(gain, loss)`` pair of rate functions that fill
     the gain-type entries (:func:`_fill_sandwich`), dressed by
@@ -80,46 +83,54 @@ def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
     combinations.  Without it the bare rates fill them: the bare generator.
     """
     re, delta = _entries(rates)
-    m = np.zeros(rates.shape + (5, 5), dtype=complex)
-    real, imag = m.real, m.imag
-    for i in range(4):
-        for j in range(4):
-            real[..., i, j] = re[i][j]
-    for k in range(3):
-        real[..., 4, k], real[..., k, 4] = re[3][k], re[k][3]
-    real[..., 4, 4] = re[3][3]
-    imag[..., 3, 3], imag[..., 4, 4] = -delta, delta
+    m = [*re[0], re[0][3], *re[1], re[1][3], *re[2], re[2][3],
+         *re[3], 0.0, *re[3][:3], 0.0, re[3][3]]
+    if rates.shape:
+        m, entries = np.zeros(rates.shape + (25,), dtype=complex), m
+        for k, entry in enumerate(entries):
+            m.real[..., k] = entry
+        m.imag[..., 18], m.imag[..., 24] = -delta, delta
+    else:
+        m[18], m[24] = complex(m[18], -delta), complex(m[24], delta)
     if sandwich:
         _fill_sandwich(m, *sandwich)
-    return m
+    return np.asarray(m, dtype=complex).reshape(rates.shape + (5, 5))
 
 
-def _fill_sandwich(m: np.ndarray, gain, loss) -> None:
-    """Write the gain-type ("sandwich") entries of ``m``: the only entries
-    that carry counting phases.  ``gain(i, j, k)`` and ``loss(i, j, k)`` are
-    the rates of levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
-    m[..., 0, 2] = gain(1, 1, 1)
-    m[..., 1, 2] = gain(2, 2, 2)
-    m[..., 3, 2] = m[..., 4, 2] = 0.5 * (gain(1, 2, 1) + gain(1, 2, 2))
-    m[..., 2, 0] = loss(1, 1, 1)
-    m[..., 2, 1] = loss(2, 2, 2)
-    m[..., 2, 3] = m[..., 2, 4] = 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))
+_SANDWICH = (2, 7, 17, 22, 10, 11, 13, 14)  # row-major, in _fill_sandwich's order
 
 
-def _dressed_rates(rates: RateSet, chi: CountingFields, baths, order: int = 0):
-    """Gain and loss rate functions summed over ``baths``, each bath ``u``
-    dressed by its counting phase and differentiated ``order`` times in
-    ``i chi_u``: gain times ``(-w)^n exp(-i w chi_u)``, loss times
-    ``(+w)^n exp(+i w chi_u)``, with ``w`` the counting weight of the energy
-    argument (:meth:`RateSet.weights`).  Holds for complex ``chi``.
+def _fill_sandwich(m, gain, loss) -> None:
+    """Write the gain-type ("sandwich") entries of ``m`` (row-major: one
+    point's list of 25, a stack's ``(N, 25)`` array): the only entries that
+    carry counting phases.  ``gain(i, j, k)`` and ``loss(i, j, k)`` are the
+    rates of levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
+    g12 = 0.5 * (gain(1, 2, 1) + gain(1, 2, 2))
+    l12 = 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))
+    values = (gain(1, 1, 1), gain(2, 2, 2), g12, g12, loss(1, 1, 1), loss(2, 2, 2), l12, l12)
+    for k, value in zip(_SANDWICH, values):
+        m[k if isinstance(m, list) else (..., k)] = value
+
+
+def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,)):
+    """Yield one ``(gain, loss)`` pair of rate functions per order ``n`` of
+    ``orders``, summed over ``baths``, each bath ``u`` dressed by its
+    counting phase and differentiated ``n`` times in ``i chi_u``: gain times
+    ``(-w)^n exp(-i w chi_u)``, loss times ``(+w)^n exp(+i w chi_u)``, with
+    ``w`` the counting weight of the energy argument
+    (:meth:`RateSet.weights`).  Holds for complex ``chi``.  The tables and
+    phases are made once for all orders, the factors of one order at a
+    time: Python numbers for one point (``cmath.exp`` has the bits of
+    ``np.exp`` here), arrays for a stack.
     """
-    w = np.array(rates.weights(chi.kind)[:2])
-    gains, losses = [], []
+    exp = np.exp if rates.shape else cmath.exp
+    w = rates.weights(chi.kind)[:2]
+    phased = []
     for u in baths:
         chi_u = chi.chiL if u == "L" else chi.chiR
         gain, loss = (rates.gainL, rates.lossL) if u == "L" else (rates.gainR, rates.lossR)
-        gains.append((gain, (-w) ** order * np.exp(-1j * w * chi_u)))
-        losses.append((loss, (+w) ** order * np.exp(+1j * w * chi_u)))
+        phased.append((gain, [exp(-1j * x * chi_u) for x in w],
+                       loss, [exp(+1j * x * chi_u) for x in w]))
 
     def summed(terms):
         def rate(i, j, k):
@@ -130,7 +141,14 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, order: int = 0):
             return total
         return rate
 
-    return summed(gains), summed(losses)
+    for n in orders:
+        # (-w)^n and (+w)^n with the bits of numpy's array power: it squares
+        # by one product, and Python's pow differs from it above that
+        minus, plus = ((np.array(v) ** n).tolist() if n > 2 else
+                       [1.0 if n == 0 else x if n == 1 else x * x for x in v]
+                       for v in ([-x for x in w], w))
+        yield (summed([(g, list(map(mul, minus, f))) for g, f, _, _ in phased]),
+               summed([(l, list(map(mul, plus, f))) for _, _, l, f in phased]))
 
 
 def build_generator(spec: SystemSpec, rates: RateSet | None = None) -> Generator:
@@ -158,7 +176,7 @@ def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator
 def _counting_matrix(rates: RateSet, chi: CountingFields) -> np.ndarray:
     """Matrix of :func:`build_counting_generator` from built rates, in the
     shape of :func:`_fill_block`."""
-    return _fill_block(rates, _dressed_rates(rates, chi, BATHS))
+    return _fill_block(rates, next(_dressed_rates(rates, chi, BATHS)))
 
 
 def generator_chi_derivative(
@@ -177,7 +195,7 @@ def generator_chi_derivative(
     _check_order("derivative", order, 4)
     if bath not in BATHS:
         raise UsageError(f"bath must be 'L' or 'R', got {bath!r}")
-    return _chi_derivative(build_rates(spec), chi0, bath, order)
+    return _chi_derivative(build_rates(spec), chi0, bath, (order,))[0]
 
 
 def _check_order(what: str, order, top: int) -> None:
@@ -190,12 +208,16 @@ def _check_order(what: str, order, top: int) -> None:
         raise UsageError(f"{what} order must be {span}, got {order}")
 
 
-def _chi_derivative(rates: RateSet, chi0: CountingFields, bath: str, order: int) -> np.ndarray:
-    """:func:`generator_chi_derivative` from built rates, arguments
-    unchecked, in the shape of :func:`_fill_block`."""
-    h = np.zeros(rates.shape + (5, 5), dtype=complex)
-    _fill_sandwich(h, *_dressed_rates(rates, chi0, (bath,), order))
-    return h
+def _chi_derivative(rates: RateSet, chi0: CountingFields, bath: str, orders) -> list:
+    """:func:`generator_chi_derivative` of each order of ``orders`` from
+    built rates and one dressing, arguments unchecked, in the shape of
+    :func:`_fill_block`."""
+    matrices = []
+    for sandwich in _dressed_rates(rates, chi0, (bath,), orders):
+        h = np.zeros(rates.shape + (25,), dtype=complex) if rates.shape else [0.0] * 25
+        _fill_sandwich(h, *sandwich)
+        matrices.append(np.asarray(h, dtype=complex).reshape(rates.shape + (5, 5)))
+    return matrices
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,13 +22,14 @@ from vflux.errors import (
     IndeterminateRectificationError,
     UsageError,
 )
-from vflux.config import config_for_target
+from vflux.config import build_config, config_for_target
 from vflux.fcs import _projected_inverse
 from vflux.liouvillian import build_generator
 from vflux.model import PARTICLE, SystemSpec, bose_occupation, build_rates, spec_arrays, spec_at
 from vflux.runner import SPEC_COLUMNS, _fig5a
 from vflux.steady import steady_state
-from vflux.transport import bath_currents, closed_form_JeR_resonant, particle_currents
+from vflux.transport import (bath_currents, closed_form_JeR_resonant, heat_currents,
+                             particle_currents)
 
 from conftest import BOUND, cycle_spec, table_rows, two_bath_spec
 
@@ -161,6 +163,33 @@ def test_amplification_rejects_a_step_that_is_not_finite_and_positive(h):
     # stencil_h < 0
     with pytest.raises(UsageError, match=f"h = {h} must be finite and > 0"):
         amplification(cycle_spec(), 1.0, h)
+
+
+@pytest.mark.parametrize("h", ["x", True, np.bool_(True), 1e-3 + 0j, None], ids=repr)
+def test_amplification_rejects_a_step_that_is_not_a_real_number(h):
+    # "x" escaped as numpy's TypeError from np.isfinite, and True ran as
+    # the step 1.0; None is the default step
+    if h is None:
+        assert amplification(cycle_spec(), 1.0, h).stencil_h == 1e-4
+        return
+    with pytest.raises(UsageError, match=re.escape(f"h = {h!r} must be a real number")):
+        amplification(cycle_spec(), 1.0, h)
+
+
+def test_negative_bias_names_the_missing_forward_current():
+    # at deltaT < 0 both currents flow, each the wrong way for its
+    # configuration; "both currents vanish" is kept for when they do
+    spec = build_config({"task": "rectify", "system": {"gL12": 0.008}}).spec
+    with pytest.raises(IndeterminateRectificationError) as info:
+        rectification(spec, 1.0, -0.5)
+    j_f = heat_currents(replace(spec, tempL=0.75, tempR=1.25))[1]
+    j_b = heat_currents(replace(spec, tempL=1.25, tempR=0.75))[1]
+    assert j_f < -1e-4 and j_b > 1e-4
+    assert str(info.value) == (f"no forward current: max(J_f, -J_b) = {max(j_f, -j_b):.3e} "
+                               "at t0=1.0, deltaT=-0.5")
+    with pytest.raises(IndeterminateRectificationError,
+                       match="^both currents vanish at t0=1.0, deltaT=0.0$"):
+        rectification(spec, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("grid", [np.array([[0.1, 0.2]]), np.array(0.5), [[0.5], [1.0]]])

@@ -219,7 +219,7 @@ def fill_entrywise(rates, sandwich=None):
     m[..., 3, 1] = m[..., 4, 1] = -0.5 * gm(1, 2, 2)
     m[..., 3, 3] = -1j * delta - damping
     m[..., 4, 4] = +1j * delta - damping
-    _fill_sandwich(m, *(sandwich or (rates.gamma_plus, gm)))
+    _fill_sandwich(m.reshape(rates.shape + (25,)), *(sandwich or (rates.gamma_plus, gm)))
     return m
 
 
@@ -233,7 +233,7 @@ def test_fill_from_entries_equals_the_entrywise_fill():
         assert gen.matrix.tobytes() == expected.tobytes()
         assert gen.to_text() == Generator(expected, spec).to_text()
         assert (_counting_matrix(rates, chi).tobytes()
-                == fill_entrywise(rates, _dressed_rates(rates, chi, BATHS)).tobytes())
+                == fill_entrywise(rates, next(_dressed_rates(rates, chi, BATHS))).tobytes())
     stacked = RateSet(spec_arrays(specs))
     assert _fill_block(stacked).tobytes() == fill_entrywise(stacked).tobytes()
     # with every coupling zero the coherence diagonal is 0.0 -+ i*delta:

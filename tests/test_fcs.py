@@ -147,6 +147,15 @@ def test_finite_difference_step_guard():
         cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, h=0.1)
 
 
+@pytest.mark.parametrize("h", ["x", True, np.bool_(True), 1e-4 + 0j, None], ids=repr)
+def test_finite_difference_rejects_a_step_that_is_not_a_real_number(h):
+    # "x" escaped as a TypeError from the range check, and True is an int
+    # to Python
+    with pytest.raises(UsageError,
+                       match=re.escape(f"finite-difference step must be a real number, got {h!r}")):
+        cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, 2, h)
+
+
 def test_method_triangle_on_corpus(conserving_corpus):
     for spec in conserving_corpus:
         direct = first_cumulant_direct(spec, "R", ENERGY)

@@ -45,19 +45,32 @@ def test_trace_preservation():
 
 def test_stacks_are_points_first_and_c_contiguous():
     # a stack is born as (N, 5, 5) in C order, point n carrying the bits of
-    # its own (5, 5) fill; no copy or axis move is needed downstream
-    specs = FIGURE_SPECS + seeded_leak_specs(3)
-    chi = CountingFields(0.1, -0.2, PARTICLE)
+    # its own (5, 5) fill; no copy or axis move is needed downstream.  One
+    # point runs on Python numbers, a stack on arrays: energy weights make
+    # the third and fourth powers and the phases inexact, so every order,
+    # both baths and a complex field are held to the stack byte for byte.
+    # Python's pow differs from numpy's array power at eps1 cubed and at
+    # eps2 to the fourth of the last spec
+    specs = FIGURE_SPECS + seeded_leak_specs(3) + [SystemSpec(
+        1.0875080616885457, 0.5482726578094331, 2.0, 1.0, 1.0, 0.01, 0.01, 0.005,
+        0.01, 0.01, 0.004, 0.01)]
+    fields = [CountingFields(0.1, -0.2, PARTICLE), CountingFields(0.3, -0.7, ENERGY),
+              CountingFields(0.2 + 0.1j, -0.05j, ENERGY), CountingFields(1e-4j, 0.4, PARTICLE)]
 
     def fills(rates):
-        return (_fill_block(rates), _counting_matrix(rates, chi),
-                _chi_derivative(rates, chi, "R", 2))
+        out = [_fill_block(rates)]
+        for chi in fields:
+            out.append(_counting_matrix(rates, chi))
+            for bath in ("L", "R"):
+                out.extend(_chi_derivative(rates, chi, bath, range(1, 5)))
+        return out
 
     stacks = fills(RateSet(spec_arrays(specs)))
+    assert len(stacks) == 1 + len(fields) * 9
     for stack in stacks:
         assert stack.shape == (len(specs), 5, 5) and stack.flags.c_contiguous
     for n, spec in enumerate(specs):
-        for stack, one in zip(stacks, fills(build_rates(spec))):
+        for stack, one in zip(stacks, fills(build_rates(spec)), strict=True):
             assert one.shape == (5, 5)
             assert stack[n].tobytes() == one.tobytes()
 

@@ -292,7 +292,7 @@ def test_dressing_identity_at_zero_is_exact(kind):
     # the one dressing of the rates, summed over both baths at chi = 0,
     # returns the bare totals for every (i, j, k)
     r = build_rates(two_bath_spec(0.7 * BOUND, 0.3 * BOUND))
-    gain, loss = _dressed_rates(r, CountingFields.zero(kind), BATHS)
+    [(gain, loss)] = _dressed_rates(r, CountingFields.zero(kind), BATHS)
     for i in (1, 2):
         for j in (1, 2):
             for k in (1, 2):
