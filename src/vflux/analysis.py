@@ -52,6 +52,12 @@ class RectificationResult:
     rj: float
 
 
+def _real(name: str, value) -> None:
+    """:class:`UsageError` unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise UsageError(f"{name} = {value!r} must be a real number")
+
+
 def _bias_error(t0: float, deltaT: float) -> UsageError | None:
     if abs(deltaT) >= 2.0 * t0:
         return UsageError(f"|deltaT| = {abs(deltaT)} must stay below 2*t0 = {2.0 * t0}")
@@ -70,6 +76,8 @@ def rectification(spec: SystemSpec, t0: float, deltaT: float) -> RectificationRe
         When ``max(J_f, -J_b)`` is at most :data:`RECTIFICATION_FLOOR`: both
         currents vanish (deltaT = 0), or neither runs forward (deltaT < 0).
     """
+    _real("t0", t0)
+    _real("deltaT", deltaT)
     bias_error = _bias_error(t0, deltaT)
     if bias_error is not None:
         raise bias_error
@@ -122,7 +130,8 @@ def max_rectification_columns(params, t0: float, deltaT_grid: np.ndarray | None 
     :class:`DomainError` at bias ``k``, the one place a SystemSpec is
     built.
     """
-    grid = _grid(default_deltaT_grid(t0) if deltaT_grid is None else deltaT_grid)
+    _real("t0", t0)
+    grid = _grid("deltaT_grid", default_deltaT_grid(t0) if deltaT_grid is None else deltaT_grid)
     scan = [float(grid[idx]) for idx in np.argsort(np.abs(grid), kind="stable")]
     # rectification rejects a bias of at least 2*t0, and the scan stops at
     # the first one
@@ -293,11 +302,15 @@ def _factor(values: np.ndarray) -> np.ndarray:
     return values[:1, None] if (bits == bits[0]).all() else values[:, None]
 
 
-def _grid(values) -> np.ndarray:
-    """A scan's grid as an array; :class:`UsageError` unless it is 1-D."""
+def _grid(name: str, values) -> np.ndarray:
+    """The scan grid ``name`` as an array; :class:`UsageError` unless it is
+    1-D and each value a real number (read before ``np.asarray`` makes a
+    bool 1.0)."""
     grid = np.asarray(values)
     if grid.ndim != 1:
         raise UsageError(f"a scan grid must be 1-D, got shape {grid.shape}")
+    for pos, value in enumerate(values):
+        _real(f"{name}[{pos}]", value)
     return grid
 
 
@@ -324,13 +337,14 @@ def _tM_response(currents, spec: SystemSpec, tM: float, h: float | None = None):
     """Step and d/dTM of ``currents(spec)`` (middle-bath current last) at
     ``tM``: central differences with steps ``h`` (default 1e-4*tM) and
     ``h/2``, Richardson-refined once.  Raises :class:`UsageError` unless
-    ``h`` is a finite positive real, not a bool, and ``tM - h > 0``, and
-    :class:`IndeterminateAmplificationError` when the middle-bath current
-    does not respond."""
-    if h is not None and (isinstance(h, bool) or not isinstance(h, Real)):
-        raise UsageError(f"h = {h!r} must be a real number")
-    if h is not None and not (np.isfinite(h) and h > 0.0):
-        raise UsageError(f"h = {h} must be finite and > 0")
+    ``tM`` is a real and ``h`` a finite positive real, neither a bool, and
+    ``tM - h > 0``, and :class:`IndeterminateAmplificationError` when the
+    middle-bath current does not respond."""
+    _real("tM", tM)
+    if h is not None:
+        _real("h", h)
+        if not (np.isfinite(h) and h > 0.0):
+            raise UsageError(f"h = {h} must be finite and > 0")
     step = 1e-4 * tM if h is None else h
     if tM - step <= 0.0:
         raise UsageError(f"tM - h = {tM - step} must stay positive")
@@ -376,7 +390,7 @@ def max_amplification(spec: SystemSpec, tM_grid: np.ndarray | None = None) -> fl
     ratio monotonically.  Grid points where the response is undefined (a
     step reaching ``tM <= 0``, or no middle-bath response) are skipped.
     """
-    grid = _grid(default_tM_grid() if tM_grid is None else tM_grid)
+    grid = _grid("tM_grid", default_tM_grid() if tM_grid is None else tM_grid)
     prefactor = cyclic_amplification_analytic(spec.eps1, spec.eps2)
     best = None
     for tm in grid:

@@ -1,17 +1,19 @@
 """Golden-file regression corpus.
 
-Each case binds a checked-in configuration to the SHA-256 digest of the
-CSV it produces, the case's identity, and stores that CSV as
-``golden/csv/<case>.csv.gz``.  A mismatch prints the first differing cell
+Each case binds a checked-in configuration to the SHA-256 digests of the
+CSV and of the JSON it produces; the CSV digest is the case's identity,
+and that CSV is stored as ``golden/csv/<case>.csv.gz``.  The JSON cannot
+be derived from the CSV (an empty cell is ``""`` or ``null`` in JSON), so
+it has its own digest.  A CSV mismatch prints the first differing cell
 and, per column, the count and the largest absolute and relative
 difference of the differing cells (:func:`report`).  Digests are exact
-per BLAS/LAPACK build: another OpenBLAS kernel moves 3 (Haswell, Zen) or
-6 (Sandybridge, Prescott) of the 10, and 3 or 4 beyond :func:`compare_numeric`
-(1e-12 absolute per cell; README, "Determinism and golden files").
+per BLAS/LAPACK build: another OpenBLAS kernel moves 5 (Haswell, Zen), 11
+(Sandybridge) or 12 (Prescott) of the 23, and 5, 7 or 6 beyond
+:func:`compare_numeric` (1e-12 absolute per cell; README, "Determinism and
+golden files").
 
 Regeneration prints the same report, then rewrites the stored CSV and the
-digest; it is refused unless maintainer mode is switched on
-(``--maintainer`` or VFLUX_MAINTAINER=1).  Run as a module::
+digests; it is refused without ``--maintainer``.  Run as a module::
 
     python -m vflux.golden (--verify | --regenerate --maintainer) [--case NAME]
 """
@@ -25,7 +27,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -33,10 +34,9 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import UsageError, VfluxError
-from .runner import compute_rows, render_csv
+from .runner import compute_rows, render_csv, render_json
 
 DIGEST_SCHEMA = "vflux-golden/1"
-MAINTAINER_ENV = "VFLUX_MAINTAINER"
 
 
 def default_root() -> Path:
@@ -49,6 +49,7 @@ class GoldenCase:
     name: str
     config_path: Path
     digest: str
+    json_digest: str
     csv_path: Path
 
 
@@ -57,13 +58,15 @@ def load_cases(root: Path | None = None) -> list[GoldenCase]:
     index = json.loads((root / "digests.json").read_text(encoding="utf-8"))
     if index.get("schema") != DIGEST_SCHEMA:
         raise UsageError(f"unexpected golden digest schema {index.get('schema')!r}")
-    return [GoldenCase(name, root / entry["config"], entry["sha256"],
+    return [GoldenCase(name, root / entry["config"], entry["sha256"], entry["json_sha256"],
                        root / "csv" / f"{name}.csv.gz")
             for name, entry in sorted(index["cases"].items())]
 
 
-def compute_csv(case: GoldenCase) -> str:
-    return render_csv(*compute_rows(load_config(case.config_path)))
+def compute_outputs(case: GoldenCase) -> tuple[str, str]:
+    """The CSV and the JSON text of ``case``'s table."""
+    columns, table = compute_rows(load_config(case.config_path))
+    return render_csv(columns, table), render_json(columns, table)
 
 
 def stored_csv(case: GoldenCase) -> str:
@@ -75,11 +78,14 @@ def digest_of(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def verify(case: GoldenCase, csv_text: str | None = None) -> tuple[bool, str]:
-    """Check one case; returns (ok, actual digest)."""
-    text = compute_csv(case) if csv_text is None else csv_text
-    actual = digest_of(text)
-    return actual == case.digest, actual
+def verify(case: GoldenCase, outputs: tuple[str, str] | None = None) -> dict[str, str]:
+    """Check one case's :func:`compute_outputs` (computed unless given):
+    the actual digest of each of ``"csv"`` and ``"json"`` that differs
+    from the case's, so an empty dict when the case verifies."""
+    texts = compute_outputs(case) if outputs is None else outputs
+    wanted = {"csv": case.digest, "json": case.json_digest}
+    return {kind: actual for kind, text in zip(wanted, texts)
+            if (actual := digest_of(text)) != wanted[kind]}
 
 
 def _differing_cells(a: str, b: str):
@@ -130,16 +136,17 @@ def report(old: str, new: str) -> None:
 
 def regenerate(case: GoldenCase, maintainer: bool = False, root: Path | None = None) -> str:
     """Report (an absent stored CSV reads as empty), then refresh one case."""
-    if not (maintainer or os.environ.get(MAINTAINER_ENV) == "1"):
+    if not maintainer:
         raise UsageError("golden regeneration requires maintainer mode")
     index_path = (root or default_root()) / "digests.json"
-    text = compute_csv(case)
+    text, json_text = compute_outputs(case)
     old_text = stored_csv(case) if case.csv_path.exists() else ""
     index = json.loads(index_path.read_text(encoding="utf-8"))
     entry = index["cases"][case.name]
-    entry["sha256"] = digest_of(text)
+    entry["sha256"], entry["json_sha256"] = digest_of(text), digest_of(json_text)
     rows = text.count("\n") - 1
-    print(f"{case.name}: digest {case.digest[:12]} -> {entry['sha256'][:12]} ({rows} data rows)")
+    print(f"{case.name}: digest {case.digest[:12]} -> {entry['sha256'][:12]}, "
+          f"json {case.json_digest[:12]} -> {entry['json_sha256'][:12]} ({rows} data rows)")
     if old_text != text:
         report(old_text, text)
     case.csv_path.write_bytes(gzip.compress(text.encode("utf-8"), compresslevel=9, mtime=0))
@@ -155,8 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--verify", action="store_true")
     mode.add_argument("--regenerate", action="store_true")
-    parser.add_argument("--maintainer", action="store_true",
-                        help="enable regeneration (or set VFLUX_MAINTAINER=1)")
+    parser.add_argument("--maintainer", action="store_true", help="enable regeneration")
     args = parser.parse_args(argv)
 
     try:
@@ -176,12 +182,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.regenerate:
                 regenerate(case, maintainer=args.maintainer, root=args.root)
             else:
-                text = compute_csv(case)
-                ok, actual = verify(case, text)
-                print(f"{case.name}: {'ok' if ok else 'MISMATCH ' + actual}")
-                if not ok:
+                outputs = compute_outputs(case)
+                wrong = verify(case, outputs)
+                mismatch = ", ".join(f"{kind} {actual}" for kind, actual in wrong.items())
+                print(f"{case.name}: {'MISMATCH ' + mismatch if wrong else 'ok'}")
+                if wrong:
                     status = max(status, 1)
-                    report(stored_csv(case), text)
+                if "csv" in wrong:
+                    report(stored_csv(case), outputs[0])
         except (OSError, EOFError, VfluxError) as exc:
             print(f"error: {case.name}: {exc}", file=sys.stderr)
             status = 2

@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vflux.config import REPRODUCE_TARGETS, config_for_target
+from vflux.config import REPRODUCE_TARGETS, config_for_target, load_config
+from vflux.golden import compute_outputs, load_cases
 from vflux.model import SPEC_FIELDS, SystemSpec
-from vflux.runner import compute_rows, render_csv
+from vflux.runner import compute_rows, render_csv, render_json
 
 #: Interference bound sqrt(g11*g22) of the two-bath figure family.
 BOUND = 0.01
@@ -113,21 +114,6 @@ def lapack_calls(monkeypatch, names) -> list:
     return calls
 
 
-#: A ``fig3`` system whose levels have no finite occupation from the bias
-#: scan's 42nd bias on (eps/tempL under the floor), with rates near the
-#: float limit, so that every kernel before it fails: each of the 2,601
-#: specs ends in the kernel's error.
-HOT_EDGE_SYSTEM = {"eps1": 1e-308, "eps2": 1e-308, "tempL": 1.5, "tempR": 1.0}
-
-#: A ``fig3`` system whose levels keep a finite occupation at the bias
-#: scan's lower edge temperatures but not at its hottest, with couplings
-#: small enough that every kernel before that point is isolated: each of
-#: the 2,601 specs ends in its ``DomainError`` after about 80 solved points.
-LATE_INVALID_SYSTEM = {
-    "eps1": 1e-308, "eps2": 1e-308, "tempL": 1.5, "tempR": 1.0,
-    "gL11": 1e-300, "gL22": 1e-300, "gR11": 1e-300, "gR22": 1e-300,
-}
-
 #: Smallest ``omega/temp`` with a finite occupation (``model.OCCUPATION_RATIO_MIN``).
 _RATIO_MIN = math.nextafter(2.0 ** -1024, 1.0)
 
@@ -183,6 +169,21 @@ def reproduce_outputs():
     for target in REPRODUCE_TARGETS:
         columns, table = compute_rows(config_for_target(target))
         out[target] = (columns, table, render_csv(columns, table))
+    return out
+
+
+@pytest.fixture(scope="session")
+def golden_outputs(reproduce_outputs):
+    """``compute_outputs`` (CSV and JSON text) of every golden case, by name;
+    a case whose config is a reproduce target's own reads the shared run."""
+    out = {}
+    for case in load_cases():
+        config = load_config(case.config_path)
+        if config.task == "reproduce" and config == config_for_target(config.reproduce_target):
+            columns, table, text = reproduce_outputs[config.reproduce_target]
+            out[case.name] = (text, render_json(columns, table))
+        else:
+            out[case.name] = compute_outputs(case)
     return out
 
 

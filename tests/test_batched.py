@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from vflux import analysis, fcs
 from vflux.analysis import (_factor, _mirror_rows, default_deltaT_grid,
                             max_rectification, max_rectification_columns, rectification)
-from vflux.config import build_config, config_for_target
+from vflux.config import build_config, config_for_target, load_config
 from vflux.golden import digest_of, load_cases
 from vflux.errors import (
     BranchError,
@@ -92,8 +92,8 @@ from vflux.transport import (
     particle_currents,
 )
 
-from conftest import (DETUNED_SPEC, HOT_EDGE_SYSTEM, LATE_INVALID_SYSTEM, NOT_FINITE,
-                      invalid_specs, lapack_calls, seeded_conserving_specs, seeded_leak_specs)
+from conftest import (DETUNED_SPEC, NOT_FINITE, invalid_specs, lapack_calls,
+                      seeded_conserving_specs, seeded_leak_specs)
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -499,10 +499,17 @@ def test_mirror_rows_pair_by_bits():
     assert (got, starts, forward.tolist(), backward.tolist()) == ([(0, False)], [0], [0], [0])
 
 
-@pytest.mark.parametrize("system,total", [
-    (None, 51 * 51 * 50), (HOT_EDGE_SYSTEM, 51 * 51 * 41), (LATE_INVALID_SYSTEM, 41)],
+def golden_config(name):
+    """The config of the golden case ``name``."""
+    (case,) = [case for case in load_cases() if case.name == name]
+    return load_config(case.config_path)
+
+
+@pytest.mark.parametrize("case,total", [
+    ("fig3", 51 * 51 * 50), ("fig3_invalid_at_the_hot_edge", 51 * 51 * 41),
+    ("fig3_invalid_late_in_the_scan", 41)],
     ids=["default", "invalid-at-the-hot-edge", "invalid-late-in-the-scan"])
-def test_fig3_solves_each_forward_point_once(monkeypatch, system, total):
+def test_fig3_solves_each_forward_point_once(monkeypatch, case, total):
     # every (gL12, gR12) cell's mirror (gR12, gL12) is in the grid, so the
     # 2,601 specs take 2,601 rows of hot-left biases: 130,050 points, where
     # forward and backward points of each spec took 260,100.  Both invalid
@@ -518,9 +525,7 @@ def test_fig3_solves_each_forward_point_once(monkeypatch, system, total):
         return out
 
     monkeypatch.setattr(analysis, "_real_columns", counted)
-    config = (config_for_target("fig3") if system is None else
-              build_config({"task": "reproduce", "reproduce": "fig3", "system": system}))
-    compute_rows(config)
+    compute_rows(golden_config(case))
     assert sum(points) == total
     assert max(points) <= analysis.SCAN_STACK_POINTS
 
@@ -552,9 +557,7 @@ def test_specs_invalid_late_in_the_scan_take_no_point_scan(monkeypatch):
         return _original(spec, *args)
 
     monkeypatch.setattr(analysis, "heat_currents", counted)
-    config = build_config({"task": "reproduce", "reproduce": "fig3",
-                           "system": LATE_INVALID_SYSTEM})
-    _, table = compute_rows(config)
+    _, table = compute_rows(golden_config("fig3_invalid_late_in_the_scan"))
     assert len(table["error"]) == 2601
     assert all(error.startswith("DomainError: invalid SystemSpec") for error in table["error"])
     assert len(calls) <= 2601

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -72,6 +73,29 @@ def test_config_parse_error_has_context(tmp_path):
 def test_config_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown top-level keys"):
         build_config({"task": "steady", "systems": {}})
+
+
+AXIS = {"field": "tempR", "min": 0.5, "max": 1.0, "steps": 2}
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"task": "steady", "output": ["csv"]}, "output: expected a mapping, got list"),
+    ({"task": "stationary"}, "task: expected one of"),
+    ({"task": "reproduce", "reproduce": "fig9"}, "reproduce: expected one of"),
+    ({"task": "steady", "reproduce": "fig3"}, "reproduce: only valid together with task: reproduce"),
+    ({"task": "steady", "system": {"tempX": 1.0}}, "system: unknown fields: tempX"),
+    ({"task": "steady", "system": {"tempL": "2.0"}}, "system.tempL: expected a number, got '2.0'"),
+    ({"task": "sweep", "sweep": {"axes": AXIS}}, "sweep.axes: expected a list"),
+    ({"task": "steady", "sweep": {"axes": [AXIS]}}, "sweep.axes: only valid together with task: sweep"),
+    ({"task": "steady", "output": {"format": "xml"}}, "output.format: expected one of"),
+    ({"task": "cumulants", "cumulants": {"kind": "charge"}}, "cumulants.kind: expected one of"),
+    ({"task": "cumulants", "cumulants": {"bath": "M"}}, "cumulants.bath: expected L or R, got 'M'"),
+], ids=["section-not-a-mapping", "unknown-task", "unknown-target", "target-with-another-task",
+        "unknown-system-field", "system-value-not-a-number", "axes-not-a-list",
+        "axes-with-another-task", "unknown-format", "bad-kind", "bad-bath"])
+def test_config_rejection_names_the_key(raw, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_config(raw)
 
 
 def test_sweep_matches_dedicated_target():

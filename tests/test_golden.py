@@ -2,16 +2,18 @@ import gzip
 import hashlib
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from vflux.config import REPRODUCE_TARGETS, TASKS, config_for_target, load_config
 from vflux.errors import UsageError
 from vflux.golden import (
     column_diffs,
     compare_numeric,
-    compute_csv,
+    compute_outputs,
     digest_of,
     load_cases,
     main,
@@ -22,6 +24,12 @@ from vflux.golden import (
 )
 
 ROOT = Path(__file__).resolve().parents[1] / "golden"
+TESTS = Path(__file__).resolve().parent
+
+
+def case_named(name, root=ROOT):
+    (case,) = [case for case in load_cases(root) if case.name == name]
+    return case
 
 
 def test_corpus_covers_targets_and_methods():
@@ -29,19 +37,41 @@ def test_corpus_covers_targets_and_methods():
     assert {"fig2a", "fig2b", "fig21a", "fig21b", "fig3", "fig4b", "fig5a",
             "fig5b"} <= cases
     # the steady cases exercise all three solver methods per run
-    steady = compute_csv(next(c for c in load_cases(ROOT) if c.name == "steady_fig2b"))
+    steady = stored_csv(case_named("steady_fig2b"))
     for method in ("nullspace", "analytic", "time_integration"):
         assert method in steady
 
 
-def test_golden_digests_pass(reproduce_outputs):
-    for case in load_cases(ROOT):
-        if case.name.startswith("fig"):
-            text = reproduce_outputs[case.name][2]
-        else:
-            text = compute_csv(case)
-        ok, actual = verify(case, csv_text=text)
-        assert ok, f"{case.name}: digest mismatch ({actual})"
+def test_every_task_and_target_has_a_case_and_no_test_holds_a_digest():
+    # output digests live in golden/digests.json only: a 64-hex-digit
+    # literal under tests/ would pin an output outside the corpus, with no
+    # stored bytes and no diff report
+    literal = re.compile(r"(?<![0-9a-fA-F])[0-9a-fA-F]{64}(?![0-9a-fA-F])")
+    files = [path for path in TESTS.rglob("*")
+             if path.is_file() and "__pycache__" not in path.parts]
+    assert TESTS / "conftest.py" in files
+    assert [str(path) for path in files
+            if literal.search(path.read_text(encoding="utf-8", errors="replace"))] == []
+    configs = [load_config(case.config_path) for case in load_cases(ROOT)]
+    assert {config.task for config in configs} == set(TASKS)
+    assert {config.reproduce_target for config in configs} >= set(REPRODUCE_TARGETS)
+
+
+def test_golden_digests_pass(golden_outputs):
+    # a case named after a reproduce target holds that target's own config,
+    # and its outputs come from the shared run of the target
+    for target in REPRODUCE_TARGETS:
+        case = case_named(target)
+        assert load_config(case.config_path) == config_for_target(target)
+        assert verify(case, golden_outputs[target]) == {}, target
+
+
+@pytest.mark.parametrize("name", sorted(
+    case.name for case in load_cases(ROOT) if case.name not in REPRODUCE_TARGETS))
+def test_golden_case_digests_pass(golden_outputs, name):
+    # the CSV and the JSON of every other case: the task outputs and the
+    # grids whose specs turn invalid, each with its stored bytes
+    assert verify(case_named(name), golden_outputs[name]) == {}
 
 
 def test_numeric_comparator():
@@ -83,6 +113,9 @@ def test_stored_csvs_hash_to_the_digests():
         assert case.csv_path == ROOT / "csv" / f"{case.name}.csv.gz"
         data = gzip.decompress(case.csv_path.read_bytes())
         assert hashlib.sha256(data).hexdigest() == case.digest, case.name
+    # and one config per case, no other
+    assert sorted(p.name for p in (ROOT / "configs").iterdir()) == sorted(
+        case.config_path.name for case in cases)
 
 
 def test_report_names_a_signed_zero_cell(capsys):
@@ -100,10 +133,11 @@ def test_report_names_a_signed_zero_cell(capsys):
     assert capsys.readouterr().out == "  first cell: None\n"
 
 
-def _case_root(tmp_path, digests, csvs=None):
+def _case_root(tmp_path, digests, csvs=None, json_digests=None):
     """A golden directory holding the corpus cases named in ``digests``, each
-    with that digest (None keeps the corpus one) and with its stored CSV
-    text from ``csvs`` (absent: the corpus bytes)."""
+    with that CSV digest and the JSON digest from ``json_digests`` (None or
+    absent keeps the corpus one) and with its stored CSV text from ``csvs``
+    (absent: the corpus bytes)."""
     root = tmp_path / "golden"
     shutil.copytree(ROOT / "configs", root / "configs")
     (root / "csv").mkdir()
@@ -112,6 +146,8 @@ def _case_root(tmp_path, digests, csvs=None):
     for name, digest in digests.items():
         if digest is not None:
             index["cases"][name]["sha256"] = digest
+        if json_digests and name in json_digests:
+            index["cases"][name]["json_sha256"] = json_digests[name]
         stored = root / "csv" / f"{name}.csv.gz"
         if csvs and name in csvs:
             stored.write_bytes(gzip.compress(csvs[name].encode(), mtime=0))
@@ -133,20 +169,20 @@ def _nudged(text, column="rho11", by=2.5e-16):
 
 def test_verify_reads_the_stored_csv(tmp_path, capsys):
     root = _case_root(tmp_path, {"steady_cycle": None})
-    case = load_cases(root)[0]
-    assert stored_csv(case) == compute_csv(case)
+    case = case_named("steady_cycle", root)
+    assert stored_csv(case) == compute_outputs(case)[0]
     assert main(["--root", str(root), "--verify"]) == 0
     assert capsys.readouterr().out == "steady_cycle: ok\n"
 
 
 def test_verify_prints_the_numeric_diff(tmp_path, capsys):
     # a stored CSV whose rho11 cell of the first row is off by 2.5e-16
-    text = compute_csv(next(c for c in load_cases(ROOT) if c.name == "steady_cycle"))
+    text = compute_outputs(case_named("steady_cycle"))[0]
     stored, moved, old_cell = _nudged(text)
     root = _case_root(tmp_path, {"steady_cycle": "0" * 64}, {"steady_cycle": stored})
     assert main(["--root", str(root), "--verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("steady_cycle: MISMATCH ")
+    assert lines[0] == f"steady_cycle: MISMATCH csv {digest_of(text)}"
     assert lines[1] == f"  first cell: {(1, 'rho11', moved, old_cell)}"
     gap = abs(float(moved) - float(old_cell))
     rel = gap / max(abs(float(moved)), abs(float(old_cell)))
@@ -161,24 +197,45 @@ def test_verify_prints_the_numeric_diff(tmp_path, capsys):
     assert "error: steady_cycle:" in capsys.readouterr().err
 
 
+def test_verify_names_a_task_case_and_its_first_cell(tmp_path, capsys):
+    # a nudged cell of a stored task CSV: the case and its first cell
+    text, json_text = compute_outputs(case_named("currents"))
+    stored, moved, old_cell = _nudged(text, column="JeR")
+    root = _case_root(tmp_path, {"currents": "0" * 64, "rectify": None}, {"currents": stored})
+    assert main(["--root", str(root), "--verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    gap = abs(float(moved) - float(old_cell))
+    rel = gap / max(abs(float(moved)), abs(float(old_cell)))
+    assert lines == [f"currents: MISMATCH csv {digest_of(text)}",
+                     f"  first cell: {(1, 'JeR', moved, old_cell)}",
+                     f"  JeR: 1 cells, max abs {gap:.3e}, max rel {rel:.3e}",
+                     "rectify: ok"]
+    # a JSON digest alone that differs names the case, with no CSV report
+    root = _case_root(tmp_path / "json", {"currents": None}, json_digests={"currents": "0" * 64})
+    assert main(["--root", str(root), "--verify"]) == 1
+    assert capsys.readouterr().out == f"currents: MISMATCH json {digest_of(json_text)}\n"
+
+
 def test_regenerate_one_case_rewrites_only_its_bytes(tmp_path, capsys):
     cases = {c.name: c for c in load_cases(ROOT)}
-    stored, moved, old_cell = _nudged(compute_csv(cases["steady_cycle"]))
+    stored, moved, old_cell = _nudged(compute_outputs(cases["steady_cycle"])[0])
     root = _case_root(tmp_path, {"steady_cycle": "0" * 64, "steady_fig2b": "1" * 64},
-                      {"steady_cycle": stored})
+                      {"steady_cycle": stored}, {"steady_cycle": "2" * 64})
     other = (root / "csv" / "steady_fig2b.csv.gz").read_bytes()
     assert main(["--root", str(root), "--regenerate", "--maintainer",
                  "--case", "steady_cycle"]) == 0
-    digest = cases["steady_cycle"].digest
+    digest, json_digest = cases["steady_cycle"].digest, cases["steady_cycle"].json_digest
     gap = abs(float(moved) - float(old_cell))
     rel = gap / max(abs(float(moved)), abs(float(old_cell)))
     assert capsys.readouterr().out.splitlines() == [
-        f"steady_cycle: digest {'0' * 12} -> {digest[:12]} (3 data rows)",
+        f"steady_cycle: digest {'0' * 12} -> {digest[:12]}, "
+        f"json {'2' * 12} -> {json_digest[:12]} (3 data rows)",
         f"  first cell: {(1, 'rho11', moved, old_cell)}",
         f"  rho11: 1 cells, max abs {gap:.3e}, max rel {rel:.3e}",
     ]
     index = json.loads((root / "digests.json").read_text())["cases"]
-    assert index["steady_cycle"] == {"config": "configs/steady_cycle.yaml", "sha256": digest}
+    assert index["steady_cycle"] == {"config": "configs/steady_cycle.yaml", "sha256": digest,
+                                     "json_sha256": json_digest}
     assert index["steady_fig2b"]["sha256"] == "1" * 64
     # the stored bytes are fixed: gzip level 9 with a zero timestamp
     text = stored_csv(cases["steady_cycle"])
@@ -187,16 +244,21 @@ def test_regenerate_one_case_rewrites_only_its_bytes(tmp_path, capsys):
     assert (root / "csv" / "steady_fig2b.csv.gz").read_bytes() == other
 
 
-def test_regenerate_refused_without_maintainer(tmp_path, monkeypatch):
-    monkeypatch.delenv("VFLUX_MAINTAINER", raising=False)
-    case = next(c for c in load_cases(ROOT) if c.name == "steady_cycle")
+def test_regenerate_refused_without_maintainer(tmp_path, monkeypatch, capsys):
+    # --maintainer is the one switch: no environment variable stands in
+    monkeypatch.setenv("VFLUX_MAINTAINER", "1")
+    root = _case_root(tmp_path, {"steady_cycle": "0" * 64})
+    index = (root / "digests.json").read_bytes()
     with pytest.raises(UsageError):
-        regenerate(case, maintainer=False, root=ROOT)
+        regenerate(case_named("steady_cycle", root), maintainer=False, root=root)
+    assert main(["--root", str(root), "--regenerate"]) == 2
+    assert "requires maintainer mode" in capsys.readouterr().err
+    assert (root / "digests.json").read_bytes() == index
 
 
 def test_regenerate_updates_tmp_copy(tmp_path, capsys):
     root = _case_root(tmp_path, {"steady_cycle": "0" * 64})
-    case = load_cases(root)[0]
+    case = case_named("steady_cycle", root)
     # an absent stored CSV reads as empty: every cell is reported as new
     case.csv_path.unlink()
     new_digest = regenerate(case, maintainer=True, root=root)
@@ -208,14 +270,14 @@ def test_regenerate_updates_tmp_copy(tmp_path, capsys):
     assert stored["cases"]["steady_cycle"]["sha256"] == new_digest
     assert digest_of(stored_csv(case)) == new_digest
     # tolerance-neutral rerun leaves the digest unchanged
-    assert digest_of(compute_csv(case)) == new_digest
+    assert digest_of(compute_outputs(case)[0]) == new_digest
 
 
 def test_missing_config_is_an_error(tmp_path):
     (tmp_path / "digests.json").write_text(json.dumps({
         "schema": "vflux-golden/1",
-        "cases": {"ghost": {"config": "configs/ghost.yaml", "sha256": ""}},
+        "cases": {"ghost": {"config": "configs/ghost.yaml", "sha256": "", "json_sha256": ""}},
     }))
     case = load_cases(tmp_path)[0]
     with pytest.raises(Exception):
-        compute_csv(case)
+        compute_outputs(case)
