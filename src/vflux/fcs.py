@@ -9,9 +9,8 @@ differences of the dominant eigenvalue.  The first is also available
 directly from the steady state, which is the recursion's first order.
 
 The array cores :func:`_recursion` and :func:`_differences` run both routes
-on one spec's :class:`RateSet` or a stacked one, with the bits and error
-texts of one spec; the grid evaluator of :mod:`vflux.runner` reads their
-arrays as cells.
+on one spec or a stack of them, with the bits and error texts of one spec;
+the grid evaluator of :mod:`vflux.runner` reads their arrays as cells.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from operator import mul
 import numpy as np
 
 from .errors import BranchError, UsageError
-from .liouvillian import (TRACE_VECTOR, _check_order, _chi_derivative, _counting_matrix,
-                          build_generator)
-from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, build_rates
-from .steady import steady_state
+from .liouvillian import (TRACE_VECTOR, Generator, _bare, _check_order, _chi_derivative,
+                          _counting_matrix)
+from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, _memo
+from .steady import SteadyState, steady_state
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -125,7 +124,7 @@ def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
         If two eigenvalues sit within 1e-9 of the maximal real part at the
         target counting field, or if a dressed generator is not finite.
     """
-    rates = build_rates(spec)
+    rates = _memo(spec)["rates"]
     if chi.is_zero:
         (eigvals,), errors = _spectra(rates, chi, (1.0,))
         tracked = eigvals[np.argmin(np.abs(eigvals))]
@@ -199,10 +198,9 @@ def _branch(start, end):
 def first_cumulant_direct(spec: SystemSpec, bath: str, kind: str) -> float:
     """Mean current from the steady state and the first generator derivative."""
     _check_bath_kind(bath, kind)
-    rates = build_rates(spec)
-    p0 = steady_state(build_generator(spec, rates)).vector
-    (h1,) = _chi_derivative(rates, CountingFields.zero(kind), bath, (1,))
-    value = complex(TRACE_VECTOR @ (h1 @ p0))
+    record = _memo(spec)
+    p0 = _kernel(record).vector
+    value = complex(TRACE_VECTOR @ (_derivatives(record, bath, kind, 1)[0] @ p0))
     return float(value.real)
 
 
@@ -214,8 +212,30 @@ def pseudo_inverse_R(spec: SystemSpec) -> np.ndarray:
     ``Q A^-1 Q`` with ``A = L - s|e><I|``, ``e = I/3``, ``s = max|L_ij|`` over
     the population block; raises the steady state's error when it has one.
     """
-    gen = build_generator(spec)
-    return _projected_inverse(gen.matrix, steady_state(gen).vector)
+    return _inverse(_memo(spec)).copy()
+
+
+def _kernel(record: dict) -> SteadyState:
+    """The kernel of a memo record (:func:`vflux.model._memo`), made on first use."""
+    if "kernel" not in record:
+        record["kernel"] = steady_state(Generator(_bare(record), record["spec"]))
+    return record["kernel"]
+
+
+def _inverse(record: dict) -> np.ndarray:
+    """:func:`pseudo_inverse_R` of a memo record, made on first use."""
+    if "inverse" not in record:
+        record["inverse"] = _projected_inverse(_bare(record), _kernel(record).vector)
+    return record["inverse"]
+
+
+def _derivatives(record: dict, bath: str, kind: str, order: int) -> tuple:
+    """H_1.. of ``(bath, kind)`` of a memo record, made to ``order`` at least."""
+    made = record.get(("H", bath, kind), ())
+    if len(made) < order:
+        made = record["H", bath, kind] = (*made, *_chi_derivative(
+            record["rates"], CountingFields.zero(kind), bath, range(len(made) + 1, order + 1)))
+    return made
 
 
 def _projected_inverse(m: np.ndarray, p0: np.ndarray, errors=()) -> np.ndarray:
@@ -252,17 +272,23 @@ def cumulants_perturbative(
     """
     _check_bath_kind(bath, kind)
     _check_order("cumulant", order, 4)
-    rates = build_rates(spec)
-    gen = build_generator(spec, rates)
-    raw = _recursion(rates, gen.matrix, steady_state(gen).vector, bath, kind, order)
-    return _recursion_set(bath, kind, raw)
+    return _recursion_set(bath, kind, _orders(_memo(spec), bath, kind, order))
 
 
-def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: str,
-               order: int, errors=()) -> list:
-    """E_1..E_order of :func:`cumulants_perturbative`, complex, from the
-    rates, the bare generator(s) ``m`` and the steady state(s) ``p0`` of one
-    point or of a stack (``errors`` as in :func:`_projected_inverse`).
+def _orders(record: dict, bath: str, kind: str, order: int) -> tuple:
+    """E_1..E_order of :func:`cumulants_perturbative` of a memo record, resumed."""
+    made = record.get(("E", bath, kind)) or ((), (_kernel(record).vector,), ())
+    if len(made[0]) < order:
+        made = record["E", bath, kind] = _recursion(
+            _inverse(record), _derivatives(record, bath, kind, order), made, order)
+    return made[0][:order]
+
+
+def _recursion(r: np.ndarray, h, made: tuple, order: int) -> tuple:
+    """The orders ``made`` = ``(E_1..E_k, P_0..P_k, <I|P_1>..<I|P_{k-1}>)``
+    of :func:`cumulants_perturbative`, complex, extended to ``order`` with
+    the projected inverse(s) ``r`` and H_1..H_order ``h`` of one point or a
+    stack; a fresh start is ``((), (P_0,), ())``, ``P_0`` the steady state(s).
 
     A stack runs as ``(N, 5, 1)`` columns, so that each product is a
     stacked ``np.matmul`` on C-contiguous stacks, the trace row included:
@@ -271,18 +297,15 @@ def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: s
     correction term is written out in real parts: numpy may fuse an array
     product's multiplies and adds, where one point's Python product rounds
     each, which changed the last bit of an imaginary residue.  Each
-    ``H_n |P_{N-n}>`` and ``<I|P_k>`` is made once, from one dressing.
+    ``H_n |P_{N-n}>`` and ``<I|P_k>`` is made once.
     """
-    r = _projected_inverse(m, p0, errors)
-    h = _chi_derivative(rates, CountingFields.zero(kind), bath, range(1, order + 1))
-    if p0.ndim == 1:
+    energies, states, traces = map(list, made)
+    if states[0].ndim == 1:
         def trace(v):
             return complex(_TRACE_ROW @ v)
 
         times = mul
     else:
-        p0 = p0[:, :, None]
-
         def trace(v):
             return _TRACE_ROW[None] @ v
 
@@ -292,22 +315,19 @@ def _recursion(rates: RateSet, m: np.ndarray, p0: np.ndarray, bath: str, kind: s
             out.imag = a.real * b.imag + a.imag * b.real
             return out
 
-    energies: dict = {}
-    states: dict[int, np.ndarray] = {0: p0}
-    traces: dict = {}
-    for big_n in range(1, order + 1):
+    for big_n in range(len(energies) + 1, order + 1):
+        if big_n > 1:
+            traces.append(trace(states[-1]))
         products = [h[n - 1] @ states[big_n - n] for n in range(1, big_n + 1)]
         e = sum(comb(big_n, n) * trace(hp) for n, hp in enumerate(products, 1))
-        e -= sum(times(comb(big_n, k) * energies[k], traces[big_n - k])
+        e -= sum(times(comb(big_n, k) * energies[k - 1], traces[big_n - k - 1])
                  for k in range(1, big_n))
-        energies[big_n] = e
-        accum = np.zeros(p0.shape, dtype=complex)
+        energies.append(e)
+        accum = np.zeros(states[0].shape, dtype=complex)
         for n, hp in enumerate(products, 1):
-            accum += comb(big_n, n) * (energies[n] * states[big_n - n] - hp)
-        states[big_n] = r @ accum
-        if big_n < order:
-            traces[big_n] = trace(states[big_n])
-    return [energies[n] for n in range(1, order + 1)]
+            accum += comb(big_n, n) * (energies[n - 1] * states[big_n - n] - hp)
+        states.append(r @ accum)
+    return tuple(energies), tuple(states), tuple(traces)
 
 
 def _residues(raw: list, errors=()) -> list:
@@ -344,7 +364,7 @@ def cumulants_finite_difference(
     size suffices; each stencil is Richardson-refined once.
     """
     _check_difference(bath, kind, order, h)
-    values, errors = _differences(build_rates(spec), bath, kind, order, h)
+    values, errors = _differences(_memo(spec)["rates"], bath, kind, order, h)
     if errors:
         raise BranchError(errors[()])
     return CumulantSet(bath, kind, tuple(map(float, values)), FINITE_DIFFERENCE, 0.0)

@@ -58,6 +58,9 @@ def load_cases(root: Path | None = None) -> list[GoldenCase]:
     index = json.loads((root / "digests.json").read_text(encoding="utf-8"))
     if index.get("schema") != DIGEST_SCHEMA:
         raise UsageError(f"unexpected golden digest schema {index.get('schema')!r}")
+    for name, entry in index["cases"].items():
+        if missing := [key for key in ("config", "sha256", "json_sha256") if key not in entry]:
+            raise UsageError(f"golden case {name!r} has no {missing[0]!r} in digests.json")
     return [GoldenCase(name, root / entry["config"], entry["sha256"], entry["json_sha256"],
                        root / "csv" / f"{name}.csv.gz")
             for name, entry in sorted(index["cases"].items())]

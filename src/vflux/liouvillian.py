@@ -22,7 +22,7 @@ from operator import mul
 import numpy as np
 
 from .errors import UsageError
-from .model import BATHS, CountingFields, RateSet, SystemSpec, build_rates
+from .model import BATHS, CountingFields, RateSet, SystemSpec, _memo, build_rates
 
 #: Left null vector of every trace-preserving generator (row of ones over
 #: the populations, zeros over the coherences).
@@ -151,15 +151,17 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,)):
                summed([(l, list(map(mul, plus, f))) for _, _, l, f in phased]))
 
 
-def build_generator(spec: SystemSpec, rates: RateSet | None = None) -> Generator:
-    """Bare generator of the five-component block dynamics.
+def build_generator(spec: SystemSpec) -> Generator:
+    """Bare generator of the five-component block dynamics: a copy of the
+    matrix of the memo record of ``spec`` (:func:`vflux.model._memo`)."""
+    return Generator(_bare(_memo(spec)).copy(), spec, None)
 
-    ``rates`` may be passed to reuse an already-built rate set inside
-    tight parameter loops.
-    """
-    if rates is None:
-        rates = build_rates(spec)
-    return Generator(_fill_block(rates), spec, None)
+
+def _bare(record: dict) -> np.ndarray:
+    """The bare generator matrix of a memo record, filled on first use."""
+    if "matrix" not in record:
+        record["matrix"] = _fill_block(record["rates"])
+    return record["matrix"]
 
 
 def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator:

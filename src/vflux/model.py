@@ -328,6 +328,21 @@ def build_rates(spec: SystemSpec) -> RateSet:
     return RateSet(vars(spec.require_valid()))
 
 
+#: The one slot: the memo record of the last spec a scalar entry point was handed.
+_last: dict = {}
+
+
+def _memo(spec: SystemSpec) -> dict:
+    """The record of ``spec``, keyed by identity: the slot's if it holds this
+    very object, else a new one with its rates, which takes the slot
+    (``docs/conventions.md``, "One spec's memo")."""
+    global _last
+    record = _last
+    if record.get("spec") is not spec:
+        record = _last = {"spec": spec, "rates": build_rates(spec)}
+    return record
+
+
 def spec_arrays(specs) -> dict[str, np.ndarray]:
     """Fields of ``specs`` as one float array per SystemSpec field name."""
     return {name: np.array([getattr(s, name) for s in specs], dtype=float)

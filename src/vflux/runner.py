@@ -28,11 +28,11 @@ from .analysis import (
 )
 from .config import ScenarioConfig
 from .errors import BranchError, DegenerateSteadyStateError, UsageError, VfluxError
-from .fcs import (FD_STEP, _differences, _recursion, _residues, cumulants_finite_difference,
-                  cumulants_perturbative)
-from .liouvillian import _fill_block, build_generator
-from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec, distinct_texts,
-                    evaluate_valid, interference_bound, spec_hashes)
+from .fcs import (FD_STEP, _differences, _projected_inverse, _recursion, _residues,
+                  cumulants_finite_difference, cumulants_perturbative)
+from .liouvillian import _chi_derivative, _fill_block, build_generator
+from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, CountingFields, SystemSpec,
+                    distinct_texts, evaluate_valid, interference_bound, spec_hashes)
 from .steady import (
     steady_state,
     steady_state_batch,
@@ -121,7 +121,10 @@ def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
               "SeRR": np.full(len(v), math.nan), "res_energy": res_e, "res_particle": res_p}
     errors = {n: DegenerateSteadyStateError(text) for n, text in states.errors.items()}
     if include_noise:
-        raw = _recursion(rates, matrices, v, "R", ENERGY, 2, states.errors)
+        # inverse, then derivatives, freed with the call (else fig21b +0.5 ms or +1.5 MB)
+        raw, _, _ = _recursion(_projected_inverse(matrices, v, states.errors),
+                               _chi_derivative(rates, CountingFields.zero(ENERGY), "R", (1, 2)),
+                               ((), (v[:, :, None],), ()), 2)
         _residues(raw, states.errors)
         arrays["SeRR"] = raw[1].real.ravel()
     if "SeRR_fd" in columns:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, UsageError
-from .fcs import _recursion, _recursion_set
-from .liouvillian import _entries, build_generator
-from .model import ENERGY, PARTICLE, RateSet, SystemSpec, bose_occupation, build_rates
-from .steady import SteadyState, _error_text, _real_columns, steady_state
+from .fcs import _kernel, _orders, _recursion_set
+from .liouvillian import _entries
+from .model import ENERGY, PARTICLE, RateSet, SystemSpec, _memo, bose_occupation
+from .steady import SteadyState, _error_text, _real_columns
 
 #: Conservation residuals above this level flag the report.
 CONSERVATION_TOL = 1e-10
@@ -65,13 +65,13 @@ def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
 
 def heat_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Energy currents (JeL, JeR, JeM) into the three baths (see :func:`bath_currents`)."""
-    rates = build_rates(spec)
+    rates = _memo(spec)["rates"]
     return bath_currents(rates, _resolve_state(rates, state), ENERGY)
 
 
 def particle_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Excitation-number currents (JpL, JpR, JpM) into the three baths."""
-    rates = build_rates(spec)
+    rates = _memo(spec)["rates"]
     return bath_currents(rates, _resolve_state(rates, state), PARTICLE)
 
 
@@ -178,17 +178,14 @@ class CurrentReport:
         """Currents of ``state`` (default: the kernel of ``spec``) and, with
         ``include_noise``, the right-bath energy noise power ``SeRR`` of
         ``cumulants_perturbative(spec, "R", ENERGY, 2)``, which always comes
-        from the kernel; one rate set, one generator, at most one kernel."""
-        rates = build_rates(spec)
-        gen = build_generator(spec, rates)
-        kernel = steady_state(gen) if state is None or include_noise else None
-        ss = state if state is not None else kernel
-        je = bath_currents(rates, ss.vector, ENERGY)
-        jp = bath_currents(rates, ss.vector, PARTICLE)
+        from the kernel; all from the memo (:func:`vflux.model._memo`)."""
+        record = _memo(spec)
+        ss = state if state is not None else _kernel(record)
+        je = bath_currents(record["rates"], ss.vector, ENERGY)
+        jp = bath_currents(record["rates"], ss.vector, PARTICLE)
         se_rr = float("nan")
         if include_noise:
-            raw = _recursion(rates, gen.matrix, kernel.vector, "R", ENERGY, 2)
-            se_rr = _recursion_set("R", ENERGY, raw).noise_power
+            se_rr = _recursion_set("R", ENERGY, _orders(record, "R", ENERGY, 2)).noise_power
         res_e = abs(je[0] + je[1] + je[2])
         res_p = abs(jp[0] + jp[1])
         return cls(je[0], je[1], je[2], jp[0], jp[1], jp[2], se_rr,

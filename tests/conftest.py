@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vflux.model
 from vflux.config import REPRODUCE_TARGETS, config_for_target, load_config
 from vflux.golden import compute_outputs, load_cases
-from vflux.model import SPEC_FIELDS, SystemSpec
+from vflux.model import SPEC_FIELDS, RateSet, SystemSpec
 from vflux.runner import compute_rows, render_csv, render_json
 
 #: Interference bound sqrt(g11*g22) of the two-bath figure family.
@@ -152,6 +155,40 @@ def invalid_specs() -> list[tuple[str, SystemSpec]]:
                   gL22=0.0, gL12=0.0, gR22=0.0, gR12=0.0)
     out += [("hot edge", hot), ("hot edge", replace(hot, gM=0.0, gL22=0.01))]
     return out
+
+
+@pytest.fixture(autouse=True)
+def empty_memo_slot(monkeypatch):
+    """Each test starts with the one memo slot (``vflux.model._memo``)
+    empty, so what a scalar call makes, and so what it counts, does not
+    depend on the tests run before it."""
+    monkeypatch.setattr(vflux.model, "_last", {})
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of each named function of ``vflux``, wherever a
+    module holds it (``from ... import`` copies the binding); the name
+    ``"RateSet"`` counts the rate sets built."""
+    calls = Counter()
+    modules = [m for n, m in list(sys.modules.items()) if n == "vflux" or n.startswith("vflux.")]
+    for name in names:
+        if name == "RateSet":
+            def init(self, params, _original=RateSet.__init__):
+                calls["RateSet"] += 1
+                _original(self, params)
+
+            monkeypatch.setattr(RateSet, "__init__", init)
+            continue
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -246,7 +246,7 @@ def test_tM_response_matches_the_analytic_response():
             _, stencil = _tM_response(particle_currents, spec, tm)
             local = replace(spec, tempM=tm)
             rates = build_rates(local)
-            gen = build_generator(local, rates)
+            gen = build_generator(local)
             p0 = steady_state(gen).vector
             n = bose_occupation(local.delta, tm)
             dn = n * (n + 1.0) * (local.delta / tm) / tm

@@ -54,6 +54,7 @@ from vflux.fcs import (
     PERTURBATIVE,
     CumulantSet,
     _differences,
+    _projected_inverse,
     _recursion,
     _residues,
     cumulants_finite_difference,
@@ -63,6 +64,7 @@ from vflux.fcs import (
 )
 from vflux.liouvillian import (
     TRACE_VECTOR,
+    _chi_derivative,
     _counting_matrix,
     _fill_block,
     build_generator,
@@ -186,7 +188,9 @@ def recursion(rates, bath, kind, order) -> list:
     :class:`CumulantSet`, or the kernel's error, per point."""
     matrices = _fill_block(rates)
     states = steady_state_batch(matrices)
-    raw = _recursion(rates, matrices, states.vectors, bath, kind, order, states.errors)
+    h = _chi_derivative(rates, CountingFields.zero(kind), bath, range(1, order + 1))
+    raw, _, _ = _recursion(_projected_inverse(matrices, states.vectors, states.errors), h,
+                           ((), (states.vectors[:, :, None],), ()), order)
     residues = _residues(raw, states.errors)
     values = np.concatenate([e.real for e in raw], axis=-1)[:, 0].tolist()
     return [DegenerateSteadyStateError(states.errors[n]) if n in states.errors

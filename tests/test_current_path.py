@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -47,6 +46,8 @@ from vflux.model import BATHS, CountingFields, RateSet, SystemSpec, build_rates,
 from vflux.runner import compute_rows
 from vflux.steady import _real_columns, steady_state, steady_state_batch
 from vflux.transport import heat_currents, particle_currents
+
+from conftest import count_calls
 
 REGIMES = ("resonant", "detuned", "interference-free", "dark-corner", "uncoupled")
 
@@ -166,24 +167,6 @@ def test_scan_invalid_only_when_hot_keeps_the_first_error_in_scan_order():
         assert bits(result) == bits(expected)
     assert str(out[1]).startswith(
         "invalid SystemSpec: occupation: eps1 = 1e-308 over tempL = 1.8 ")
-
-
-def count_calls(monkeypatch, names) -> Counter:
-    """Count the calls of each named function of ``vflux``, wherever a
-    module holds it (``from ... import`` copies the binding)."""
-    calls = Counter()
-    modules = [m for n, m in list(sys.modules.items()) if n == "vflux" or n.startswith("vflux.")]
-    for name in names:
-        original = next(getattr(m, name) for m in modules if hasattr(m, name))
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_current_only_callers_build_no_generator(monkeypatch):

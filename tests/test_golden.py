@@ -281,3 +281,16 @@ def test_missing_config_is_an_error(tmp_path):
     case = load_cases(tmp_path)[0]
     with pytest.raises(Exception):
         compute_outputs(case)
+
+
+@pytest.mark.parametrize("key", ["json_sha256", "sha256", "config"])
+def test_entry_without_a_key_is_one_error_line(tmp_path, capsys, key):
+    # a digests.json written before json_sha256 existed, say: exit 2 with
+    # one line that names the case and the key, not a KeyError traceback
+    root = _case_root(tmp_path, {"steady_cycle": None, "steady": None})
+    index = json.loads((root / "digests.json").read_text())
+    del index["cases"]["steady"][key]
+    (root / "digests.json").write_text(json.dumps(index))
+    assert main(["--root", str(root), "--verify"]) == 2
+    error = f"error: golden case 'steady' has no '{key}' in digests.json\n"
+    assert capsys.readouterr() == ("", error)

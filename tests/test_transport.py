@@ -1,13 +1,13 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vflux import transport
 from vflux.errors import DegenerateSteadyStateError, UsageError
 from vflux.fcs import cumulants_finite_difference, cumulants_perturbative, first_cumulant_direct
 from vflux.liouvillian import build_generator
-from vflux.model import ENERGY, PARTICLE, RateSet, SystemSpec, build_rates
+from vflux.model import ENERGY, PARTICLE, SystemSpec, build_rates
 from vflux.steady import (
     steady_state,
     steady_state_resonant_two_bath,
@@ -25,6 +25,7 @@ from conftest import (
     BOUND,
     FIGURE_SPECS,
     MAX_BIAS_SPEC,
+    count_calls,
     cycle_spec,
     seeded_leak_specs,
     two_bath_spec,
@@ -212,19 +213,13 @@ def test_given_state_without_noise_solves_no_kernel():
     (False, True, 1), (False, False, 1), (True, True, 1), (True, False, 0)])
 def test_report_builds_rates_once_and_solves_at_most_once(monkeypatch, given, include_noise,
                                                            solves):
-    spec = MAX_BIAS_SPEC
-    state = steady_state(build_generator(spec)) if given else None
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    init = RateSet.__init__
-    monkeypatch.setattr(transport, "build_rates", counted("build_rates", transport.build_rates))
-    monkeypatch.setattr(transport, "steady_state", counted("steady_state", transport.steady_state))
-    monkeypatch.setattr(RateSet, "__init__", counted("RateSet", init))
-    CurrentReport.from_spec(spec, state, include_noise)
-    assert calls == Counter({"build_rates": 1, "RateSet": 1, "steady_state": solves})
+    # a fresh spec object takes one rate set and at most one kernel; the
+    # same object again reads them from its memo record and builds nothing
+    spec = replace(MAX_BIAS_SPEC)
+    state = steady_state(build_generator(replace(spec))) if given else None
+    calls = count_calls(monkeypatch, ("RateSet", "steady_state"))
+    first = CurrentReport.from_spec(spec, state, include_noise)
+    assert calls == Counter({"RateSet": 1, "steady_state": solves})
+    calls.clear()
+    assert repr(CurrentReport.from_spec(spec, state, include_noise)) == repr(first)
+    assert not calls
