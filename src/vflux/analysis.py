@@ -1,10 +1,8 @@
 """Rectification and amplification figures of merit.
 
-Temperature convention for rectification: the forward configuration puts
-the left bath at ``t0 + deltaT/2`` and the right bath at ``t0 - deltaT/2``;
-backward swaps them.  The factor is invariant under the opposite choice
-combined with swapping the two coupling sets, so nothing physical hangs on
-the convention; it is fixed here once and used everywhere.
+Rectification puts the left bath at ``t0 + deltaT/2`` and the right at
+``t0 - deltaT/2`` forward, and swaps them backward; the opposite choice
+with the coupling sets swapped gives the same factor.
 """
 
 from __future__ import annotations
@@ -65,16 +63,12 @@ def _bias_error(t0: float, deltaT: float) -> UsageError | None:
 
 
 def rectification(spec: SystemSpec, t0: float, deltaT: float) -> RectificationResult:
-    """Asymmetry of the right-bath current under exchanging the edge temperatures.
-
-    rj = |J_f + J_b| / max(J_f, -J_b) with J the right-bath energy current
-    in the forward and backward configurations.
-
-    Raises
-    ------
-    IndeterminateRectificationError
-        When ``max(J_f, -J_b)`` is at most :data:`RECTIFICATION_FLOOR`: both
-        currents vanish (deltaT = 0), or neither runs forward (deltaT < 0).
+    """Asymmetry of the right-bath current under exchanging the edge temperatures:
+    rj = |J_f + J_b| / max(J_f, -J_b), J the right-bath energy current in
+    the forward and backward configurations.  Raises
+    :class:`IndeterminateRectificationError` when ``max(J_f, -J_b)`` is at
+    most :data:`RECTIFICATION_FLOOR`: both currents vanish (deltaT = 0), or
+    neither runs forward (deltaT < 0).
     """
     _real("t0", t0)
     _real("deltaT", deltaT)
@@ -98,16 +92,11 @@ def max_rectification(
     t0: float,
     deltaT_grid: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Grid maximum of the rectification factor over the temperature bias.
-
+    """Grid maximum ``(rj_max, deltaT_star)`` of the rectification factor over
+    the temperature bias, by :func:`max_rectification_columns` of one spec.
     Indeterminate grid points are skipped; ties break toward smaller
-    |deltaT| (the grid is scanned in increasing-bias order and only a
-    strictly larger value moves the argmax).  Evaluated by
-    :func:`max_rectification_columns` with one spec.
-
-    Returns
-    -------
-    (rj_max, deltaT_star)
+    |deltaT| (only a strictly larger value moves the argmax of the scan in
+    increasing bias).
     """
     (outcome,) = max_rectification_columns(spec_arrays([spec]), t0, deltaT_grid)
     if isinstance(outcome, VfluxError):
@@ -377,18 +366,15 @@ def amplification(spec: SystemSpec, tM: float, h: float | None = None) -> Amplif
 
 
 def max_amplification(spec: SystemSpec, tM_grid: np.ndarray | None = None) -> float:
-    """Maximal right-bath amplification over the middle-bath temperature.
+    """Maximal right-bath amplification over the middle-bath temperature,
 
-    Evaluates the closed-form factorization
+        betaR_max = |eps2 / (eps1 - eps2)| * max_TM |dJpR/dTM| / |dJpM/dTM|:
 
-        betaR_max = |eps2 / (eps1 - eps2)|
-                    * max_TM |dJpR/dTM| / |dJpM/dTM|,
-
-    i.e. the cyclic-structure prefactor times the particle-current response
-    ratio.  In the cyclic coupling pattern the ratio is identically one and
-    the prefactor is exact; switching on the bypass channels suppresses the
-    ratio monotonically.  Grid points where the response is undefined (a
-    step reaching ``tM <= 0``, or no middle-bath response) are skipped.
+    the cyclic-structure prefactor, exact in the cyclic coupling pattern
+    where the particle-current response ratio is one, times that ratio,
+    which the bypass channels suppress monotonically.  Grid points without
+    a response (a step reaching ``tM <= 0``, or none from the middle bath)
+    are skipped.
     """
     grid = _grid("tM_grid", default_tM_grid() if tM_grid is None else tM_grid)
     prefactor = cyclic_amplification_analytic(spec.eps1, spec.eps2)

@@ -1,10 +1,8 @@
 """Scenario configuration: YAML ingestion, defaults, validation.
 
-A configuration file is a YAML mapping carrying the schema tag
-``vflux-config/1``.  Every recognized key is optional except ``task``;
-missing system parameters are filled from a defaults table keyed by the
-reproduction target (see ``docs/config.md`` for the grammar and the full
-table).
+A configuration is a YAML mapping tagged ``vflux-config/1``; every key but
+``task`` is optional, missing system parameters come from a defaults table
+keyed by the reproduction target (``docs/config.md``).
 """
 
 from __future__ import annotations

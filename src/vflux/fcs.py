@@ -1,23 +1,17 @@
 """Full counting statistics of the transferred energy or excitation number.
 
-The scaled cumulant generating function of the counted quantity is the
-eigenvalue of the dressed generator that is continuously connected to zero
-at vanishing counting field.  Cumulants are obtained two independent ways:
-arbitrary orders from a perturbative recursion in the counting field built
-on a projected inverse of the generator, and low orders from finite
-differences of the dominant eigenvalue.  The first is also available
-directly from the steady state, which is the recursion's first order.
-
-The array cores :func:`_recursion` and :func:`_differences` run both routes
-on one spec or a stack of them, with the bits and error texts of one spec;
-the grid evaluator of :mod:`vflux.runner` reads their arrays as cells.
+The scaled cumulant generating function is the eigenvalue of the dressed
+generator continuously connected to zero.  Cumulants come two independent
+ways: any order from a recursion on a projected inverse (:func:`_recursion`;
+the first order also directly from the steady state), low orders from
+finite differences of the eigenvalue (:func:`_differences`).  Both cores run
+on one spec or a stack, with one spec's bits and error texts.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from numbers import Real
@@ -27,9 +21,9 @@ import numpy as np
 
 from .errors import BranchError, UsageError
 from .liouvillian import (TRACE_VECTOR, Generator, _bare, _check_order, _chi_derivative,
-                          _counting_matrix)
+                          _counting_matrix, _dressed_rates, _entries)
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, _memo
-from .steady import SteadyState, steady_state
+from .steady import SteadyState, _minors, steady_state
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -44,12 +38,20 @@ IMAG_WARN = 1e-10
 #: Default step in chi of the finite-difference cumulants.
 FD_STEP = 1e-4
 
-#: Fewest matrices a thread of a split stacked ``eigvals`` takes
-#: (:func:`_eigvals`); measured crossover in ``docs/conventions.md``.
-SPLIT_MATRICES = 500
+#: Newton steps from zero to each eigenvalue of the stencils; the bits
+#: depend on the count, so every point of a stack takes all of them.
+NEWTON_STEPS = 4
+
+#: A converged eigenvalue's last step is at most this fraction of it, and a
+#: separated one has ``|f'| / s**2`` of at least SEPARATION_MIN
+#: (margins in ``docs/conventions.md``).
+NEWTON_TOL, SEPARATION_MIN = 1e-6, 1e-4
 
 _BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
 _NOT_FINITE_ERROR = "dressed generator is not finite"
+_NEWTON_ERROR = ("no separated dominant eigenvalue at chi = {:.3e}: |f'|/s^2 = {:.3e}, "
+                 "last Newton step {:.3e} at |lambda| {:.3e}")
+_ZERO_FIELD_ERROR = "dominant eigenvalue not separated at zero field: |f'|/s^2 = {:.3e}"
 
 # The recursion's constants; ``@`` casts a float trace row anew each call.
 _TRACE_ROW = TRACE_VECTOR.astype(complex)
@@ -112,87 +114,35 @@ def _single_field(bath: str, kind: str, chi: float) -> CountingFields:
 
 
 def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
-    """Eigenvalue of the dressed generator continuously connected to zero.
-
-    The branch is tracked by minimal-distance matching while the counting
-    fields are ramped from zero (half step, then full step); "maximal real
-    part" alone can momentarily tie, continuity cannot.
-
-    Raises
-    ------
-    BranchError
-        If two eigenvalues sit within 1e-9 of the maximal real part at the
-        target counting field, or if a dressed generator is not finite.
+    """Eigenvalue of the dressed generator continuously connected to zero,
+    tracked by nearest match from the spectrum at half the field, from one
+    ``np.linalg.eigvals`` call: an oracle independent of the stencils'
+    Newton core (:func:`_eigenvalues`).  Raises :class:`BranchError` if two
+    eigenvalues sit within :data:`BRANCH_TOL` of the maximal real part at
+    the field, or if a dressed generator is not finite.
     """
     rates = _memo(spec)["rates"]
-    if chi.is_zero:
-        (eigvals,), errors = _spectra(rates, chi, (1.0,))
-        tracked = eigvals[np.argmin(np.abs(eigvals))]
-    else:
-        spectra, errors = _spectra(rates, chi, (0.5, 1.0))
-        tracked, branch_errors = _branch(*spectra)
-        errors = {**branch_errors, **errors}
-    if errors:
-        raise BranchError(errors[()])
+    fractions = (1.0,) if chi.is_zero else (0.5, 1.0)
+    matrices = np.stack([_counting_matrix(rates, chi.scaled(f)) for f in fractions])
+    if not np.isfinite(matrices).all():
+        raise BranchError(_NOT_FINITE_ERROR)
+    start, *end = np.linalg.eigvals(matrices)
+    near = start[np.argmin(np.abs(start))]
+    if not end:
+        return complex(near)
+    tracked, text = _branch(near, end[0])
+    if text:
+        raise BranchError(text)
     return complex(tracked)
 
 
-def _spectra(rates: RateSet, chi: CountingFields, fractions):
-    """Dressed spectra, ``rates.shape + (5,)``, at each fraction of ``chi``,
-    from one :func:`_eigvals` of their stack, and the :class:`BranchError`
-    text of each index (as :func:`_branch` keys it) whose dressed matrices
-    are not all finite.  Those never reach ``eigvals``, which rejects a
-    whole stack for one of them: the identity takes their place, as in
-    :func:`_projected_inverse`."""
-    matrices = np.stack([_counting_matrix(rates, chi.scaled(f)) for f in fractions])
-    finite = np.isfinite(matrices).all(axis=(0, -2, -1))
-    if finite.all():
-        return list(_eigvals(matrices)), {}
-    errors = {tuple(n): _NOT_FINITE_ERROR for n in np.argwhere(~finite)}
-    matrices[:, ~finite] = np.eye(5)
-    return list(_eigvals(matrices)), errors
-
-
-def _cores() -> int:
-    """CPUs this process may run on (``os.cpu_count()`` where the platform
-    has no ``os.sched_getaffinity``)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _eigvals(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvals`` of a stack of matrices.  A stack of at least
-    two :data:`SPLIT_MATRICES` runs as up to one contiguous chunk per core,
-    each on a thread of a pool made and shut down inside the call (LAPACK's
-    ``zgeev`` releases the GIL), concatenated in order; a smaller one is one
-    call in the calling thread.  Each matrix is solved alone, so the bits do
-    not depend on the split."""
-    flat = stack.reshape(-1, *stack.shape[-2:])
-    chunks = min(_cores(), len(flat) // SPLIT_MATRICES)
-    if chunks < 2:
-        return np.linalg.eigvals(stack)
-    with ThreadPoolExecutor(chunks) as pool:
-        parts = list(pool.map(np.linalg.eigvals, np.array_split(flat, chunks)))
-    return np.concatenate(parts).reshape(stack.shape[:-1])
-
-
-def _branch(start, end):
-    """In each spectrum ``end``, the eigenvalue nearest the one of ``start``
-    (at half the field) nearest zero, a scalar for one point and an array for
-    a stack, and the :class:`BranchError` text of each index (``()`` for one
-    point) whose top two real parts in ``end`` lie within :data:`BRANCH_TOL`."""
-    if start.ndim == 1:  # plain indexing, to the same bits
-        top = np.sort(end.real)
-        tracked = end[np.argmin(np.abs(end - start[np.argmin(np.abs(start))]))]
-        gap = top[-1] - top[-2] < BRANCH_TOL
-        return tracked, {(): _BRANCH_ERROR.format(BRANCH_TOL, top[-1])} if gap else {}
-    near = np.take_along_axis(start, np.argmin(np.abs(start), axis=-1)[..., None], -1)
-    pick = np.argmin(np.abs(end - near), axis=-1)[..., None]
-    top = np.sort(end.real, axis=-1)
-    return np.take_along_axis(end, pick, -1)[..., 0][()], {
-        tuple(n): _BRANCH_ERROR.format(BRANCH_TOL, top[tuple(n)][-1])
-        for n in np.argwhere(top[..., -1] - top[..., -2] < BRANCH_TOL)}
+def _branch(near, end):
+    """The eigenvalue of ``end`` nearest ``near``, and the
+    :class:`BranchError` text if its top two real parts lie within
+    :data:`BRANCH_TOL`, else None."""
+    top = np.sort(end.real)
+    text = _BRANCH_ERROR.format(BRANCH_TOL, top[-1]) if top[-1] - top[-2] < BRANCH_TOL else None
+    return end[np.argmin(np.abs(end - near))], text
 
 
 def first_cumulant_direct(spec: SystemSpec, bath: str, kind: str) -> float:
@@ -289,15 +239,11 @@ def _recursion(r: np.ndarray, h, made: tuple, order: int) -> tuple:
     of :func:`cumulants_perturbative`, complex, extended to ``order`` with
     the projected inverse(s) ``r`` and H_1..H_order ``h`` of one point or a
     stack; a fresh start is ``((), (P_0,), ())``, ``P_0`` the steady state(s).
-
-    A stack runs as ``(N, 5, 1)`` columns, so that each product is a
-    stacked ``np.matmul`` on C-contiguous stacks, the trace row included:
-    ``TRACE_VECTOR @ v.T`` changes the last bit.  Its cumulants are
-    ``(N, 1, 1)`` arrays.  The product of two of its complex arrays in the
-    correction term is written out in real parts: numpy may fuse an array
-    product's multiplies and adds, where one point's Python product rounds
-    each, which changed the last bit of an imaginary residue.  Each
-    ``H_n |P_{N-n}>`` and ``<I|P_k>`` is made once.
+    A stack runs as ``(N, 5, 1)`` columns, each product a stacked
+    ``np.matmul`` (``TRACE_VECTOR @ v.T`` changes the last bit), with
+    ``(N, 1, 1)`` cumulants; the complex product of the correction term is
+    written out in real parts, as numpy may fuse an array product's
+    multiplies and adds.
     """
     energies, states, traces = map(list, made)
     if states[0].ndim == 1:
@@ -359,9 +305,9 @@ def cumulants_finite_difference(
 ) -> CumulantSet:
     """Cumulants from central differences of the dominant eigenvalue.
 
-    Uses the reality symmetry of the generating function (its value at
-    -chi is the conjugate of the value at chi), so one eigenvalue per step
-    size suffices; each stencil is Richardson-refined once.
+    Its value at -chi is the conjugate of the value at chi, so one
+    eigenvalue (:func:`_eigenvalues`) per step size suffices; each stencil
+    is Richardson-refined once.
     """
     _check_difference(bath, kind, order, h)
     values, errors = _differences(_memo(spec)["rates"], bath, kind, order, h)
@@ -372,19 +318,136 @@ def cumulants_finite_difference(
 
 def _differences(rates: RateSet, bath: str, kind: str, order: int, h: float):
     """The Richardson-refined stencils of :func:`cumulants_finite_difference`
-    on one point's or a stack's valid, checked rates: one array per order,
-    of ``rates.shape`` (a scalar for one point), and the :class:`BranchError`
-    text of each index (as :func:`_branch` keys it) whose dressed matrices
-    are not finite (:func:`_spectra`), else whose branch is ambiguous at
-    step h, else at step h/2.  Step h is tracked 0, h/2, h and step h/2 0,
-    h/4, h/2: one spectrum at h/2 serves both."""
-    (quarter, half, full), errors = _spectra(rates, _single_field(bath, kind, h),
-                                             (0.25, 0.5, 1.0))
-    e_h, errors_h = _branch(half, full)
-    e_h2, errors_h2 = _branch(quarter, half)
+    on one point's or a stack's valid, checked rates, one array of
+    ``rates.shape`` per order, and the :class:`BranchError` text of each
+    index (``()`` for one point) whose dressed rates are not finite, else
+    whose eigenvalue is not separated at zero field, else not separated or
+    not converged at step h, else at h/2 (:func:`_eigenvalues`)."""
+    (re, im, sep, step, size, finite), sep0 = _eigenvalues(rates, bath, kind, h)
     # d E0 / d(i chi) at 0: odd part is purely imaginary by symmetry
-    values = [richardson(e_h.imag / h, e_h2.imag / (h / 2.0))]
+    values = [richardson(im[1] / h, im[0] / (h / 2.0))]
     if order >= 2:
         # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
-        values.append(richardson(-2.0 * e_h.real / h**2, -2.0 * e_h2.real / (h / 2.0)**2))
-    return values, {**errors_h2, **errors_h, **errors}
+        values.append(richardson(-2.0 * re[1] / h**2, -2.0 * re[0] / (h / 2.0)**2))
+
+    def failed(ok, text, *args):  # the text of each point where ok is False
+        if not rates.shape:
+            return {} if ok else {(): text.format(*args)}
+        return {(n,): text.format(*(x[n] if np.ndim(x) else x for x in args))
+                for n in np.flatnonzero(~ok).tolist()}
+
+    errors = {}
+    for j, chi in enumerate((h / 2.0, h)):
+        errors.update(failed((sep[j] >= SEPARATION_MIN) & (step[j] <= NEWTON_TOL * size[j]),
+                             _NEWTON_ERROR, chi, sep[j], step[j], size[j]))
+    errors.update(failed(sep0 >= SEPARATION_MIN, _ZERO_FIELD_ERROR, sep0))
+    errors.update(failed(finite[0] & finite[1], _NOT_FINITE_ERROR))
+    return values, errors
+
+
+class _Pair:
+    """A stack of complex numbers as two real arrays, each operation written
+    out in real parts and rounded as Python's ``complex`` rounds it (numpy
+    may fuse a complex array product's multiplies and adds)."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # an array operand defers to the methods below
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, z):
+        if isinstance(z, _Pair):
+            return _Pair(self.real + z.real, self.imag + z.imag)
+        return _Pair(self.real + z, self.imag)
+
+    def __sub__(self, z):
+        if isinstance(z, _Pair):
+            return _Pair(self.real - z.real, self.imag - z.imag)
+        return _Pair(self.real - z, self.imag)
+
+    def __mul__(self, z):
+        if isinstance(z, _Pair):
+            return _Pair(self.real * z.real - self.imag * z.imag,
+                         self.real * z.imag + self.imag * z.real)
+        return _Pair(self.real * z, self.imag * z)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _reciprocal(z, make):
+    """``1 / z`` as ``conj(z) / |z|**2`` in real operations; 0 for ``z = 0``."""
+    norm = z.real * z.real + z.imag * z.imag
+    norm = norm + (norm == 0)
+    return make(z.real / norm, -z.imag / norm)
+
+
+def _eigenvalues(rates: RateSet, bath: str, kind: str, h: float):
+    """The dominant eigenvalue of the generator of ``rates`` dressed by the
+    real fields h/2 and h on ``bath``, from :data:`NEWTON_STEPS` Newton
+    steps from zero on ``f = det K`` (``docs/physics.md``): its real and
+    imaginary parts, ``|f'| / s**2``, the sizes of the last step and of the
+    root and whether the dressed rates are finite, each a pair (h/2, h),
+    and ``|f'(0)| / s**2`` at zero field (``-tot`` of
+    :func:`vflux.steady._kernel`).  One point runs in Python ``complex``, a
+    stack in :class:`_Pair` arrays of ``(2,) + rates.shape``, with one
+    point's bits.  Row 2 of ``K`` is replaced by its column sums ``z``,
+    made from the dressed rates less the bare ones (``shift``) without
+    cancellation; the inputs are scaled by the power of two ``k`` just
+    below ``1/s`` (at most ``2**1000``), which changes no bit short of
+    underflow.
+    """
+    re, delta = _entries(rates)
+    if rates.shape:
+        s = np.abs(np.broadcast_arrays(*(x for row in re[:3] for x in row[:3]))).max(axis=0)
+        k = np.ldexp(1.0, -np.maximum(np.frexp(s)[1], -1000))
+        make, isfinite, least = _Pair, np.isfinite, np.minimum
+        fields = [h * np.array([[0.5], [1.0]])]
+
+        def size(z):
+            return np.hypot(z.real, z.imag)
+    else:
+        s = max(abs(x) for row in re[:3] for x in row[:3])
+        k = math.ldexp(1.0, -max(math.frexp(s)[1], -1000))
+        make, isfinite, least, size, fields = complex, math.isfinite, min, abs, [h / 2.0, h]
+    (p00, p01, p02, c0), (p10, p11, p12, c1), row2, (r0, r1, r2, d) = (
+        [x * k for x in row] for row in re)
+    # past 1e150 delta leaves g far below the entries' rounding; its square stays finite
+    d, delta, scale = -d, least(delta * k, 1e150), k * s * k * s + (s == 0)
+    dd = delta * delta
+    g = 2.0 * d / (d * d + dd + (d * d + dd == 0))
+    tot = sum(_minors([[x + g * ci * rj for x, rj in zip(row, (r0, r1, r2))] for row, ci in (
+        ((p00, p01, p02), c0), ((p10, p11, p12), c1), (row2[:3], row2[3]))]))
+    a2, m2 = p00 * p11 - p01 * p10, -(p00 + p11)
+    v0, v1, e2 = c1 * p00 - c0 * p10, c1 * p01 - c0 * p11, -(c0 * r0 + c1 * r1)
+    found = []
+    for chi in fields:
+        gain, loss = next(_dressed_rates(rates, _single_field(bath, kind, chi), [bath], shift=True))
+        g11, g22, s0, s1, g12, dl = (make(z.real * k, z.imag * k) for z in (
+            gain(1, 1, 1), gain(2, 2, 2), loss(1, 1, 1), loss(2, 2, 2),
+            0.5 * (gain(1, 2, 1) + gain(1, 2, 2)), 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))))
+        finite = isfinite(p00 + p01 + p02 + c0 + p10 + p11 + p12 + c1 + r0 + r1 + r2 + d + delta
+                          + sum(z.real + z.imag for z in (g11, g22, s0, s1, g12, dl)))
+        # K_0 x K_1 = (a0 + mu q0, a1 + mu q1, a2 + mu (mu + m2)) + g V x r,
+        # V x r = b + mu e, V = c1 K_0 - c0 K_1
+        q0, q1, w2, s2 = g11 + p02, g22 + p12, g12 + r2, g11 + g22
+        a0, a1, v2 = p01 * q1 - q0 * p11, q0 * p10 - p00 * q1, c1 * q0 - c0 * q1
+        b0, b1, b2 = v1 * w2 - v2 * r1, v2 * r0 - v0 * w2, v0 * r1 - v1 * r0
+        e0, e1 = c0 * w2, c1 * w2
+        mu = make(0.0, 0.0)
+        for _ in range(NEWTON_STEPS):
+            u = d + mu
+            iw = _reciprocal(u * u + dd, make)
+            g, gp = (u + u) * iw, (4.0 * dd * iw - 2.0) * iw
+            x0, x1, x2 = b0 + mu * e0, b1 + mu * e1, b2 + mu * e2
+            k0, k1, k2 = a0 + mu * q0 + g * x0, a1 + mu * q1 + g * x1, a2 + mu * (mu + m2) + g * x2
+            gl, gpl = g * dl, gp * dl
+            z0, z1, z2 = s0 + gl * r0 - mu, s1 + gl * r1 - mu, s2 + gl * w2 - mu
+            slope = ((gpl * r0 - 1.0) * k0 + (gpl * r1 - 1.0) * k1 + (gpl * w2 - 1.0) * k2
+                     + z0 * (q0 + gp * x0 + g * e0) + z1 * (q1 + gp * x1 + g * e1)
+                     + z2 * (m2 + (mu + mu) + gp * x2 + g * e2))
+            step = (z0 * k0 + z1 * k1 + z2 * k2) * _reciprocal(slope, make)
+            mu = mu - step
+        found.append((mu.real / k, mu.imag / k, size(slope) / scale, size(step) / k,
+                      size(mu) / k, finite))
+    return (found[0] if rates.shape else tuple(zip(*found))), abs(tot) / scale

@@ -1,19 +1,13 @@
 """Golden-file regression corpus.
 
-Each case binds a checked-in configuration to the SHA-256 digests of the
-CSV and of the JSON it produces; the CSV digest is the case's identity,
-and that CSV is stored as ``golden/csv/<case>.csv.gz``.  The JSON cannot
-be derived from the CSV (an empty cell is ``""`` or ``null`` in JSON), so
-it has its own digest.  A CSV mismatch prints the first differing cell
-and, per column, the count and the largest absolute and relative
-difference of the differing cells (:func:`report`).  Digests are exact
-per BLAS/LAPACK build: another OpenBLAS kernel moves 5 (Haswell, Zen), 11
-(Sandybridge) or 12 (Prescott) of the 23, and 5, 7 or 6 beyond
-:func:`compare_numeric` (1e-12 absolute per cell; README, "Determinism and
-golden files").
-
-Regeneration prints the same report, then rewrites the stored CSV and the
-digests; it is refused without ``--maintainer``.  Run as a module::
+Each case binds a checked-in configuration to the SHA-256 digests of its
+CSV, stored as ``golden/csv/<case>.csv.gz``, and of its JSON (an empty cell
+is ``""`` or ``null`` there, so it has its own digest).  A CSV mismatch
+prints the first differing cell and, per column, the count and the largest
+absolute and relative difference (:func:`report`).  Digests are exact per
+BLAS/LAPACK build (README, "Determinism and golden files").  Regeneration
+prints the same report, then rewrites the stored CSV and the digests; it
+is refused without ``--maintainer``.  Run as a module::
 
     python -m vflux.golden (--verify | --regenerate --maintainer) [--case NAME]
 """
@@ -58,12 +52,16 @@ def load_cases(root: Path | None = None) -> list[GoldenCase]:
     index = json.loads((root / "digests.json").read_text(encoding="utf-8"))
     if index.get("schema") != DIGEST_SCHEMA:
         raise UsageError(f"unexpected golden digest schema {index.get('schema')!r}")
-    for name, entry in index["cases"].items():
+    cases = index.get("cases")
+    if not isinstance(cases, dict):
+        raise UsageError("golden digests.json has no 'cases' object")
+    for name, entry in cases.items():
+        if not isinstance(entry, dict):
+            raise UsageError(f"golden case {name!r} is not an object in digests.json")
         if missing := [key for key in ("config", "sha256", "json_sha256") if key not in entry]:
             raise UsageError(f"golden case {name!r} has no {missing[0]!r} in digests.json")
     return [GoldenCase(name, root / entry["config"], entry["sha256"], entry["json_sha256"],
-                       root / "csv" / f"{name}.csv.gz")
-            for name, entry in sorted(index["cases"].items())]
+                       root / "csv" / f"{name}.csv.gz") for name, entry in sorted(cases.items())]
 
 
 def compute_outputs(case: GoldenCase) -> tuple[str, str]:

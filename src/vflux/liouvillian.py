@@ -1,16 +1,11 @@
 """Generators of the reduced density-matrix dynamics.
 
-The density matrix of the three-level system closes on the five components
-``[rho11, rho22, rhogg, rho12, rho21]`` (the ground-excited coherences
-decouple structurally; see :func:`verify_block_decoupling`).  This module
-builds the 5x5 generator acting on that block, bare or dressed with
-counting fields, together with its analytic derivatives with respect to the
-counting parameters.
-
-Two independent constructions are provided: a direct entry-wise fill from
-the transition rates, and an application of the full master-equation
-superoperator to all nine density-matrix basis elements.  The test suite
-holds them against each other entry by entry.
+The density matrix closes on ``[rho11, rho22, rhogg, rho12, rho21]`` (the
+ground-excited coherences decouple: :func:`verify_block_decoupling`).  The
+5x5 generator on that block, bare or dressed with counting fields, and its
+counting-field derivatives are filled entry-wise from the rates; the test
+suite holds that fill entry by entry to the full superoperator applied to
+all nine density-matrix basis elements, an independent construction.
 """
 
 from __future__ import annotations
@@ -72,15 +67,12 @@ def _entries(rates: RateSet):
 
 
 def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
-    """Assemble the 5x5 generator from :func:`_entries`: shape
-    ``rates.shape + (5, 5)``, so a stack of rates gives a C-contiguous
-    ``(N, 5, 5)`` stack.  A stack is written as ``(N, 25)``; one point's 25
-    entries are Python numbers, made an array by one call.
-
-    ``sandwich`` is the ``(gain, loss)`` pair of rate functions that fill
-    the gain-type entries (:func:`_fill_sandwich`), dressed by
-    :func:`_dressed_rates`; ``rates`` supplies the undressed damping
-    combinations.  Without it the bare rates fill them: the bare generator.
+    """The 5x5 generator from :func:`_entries`, of shape ``rates.shape +
+    (5, 5)`` (C-contiguous for a stack, written as ``(N, 25)``; one point's
+    25 Python numbers made an array by one call).  ``sandwich``, the
+    ``(gain, loss)`` rate functions of :func:`_dressed_rates`, fills the
+    gain-type entries (:func:`_fill_sandwich`); without it the bare rates
+    do: the bare generator.
     """
     re, delta = _entries(rates)
     m = [*re[0], re[0][3], *re[1], re[1][3], *re[2], re[2][3],
@@ -112,16 +104,16 @@ def _fill_sandwich(m, gain, loss) -> None:
         m[k if isinstance(m, list) else (..., k)] = value
 
 
-def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,)):
+def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,), shift=False):
     """Yield one ``(gain, loss)`` pair of rate functions per order ``n`` of
     ``orders``, summed over ``baths``, each bath ``u`` dressed by its
     counting phase and differentiated ``n`` times in ``i chi_u``: gain times
-    ``(-w)^n exp(-i w chi_u)``, loss times ``(+w)^n exp(+i w chi_u)``, with
-    ``w`` the counting weight of the energy argument
-    (:meth:`RateSet.weights`).  Holds for complex ``chi``.  The tables and
-    phases are made once for all orders, the factors of one order at a
-    time: Python numbers for one point (``cmath.exp`` has the bits of
-    ``np.exp`` here), arrays for a stack.
+    ``(-w)^n exp(-i w chi_u)``, loss times ``(+w)^n exp(+i w chi_u)``, ``w``
+    the counting weight (:meth:`RateSet.weights`); ``chi`` may be complex.
+    With ``shift`` (real ``chi``) each phase is less one (:func:`_less_one`):
+    order 0 gives the dressed rates less the bare ones.  Python numbers for
+    one point (``cmath.exp`` has the bits of ``np.exp`` here), arrays for a
+    stack (``chi_u`` may be an array that broadcasts with ``rates.shape``).
     """
     exp = np.exp if rates.shape else cmath.exp
     w = rates.weights(chi.kind)[:2]
@@ -129,8 +121,10 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,)):
     for u in baths:
         chi_u = chi.chiL if u == "L" else chi.chiR
         gain, loss = (rates.gainL, rates.lossL) if u == "L" else (rates.gainR, rates.lossR)
-        phased.append((gain, [exp(-1j * x * chi_u) for x in w],
-                       loss, [exp(+1j * x * chi_u) for x in w]))
+        phases = [[exp(sign * x * chi_u) for x in w] for sign in (-1j, +1j)]
+        if shift:
+            phases = [list(map(_less_one, factors)) for factors in phases]
+        phased.append((gain, phases[0], loss, phases[1]))
 
     def summed(terms):
         def rate(i, j, k):
@@ -149,6 +143,18 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,)):
                        for v in ([-x for x in w], w))
         yield (summed([(g, list(map(mul, minus, f))) for g, f, _, _ in phased]),
                summed([(l, list(map(mul, plus, f))) for _, _, l, f in phased]))
+
+
+def _less_one(z):
+    """``z - 1`` of a phase ``z = exp(i theta)`` (Python ``complex`` or an
+    array), real part ``-(Im z)**2 / (1 + Re z)`` where ``Re z > 0``: free
+    of the cancellation of ``Re z - 1``, it keeps every digit."""
+    near = -(z.imag * z.imag) / (1.0 + abs(z.real))
+    if isinstance(z, complex):
+        return complex(near if z.real > 0.0 else z.real - 1.0, z.imag)
+    out = np.empty_like(z)
+    out.real, out.imag = np.where(z.real > 0.0, near, z.real - 1.0), z.imag
+    return out
 
 
 def build_generator(spec: SystemSpec) -> Generator:

@@ -1,14 +1,10 @@
 """Domain types and transition rates for the three-level V system.
 
-Units: hbar = k_B = 1 throughout; every quantity is dimensionless.
-
-The system has two excited levels at energies ``eps1 >= eps2 > 0`` above a
-common ground state at zero energy.  Two bosonic baths (left ``L`` and right
-``R``) drive both ground-excited transitions; their cross coefficients
-``gL12``/``gR12`` encode noise-induced interference and are bounded by the
-geometric mean of the diagonal coefficients.  A third bath (middle ``M``)
-drives hopping between the two excited levels across the gap
-``delta = eps1 - eps2``.
+Units: hbar = k_B = 1.  Two excited levels ``eps1 >= eps2 > 0`` sit above a
+ground state at zero.  Two bosonic baths (``L``, ``R``) drive both
+ground-excited transitions, their cross coefficients ``gL12``/``gR12``
+(noise-induced interference) bounded by the geometric mean of the diagonal
+ones; a third (``M``) drives hopping across ``delta = eps1 - eps2``.
 """
 
 from __future__ import annotations
@@ -41,20 +37,10 @@ OCCUPATION_RATIO_MIN = math.nextafter(2.0 ** -1024, 1.0)
 def bose_occupation(omega: float, temp: float) -> float:
     """Thermal occupation 1/(exp(omega/temp) - 1) of a bosonic mode.
 
-    Parameters
-    ----------
-    omega : float
-        Mode frequency, strictly positive.
-    temp : float
-        Bath temperature, strictly positive.
-
-    Raises
-    ------
-    DomainError
-        If ``omega`` or ``temp`` is not finite, ``omega <= 0`` (zero-frequency
-        divergence), ``temp <= 0``, or ``omega/temp`` is below
-        :data:`OCCUPATION_RATIO_MIN` (about 5.6e-309, zero included), where
-        the occupation is not finite.
+    Raises :class:`DomainError` if ``omega`` or ``temp`` is not finite,
+    ``omega <= 0`` (zero-frequency divergence), ``temp <= 0``, or
+    ``omega/temp`` is below :data:`OCCUPATION_RATIO_MIN` (about 5.6e-309,
+    zero included), where the occupation is not finite.
     """
     if not (math.isfinite(omega) and math.isfinite(temp)):
         raise DomainError(f"bose_occupation: omega and temp must be finite, got {omega}, {temp}")
@@ -235,22 +221,15 @@ class CountingFields:
 
 
 class RateSet:
-    """Bath-resolved gain/loss rates evaluated at both excited energies.
-
-    Gain rates are coefficient times occupation, loss rates coefficient
-    times occupation plus one; totals sum the left and right contributions.
-    The per-bath split is kept because counting-field dressing multiplies
-    each bath's contribution by its own phase before the sum is formed.
-
-    Rates are stored as nested tuples ``[i][j][k]`` with levels
-    ``i, j in {0, 1}`` (for excited states 1, 2) and ``k in {0, 1}``
-    selecting the energy argument ``eps1`` or ``eps2``.  ``params`` maps
-    every SystemSpec field to a float, for one point (see :func:`build_rates`),
-    or to arrays of a stack of points (see :func:`spec_arrays`), of one
-    shape or factors of it (spec fields ``(n, 1)``, temperatures ``(1, m)``;
-    see :func:`_occupation`); ``shape`` is ``()`` or the stack's.  Both run
-    the same operations, so an entry of a stack carries the bits of that
-    point's own rate set.  The points are not validated here.
+    """Bath-resolved gain/loss rates at both excited energies: coefficient
+    times occupation (gain) or occupation plus one (loss), kept per bath as
+    counting fields dress each bath's part by its own phase.  Nested tuples
+    ``[i][j][k]``: levels ``i, j`` (excited 1, 2), energy ``eps_{k+1}``.
+    ``params`` maps every SystemSpec field to a float (one point,
+    :func:`build_rates`) or to arrays of a stack (:func:`spec_arrays`) of
+    one shape or factors of it (spec fields ``(n, 1)``, temperatures ``(1,
+    m)``; :func:`_occupation`); ``shape`` is ``()`` or the stack's.  A stack
+    entry carries the bits of its point's own rate set.  Not validated.
     """
 
     __slots__ = ("eps1", "eps2", "delta", "shape", "occL", "occR", "occM",

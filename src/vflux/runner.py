@@ -1,13 +1,9 @@
 """Scenario execution: grids, rows, deterministic CSV/JSON emission.
 
-Every output row carries the fully resolved system parameters.  Numeric
-cells are formatted with 17 significant digits in scientific notation so a
-written value round-trips exactly; repeated runs of the same configuration
-produce byte-identical files (column order is fixed per task and versioned
-in ``docs/csv_schema.md``).
-
-Physics errors raised while evaluating a single grid point are recorded in
-that row's ``error`` column and the run continues.
+Every row carries the fully resolved system parameters; numeric cells have
+17 significant digits, so a value round-trips and reruns are byte-identical
+(column order per task in ``docs/csv_schema.md``).  A physics error of one
+grid point fills that row's ``error`` column and the run continues.
 """
 
 from __future__ import annotations

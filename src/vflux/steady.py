@@ -1,23 +1,15 @@
 """Steady-state solvers: numeric kernel, closed forms, time integration.
 
-The three routes are deliberately independent so each can serve as an
-oracle for the others:
-
-* ``steady_state`` eliminates the coherences exactly and takes the kernel
-  from the principal minors of the remaining real 3x3 matrix (:func:`_kernel`);
-  callers that need only currents run the same kernel on the generator's
-  real entries and get real columns, with no complex number
-  (:func:`_real_columns`);
-* ``steady_state_resonant_two_bath`` and ``steady_state_three_terminal``
-  evaluate closed-form solutions valid in their stated regimes;
-* ``steady_state_time_integration`` relaxes an initial state under the
-  dynamics with an adaptive explicit integrator.
-
-The integrator, scipy's ``solve_ivp``, is imported on first use (by
-:func:`evolve` or by reading ``vflux.steady.solve_ivp``): importing
-``scipy.integrate`` takes several times longer than the rest of the
-package, and only this oracle needs it.  ``vflux.steady.solve_ivp`` stays
-the one binding :func:`evolve` calls, so it can be patched.
+Three independent routes, each an oracle for the others: ``steady_state``
+eliminates the coherences exactly and takes the kernel from the principal
+minors of the remaining real 3x3 matrix (:func:`_kernel`; real columns for
+callers that need only currents, :func:`_real_columns`); two closed forms
+hold in their stated regimes; ``steady_state_time_integration`` relaxes a
+state under the dynamics.  Its integrator, scipy's ``solve_ivp``, is
+imported on first use (by :func:`evolve` or by reading
+``vflux.steady.solve_ivp``, the one binding :func:`evolve` calls, so it can
+be patched): ``scipy.integrate`` takes several times longer to import than
+the rest of the package.
 """
 
 from __future__ import annotations
@@ -123,12 +115,10 @@ def _solve(re, delta):
 def _real_columns(re, delta):
     """Trace-normalized real columns ``[rho11, rho22, rhogg, Re rho12,
     Re rho21]`` of the kernel of the bare generator with entries ``re``
-    (:func:`vflux.liouvillian._entries`), its isolation ratio and the
-    verdicts ``isolated`` and ``usable`` (:func:`_solve`), for one point or
-    a stack; an unusable point holds no state.  These are the real parts of
-    :func:`steady_state`'s vector, signed zeros included: numpy divides
-    ``a + ib`` by ``t + 0j`` as ``(a + b*(0/t)) * (1/(t + 0*(0/t)))``
-    (Smith's method), not as ``a/t``.
+    (:func:`vflux.liouvillian._entries`), its isolation ratio and verdicts
+    (:func:`_solve`), one point or a stack: the real parts of
+    :func:`steady_state`'s vector, signed zeros included, as numpy divides
+    ``a + ib`` by ``t + 0j`` as ``(a + b*(0/t)) * (1/(t + 0*(0/t)))``.
     """
     pop, (x, y), ratio, isolated, usable, t = _solve(re, delta)
     rat = 0.0 / t
@@ -211,14 +201,10 @@ def steady_state(gen: Generator) -> SteadyState:
 
 @dataclass(frozen=True)
 class SteadyStateBatch:
-    """Steady states of N bare generators, from one stacked kernel.
-
-    Row ``n`` of ``vectors``, ``residuals`` and ``positivity_warnings``
-    equals the :class:`SteadyState` that :func:`steady_state` returns for
-    generator ``n``, bit for bit.  ``errors`` maps the index of each
-    generator without a unique steady state to the
-    :class:`DegenerateSteadyStateError` text :func:`steady_state` raises for
-    it; those rows hold no state.
+    """Steady states of N bare generators, from one stacked kernel: row
+    ``n`` carries the bits of :func:`steady_state` of generator ``n``, and
+    ``errors`` maps each generator without a unique steady state to the
+    text :func:`steady_state` raises for it (its row holds no state).
     """
 
     vectors: np.ndarray
@@ -356,21 +342,16 @@ def steady_state_time_integration(
 
 
 def coherence_vanishing_residual(spec: SystemSpec) -> float:
-    """Signed residual whose zero predicts a vanishing steady-state coherence.
+    """Signed residual whose zero predicts a vanishing steady-state coherence:
+    the balance of interference loss and gain on the steady state of the
+    population block alone,
 
-    The coherence components can only be zero at steady state if the
-    population-block solution balances the interference gain against the
-    interference loss.  The returned value is that balance, evaluated on
-    the steady state of the population block alone:
+        loss12(eps1)*rho11 + loss12(eps2)*rho22 - (gain12(eps1) + gain12(eps2))*rhogg,
 
-        loss12(eps1)*rho11 + loss12(eps2)*rho22
-            - (gain12(eps1) + gain12(eps2))*rhogg
-
-    It vanishes at equal bath temperatures, and for two baths at resonance
-    it carries the opposite sign of the steady-state coherence.  Raises
-    :class:`DegenerateSteadyStateError` when the population block's kernel
-    candidate has zero trace (every coupling zero, say) or the value is not
-    finite.
+    zero at equal bath temperatures, and of the opposite sign of the
+    coherence for two baths at resonance.  Raises
+    :class:`DegenerateSteadyStateError` for a population kernel of zero
+    trace (every coupling zero, say) or a value that is not finite.
     """
     r = build_rates(spec)
     minors = _minors(_entries(r)[0])

@@ -1,14 +1,12 @@
 """Steady-state heat and particle currents and their conservation checks.
 
-Sign convention: a positive current flows *into* the named bath.  With that
-convention the three energy currents sum to zero and the left and right
-particle currents cancel; both residuals are attached to every report.
-
-Without a given state, :func:`heat_currents` and :func:`particle_currents`
-take the kernel as real columns from the rate entries, with no complex
-generator (:func:`vflux.steady._real_columns`), and the bits of the complex
-route.  The closed forms in this module are written out independently of
-the generic steady-state path so they can act as oracles for it.
+A positive current flows *into* the named bath, so the three energy
+currents sum to zero and the left and right particle currents cancel; every
+report carries both residuals.  Without a given state, :func:`heat_currents`
+and :func:`particle_currents` read the kernel the memo holds, else take it
+as real columns from the rate entries (:func:`vflux.steady._real_columns`),
+with the same bits.  The closed forms are oracles, written out apart from
+the generic path.
 """
 
 from __future__ import annotations
@@ -27,28 +25,26 @@ from .steady import SteadyState, _error_text, _real_columns
 CONSERVATION_TOL = 1e-10
 
 
-def _resolve_state(rates: RateSet, state: SteadyState | None):
-    """The vector of ``state``, else the real columns of the kernel of ``rates``."""
-    if state is not None:
-        return state.vector
-    columns, ratio, isolated, usable = _real_columns(*_entries(rates))
+def _resolve_state(record: dict, state: SteadyState | None):
+    """The vector of ``state``, else of the kernel a memo record
+    (:func:`vflux.model._memo`) holds, whose real parts are the real
+    columns, else the real columns of the kernel of its rates."""
+    if state is not None or "kernel" in record:
+        return (state or record["kernel"]).vector
+    columns, ratio, isolated, usable = _real_columns(*_entries(record["rates"]))
     if not usable:
         raise DegenerateSteadyStateError(_error_text(ratio, isolated))
     return columns
 
 
 def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
-    """Currents (J_L, J_R, J_M) of the counted quantity into the three baths.
-
-    Each left/right current has a population-transfer part and an
-    interference part proportional to the real coherence sum; the middle
-    current exchanges quanta only between the two excited populations.
-    Every term carries the counting weight of its transition
-    (:meth:`RateSet.weights`); the particle weights are 1.0, and
-    multiplying by 1.0 is exact.  ``v`` is one state vector, or the state
-    vectors of a stack of rates as columns (shape ``(5, N)``), which gives
-    arrays of N currents.  Only real parts are read, so the real columns of
-    :func:`vflux.steady._real_columns` serve as well.
+    """Currents (J_L, J_R, J_M) of the counted quantity into the three baths:
+    a population-transfer part and an interference part (the real
+    coherence sum) for L and R, hopping between the excited populations for
+    M, each term times its counting weight (:meth:`RateSet.weights`; 1.0
+    for particles, an exact product).  ``v`` is one state vector or a
+    stack's as columns (``(5, N)``, giving arrays of N currents); only real
+    parts are read, so :func:`vflux.steady._real_columns` serves as well.
     """
     w = rates.weights(kind)
     csum = (v[3] + v[4]).real
@@ -65,14 +61,14 @@ def bath_currents(rates: RateSet, v: np.ndarray, kind: str):
 
 def heat_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Energy currents (JeL, JeR, JeM) into the three baths (see :func:`bath_currents`)."""
-    rates = _memo(spec)["rates"]
-    return bath_currents(rates, _resolve_state(rates, state), ENERGY)
+    record = _memo(spec)
+    return bath_currents(record["rates"], _resolve_state(record, state), ENERGY)
 
 
 def particle_currents(spec: SystemSpec, state: SteadyState | None = None):
     """Excitation-number currents (JpL, JpR, JpM) into the three baths."""
-    rates = _memo(spec)["rates"]
-    return bath_currents(rates, _resolve_state(rates, state), PARTICLE)
+    record = _memo(spec)
+    return bath_currents(record["rates"], _resolve_state(record, state), PARTICLE)
 
 
 def closed_form_JeR_resonant(spec: SystemSpec) -> float:
@@ -113,18 +109,14 @@ def closed_form_JeR_resonant(spec: SystemSpec) -> float:
 
 
 def closed_form_JR_no_interference(spec: SystemSpec) -> float:
-    """Right-bath current with both cross couplings off (two-bath case).
+    """Right-bath current with both cross couplings off (two-bath case):
+    the two-frequency expression on the no-interference populations, and
+    for ``eps2 == 0`` (the lower channel thermalized at zero frequency) the
+    upper channel alone,
 
-    For ``eps2 > 0`` this is the two-frequency expression on the
-    no-interference populations.  For ``eps2 == 0`` the lower channel
-    thermalizes at zero frequency and the current reduces to the single
-    upper channel,
+        J = gL11*gR11*(nL - nR)*eps1 / (gL11*(2 + 3*nL) + gR11*(2 + 3*nR)),
 
-        J = gL11*gR11*(nL - nR)*eps1
-            / (gL11*(2 + 3*nL) + gR11*(2 + 3*nR)),
-
-    which is antisymmetric under exchanging the two bath temperatures
-    whenever gL11 == gR11.
+    antisymmetric in the two temperatures when gL11 == gR11.
     """
     if spec.gL12 != 0.0 or spec.gR12 != 0.0:
         raise UsageError("no-interference closed form needs gL12 == gR12 == 0")

@@ -278,7 +278,7 @@ def test_c11_fcs_self_consistency():
             np.abs(TRACE_VECTOR @ r).max(),
         )
     report("criterion 11 (FCS self-consistency)",
-           worst_rel <= 1e-4 and worst_identity <= 1e-9,
+           worst_rel <= 1e-12 and worst_identity <= 1e-9,
            f"noise rel spread {worst_rel:.2e}, inverse identities {worst_identity:.2e}")
 
 

@@ -10,8 +10,8 @@ superoperator construction, preserve the trace and keep Hermiticity, and
 the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and the ``fig21b`` target, one
-stack, to one stacked LAPACK call per stage (``eigvals`` split into at
-most one call per core).  The one evaluator of every
+stack, to one stacked LAPACK call per stage (the projected inverse's
+``inv``; the stencils' Newton core takes none).  The one evaluator of every
 stacked grid reads its cells as arrays; the cells of each stacked target
 are held to the one-point public routes, and no target may build a
 per-point object.  A grid of several batches must give the rows its
@@ -35,10 +35,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vflux import analysis, fcs
+from vflux import analysis
 from vflux.analysis import (_factor, _mirror_rows, default_deltaT_grid,
                             max_rectification, max_rectification_columns, rectification)
-from vflux.config import build_config, config_for_target, load_config
+from vflux.config import REPRODUCE_TARGETS, build_config, config_for_target, load_config
 from vflux.golden import digest_of, load_cases
 from vflux.errors import (
     BranchError,
@@ -60,7 +60,6 @@ from vflux.fcs import (
     cumulants_finite_difference,
     cumulants_perturbative,
     dominant_eigenvalue,
-    richardson,
 )
 from vflux.liouvillian import (
     TRACE_VECTOR,
@@ -84,7 +83,7 @@ from vflux.model import (
     spec_arrays,
 )
 from vflux.runner import (_TABLE, SPEC_COLUMNS, _fig21b, _rows, _state_cells, _sweep,
-                          compute_rows, render_csv)
+                          compute_rows, render_csv, run)
 from vflux.steady import SteadyState, _real_columns, steady_state, steady_state_batch
 from vflux.transport import (
     CONSERVATION_TOL,
@@ -624,9 +623,8 @@ def test_overflowing_rates_fail_silently_like_one_point():
 
 
 def test_generator_that_is_not_finite_is_a_branch_error():
-    # no dressed generator of NOT_FINITE is finite, and eigvals rejects a
-    # whole stack for one such matrix: the one-point stencil and tracker
-    # report it, and a stack keeps its other points
+    # no dressed generator of NOT_FINITE is finite: the one-point stencil
+    # and tracker report it, and a stack keeps its other points
     text = "dressed generator is not finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -763,22 +761,6 @@ def tracked_eigenvalue(rates, chi):
     return tracked
 
 
-def tracked_differences(spec, bath, kind, order, h):
-    """Finite-difference cumulants from two separate ramps, to h and to
-    h/2 (four spectra); the error of step h is raised first."""
-    rates = build_rates(spec)
-
-    def at(step):
-        return tracked_eigenvalue(rates, CountingFields(step if bath == "L" else 0.0,
-                                                        step if bath == "R" else 0.0, kind))
-
-    e_h, e_h2 = at(h), at(h / 2.0)
-    values = [richardson(e_h.imag / h, e_h2.imag / (h / 2.0))]
-    if order == 2:
-        values.append(richardson(-2.0 * e_h.real / h**2, -2.0 * e_h2.real / (h / 2.0)**2))
-    return CumulantSet(bath, kind, tuple(values), FINITE_DIFFERENCE, 0.0)
-
-
 @st.composite
 def corners(draw):
     """Specs with both cross couplings on their bound, where the counted
@@ -793,13 +775,13 @@ def corners(draw):
        st.sampled_from(KINDS), st.integers(1, 2), st.sampled_from((FD_STEP, 1e-6, 1e-2)),
        st.sampled_from((0.0, 1e-5, -3e-3, 0.2, 1e-3 + 2e-3j, 0.3 - 0.1j)))
 def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order, h, chi):
+    # the stencils' Newton core on a stack and on one point; the tracker of
+    # dominant_eigenvalue against its reference
     stencils = stacked(differences, batch, bath, kind, order, h)
     field = CountingFields(chi if bath == "L" else 0.0, chi if bath == "R" else 0.0, kind)
     for spec, out in zip(batch, stencils):
-        expected = outcome(tracked_differences, spec, bath, kind, order, h)
+        expected = outcome(cumulants_finite_difference, spec, bath, kind, order, h)
         assert same_cumulants(out, expected)
-        assert same_cumulants(outcome(cumulants_finite_difference, spec, bath, kind, order, h),
-                              expected)
         eigenvalue = outcome(dominant_eigenvalue, spec, field)
         reference = outcome(tracked_eigenvalue, build_rates(spec), field)
         if isinstance(reference, BranchError):
@@ -833,8 +815,8 @@ def test_degenerate_corner_same_cumulant_errors_on_both_routes(eps, temp_l, frac
 @st.composite
 def near_corners(draw):
     """Specs a relative 1e-8 off a corner on the right: the kernel is
-    isolated, but the branch is ambiguous at both steps of the stencil,
-    with different error texts."""
+    isolated, but the stencils' eigenvalue is not separated
+    (``fcs.SEPARATION_MIN``)."""
     corner = draw(corners())
     return replace(corner, gR12=(1.0 - 1e-8) * corner.gR12)
 
@@ -887,14 +869,8 @@ def test_current_reports_match_from_spec(target, batch):
        st.lists(st.one_of(st.sampled_from(CORPUS), specs(), corners(), near_corners()),
                 min_size=1, max_size=8))
 def test_noise_cells_match_the_point_routes(target, batch):
-    for spec, out in zip(batch, assert_cells_match(target, batch)):
-        if isinstance(out, BranchError):
-            # the point route's former tracker (two ramps), in turn, raises
-            # the error of step h first
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                fd = outcome(tracked_differences, spec, "R", ENERGY, 2, FD_STEP)
-            assert type(fd) is BranchError and str(fd) == str(out)
+    # a BranchError's text included
+    assert_cells_match(target, batch)
 
 
 def test_noise_reports_the_kernel_error_before_the_branch_error():
@@ -960,35 +936,32 @@ def test_grids_build_no_per_row_spec(monkeypatch):
 
 
 def assert_one_stacked_call_per_stage(calls, matrices):
-    """``calls`` (:func:`lapack_calls`) hand each routine the ``matrices``
-    it maps to in one call; ``eigvals`` takes up to one call per core from
-    two :data:`vflux.fcs.SPLIT_MATRICES` on (``fig21b``), and one below
-    (``fig4b``)."""
-    handed, made = Counter(), Counter()
-    for name, count in calls:
-        handed[name] += count
-        made[name] += 1
-    assert handed == Counter(matrices)
-    for name in made:
-        if name == "eigvals" and matrices[name] >= 2 * fcs.SPLIT_MATRICES:
-            assert 1 <= made[name] <= fcs._cores()
-        else:
-            assert made[name] == 1
+    """``calls`` (:func:`lapack_calls`) are one call of each routine of
+    ``matrices``, handed the matrices it maps to."""
+    assert Counter(name for name, _ in calls) == Counter(dict.fromkeys(matrices, 1))
+    assert dict(calls) == matrices
 
 
 @pytest.mark.parametrize("target,calls", [
-    ("fig21b", {"inv": 1681, "eigvals": 3 * 1681}), ("fig4b", {"inv": 39, "eigvals": 3 * 39}),
+    ("fig21b", {"inv": 1681}), ("fig4b", {"inv": 39}),
     ("fig2a", {}), ("fig2b", {}), ("fig21a", {}), ("fig5b", {})])
 def test_stacked_targets_take_one_stacked_call_per_stage(monkeypatch, target, calls):
-    # the kernel calls no LAPACK routine; the recursion and the stencils
-    # run only on the targets that render the noise: one stacked inv of
-    # every point, and eigvals of its spectra at h/4, h/2 and h.  calls
-    # maps a routine to the matrices it is handed.
+    # the kernel and the stencils call no LAPACK routine; the recursion
+    # runs only on the targets that render the noise: one stacked inv of
+    # every point.  calls maps a routine to the matrices it is handed.
     routines = [name for name in dir(np.linalg)
                 if callable(routine := getattr(np.linalg, name)) and not isinstance(routine, type)]
     made = lapack_calls(monkeypatch, routines)
     compute_rows(config_for_target(target))
     assert_one_stacked_call_per_stage(made, calls)
+
+
+@pytest.mark.parametrize("target", sorted(REPRODUCE_TARGETS))
+def test_reproduce_targets_call_no_eigvals(monkeypatch, target):
+    # the stencils' eigenvalues come from the Newton core, not from LAPACK
+    calls = lapack_calls(monkeypatch, ["eigvals", "eig"])
+    run(config_for_target(target))
+    assert calls == []
 
 
 def test_batch_warns_like_the_scalar_loop(monkeypatch):
@@ -1027,10 +1000,9 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     assert [n for n, error in enumerate(table["error"]) if error] == [1680]
     assert table["error"][-1].startswith("DegenerateSteadyStateError: kernel not isolated")
     assert table["SeRR"][-1] is table["SeRR_fd"][-1] is None
-    # the closed-form kernel calls no LAPACK routine; the projected inverse
-    # takes one, and the stencil one spectrum each at h/4, h/2 and h, split
-    # across at most one eigvals call per core
-    assert_one_stacked_call_per_stage(calls, {"inv": 1681, "eigvals": 3 * 1681})
+    # the closed-form kernel and the stencils' Newton core call no LAPACK
+    # routine; the projected inverse takes one
+    assert_one_stacked_call_per_stage(calls, {"inv": 1681})
 
 
 def test_multi_batch_rows_equal_single_batch_rows():

@@ -230,8 +230,8 @@ def test_fluctuation_symmetry_broken_by_energy_leak():
 @pytest.mark.parametrize("call,builds,matrices", [
     (lambda spec: first_cumulant_direct(spec, "R", ENERGY), 1, 0),
     (lambda spec: cumulants_perturbative(spec, "R", ENERGY, order=4), 1, 0),
-    # one eigvals of the spectra at h/4, h/2 and h
-    (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1, 3),
+    # the stencils' Newton core calls no eigvals
+    (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1, 0),
 ], ids=["direct", "perturbative", "finite_difference"])
 def test_cumulant_routes_build_rates_once(monkeypatch, call, builds, matrices):
     count = []

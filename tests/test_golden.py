@@ -283,14 +283,23 @@ def test_missing_config_is_an_error(tmp_path):
         compute_outputs(case)
 
 
-@pytest.mark.parametrize("key", ["json_sha256", "sha256", "config"])
+@pytest.mark.parametrize("key", ["json_sha256", "sha256", "config", "cases", "object"])
 def test_entry_without_a_key_is_one_error_line(tmp_path, capsys, key):
-    # a digests.json written before json_sha256 existed, say: exit 2 with
-    # one line that names the case and the key, not a KeyError traceback
+    # a digests.json written before json_sha256 existed, say, one without
+    # its cases, or with an entry that is not an object (a string holding
+    # every key's name passes a test by substring): exit 2 with one line
+    # that names what is missing, not a KeyError or TypeError traceback
     root = _case_root(tmp_path, {"steady_cycle": None, "steady": None})
     index = json.loads((root / "digests.json").read_text())
-    del index["cases"]["steady"][key]
+    error = f"error: golden case 'steady' has no '{key}' in digests.json\n"
+    if key == "cases":
+        del index["cases"]
+        error = "error: golden digests.json has no 'cases' object\n"
+    elif key == "object":
+        index["cases"]["steady"] = "config sha256 json_sha256"
+        error = "error: golden case 'steady' is not an object in digests.json\n"
+    else:
+        del index["cases"]["steady"][key]
     (root / "digests.json").write_text(json.dumps(index))
     assert main(["--root", str(root), "--verify"]) == 2
-    error = f"error: golden case 'steady' has no '{key}' in digests.json\n"
     assert capsys.readouterr() == ("", error)

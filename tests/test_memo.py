@@ -309,6 +309,18 @@ def test_report_then_cumulants_make_only_the_missing_orders(monkeypatch):
     assert not made and not calls
 
 
+@pytest.mark.parametrize("name", ["detuned", "leak0", "near_dark_corner", "negative_zero_twin"])
+def test_currents_after_a_report_read_its_kernel(monkeypatch, name):
+    # the report fills the kernel; its real parts are the real columns
+    spec = replace(CORPUS[name])
+    fresh = [result(call, replace(spec)) for call in (heat_currents, particle_currents)]
+    vflux.model._last = {}
+    CurrentReport.from_spec(spec)
+    calls = count_calls(monkeypatch, ("_real_columns",))
+    assert [result(call, spec) for call in (heat_currents, particle_currents)] == fresh
+    assert calls == Counter()
+
+
 @pytest.mark.parametrize("target", ["fig3", "fig21b"])
 def test_grids_neither_read_nor_fill_the_slot(monkeypatch, target):
     calls = count_calls(monkeypatch, ("_memo",))
