@@ -13,24 +13,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from numbers import Real
-from operator import mul
+from operator import add
 
 import numpy as np
 
 from .errors import BranchError, UsageError
-from .liouvillian import (TRACE_VECTOR, Generator, _bare, _check_order, _chi_derivative,
-                          _counting_matrix, _dressed_rates, _entries)
+from .liouvillian import (Generator, _bare, _check_order, _counting_matrix, _dressed_rates,
+                          _entries, _sandwich_values)
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, _memo
 from .steady import SteadyState, _minors, steady_state
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
 
-#: Two eigenvalues with real parts this close to the maximum make the
-#: dominant-branch selection ambiguous.
-BRANCH_TOL = 1e-9
+#: Two eigenvalues with real parts within this fraction of ``s`` (the
+#: largest ``|L_ij|`` of the bare population block) of the maximum make
+#: the dominant-branch selection ambiguous.
+BRANCH_TOL = 1e-8
 
 #: Imaginary residue above this level on a reported cumulant is warned about.
 IMAG_WARN = 1e-10
@@ -47,16 +49,11 @@ NEWTON_STEPS = 4
 #: (margins in ``docs/conventions.md``).
 NEWTON_TOL, SEPARATION_MIN = 1e-6, 1e-4
 
-_BRANCH_ERROR = "two eigenvalues within {} of the maximal real part {:.3e}"
+_BRANCH_ERROR = "two eigenvalues within {:.3e} of the maximal real part {:.3e}"
 _NOT_FINITE_ERROR = "dressed generator is not finite"
 _NEWTON_ERROR = ("no separated dominant eigenvalue at chi = {:.3e}: |f'|/s^2 = {:.3e}, "
                  "last Newton step {:.3e} at |lambda| {:.3e}")
 _ZERO_FIELD_ERROR = "dominant eigenvalue not separated at zero field: |f'|/s^2 = {:.3e}"
-
-# The recursion's constants; ``@`` casts a float trace row anew each call.
-_TRACE_ROW = TRACE_VECTOR.astype(complex)
-_SPREAD = np.outer(TRACE_VECTOR / 3.0, TRACE_VECTOR)
-_IDENTITY = np.eye(5, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -118,40 +115,29 @@ def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
     tracked by nearest match from the spectrum at half the field, from one
     ``np.linalg.eigvals`` call: an oracle independent of the stencils'
     Newton core (:func:`_eigenvalues`).  Raises :class:`BranchError` if two
-    eigenvalues sit within :data:`BRANCH_TOL` of the maximal real part at
+    eigenvalues sit within ``BRANCH_TOL * s`` of the maximal real part at
     the field, or if a dressed generator is not finite.
     """
-    rates = _memo(spec)["rates"]
+    record = _memo(spec)
     fractions = (1.0,) if chi.is_zero else (0.5, 1.0)
-    matrices = np.stack([_counting_matrix(rates, chi.scaled(f)) for f in fractions])
+    matrices = np.stack([_counting_matrix(record["rates"], chi.scaled(f)) for f in fractions])
     if not np.isfinite(matrices).all():
         raise BranchError(_NOT_FINITE_ERROR)
     start, *end = np.linalg.eigvals(matrices)
     near = start[np.argmin(np.abs(start))]
     if not end:
         return complex(near)
-    tracked, text = _branch(near, end[0])
-    if text:
-        raise BranchError(text)
-    return complex(tracked)
-
-
-def _branch(near, end):
-    """The eigenvalue of ``end`` nearest ``near``, and the
-    :class:`BranchError` text if its top two real parts lie within
-    :data:`BRANCH_TOL`, else None."""
-    top = np.sort(end.real)
-    text = _BRANCH_ERROR.format(BRANCH_TOL, top[-1]) if top[-1] - top[-2] < BRANCH_TOL else None
-    return end[np.argmin(np.abs(end - near))], text
+    top, tol = np.sort(end[0].real), BRANCH_TOL * np.abs(_bare(record)[:3, :3]).max()
+    if top[-1] - top[-2] < tol:
+        raise BranchError(_BRANCH_ERROR.format(tol, top[-1]))
+    return complex(end[0][np.argmin(np.abs(end[0] - near))])
 
 
 def first_cumulant_direct(spec: SystemSpec, bath: str, kind: str) -> float:
-    """Mean current from the steady state and the first generator derivative."""
+    """Mean current ``<I| H_1 |P0>`` from the steady state and the first
+    generator derivative: the recursion's first order, which needs no R."""
     _check_bath_kind(bath, kind)
-    record = _memo(spec)
-    p0 = _kernel(record).vector
-    value = complex(TRACE_VECTOR @ (_derivatives(record, bath, kind, 1)[0] @ p0))
-    return float(value.real)
+    return float(_orders(_memo(spec), bath, kind, 1)[0].real)
 
 
 def pseudo_inverse_R(spec: SystemSpec) -> np.ndarray:
@@ -162,7 +148,9 @@ def pseudo_inverse_R(spec: SystemSpec) -> np.ndarray:
     ``Q A^-1 Q`` with ``A = L - s|e><I|``, ``e = I/3``, ``s = max|L_ij|`` over
     the population block; raises the steady state's error when it has one.
     """
-    return _inverse(_memo(spec)).copy()
+    factors = _inverse(_memo(spec))
+    return np.array([_apply_inverse(factors, [complex(i == j) for i in range(5)])
+                     for j in range(5)]).T
 
 
 def _kernel(record: dict) -> SteadyState:
@@ -172,32 +160,67 @@ def _kernel(record: dict) -> SteadyState:
     return record["kernel"]
 
 
-def _inverse(record: dict) -> np.ndarray:
-    """:func:`pseudo_inverse_R` of a memo record, made on first use."""
+def _inverse(record: dict) -> tuple:
+    """The factors of :func:`pseudo_inverse_R` of a memo record, made on first use."""
     if "inverse" not in record:
-        record["inverse"] = _projected_inverse(_bare(record), _kernel(record).vector)
+        record["inverse"] = _eliminate(record["rates"], _kernel(record).vector)
     return record["inverse"]
 
 
 def _derivatives(record: dict, bath: str, kind: str, order: int) -> tuple:
-    """H_1.. of ``(bath, kind)`` of a memo record, made to ``order`` at least."""
+    """The sandwich rates of H_1.. of ``(bath, kind)`` of a memo record, made
+    to ``order`` at least."""
     made = record.get(("H", bath, kind), ())
     if len(made) < order:
-        made = record["H", bath, kind] = (*made, *_chi_derivative(
-            record["rates"], CountingFields.zero(kind), bath, range(len(made) + 1, order + 1)))
+        made = record["H", bath, kind] = (*made, *_sandwich_rates(
+            record["rates"], bath, kind, range(len(made) + 1, order + 1)))
     return made
 
 
-def _projected_inverse(m: np.ndarray, p0: np.ndarray, errors=()) -> np.ndarray:
-    """:func:`pseudo_inverse_R` from the generator(s) and steady state(s) of one
-    point or a stack; the points in ``errors`` are inverted as the identity,
-    since one exactly singular matrix fails a whole stacked ``inv``."""
-    s = np.abs(m[..., :3, :3]).max(axis=(-2, -1))
-    a = m - s[..., None, None] * _SPREAD
-    if errors:
-        a[list(errors)] = np.eye(5)
-    q = _IDENTITY - p0[..., :, None] * TRACE_VECTOR
-    return q @ np.linalg.inv(a) @ q
+def _sandwich_rates(rates: RateSet, bath: str, kind: str, orders) -> list:
+    """The six distinct entries of H_n (:func:`vflux.liouvillian._sandwich_values`,
+    real at zero field) for each order of ``orders``, of one point or a stack."""
+    return [tuple(z.real for z in _sandwich_values(*sandwich)) for sandwich in
+            _dressed_rates(rates, CountingFields.zero(kind), (bath,), orders)]
+
+
+def _eliminate(rates: RateSet, p0: np.ndarray) -> tuple:
+    """The factors of R of one point's or a stack's rates and steady state(s)
+    (``docs/physics.md``): ``S^-1`` of the real Schur complement ``S = L_pp -
+    s/3 + g c r^T`` (adj S: cross products of its rows), ``c``, ``r``,
+    ``1/L_33``, ``1/L_44`` and ``P_0``; a zero ``q`` or ``det S`` divides by 1."""
+    re, delta = _entries(rates)
+    if rates.shape:
+        s = np.abs(np.broadcast_arrays(*(x for row in re[:3] for x in row[:3]))).max(axis=0)
+        make, p0 = _Pair, [_Pair(x.real, x.imag) for x in p0.T]
+    else:
+        s = max(abs(x) for row in re[:3] for x in row[:3])
+        make, p0 = complex, p0.tolist()
+    d, third = -re[3][3], s / 3.0
+    q = d * d + delta * delta
+    q = q + (q == 0)
+    g, c, r = 2.0 * d / q, [row[3] for row in re[:3]], re[3][:3]
+    a, b, e = ([x - third + g * ci * rj for x, rj in zip(row[:3], r)]
+               for row, ci in zip(re[:3], c))
+    adj = [[u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+           for u, v in ((b, e), (e, a), (a, b))]
+    det = a[0] * adj[0][0] + a[1] * adj[0][1] + a[2] * adj[0][2]
+    det = det + (det == 0)
+    inverse = [[column[i] / det for column in adj] for i in range(3)]
+    return inverse, c, r, make(-d / q, delta / q), make(-d / q, -delta / q), p0
+
+
+def _apply_inverse(factors: tuple, y: list) -> list:
+    """``R y`` of the five components ``y``: ``Q y``, the coherences
+    eliminated, ``S^-1`` on the populations and back-substitution."""
+    inverse, c, r, i33, i44, p0 = factors
+    t = y[0] + y[1] + y[2]
+    y = [yi - pi * t for yi, pi in zip(y, p0)]
+    w = y[3] * i33 + y[4] * i44
+    b = [yi - ci * w for yi, ci in zip(y, c)]
+    x = [row[0] * b[0] + row[1] * b[1] + row[2] * b[2] for row in inverse]
+    rx = r[0] * x[0] + r[1] * x[1] + r[2] * x[2]
+    return [*x, (y[3] - rx) * i33, (y[4] - rx) * i44]
 
 
 def cumulants_perturbative(
@@ -227,52 +250,47 @@ def cumulants_perturbative(
 
 def _orders(record: dict, bath: str, kind: str, order: int) -> tuple:
     """E_1..E_order of :func:`cumulants_perturbative` of a memo record, resumed."""
-    made = record.get(("E", bath, kind)) or ((), (_kernel(record).vector,), ())
+    made = record.get(("E", bath, kind)) or ((), (_kernel(record).vector.tolist(),), ())
     if len(made[0]) < order:
         made = record["E", bath, kind] = _recursion(
-            _inverse(record), _derivatives(record, bath, kind, order), made, order)
+            _inverse(record) if order > 1 else None, _derivatives(record, bath, kind, order),
+            made, order)
     return made[0][:order]
 
 
-def _recursion(r: np.ndarray, h, made: tuple, order: int) -> tuple:
-    """The orders ``made`` = ``(E_1..E_k, P_0..P_k, <I|P_1>..<I|P_{k-1}>)``
-    of :func:`cumulants_perturbative`, complex, extended to ``order`` with
-    the projected inverse(s) ``r`` and H_1..H_order ``h`` of one point or a
-    stack; a fresh start is ``((), (P_0,), ())``, ``P_0`` the steady state(s).
-    A stack runs as ``(N, 5, 1)`` columns, each product a stacked
-    ``np.matmul`` (``TRACE_VECTOR @ v.T`` changes the last bit), with
-    ``(N, 1, 1)`` cumulants; the complex product of the correction term is
-    written out in real parts, as numpy may fuse an array product's
-    multiplies and adds.
-    """
+def _recursion(factors, h, made: tuple, order: int) -> tuple:
+    """The orders ``made`` = ``(E_1..E_k, P_0..P_{k-1}, <I|P_1>..<I|P_{k-1}>)``
+    of :func:`cumulants_perturbative` extended to ``order`` with the factors
+    of R (:func:`_eliminate`) and the sandwich rates ``h`` of H_1..H_order; a
+    fresh start is ``((), (P_0,), ())``, and ``P_N`` is made when order N + 1
+    needs it.  A vector is five Python ``complex`` for one point, five
+    :class:`_Pair` arrays for a stack, with one point's bits."""
     energies, states, traces = map(list, made)
-    if states[0].ndim == 1:
-        def trace(v):
-            return complex(_TRACE_ROW @ v)
 
-        times = mul
-    else:
-        def trace(v):
-            return _TRACE_ROW[None] @ v
+    def summed(big_n):  # sum_n C(N,n) H_n |P_{N-n}>; components 3 and 4 are equal
+        terms = []
+        for n in range(1, big_n + 1):
+            g11, g22, g12, l11, l22, l12 = (comb(big_n, n) * x for x in h[n - 1])
+            p = states[big_n - n]
+            terms.append((g11 * p[2], g22 * p[2], l11 * p[0] + l22 * p[1] + l12 * (p[3] + p[4]),
+                          g12 * p[2]))
+        total = [reduce(add, parts) for parts in zip(*terms)]
+        return [*total, total[3]]
 
-        def times(a, b):
-            out = np.empty_like(a)
-            out.real = a.real * b.real - a.imag * b.imag
-            out.imag = a.real * b.imag + a.imag * b.real
-            return out
-
+    last = None
     for big_n in range(len(energies) + 1, order + 1):
-        if big_n > 1:
-            traces.append(trace(states[-1]))
-        products = [h[n - 1] @ states[big_n - n] for n in range(1, big_n + 1)]
-        e = sum(comb(big_n, n) * trace(hp) for n, hp in enumerate(products, 1))
-        e -= sum(times(comb(big_n, k) * energies[k - 1], traces[big_n - k - 1])
-                 for k in range(1, big_n))
+        if len(states) < big_n:
+            m, hp = big_n - 1, last or summed(big_n - 1)
+            scaled = [comb(m, n) * energies[n - 1] for n in range(1, m + 1)]
+            states.append(_apply_inverse(factors, [
+                reduce(add, (e * states[m - n][i] for n, e in enumerate(scaled, 1))) - hp[i]
+                for i in range(5)]))
+            traces.append(states[-1][0] + states[-1][1] + states[-1][2])
+        last = summed(big_n)
+        e = last[0] + last[1] + last[2]
+        for k in range(1, big_n):
+            e = e - comb(big_n, k) * energies[k - 1] * traces[big_n - k - 1]
         energies.append(e)
-        accum = np.zeros(states[0].shape, dtype=complex)
-        for n, hp in enumerate(products, 1):
-            accum += comb(big_n, n) * (energies[n - 1] * states[big_n - n] - hp)
-        states.append(r @ accum)
     return tuple(energies), tuple(states), tuple(traces)
 
 
@@ -281,7 +299,7 @@ def _residues(raw: list, errors=()) -> list:
     cumulants ``raw`` (see :func:`_recursion`), one float per point (a list
     of one for one point); warns about each above :data:`IMAG_WARN`, in
     point order, except at the points in ``errors``, which hold no kernel."""
-    residues = np.abs(np.imag(raw)).max(axis=0).ravel()
+    residues = np.abs([e.imag for e in raw]).max(axis=0).ravel()
     for n in np.flatnonzero(residues > IMAG_WARN).tolist():
         if n not in errors:
             warnings.warn(f"cumulants carry imaginary residue {residues[n]:.3e}",
@@ -423,9 +441,8 @@ def _eigenvalues(rates: RateSet, bath: str, kind: str, h: float):
     found = []
     for chi in fields:
         gain, loss = next(_dressed_rates(rates, _single_field(bath, kind, chi), [bath], shift=True))
-        g11, g22, s0, s1, g12, dl = (make(z.real * k, z.imag * k) for z in (
-            gain(1, 1, 1), gain(2, 2, 2), loss(1, 1, 1), loss(2, 2, 2),
-            0.5 * (gain(1, 2, 1) + gain(1, 2, 2)), 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))))
+        g11, g22, g12, s0, s1, dl = (make(z.real * k, z.imag * k)
+                                     for z in _sandwich_values(gain, loss))
         finite = isfinite(p00 + p01 + p02 + c0 + p10 + p11 + p12 + c1 + r0 + r1 + r2 + d + delta
                           + sum(z.real + z.imag for z in (g11, g22, s0, s1, g12, dl)))
         # K_0 x K_1 = (a0 + mu q0, a1 + mu q1, a2 + mu (mu + m2)) + g V x r,

@@ -97,11 +97,15 @@ def _fill_sandwich(m, gain, loss) -> None:
     point's list of 25, a stack's ``(N, 25)`` array): the only entries that
     carry counting phases.  ``gain(i, j, k)`` and ``loss(i, j, k)`` are the
     rates of levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
-    g12 = 0.5 * (gain(1, 2, 1) + gain(1, 2, 2))
-    l12 = 0.5 * (loss(1, 2, 1) + loss(1, 2, 2))
-    values = (gain(1, 1, 1), gain(2, 2, 2), g12, g12, loss(1, 1, 1), loss(2, 2, 2), l12, l12)
-    for k, value in zip(_SANDWICH, values):
+    g11, g22, g12, l11, l22, l12 = _sandwich_values(gain, loss)
+    for k, value in zip(_SANDWICH, (g11, g22, g12, g12, l11, l22, l12, l12)):
         m[k if isinstance(m, list) else (..., k)] = value
+
+
+def _sandwich_values(gain, loss) -> tuple:
+    """The distinct sandwich entries (gain11, gain22, gain12, loss11, loss22, loss12)."""
+    return (gain(1, 1, 1), gain(2, 2, 2), 0.5 * (gain(1, 2, 1) + gain(1, 2, 2)),
+            loss(1, 1, 1), loss(2, 2, 2), 0.5 * (loss(1, 2, 1) + loss(1, 2, 2)))
 
 
 def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,), shift=False):

@@ -24,10 +24,10 @@ from .analysis import (
 )
 from .config import ScenarioConfig
 from .errors import BranchError, DegenerateSteadyStateError, UsageError, VfluxError
-from .fcs import (FD_STEP, _differences, _projected_inverse, _recursion, _residues,
+from .fcs import (FD_STEP, _differences, _eliminate, _recursion, _residues, _sandwich_rates,
                   cumulants_finite_difference, cumulants_perturbative)
-from .liouvillian import _chi_derivative, _fill_block, build_generator
-from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, CountingFields, SystemSpec,
+from .liouvillian import _fill_block, build_generator
+from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec,
                     distinct_texts, evaluate_valid, interference_bound, spec_hashes)
 from .steady import (
     steady_state,
@@ -117,12 +117,11 @@ def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
               "SeRR": np.full(len(v), math.nan), "res_energy": res_e, "res_particle": res_p}
     errors = {n: DegenerateSteadyStateError(text) for n, text in states.errors.items()}
     if include_noise:
-        # inverse, then derivatives, freed with the call (else fig21b +0.5 ms or +1.5 MB)
-        raw, _, _ = _recursion(_projected_inverse(matrices, v, states.errors),
-                               _chi_derivative(rates, CountingFields.zero(ENERGY), "R", (1, 2)),
-                               ((), (v[:, :, None],), ()), 2)
+        factors = _eliminate(rates, v)
+        raw, _, _ = _recursion(factors, _sandwich_rates(rates, "R", ENERGY, (1, 2)),
+                               ((), (factors[-1],), ()), 2)
         _residues(raw, states.errors)
-        arrays["SeRR"] = raw[1].real.ravel()
+        arrays["SeRR"] = raw[1].real
     if "SeRR_fd" in columns:
         fd, branch_errors = _differences(rates, "R", ENERGY, 2, FD_STEP)
         arrays["SeRR_fd"] = fd[1]

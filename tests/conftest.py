@@ -105,6 +105,17 @@ DETUNED_SPEC = SystemSpec(1.2, 0.7, 2.0, 1.0, 1.0, 0.01, 0.01, 0.005, 0.01, 0.01
 NOT_FINITE = SystemSpec(1e-308, 1e-308, 1.0, 1.0, 1.0, *(0.45815976690544913,) * 2, 0.0,
                         *(0.45815976690544913,) * 2, 0.0, 0.0)
 
+
+def projected_inverse(m: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """The LAPACK oracle of ``fcs.pseudo_inverse_R``: ``Q inv(A) Q`` for the
+    bare generator ``m`` and its steady state ``p0``, ``Q = 1 - |P0><I|``,
+    ``A = L - s|e><I|``, ``e = I/3``, ``s = max|L_ij|`` over the population block."""
+    trace = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    a = m - np.abs(m[:3, :3]).max() * np.outer(trace / 3.0, trace)
+    q = np.eye(5) - np.outer(p0, trace)
+    return q @ np.linalg.inv(a) @ q
+
+
 def lapack_calls(monkeypatch, names) -> list:
     """``(name, matrices)`` of each later call of the ``np.linalg``
     functions ``names``, from any thread (``list.append`` is atomic)."""

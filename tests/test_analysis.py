@@ -23,7 +23,6 @@ from vflux.errors import (
     UsageError,
 )
 from vflux.config import build_config, config_for_target
-from vflux.fcs import _projected_inverse
 from vflux.liouvillian import build_generator
 from vflux.model import PARTICLE, SystemSpec, bose_occupation, build_rates, spec_arrays, spec_at
 from vflux.runner import SPEC_COLUMNS, _fig5a
@@ -31,7 +30,7 @@ from vflux.steady import steady_state
 from vflux.transport import (bath_currents, closed_form_JeR_resonant, heat_currents,
                              particle_currents)
 
-from conftest import BOUND, cycle_spec, table_rows, two_bath_spec
+from conftest import BOUND, cycle_spec, projected_inverse, table_rows, two_bath_spec
 
 
 def swap_coupling_sets(spec: SystemSpec) -> SystemSpec:
@@ -250,7 +249,7 @@ def test_tM_response_matches_the_analytic_response():
             p0 = steady_state(gen).vector
             n = bose_occupation(local.delta, tm)
             dn = n * (n + 1.0) * (local.delta / tm) / tm
-            dp0 = -(_projected_inverse(gen.matrix, p0) @ (local.gM * dn * pattern @ p0))
+            dp0 = -(projected_inverse(gen.matrix, p0) @ (local.gM * dn * pattern @ p0))
             analytic = np.array(bath_currents(rates, dp0, PARTICLE))
             analytic[2] += local.gM * dn * (p0[0] - p0[1]).real
             worst = max(worst, np.abs(analytic - stencil).max() / np.abs(stencil).max())

@@ -128,8 +128,9 @@ def outcome(call, spec):
 
 @pytest.fixture
 def residues_warn(monkeypatch):
-    """Every nonzero imaginary residue of a recursion is warned about."""
-    monkeypatch.setattr(fcs, "IMAG_WARN", 0.0)
+    """Every imaginary residue of a recursion is warned about: each is
+    zero, as the recursion keeps the cumulants exactly real."""
+    monkeypatch.setattr(fcs, "IMAG_WARN", -1.0)
 
 
 def fresh_outcomes(spec) -> dict:
@@ -254,9 +255,9 @@ def test_threads_alternating_two_specs_get_the_single_thread_bits():
     assert sorted(finished) == [0, 1, 2, 3] and not wrong
 
 
-#: What the memo counts per spec: rate sets, complex kernels, projected
-#: inverses and generator-derivative dressings.
-TRAFFIC = ("RateSet", "steady_state", "_projected_inverse", "_chi_derivative")
+#: What the memo counts per spec: rate sets, complex kernels, elimination
+#: factors of the projected inverse and dressings of the sandwich rates.
+TRAFFIC = ("RateSet", "steady_state", "_eliminate", "_sandwich_rates")
 
 
 def benchmark_sequence(spec):
@@ -290,8 +291,8 @@ def test_benchmark_sequence_traffic(monkeypatch, spec, counts):
 def test_report_then_cumulants_make_only_the_missing_orders(monkeypatch):
     spec = replace(DETUNED_SPEC)
     CurrentReport.from_spec(spec)
-    calls = count_calls(monkeypatch, ("RateSet", "steady_state", "_projected_inverse",
-                                      "_chi_derivative", "_fill_block"))
+    calls = count_calls(monkeypatch, ("RateSet", "steady_state", "_eliminate",
+                                      "_sandwich_rates", "_fill_block"))
     made = []
     original = fcs._recursion
 
@@ -301,7 +302,7 @@ def test_report_then_cumulants_make_only_the_missing_orders(monkeypatch):
 
     monkeypatch.setattr(fcs, "_recursion", recursion)
     cumulants_perturbative(spec, "R", ENERGY, 4)
-    assert made == [(2, 4)] and calls == Counter({"_chi_derivative": 1})
+    assert made == [(2, 4)] and calls == Counter({"_sandwich_rates": 1})
     made.clear()
     calls.clear()
     cumulants_perturbative(spec, "R", ENERGY, 3)
