@@ -20,11 +20,12 @@ from .errors import (
     UsageError,
     VfluxError,
 )
-from .fcs import richardson
+from .fcs import _apply_inverse, _eliminate
 from .liouvillian import _entries
-from .model import ENERGY, RateSet, SystemSpec, _invalid, _valid_points, spec_arrays, spec_at
-from .steady import _error_text, _real_columns
-from .transport import bath_currents, heat_currents, particle_currents
+from .model import (ENERGY, PARTICLE, RateSet, SystemSpec, _invalid, _valid_points, spec_arrays,
+                    spec_at)
+from .steady import _error_text, _real_columns, _solve
+from .transport import bath_currents, heat_currents
 
 #: Denominators at or below this level make the figure of merit undefined.
 RECTIFICATION_FLOOR = 1e-15
@@ -307,62 +308,63 @@ def _grid(name: str, values) -> np.ndarray:
 class AmplificationResult:
     """Heat-current response ratios to the middle-bath temperature.
 
-    ``dJdTm`` holds the three central-difference derivatives
-    (dJeL/dTM, dJeR/dTM, dJeM/dTM) after one Richardson refinement.
-    ``branch_residual`` measures how well betaR equals |betaL +- 1| with
-    the sign fixed by the direction of dJeL/dJeM.
+    ``dJdTm`` holds the exact (dJeL/dTM, dJeR/dTM, dJeM/dTM) of
+    :func:`_tM_response`.  ``branch_residual`` measures how well betaR
+    equals |betaL +- 1| with the sign fixed by the direction of dJeL/dJeM.
     """
 
     tM: float
     betaL: float
     betaR: float
     dJdTm: tuple[float, float, float]
-    stencil_h: float
     branch_theta: int
     branch_residual: float
 
 
-def _tM_response(currents, spec: SystemSpec, tM: float, h: float | None = None):
-    """Step and d/dTM of ``currents(spec)`` (middle-bath current last) at
-    ``tM``: central differences with steps ``h`` (default 1e-4*tM) and
-    ``h/2``, Richardson-refined once.  Raises :class:`UsageError` unless
-    ``tM`` is a real and ``h`` a finite positive real, neither a bool, and
-    ``tM - h > 0``, and :class:`IndeterminateAmplificationError` when the
-    middle-bath current does not respond."""
+def _tM_response(params, kind: str):
+    """Exact d/dTM of the currents (J_L, J_R, J_M) of ``kind`` at the valid
+    point or stack of fields ``params`` (as :class:`RateSet` takes them),
+    and the kernel's ratio and verdicts (:func:`vflux.steady._solve`):
+    ``dP0/dTM = -R (dL/dTM) P0`` by :func:`vflux.fcs._apply_inverse`, plus
+    J_M's own middle rates (``docs/physics.md``).  One point in Python
+    numbers, a stack in arrays, with one point's bits."""
+    rates = RateSet(params)
+    pop, (x, y), ratio, isolated, usable, t = _solve(*_entries(rates))
+    # P0 as fcs._eliminate takes it, each part divided by the trace alone
+    if rates.shape:
+        p0 = np.stack([*pop, x, x], axis=-1) / t[:, None] + 0j
+        p0.imag[:, 3], p0.imag[:, 4] = y / t, -y / t
+    else:
+        p0 = np.array([*(q / t for q in pop), complex(x / t, y / t), complex(x / t, -y / t)])
+    factors = _eliminate(rates, p0)
+    p, n, tm = factors[-1], rates.occM, params["tempM"]
+    # gM dn/dTM, dn/dTM = n (n + 1) (delta/TM) / TM; delta/TM overflows only where n is 0
+    rate = params["gM"] * (n * (n + 1.0) * (rates.delta * (n > 0.0) / tm) / tm)
+    # -(dL/dTM) P0: the middle bath moves populations 1 <-> 2 and damps both coherences
+    flow = (p[0] - p[1]) * rate
+    dj = bath_currents(rates, _apply_inverse(factors, [
+        flow, (p[1] - p[0]) * rate, p[2] * 0.0, p[3] * rate, p[4] * rate]), kind)
+    return (dj[0], dj[1], dj[2] + rates.weights(kind)[2] * flow.real), ratio, isolated, usable
+
+
+def amplification(spec: SystemSpec, tM: float) -> AmplificationResult:
+    """Amplification factors beta_u = |dJe_u/dTM| / |dJeM/dTM| at fixed edges
+    (:func:`_tM_response` at ``tempM = tM``).  Raises the :class:`DomainError`
+    of that spec, the kernel's error, or :class:`IndeterminateAmplificationError`
+    when the middle-bath current does not respond."""
     _real("tM", tM)
-    if h is not None:
-        _real("h", h)
-        if not (np.isfinite(h) and h > 0.0):
-            raise UsageError(f"h = {h} must be finite and > 0")
-    step = 1e-4 * tM if h is None else h
-    if tM - step <= 0.0:
-        raise UsageError(f"tM - h = {tM - step} must stay positive")
-
-    def j(tm: float) -> np.ndarray:
-        return np.array(currents(replace(spec, tempM=tm)))
-
-    coarse = (j(tM + step) - j(tM - step)) / (2.0 * step)
-    d = richardson(coarse, (j(tM + step / 2.0) - j(tM - step / 2.0)) / step)
-    if abs(d[-1]) <= AMPLIFICATION_FLOOR:
-        raise IndeterminateAmplificationError(
-            f"middle-bath current does not respond to tM at tM={tM}"
-        )
-    return step, d
-
-
-def amplification(spec: SystemSpec, tM: float, h: float | None = None) -> AmplificationResult:
-    """Amplification factors beta_u = |dJe_u/dTM| / |dJeM/dTM| at fixed edges.
-
-    Central differences with relative step (default 1e-4*tM) and one
-    Richardson refinement; the currents are smooth in the middle-bath
-    temperature here.
-    """
-    step, d = _tM_response(heat_currents, spec, tM, h)
-    beta_l = abs(d[0]) / abs(d[2])
-    beta_r = abs(d[1]) / abs(d[2])
-    theta = 0 if d[0] / d[2] > 0.0 else 1
+    # a Python float: a numpy scalar tM would warn where Python floats overflow silently
+    local = replace(spec, tempM=float(tM)).require_valid()
+    (dl, dr, dm), ratio, isolated, usable = _tM_response(vars(local), ENERGY)
+    if not usable:
+        raise DegenerateSteadyStateError(_error_text(ratio, isolated))
+    if abs(dm) <= AMPLIFICATION_FLOOR:
+        raise IndeterminateAmplificationError(f"middle-bath current does not respond to tM "
+                                              f"at tM={tM}")
+    beta_l, beta_r = abs(dl) / abs(dm), abs(dr) / abs(dm)
+    theta = 0 if dl / dm > 0.0 else 1
     residual = abs(beta_r - abs(beta_l + (-1.0) ** theta))
-    return AmplificationResult(tM, beta_l, beta_r, (d[0], d[1], d[2]), step, theta, residual)
+    return AmplificationResult(tM, beta_l, beta_r, (dl, dr, dm), theta, residual)
 
 
 def max_amplification(spec: SystemSpec, tM_grid: np.ndarray | None = None) -> float:
@@ -372,24 +374,29 @@ def max_amplification(spec: SystemSpec, tM_grid: np.ndarray | None = None) -> fl
 
     the cyclic-structure prefactor, exact in the cyclic coupling pattern
     where the particle-current response ratio is one, times that ratio,
-    which the bypass channels suppress monotonically.  Grid points without
-    a response (a step reaching ``tM <= 0``, or none from the middle bath)
-    are skipped.
+    which the bypass channels suppress monotonically.  The positive grid
+    points form one stack (:func:`_tM_response`); a point with ``tM <= 0``
+    or NaN, no middle-bath response or a NaN ratio is skipped, and the
+    first that is not valid or whose kernel fails raises its error.
     """
     grid = _grid("tM_grid", default_tM_grid() if tM_grid is None else tM_grid)
     prefactor = cyclic_amplification_analytic(spec.eps1, spec.eps2)
-    best = None
-    for tm in grid:
-        try:
-            _, d = _tM_response(lambda local: particle_currents(local)[1:], spec, tm)
-        except (UsageError, IndeterminateAmplificationError):
-            continue
-        ratio = abs(d[0]) / abs(d[1])
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
+    tm = grid[grid > 0.0].astype(float)
+    params = {**spec_arrays([spec] * len(tm)), "tempM": tm}
+    stop = int(np.argmin(np.append(_valid_points(params), False)))  # the first invalid point
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        (_, dr, dm), ratio, isolated, usable = _tM_response(
+            {name: values[:stop] for name, values in params.items()}, PARTICLE)
+        gain = np.abs(dr) / np.abs(dm)
+    if not usable.all():
+        at = int(np.argmin(usable))
+        raise DegenerateSteadyStateError(_error_text(ratio[at], isolated[at]))
+    if stop < len(tm):
+        raise _invalid(spec_at(params, stop))
+    best = gain[(np.abs(dm) > AMPLIFICATION_FLOOR) & ~np.isnan(gain)]
+    if not best.size:
         raise IndeterminateAmplificationError("every grid point was indeterminate")
-    return prefactor * best
+    return prefactor * float(best.max())
 
 
 def cyclic_amplification_analytic(eps1: float, eps2: float) -> float:

@@ -88,7 +88,7 @@ _KNOWN_TOP = {"schema", "task", "reproduce", "system", "sweep", "output",
               "rectify", "amplify", "cumulants"}
 
 #: The keys of each task-option section.
-_OPTION_KEYS = {"rectify": ("t0", "deltaT"), "amplify": ("tM", "h"),
+_OPTION_KEYS = {"rectify": ("t0", "deltaT"), "amplify": ("tM",),
                 "cumulants": ("bath", "kind", "order")}
 
 
@@ -202,12 +202,11 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         if unknown_keys:
             problems.append(f"{section}: unknown keys: {', '.join(unknown_keys)}")
         options.update((f"{section}.{key}", node[key]) for key in keys if key in node)
-    for key in ("rectify.t0", "amplify.h"):
-        if key in options:
-            value = _number(options[key])
-            if value is None or not 0.0 < value < math.inf:
-                problems.append(f"{key}: expected a positive finite number, got {options[key]!r}")
-            options[key] = value
+    if "rectify.t0" in options:
+        t0 = options["rectify.t0"]
+        options["rectify.t0"] = value = _number(t0)
+        if value is None or not 0.0 < value < math.inf:
+            problems.append(f"rectify.t0: expected a positive finite number, got {t0!r}")
     # a grid option is one number or a {min, max, steps} axis, kept as its values
     for key in ("rectify.deltaT", "amplify.tM"):
         if key in options:

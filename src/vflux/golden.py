@@ -91,14 +91,19 @@ def verify(case: GoldenCase, outputs: tuple[str, str] | None = None) -> dict[str
 
 def _differing_cells(a: str, b: str):
     """Each ``(row, column, cell_a, cell_b)`` whose texts differ, the rows read
-    as CSV (a quoted cell may hold commas): ``row`` from 1 (0 is the header),
-    the header name of ``a`` (of ``b`` if ``a`` is empty), None for no cell."""
+    as CSV (a quoted cell may hold commas) and paired by header name: ``row``
+    from 1 (0 is the header), None for no cell.  A column of one header only
+    is reported once, at row 0; a text without rows takes the other's header."""
     rows_a, rows_b = (list(csv.reader(io.StringIO(text))) for text in (a, b))
-    header = (rows_a or rows_b or [[]])[0]
+    head_a, head_b = ({name: col for col, name in enumerate(rows[0])} if rows else {}
+                      for rows in (rows_a or rows_b, rows_b or rows_a))
     for row, (cells_a, cells_b) in enumerate(zip_longest(rows_a, rows_b, fillvalue=[])):
-        for col, (cell_a, cell_b) in enumerate(zip_longest(cells_a, cells_b)):
-            if cell_a != cell_b:
-                yield row, header[col] if col < len(header) else col, cell_a, cell_b
+        for name in {**head_a, **head_b}:
+            at = head_a.get(name), head_b.get(name)
+            cell_a, cell_b = (cells[col] if col is not None and col < len(cells) else None
+                              for cells, col in zip((cells_a, cells_b), at))
+            if cell_a != cell_b and not (row and None in at):
+                yield row, name, cell_a, cell_b
 
 
 def _gap(cell_a, cell_b) -> tuple[float, float]:

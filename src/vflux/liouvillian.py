@@ -207,7 +207,9 @@ def generator_chi_derivative(
     _check_order("derivative", order, 4)
     if bath not in BATHS:
         raise UsageError(f"bath must be 'L' or 'R', got {bath!r}")
-    return _chi_derivative(build_rates(spec), chi0, bath, (order,))[0]
+    h = [0.0] * 25
+    _fill_sandwich(h, *next(_dressed_rates(build_rates(spec), chi0, (bath,), (order,))))
+    return np.array(h, dtype=complex).reshape(5, 5)
 
 
 def _check_order(what: str, order, top: int) -> None:
@@ -218,18 +220,6 @@ def _check_order(what: str, order, top: int) -> None:
     if not 1 <= order <= top:
         span = "1 or 2" if top == 2 else f"in 1..{top}"
         raise UsageError(f"{what} order must be {span}, got {order}")
-
-
-def _chi_derivative(rates: RateSet, chi0: CountingFields, bath: str, orders) -> list:
-    """:func:`generator_chi_derivative` of each order of ``orders`` from
-    built rates and one dressing, arguments unchecked, in the shape of
-    :func:`_fill_block`."""
-    matrices = []
-    for sandwich in _dressed_rates(rates, chi0, (bath,), orders):
-        h = np.zeros(rates.shape + (25,), dtype=complex) if rates.shape else [0.0] * 25
-        _fill_sandwich(h, *sandwich)
-        matrices.append(np.asarray(h, dtype=complex).reshape(rates.shape + (5, 5)))
-    return matrices
 
 
 # ---------------------------------------------------------------------------

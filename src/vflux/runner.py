@@ -218,11 +218,9 @@ def _rectify(config: ScenarioConfig):
 
 
 def _amplify(config: ScenarioConfig):
-    h = config.option("amplify.h")
-
     def cells(spec, tM):
-        res = amplification(spec, tM, h)
-        return {"h": res.stencil_h, "betaL": res.betaL, "betaR": res.betaR,
+        res = amplification(spec, tM)
+        return {"betaL": res.betaL, "betaR": res.betaR,
                 "dJeL_dTM": res.dJdTm[0], "dJeR_dTM": res.dJdTm[1], "dJeM_dTM": res.dJdTm[2],
                 "branch_theta": res.branch_theta, "branch_residual": res.branch_residual}
 
@@ -297,7 +295,7 @@ _TABLE = {
     "currents": (_CURRENT_COLUMNS, _currents),
     "cumulants": (("bath", "kind", "method", "E1", "E2", "E3", "E4", "imag_residue"), _cumulants),
     "rectify": (("t0", "deltaT", "j_forward", "j_backward", "rj"), _rectify),
-    "amplify": (("tM", "h", "betaL", "betaR", "dJeL_dTM", "dJeR_dTM", "dJeM_dTM",
+    "amplify": (("tM", "betaL", "betaR", "dJeL_dTM", "dJeR_dTM", "dJeM_dTM",
                  "branch_theta", "branch_residual"), _amplify),
     "sweep": ((*_STATE_COLUMNS, *_CURRENT_COLUMNS), _sweep),
     "fig2a": (_COHERENCE_COLUMNS, _coupling_grid),

@@ -1,11 +1,16 @@
+import math
 import re
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vflux.analysis import (
+    AMPLIFICATION_FLOOR,
     RECTIFICATION_FLOOR,
+    AmplificationResult,
     _tM_response,
     amplification,
     cyclic_amplification_analytic,
@@ -17,20 +22,25 @@ from vflux.analysis import (
     rectification,
 )
 from vflux.errors import (
+    ConfigError,
+    DegenerateSteadyStateError,
     DomainError,
     IndeterminateAmplificationError,
     IndeterminateRectificationError,
     UsageError,
+    VfluxError,
 )
 from vflux.config import build_config, config_for_target
 from vflux.liouvillian import build_generator
-from vflux.model import PARTICLE, SystemSpec, bose_occupation, build_rates, spec_arrays, spec_at
-from vflux.runner import SPEC_COLUMNS, _fig5a
-from vflux.steady import steady_state
+from vflux.model import (ENERGY, PARTICLE, SystemSpec, bose_occupation, build_rates, spec_arrays,
+                         spec_at)
+from vflux.runner import SPEC_COLUMNS, _fig5a, compute_rows
+from vflux.steady import _error_text, steady_state
 from vflux.transport import (bath_currents, closed_form_JeR_resonant, heat_currents,
                              particle_currents)
 
-from conftest import BOUND, cycle_spec, projected_inverse, table_rows, two_bath_spec
+from conftest import (BOUND, DETUNED_SPEC, NOT_FINITE, cycle_spec, projected_inverse,
+                      seeded_conserving_specs, seeded_leak_specs, table_rows, two_bath_spec)
 
 
 def swap_coupling_sets(spec: SystemSpec) -> SystemSpec:
@@ -158,21 +168,37 @@ def test_max_amplification_skips_non_positive_middle_temperatures():
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
 def test_amplification_rejects_a_step_that_is_not_finite_and_positive(h):
-    # h = 0 divided by zero into NaN betas, and a negative h came back as
-    # stencil_h < 0
-    with pytest.raises(UsageError, match=f"h = {h} must be finite and > 0"):
+    # h = 0 once divided by zero into NaN betas, and a negative h came back
+    # as stencil_h < 0; the response is exact now, so no step reaches it
+    with pytest.raises(TypeError):
         amplification(cycle_spec(), 1.0, h)
+    with pytest.raises(TypeError):
+        amplification(cycle_spec(), 1.0, h=h)
+    with pytest.raises(ConfigError, match="amplify: unknown keys: h"):
+        build_config({"task": "amplify", "amplify": {"tM": 1.0, "h": h}})
 
 
-@pytest.mark.parametrize("h", ["x", True, np.bool_(True), 1e-3 + 0j, None], ids=repr)
-def test_amplification_rejects_a_step_that_is_not_a_real_number(h):
-    # "x" escaped as numpy's TypeError from np.isfinite, and True ran as
-    # the step 1.0; None is the default step
-    if h is None:
-        assert amplification(cycle_spec(), 1.0, h).stencil_h == 1e-4
-        return
-    with pytest.raises(UsageError, match=re.escape(f"h = {h!r} must be a real number")):
-        amplification(cycle_spec(), 1.0, h)
+@pytest.mark.parametrize("tM", [0.0, -1e-4, np.nan, np.inf])
+def test_amplification_rejects_a_middle_temperature_that_is_not_finite_and_positive(tM):
+    # the spec's own DomainError for tempM; the stencil's step rule read
+    # "tM - h = ... must stay positive" at tM <= 0
+    with pytest.raises(DomainError, match=re.escape(f"tempM = {tM} must be")):
+        amplification(cycle_spec(), tM)
+
+
+@pytest.mark.parametrize("tM", ["x", True, np.bool_(True), 1e-3 + 0j, None], ids=repr)
+def test_amplification_rejects_a_middle_temperature_that_is_not_a_real_number(tM):
+    with pytest.raises(UsageError, match=re.escape(f"tM = {tM!r} must be a real number")):
+        amplification(cycle_spec(), tM)
+
+
+def test_amplification_takes_no_step():
+    # the response is exact: no step argument, result field or config key
+    with pytest.raises(TypeError):
+        amplification(cycle_spec(), 1.0, 1e-4)
+    assert "stencil_h" not in AmplificationResult.__dataclass_fields__
+    columns, _ = compute_rows(build_config({"task": "amplify", "amplify": {"tM": 1.0}}))
+    assert "h" not in columns
 
 
 RECT, CYCLE = two_bath_spec(0.8 * BOUND, 0.0), cycle_spec()
@@ -228,32 +254,135 @@ def test_scans_reject_a_grid_that_is_not_one_dimensional(grid):
         max_amplification(cycle_spec(), grid)
 
 
+def stencil_response(spec: SystemSpec, tm: float) -> np.ndarray:
+    """d/dTM of ``particle_currents`` as it was taken before the exact
+    response: central differences with steps ``h = 1e-4*tm`` and ``h/2``,
+    Richardson-refined once."""
+    def j(t):
+        return np.array(particle_currents(replace(spec, tempM=t)))
+
+    h = 1e-4 * tm
+    coarse = (j(tm + h) - j(tm - h)) / (2.0 * h)
+    return (4.0 * (j(tm + h / 2.0) - j(tm - h / 2.0)) / h - coarse) / 3.0
+
+
 def test_tM_response_matches_the_analytic_response():
     # dP0/dTM = -R (dL/dTM) P0 (Schweitzer, J. Appl. Prob. 5, 401 (1968)),
     # with R the projected inverse and dL/dTM from the middle-bath rates
-    # gM*n and gM*(1 + n), dn/dTM = n*(n + 1)*(delta/TM)/TM.  The stencil's
-    # relative error reads at most 3.2e-9 on these 2,100 points.
+    # gM*n and gM*(1 + n), dn/dTM = n*(n + 1)*(delta/TM)/TM.  On these 2,100
+    # points the exact response reads at most 5.5e-14 relative against R
+    # from LAPACK and 3.2e-9 against the stencil, the stencil's own error.
     fields, _, _ = _fig5a(config_for_target("fig5a"))
     # dL/dTM over gM*dn/dTM: the middle bath moves populations 1 <-> 2 and
     # damps both coherences
     pattern = np.zeros((5, 5))
     pattern[0, 0] = pattern[1, 1] = pattern[3, 3] = pattern[4, 4] = -1.0
     pattern[0, 1] = pattern[1, 0] = 1.0
-    worst = 0.0
+    worst_lapack = worst_stencil = 0.0
     for spec in (spec_at(fields, n) for n in range(len(fields["eps1"]))):
         for tm in default_tM_grid().tolist():
-            _, stencil = _tM_response(particle_currents, spec, tm)
             local = replace(spec, tempM=tm)
+            exact = np.array(_tM_response(vars(local), PARTICLE)[0])
             rates = build_rates(local)
             gen = build_generator(local)
             p0 = steady_state(gen).vector
             n = bose_occupation(local.delta, tm)
             dn = n * (n + 1.0) * (local.delta / tm) / tm
             dp0 = -(projected_inverse(gen.matrix, p0) @ (local.gM * dn * pattern @ p0))
-            analytic = np.array(bath_currents(rates, dp0, PARTICLE))
-            analytic[2] += local.gM * dn * (p0[0] - p0[1]).real
-            worst = max(worst, np.abs(analytic - stencil).max() / np.abs(stencil).max())
-    assert worst <= 1e-8
+            lapack = np.array(bath_currents(rates, dp0, PARTICLE))
+            lapack[2] += local.gM * dn * (p0[0] - p0[1]).real
+            scale = np.abs(exact).max()
+            worst_lapack = max(worst_lapack, np.abs(lapack - exact).max() / scale)
+            worst_stencil = max(worst_stencil,
+                                np.abs(stencil_response(spec, tm) - exact).max() / scale)
+    assert worst_lapack <= 1e-12
+    assert worst_stencil <= 1e-8
+
+
+def test_max_amplification_takes_subnormal_middle_temperatures_in_any_order():
+    # the stencil's default step 1e-4*tM underflowed to 0 at tM = 1e-320 and
+    # gave a NaN ratio, which no later point replaced; the middle occupation
+    # underflows to 0 there, so nothing responds
+    spec = cycle_spec()
+    assert max_amplification(spec, [1e-320, 0.5]) == max_amplification(spec, [0.5, 1e-320])
+    assert max_amplification(spec, [1e-320, 0.5]) == max_amplification(spec, [0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IndeterminateAmplificationError, match="tM=1e-320$"):
+            amplification(spec, 1e-320)
+        with pytest.raises(IndeterminateAmplificationError, match="every grid point"):
+            max_amplification(spec, [1e-320, 5e-324])
+
+
+def outcome(call, *args):
+    """The bits of a call's float or floats (``float.hex``, signed zeros
+    apart), or the type and text of the VfluxError it raises."""
+    try:
+        value = call(*args)
+    except VfluxError as exc:
+        return type(exc), str(exc)
+    return tuple(map(float.hex, value)) if isinstance(value, tuple) else float.hex(value)
+
+
+def max_by_points(spec: SystemSpec, grid) -> float:
+    """:func:`max_amplification` point by point, each point the response of
+    one spec in Python numbers, with the skip rules and errors of the stack."""
+    prefactor = cyclic_amplification_analytic(spec.eps1, spec.eps2)
+    best = None
+    for tm in np.asarray(grid, dtype=float).tolist():
+        if not tm > 0.0:
+            continue
+        local = replace(spec, tempM=tm).require_valid()
+        (_, dr, dm), ratio, isolated, usable = _tM_response(vars(local), PARTICLE)
+        if not usable:
+            raise DegenerateSteadyStateError(_error_text(ratio, isolated))
+        if abs(dm) > AMPLIFICATION_FLOOR and not math.isnan(abs(dr) / abs(dm)):
+            best = abs(dr) / abs(dm) if best is None else max(best, abs(dr) / abs(dm))
+    if best is None:
+        raise IndeterminateAmplificationError("every grid point was indeterminate")
+    return prefactor * best
+
+
+def amplification_by_point(spec: SystemSpec, tm: float):
+    """:func:`amplification`'s derivatives from one point's response."""
+    local = replace(spec, tempM=tm).require_valid()
+    d, ratio, isolated, usable = _tM_response(vars(local), ENERGY)
+    if not usable:
+        raise DegenerateSteadyStateError(_error_text(ratio, isolated))
+    if abs(d[2]) <= AMPLIFICATION_FLOOR:
+        raise IndeterminateAmplificationError(
+            f"middle-bath current does not respond to tM at tM={tm}")
+    return d
+
+
+#: Grids with points the scan skips (tM <= 0, NaN, a subnormal tM) and one
+#: whose third point is not valid (tempM = inf).
+GRIDS = ([0.3, -0.5, np.nan, 0.0, 1e-320, 0.9, 1.6], [0.7, 1.2, np.inf, 0.4])
+
+
+def amplification_corpus() -> list[SystemSpec]:
+    specs = seeded_conserving_specs(12, seed=32) + seeded_leak_specs(6, seed=32)
+    return [*specs, *(replace(spec, gM=0.0) for spec in specs[:3]),
+            replace(specs[0], gL12=1.0), replace(specs[1], eps2=specs[1].eps1),
+            NOT_FINITE, cycle_spec(0.5, 0.004), DETUNED_SPEC]
+
+
+def test_one_response_core_serves_both_shapes():
+    # max_amplification's stack and amplification's point are the one core
+    # of _tM_response, bit for bit and outcome for outcome
+    kinds = Counter()
+    for spec in amplification_corpus():
+        for grid in GRIDS:
+            got = outcome(max_amplification, spec, grid)
+            assert got == outcome(max_by_points, spec, grid), (spec, grid)
+            kinds[got[0] if isinstance(got, tuple) else float] += 1
+        for tm in (0.4, 1.3, -0.2, np.nan, 1e-320):
+            got = outcome(lambda s, t: amplification(s, t).dJdTm, spec, tm)
+            assert got == outcome(amplification_by_point, spec, tm), (spec, tm)
+            kinds[got[0] if isinstance(got[0], type) else tuple] += 1
+    # every kind of outcome is met
+    assert set(kinds) == {float, tuple, DomainError, DegenerateSteadyStateError,
+                          IndeterminateAmplificationError}
 
 
 def test_cyclic_amplification_analytic_values():

@@ -275,7 +275,8 @@ def test_cli_cold_bath_sweep_completes(tmp_path, capsys):
     ("cumulants", "cumulants: {order: x}", "cumulants.order: expected an integer"),
     ("cumulants", "cumulants: {order: 2.5}", "cumulants.order: expected an integer"),
     ("amplify", "amplify: {tM: {min: 1.0}}", "amplify.tM: needs numeric min, max"),
-    ("amplify", "amplify: {h: .inf}", "amplify.h: expected a positive finite number"),
+    # the response is exact: no task option sets a step
+    ("amplify", "amplify: {h: 1.0e-3}", "amplify: unknown keys: h"),
     ("amplify", "amplify: {tm: 1.0}", "amplify: unknown keys: tm"),
     ("rectify", "rectify: {t0: abc}", "rectify.t0: expected a positive finite number"),
     ("rectify", "rectify: {t0: -1.0}", "rectify.t0: expected a positive finite number"),

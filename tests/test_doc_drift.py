@@ -12,7 +12,7 @@ import pytest
 
 import vflux
 
-from vflux.config import REPRODUCE_TARGETS, TASKS, load_config
+from vflux.config import _OPTION_KEYS, REPRODUCE_TARGETS, TASKS, load_config
 from vflux.golden import load_cases, stored_csv
 from vflux.runner import SPEC_COLUMNS
 
@@ -43,6 +43,15 @@ def test_schema_doc_matches_target_columns(reproduce_outputs):
     for target in REPRODUCE_TARGETS:
         columns = reproduce_outputs[target][0]
         assert columns == ("spec_hash", *SPEC_COLUMNS, *documented[target]), target
+
+
+def test_config_doc_lists_the_task_option_keys():
+    # each task-option row of docs/config.md names exactly the section's
+    # keys, so a removed option cannot linger there
+    text = (ROOT / "docs" / "config.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` *\| `\{([\w, ]+)\}`", text, flags=re.MULTILINE)
+    documented = {name: tuple(keys.split(", ")) for name, keys in rows if name in _OPTION_KEYS}
+    assert documented == _OPTION_KEYS
 
 
 def test_reproduce_targets_are_the_golden_targets():

@@ -103,6 +103,18 @@ def test_column_diffs():
     assert column_diffs(a, a) == {}
 
 
+def test_report_pairs_cells_by_column_name(capsys):
+    # a dropped column is reported once, by name, and each later column is
+    # compared with its own cells, not with its neighbour's
+    report("tM,h,betaL,error\n0.5,1e-4,4.5,\n", "tM,betaL,error\n0.5,4.5000001,\n")
+    assert capsys.readouterr().out.splitlines() == [
+        f"  first cell: {(0, 'h', 'h', None)}",
+        "  h: 1 cells, max abs inf, max rel inf",
+        "  betaL: 1 cells, max abs 1.000e-07, max rel 2.222e-08",
+    ]
+    assert column_diffs("a,c\n1,3\n", "a,b,c\n1,2,3\n") == {"b": (1, math.inf, math.inf)}
+
+
 def test_stored_csvs_hash_to_the_digests():
     # one stored CSV per case and no other file; each decompresses to the
     # bytes its digest names

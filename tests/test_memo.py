@@ -273,9 +273,9 @@ def benchmark_sequence(spec):
 
 
 @pytest.mark.parametrize("spec,counts", [
-    # rectification builds 2 rate sets and amplification 4 (a stencil of
-    # 4 points, each current once)
-    (DETUNED_SPEC, (7, 2, 1, 2)),
+    # rectification builds 2 rate sets, and amplification 1 and its own
+    # elimination factors (one exact response)
+    (DETUNED_SPEC, (4, 2, 2, 2)),
     (MAX_BIAS_SPEC, (3, 2, 1, 2)),
 ], ids=["with_middle_bath", "two_bath"])
 def test_benchmark_sequence_traffic(monkeypatch, spec, counts):
