@@ -353,8 +353,7 @@ def amplification(spec: SystemSpec, tM: float) -> AmplificationResult:
     of that spec, the kernel's error, or :class:`IndeterminateAmplificationError`
     when the middle-bath current does not respond."""
     _real("tM", tM)
-    # a Python float: a numpy scalar tM would warn where Python floats overflow silently
-    local = replace(spec, tempM=float(tM)).require_valid()
+    local = replace(spec, tempM=tM).require_valid()
     (dl, dr, dm), ratio, isolated, usable = _tM_response(vars(local), ENERGY)
     if not usable:
         raise DegenerateSteadyStateError(_error_text(ratio, isolated))

@@ -67,39 +67,29 @@ def _entries(rates: RateSet):
 
 
 def _fill_block(rates: RateSet, sandwich=None) -> np.ndarray:
-    """The 5x5 generator from :func:`_entries`, of shape ``rates.shape +
-    (5, 5)`` (C-contiguous for a stack, written as ``(N, 25)``; one point's
-    25 Python numbers made an array by one call).  ``sandwich``, the
-    ``(gain, loss)`` rate functions of :func:`_dressed_rates`, fills the
-    gain-type entries (:func:`_fill_sandwich`); without it the bare rates
-    do: the bare generator.
-    """
+    """One point's 5x5 generator from :func:`_entries`, made an array by one
+    call; ``sandwich``, the ``(gain, loss)`` rate functions of
+    :func:`_dressed_rates`, fills the gain-type entries (:func:`_fill_sandwich`),
+    else the bare rates do: the bare generator."""
     re, delta = _entries(rates)
     m = [*re[0], re[0][3], *re[1], re[1][3], *re[2], re[2][3],
          *re[3], 0.0, *re[3][:3], 0.0, re[3][3]]
-    if rates.shape:
-        m, entries = np.zeros(rates.shape + (25,), dtype=complex), m
-        for k, entry in enumerate(entries):
-            m.real[..., k] = entry
-        m.imag[..., 18], m.imag[..., 24] = -delta, delta
-    else:
-        m[18], m[24] = complex(m[18], -delta), complex(m[24], delta)
+    m[18], m[24] = complex(m[18], -delta), complex(m[24], delta)
     if sandwich:
         _fill_sandwich(m, *sandwich)
-    return np.asarray(m, dtype=complex).reshape(rates.shape + (5, 5))
+    return np.array(m, dtype=complex).reshape(5, 5)
 
 
 _SANDWICH = (2, 7, 17, 22, 10, 11, 13, 14)  # row-major, in _fill_sandwich's order
 
 
 def _fill_sandwich(m, gain, loss) -> None:
-    """Write the gain-type ("sandwich") entries of ``m`` (row-major: one
-    point's list of 25, a stack's ``(N, 25)`` array): the only entries that
-    carry counting phases.  ``gain(i, j, k)`` and ``loss(i, j, k)`` are the
-    rates of levels ``(i, j)`` at energy ``eps_k`` (1-based)."""
+    """Write the gain-type ("sandwich") entries, the only ones with counting
+    phases, of one point's 25 row-major entries ``m``; ``gain(i, j, k)`` and
+    ``loss(i, j, k)`` are the rates of levels ``(i, j)`` at ``eps_k`` (1-based)."""
     g11, g22, g12, l11, l22, l12 = _sandwich_values(gain, loss)
     for k, value in zip(_SANDWICH, (g11, g22, g12, g12, l11, l22, l12, l12)):
-        m[k if isinstance(m, list) else (..., k)] = value
+        m[k] = value
 
 
 def _sandwich_values(gain, loss) -> tuple:
@@ -186,8 +176,7 @@ def build_counting_generator(spec: SystemSpec, chi: CountingFields) -> Generator
 
 
 def _counting_matrix(rates: RateSet, chi: CountingFields) -> np.ndarray:
-    """Matrix of :func:`build_counting_generator` from built rates, in the
-    shape of :func:`_fill_block`."""
+    """Matrix of :func:`build_counting_generator` from one point's built rates."""
     return _fill_block(rates, next(_dressed_rates(rates, chi, BATHS)))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -81,6 +82,12 @@ class SystemSpec:
     gR22: float
     gR12: float
     gM: float
+
+    def __post_init__(self):
+        # real fields become floats, which overflow silently where numpy scalars warn
+        for name, value in vars(self).items():
+            if type(value) is not float and isinstance(value, Real):
+                object.__setattr__(self, name, float(value))
 
     @property
     def delta(self) -> float:

@@ -26,16 +26,12 @@ from .config import ScenarioConfig
 from .errors import BranchError, DegenerateSteadyStateError, UsageError, VfluxError
 from .fcs import (FD_STEP, _differences, _eliminate, _recursion, _residues, _sandwich_rates,
                   cumulants_finite_difference, cumulants_perturbative)
-from .liouvillian import _fill_block, build_generator
+from .liouvillian import _entries, build_generator
 from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec,
                     distinct_texts, evaluate_valid, interference_bound, spec_hashes)
-from .steady import (
-    steady_state,
-    steady_state_batch,
-    steady_state_resonant_two_bath,
-    steady_state_three_terminal,
-    steady_state_time_integration,
-)
+from .steady import (POSITIVITY_TOL, _error_text, _residual, _solve, steady_state,
+                     steady_state_resonant_two_bath, steady_state_three_terminal,
+                     steady_state_time_integration)
 from .transport import _report_warnings, bath_currents
 
 
@@ -99,28 +95,41 @@ def _stacked(include_noise: bool):
     return evaluate
 
 
+def _kernel_vectors(re, delta):
+    """The kernel vectors of a stack's entries ``re`` and ``delta`` as ``(5, N)``
+    columns with the bits of :func:`vflux.steady.steady_state`'s, and the
+    error it raises at each point without one."""
+    pop, (x, y), ratio, isolated, usable, t = _solve(re, delta)
+    v = np.array([*pop, x, x], dtype=complex)
+    v.imag[3], v.imag[4] = y, -y
+    errors = {n: DegenerateSteadyStateError(_error_text(ratio[n], isolated[n]))
+              for n in np.flatnonzero(~usable).tolist()}
+    # numpy divides by the trace as by the complex t + 0j, as steady_state does
+    return v / t, errors
+
+
 def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
     """The cells of :func:`_stacked` in ``columns``, and the kernel's error,
     else the :class:`BranchError` (only where ``SeRR_fd`` is filled), by
     point."""
-    matrices = _fill_block(rates)
-    states = steady_state_batch(matrices)
-    v = states.vectors
-    je = bath_currents(rates, v.T, ENERGY)
-    jp = bath_currents(rates, v.T, PARTICLE)
+    re, delta = _entries(rates)
+    v, errors = _kernel_vectors(re, delta)
+    je = bath_currents(rates, v, ENERGY)
+    jp = bath_currents(rates, v, PARTICLE)
     res_e, res_p = np.abs(je[0] + je[1] + je[2]), np.abs(jp[0] + jp[1])
     # np.abs of a complex array differs from one point's abs in the last bit
-    arrays = {"rho11": v[:, 0].real, "rho22": v[:, 1].real, "rhogg": v[:, 2].real,
-              "abs_rho12": np.hypot(v[:, 3].real, v[:, 3].imag),
-              "re_rho12": v[:, 3].real, "im_rho12": v[:, 3].imag, "residual": states.residuals,
+    arrays = {"rho11": v[0].real, "rho22": v[1].real, "rhogg": v[2].real,
+              "abs_rho12": np.hypot(v[3].real, v[3].imag),
+              "re_rho12": v[3].real, "im_rho12": v[3].imag,
               "JeL": je[0], "JeR": je[1], "JeM": je[2], "JpL": jp[0], "JpR": jp[1], "JpM": jp[2],
-              "SeRR": np.full(len(v), math.nan), "res_energy": res_e, "res_particle": res_p}
-    errors = {n: DegenerateSteadyStateError(text) for n, text in states.errors.items()}
+              "SeRR": np.full(v.shape[1], math.nan), "res_energy": res_e, "res_particle": res_p}
+    if "residual" in columns:
+        arrays["residual"] = _residual(re, delta, v.real, v.imag)
     if include_noise:
-        factors = _eliminate(rates, v)
+        factors = _eliminate(rates, v.T)
         raw, _, _ = _recursion(factors, _sandwich_rates(rates, "R", ENERGY, (1, 2)),
                                ((), (factors[-1],), ()), 2)
-        _residues(raw, states.errors)
+        _residues(raw, errors)
         arrays["SeRR"] = raw[1].real
     if "SeRR_fd" in columns:
         fd, branch_errors = _differences(rates, "R", ENERGY, 2, FD_STEP)
@@ -129,8 +138,9 @@ def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
             errors.setdefault(n, BranchError(text))
     cells = {name: arrays[name].tolist() for name in columns if name in arrays}
     if "warnings" in columns:
+        positivity = v[:3].real.min(axis=0) < POSITIVITY_TOL
         cells["warnings"] = [";".join(_report_warnings(*flags)) for flags in zip(
-            res_e.tolist(), res_p.tolist(), states.positivity_warnings.tolist())]
+            res_e.tolist(), res_p.tolist(), positivity.tolist())]
     return cells, errors
 
 

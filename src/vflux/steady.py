@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, UsageError
-from .liouvillian import Generator, _entries, build_generator
+from .liouvillian import Generator, _entries
 from .model import SystemSpec, build_rates
 
 NULLSPACE = "nullspace"
@@ -132,8 +132,8 @@ def _real_columns(re, delta):
 class SteadyState:
     """A trace-normalized steady state plus solve diagnostics.
 
-    ``residual`` is the infinity norm of generator times state (for the
-    analytic routes, measured against the numerically built generator).
+    ``residual`` is ``|L v|∞`` of the bare generator ``L`` (:func:`_residual`;
+    for the analytic routes, the generator of the spec's rates).
     ``positivity_warning`` flags populations below -1e-8; the weak-coupling
     master equation does not guarantee complete positivity, so excursions
     are reported rather than rejected.
@@ -169,14 +169,39 @@ class SteadyState:
         return float(abs(self.vector[3]))
 
 
-def _finalize(vector: np.ndarray, gen_matrix: np.ndarray, method: str) -> SteadyState:
+def _residual(re, delta, real, imag):
+    """``|L v|∞`` of the bare generator of the entries ``re`` and ``delta``
+    (:func:`vflux.liouvillian._entries`) on ``v = real + i imag``: five floats
+    for one point, five arrays for a stack, each row summed in one fixed
+    order of real operations, so a stack has each point's bits under any
+    BLAS.  Moduli are ``abs(complex)`` of floats, ``np.hypot`` of arrays (the
+    same bits, unlike ``math.hypot``); the first of equal maxima is kept."""
+    (x0, x1, x2, x3, x4), (y0, y1, y2, y3, y4) = real, imag
+    # rows 0-2: column 4 mirrors 3; rows 3, 4: columns 0-2 alike, re_33 -+ i delta
+    rows = [(a * x0 + b * x1 + c * x2 + e * x3 + e * x4, a * y0 + b * y1 + c * y2 + e * y3 + e * y4)
+            for a, b, c, e in (row[:4] for row in re[:3])]
+    a, b, c, d = re[3][:4]
+    p, q = a * x0 + b * x1 + c * x2, a * y0 + b * y1 + c * y2
+    rows += [(p + (d * x3 + delta * y3), q + (d * y3 - delta * x3)),
+             (p + (d * x4 - delta * y4), q + (d * y4 + delta * x4))]
+    if not isinstance(delta, np.ndarray):
+        return max([abs(complex(x, y)) for x, y in rows])
+    top = np.hypot(*rows[0])
+    for x, y in rows[1:]:
+        modulus = np.hypot(x, y)
+        top = np.where(modulus > top, modulus, top)
+    return top
+
+
+def _finalize(vector: np.ndarray, re, delta, method: str) -> SteadyState:
+    """``vector`` trace-normalized, its residual from ``re`` and ``delta``."""
     if not np.isfinite(vector).all():
         raise DegenerateSteadyStateError(_NOT_FINITE_ERROR)
     trace = vector[0] + vector[1] + vector[2]
     if abs(trace) < 1e-300:
         raise DegenerateSteadyStateError(_ZERO_TRACE_ERROR)
     v = vector / trace
-    residual = float(np.abs(gen_matrix @ v).max())
+    residual = _residual(re, delta, v.real.tolist(), v.imag.tolist())
     warn = bool(min(v[0].real, v[1].real, v[2].real) < POSITIVITY_TOL)
     return SteadyState(v, residual, method, warn)
 
@@ -192,44 +217,11 @@ def steady_state(gen: Generator) -> SteadyState:
     """
     if gen.chi is not None and not gen.chi.is_zero:
         raise UsageError("steady_state requires the undressed generator")
-    m = gen.matrix
-    pop, (x, y), ratio, ok, _, _ = _solve(m.real.tolist(), -m.imag.item(3, 3))
+    re, delta = gen.matrix.real.tolist(), -gen.matrix.imag.item(3, 3)
+    pop, (x, y), ratio, ok, _, _ = _solve(re, delta)
     if not ok:
         raise DegenerateSteadyStateError(_ISOLATION_ERROR.format(ratio))
-    return _finalize(np.array([*pop, complex(x, y), complex(x, -y)]), m, NULLSPACE)
-
-
-@dataclass(frozen=True)
-class SteadyStateBatch:
-    """Steady states of N bare generators, from one stacked kernel: row
-    ``n`` carries the bits of :func:`steady_state` of generator ``n``, and
-    ``errors`` maps each generator without a unique steady state to the
-    text :func:`steady_state` raises for it (its row holds no state).
-    """
-
-    vectors: np.ndarray
-    residuals: np.ndarray
-    positivity_warnings: np.ndarray
-    errors: dict[int, str]
-
-
-def steady_state_batch(matrices: np.ndarray) -> SteadyStateBatch:
-    """Kernel vectors of a stack of bare generators, shape ``(N, 5, 5)``.
-
-    One :func:`_kernel` on the stack, then the tests of :func:`steady_state`
-    per matrix (isolation, zero trace, positivity).  The residuals use a
-    stacked ``np.matmul``, bitwise equal to one matrix's where ``einsum`` is not.
-    """
-    parts = matrices.transpose(1, 2, 0)
-    pop, (x, y), ratio, isolated, usable, t = _solve(parts.real, -parts.imag[3, 3])
-    vectors = np.stack([*pop, x, x], axis=-1).astype(complex)
-    vectors.imag[:, 3], vectors.imag[:, 4] = y, -y
-    # numpy divides by the trace as by the complex t + 0j
-    vectors = vectors / t[:, None]
-    residuals = np.abs(np.matmul(matrices, vectors[:, :, None])[:, :, 0]).max(axis=-1)
-    positivity = vectors[:, :3].real.min(axis=-1) < POSITIVITY_TOL
-    errors = {n: _error_text(ratio[n], isolated[n]) for n in np.flatnonzero(~usable).tolist()}
-    return SteadyStateBatch(vectors, residuals, positivity, errors)
+    return _finalize(np.array([*pop, complex(x, y), complex(x, -y)]), re, delta, NULLSPACE)
 
 
 def steady_state_resonant_two_bath(spec: SystemSpec) -> SteadyState:
@@ -265,7 +257,7 @@ def steady_state_resonant_two_bath(spec: SystemSpec) -> SteadyState:
         2.0 * gp12 - gm12 * (gp11 / gm11 + gp22 / gm22)
     )
     vector = np.array([rho11, rho22, rhogg, rho12, rho12], dtype=complex)
-    return _finalize(vector, build_generator(spec).matrix, ANALYTIC)
+    return _finalize(vector, *_entries(r), ANALYTIC)
 
 
 def steady_state_three_terminal(spec: SystemSpec) -> SteadyState:
@@ -287,7 +279,7 @@ def steady_state_three_terminal(spec: SystemSpec) -> SteadyState:
     rho22 = ((gm11 + gMm) * gp22 + gMm * gp11) / norm
     rhogg = (gm22 * gm11 + gm22 * gMm + gMp * gm11) / norm
     vector = np.array([rho11, rho22, rhogg, 0.0, 0.0], dtype=complex)
-    return _finalize(vector, build_generator(spec).matrix, ANALYTIC)
+    return _finalize(vector, *_entries(r), ANALYTIC)
 
 
 def evolve(
@@ -335,10 +327,12 @@ def steady_state_time_integration(
     t_end: float = 1e6,
     tol: float = 1e-12,
 ) -> SteadyState:
-    """Relax the pure ground state under the dynamics (oracle route)."""
+    """Relax the pure ground state under the bare ``gen`` (oracle route)."""
+    if gen.chi is not None and not gen.chi.is_zero:
+        raise UsageError("steady_state_time_integration requires the undressed generator")
     init = np.array([0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex)
     v = evolve(gen, init, t_end=t_end, tol=tol)
-    return _finalize(v, gen.matrix, TIME_INTEGRATION)
+    return _finalize(v, gen.matrix.real.tolist(), -gen.matrix.imag.item(3, 3), TIME_INTEGRATION)
 
 
 def coherence_vanishing_residual(spec: SystemSpec) -> float:

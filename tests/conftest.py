@@ -13,8 +13,11 @@ import pytest
 import vflux.model
 from vflux.config import REPRODUCE_TARGETS, config_for_target, load_config
 from vflux.golden import compute_outputs, load_cases
-from vflux.model import SPEC_FIELDS, RateSet, SystemSpec
-from vflux.runner import compute_rows, render_csv, render_json
+from vflux.errors import VfluxError
+from vflux.liouvillian import build_generator
+from vflux.model import SPEC_FIELDS, RateSet, SystemSpec, spec_arrays
+from vflux.runner import _stacked, compute_rows, render_csv, render_json
+from vflux.steady import steady_state
 
 #: Interference bound sqrt(g11*g22) of the two-bath figure family.
 BOUND = 0.01
@@ -114,6 +117,41 @@ def projected_inverse(m: np.ndarray, p0: np.ndarray) -> np.ndarray:
     a = m - np.abs(m[:3, :3]).max() * np.outer(trace / 3.0, trace)
     q = np.eye(5) - np.outer(p0, trace)
     return q @ np.linalg.inv(a) @ q
+
+
+def blas_residual(m: np.ndarray, v: np.ndarray) -> float:
+    """The BLAS oracle of ``SteadyState.residual``: ``|m @ v|∞`` by numpy's
+    ``matmul``, in whatever order its kernel sums."""
+    return float(np.abs(m @ v).max())
+
+
+#: The state cells of a stacked grid row, its residual and its warnings.
+GRID_STATE_COLUMNS = ("rho11", "rho22", "rhogg", "abs_rho12", "re_rho12", "im_rho12",
+                      "residual", "warnings")
+
+
+def assert_grid_states_match(specs) -> list:
+    """The rows of ``specs`` from the stacked grid evaluator (``runner._stacked``,
+    as a ``sweep`` or ``fig2a`` runs it), each held to
+    ``steady_state(build_generator(spec))``: its state cells and residual
+    bit for bit, its positivity flag (in ``warnings``), or its error text.
+    Returns the rows (a dict of cells, or the error)."""
+    cells, errors = _stacked(False)(spec_arrays(specs), {}, GRID_STATE_COLUMNS)
+    rows = [errors[n] if n in errors else {name: values[n] for name, values in cells.items()}
+            for n in range(len(specs))]
+    for spec, row in zip(specs, rows, strict=True):
+        try:
+            ss = steady_state(build_generator(spec))
+        except VfluxError as exc:
+            assert type(row) is type(exc) and str(row) == str(exc), spec
+            continue
+        expected = (ss.rho11, ss.rho22, ss.rhogg, ss.coherence_magnitude, ss.rho12.real,
+                    ss.rho12.imag, ss.residual)
+        got = tuple(row[name] for name in GRID_STATE_COLUMNS[:-1])
+        assert all(type(x) is float for x in got), spec
+        assert np.array(got).tobytes() == np.array(expected).tobytes(), spec
+        assert ("positivity" in row["warnings"].split(";")) == ss.positivity_warning, spec
+    return rows
 
 
 def lapack_calls(monkeypatch, names) -> list:

@@ -67,6 +67,7 @@ from vflux.fcs import (
 from vflux.liouvillian import (
     TRACE_VECTOR,
     _counting_matrix,
+    _entries,
     _fill_block,
     build_generator,
     build_superoperator_full,
@@ -84,9 +85,9 @@ from vflux.model import (
     evaluate_valid,
     spec_arrays,
 )
-from vflux.runner import (_TABLE, SPEC_COLUMNS, _fig21b, _rows, _state_cells, _sweep,
-                          compute_rows, render_csv, run)
-from vflux.steady import SteadyState, _real_columns, steady_state, steady_state_batch
+from vflux.runner import (_TABLE, SPEC_COLUMNS, _fig21b, _kernel_vectors, _rows, _state_cells,
+                          _sweep, compute_rows, render_csv, run)
+from vflux.steady import SteadyState, _real_columns, _residual, steady_state
 from vflux.transport import (
     CONSERVATION_TOL,
     CurrentReport,
@@ -95,8 +96,8 @@ from vflux.transport import (
     particle_currents,
 )
 
-from conftest import (DETUNED_SPEC, NOT_FINITE, invalid_specs, lapack_calls,
-                      seeded_conserving_specs, seeded_leak_specs)
+from conftest import (DETUNED_SPEC, NOT_FINITE, assert_grid_states_match, invalid_specs,
+                      lapack_calls, seeded_conserving_specs, seeded_leak_specs)
 
 PROPERTY = settings(database=None, deadline=None, max_examples=60)
 
@@ -187,15 +188,15 @@ def stacked(core, specs, *args) -> list:
 def recursion(rates, bath, kind, order) -> list:
     """The stacked recursion on the stack's own kernels: one
     :class:`CumulantSet`, or the kernel's error, per point."""
-    states = steady_state_batch(_fill_block(rates))
     # as runner._stacked: a point without a kernel may overflow silently
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = _eliminate(rates, states.vectors)
+        vectors, errors = _kernel_vectors(*_entries(rates))
+        factors = _eliminate(rates, vectors.T)
         raw, _, _ = _recursion(factors, _sandwich_rates(rates, bath, kind, range(1, order + 1)),
                                ((), (factors[-1],), ()), order)
-    residues = _residues(raw, states.errors)
+    residues = _residues(raw, errors)
     values = np.transpose([e.real for e in raw]).tolist()
-    return [DegenerateSteadyStateError(states.errors[n]) if n in states.errors
+    return [errors[n] if n in errors
             else CumulantSet(bath, kind, tuple(values[n]), PERTURBATIVE, residues[n])
             for n in range(len(values))]
 
@@ -296,12 +297,15 @@ def scalar_scan(spec, t0, grid):
 @PROPERTY
 @given(st.lists(specs(), min_size=1, max_size=6))
 def test_kernel_and_currents_match_scalar_bitwise(batch):
+    # the stack's rates, entries and kernel vectors carry each point's bits,
+    # and so its residual (fixed-order sums, no BLAS) and its currents
     rates = RateSet(spec_arrays(batch))
-    matrices = _fill_block(rates)
-    states = steady_state_batch(matrices)
-    je = bath_currents(rates, states.vectors.T, ENERGY)
-    jp = bath_currents(rates, states.vectors.T, PARTICLE)
-    assert not states.errors
+    re, delta = _entries(rates)
+    vectors, errors = _kernel_vectors(re, delta)
+    residuals = _residual(re, delta, vectors.real, vectors.imag)
+    je = bath_currents(rates, vectors, ENERGY)
+    jp = bath_currents(rates, vectors, PARTICLE)
+    assert not errors
     for n, spec in enumerate(batch):
         one = build_rates(spec)
         for table in ("gainL", "gainR", "lossL", "lossR"):
@@ -310,10 +314,10 @@ def test_kernel_and_currents_match_scalar_bitwise(batch):
         assert same_bits(rates.gain_M[n], one.gain_M) and same_bits(rates.loss_M[n], one.loss_M)
         gen = build_generator(spec)
         ss = steady_state(gen)
-        assert same_bits(matrices[n], gen.matrix)
-        assert same_bits(states.vectors[n], ss.vector)
-        assert same_bits(states.residuals[n], ss.residual)
-        assert bool(states.positivity_warnings[n]) == ss.positivity_warning
+        assert same_bits([[x[n] for x in row] for row in re], gen.matrix.real[:4, :4])
+        assert same_bits(delta[n], -gen.matrix.imag[3, 3])
+        assert same_bits(vectors[:, n], ss.vector)
+        assert same_bits(residuals[n], ss.residual)
         assert all(same_bits(a[n], b) for a, b in zip(je, heat_currents(spec, ss)))
         assert all(same_bits(a[n], b) for a, b in zip(jp, particle_currents(spec, ss)))
 
@@ -340,8 +344,17 @@ SWAP_COHERENCES = [0, 1, 2, 4, 3]
 @PROPERTY
 @given(st.lists(specs(), min_size=1, max_size=6))
 def test_stacked_generators_match_independent_construction(batch):
-    matrices = _fill_block(RateSet(spec_arrays(batch)))
-    for m, spec in zip(matrices, batch):
+    # a stack carries its generators as entries (rows and columns 0-3 and
+    # the splitting), the whole of each point's generator: column and row
+    # 4 mirror 3, and the only imaginary parts are -+ delta on the diagonal
+    re, delta = _entries(RateSet(spec_arrays(batch)))
+    for n, spec in enumerate(batch):
+        real = [[x[n] for x in row] + [row[3][n]] for row in re]
+        real.append(real[3][:3] + [0.0, real[3][3]])
+        real[3][4] = 0.0
+        m = np.array(real, dtype=complex)
+        m.imag[3, 3], m.imag[4, 4] = -delta[n], delta[n]
+        assert same_bits(m, build_generator(spec).matrix)
         assert np.abs(m - project_block(build_superoperator_full(spec))).max() <= 1e-15
         assert np.abs(TRACE_VECTOR @ m).max() <= 1e-14
         # Hermiticity: the swapped generator is the complex conjugate
@@ -585,8 +598,6 @@ def test_degenerate_corner_same_error_on_both_routes(eps, temp_l, frac, g):
     with pytest.raises(DegenerateSteadyStateError) as info:
         steady_state(build_generator(corner))
     expected = str(info.value)
-    rates = RateSet(spec_arrays([corner]))
-    assert steady_state_batch(_fill_block(rates)).errors == {0: expected}
     (out,) = grid_cells("fig21a", [corner])
     assert isinstance(out, DegenerateSteadyStateError) and str(out) == expected
 
@@ -859,6 +870,16 @@ def test_stacked_cells_match_the_point_routes_on_the_corpus(target):
         assert warned == "energy-conservation;positivity"
 
 
+def test_grid_rows_carry_the_residual_flag_and_error_of_steady_state():
+    # each row's residual (fixed-order sums on arrays) has the bits of one
+    # point's (on Python floats), its positivity flag and its error text
+    rows = assert_grid_states_match(CORPUS)
+    assert "positivity" in rows[CORPUS.index(NEGATIVE_POPULATION)]["warnings"]
+    assert Counter(type(row).__name__ for row in rows) == Counter({
+        "dict": 120 + 3, "DomainError": len(invalid_specs()) - 2,
+        "DegenerateSteadyStateError": 4})
+
+
 @PROPERTY
 @given(st.sampled_from(sorted(set(STACKED) - set(STENCILS))),
        st.lists(st.one_of(specs(), corners(), st.sampled_from(CORPUS)), min_size=1, max_size=6))
@@ -991,11 +1012,19 @@ def linear_algebra_uses(source: str, allowed=()) -> list:
     return found
 
 
-def test_fcs_calls_no_linear_algebra_outside_the_eigvals_oracle():
-    source = (Path(__file__).resolve().parents[1] / "src" / "vflux" / "fcs.py").read_text()
-    assert linear_algebra_uses(source, allowed=("dominant_eigenvalue",)) == []
-    # the oracle's one eigvals call is seen
-    assert {name for name, _ in linear_algebra_uses(source)} == {"dominant_eigenvalue"}
+#: The one function of each module allowed linear algebra: the oracles
+#: (the eigvals tracker, time integration, the superoperator construction).
+ORACLES = {"fcs": "dominant_eigenvalue", "steady": "evolve", "liouvillian": "_master_rhs"}
+
+
+def test_package_calls_no_linear_algebra_outside_the_oracles():
+    seen = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "vflux").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert linear_algebra_uses(source, allowed=(ORACLES.get(path.stem),)) == [], path.name
+        seen |= {(path.stem, name) for name, _ in linear_algebra_uses(source)}
+    # each oracle's own use is seen
+    assert seen == set(ORACLES.items())
 
 
 def test_linear_algebra_uses_are_found():

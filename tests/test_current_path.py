@@ -38,13 +38,12 @@ from vflux.liouvillian import (
     _counting_matrix,
     _dressed_rates,
     _entries,
-    _fill_block,
     _fill_sandwich,
     build_generator,
 )
 from vflux.model import BATHS, CountingFields, RateSet, SystemSpec, build_rates, spec_arrays
 from vflux.runner import compute_rows
-from vflux.steady import _real_columns, steady_state, steady_state_batch
+from vflux.steady import _real_columns, steady_state
 from vflux.transport import heat_currents, particle_currents
 
 from conftest import count_calls
@@ -115,15 +114,15 @@ def test_real_columns_are_the_real_parts_of_the_complex_state():
     specs = corpus()
     rates = RateSet(spec_arrays(specs))
     columns, ratio, isolated, usable = _real_columns(*_entries(rates))
-    states = steady_state_batch(_fill_block(rates))
-    assert sorted(np.flatnonzero(~usable).tolist()) == sorted(states.errors)
     for n, spec in enumerate(specs):
         one, one_ratio, one_isolated, one_usable = _real_columns(*_entries(build_rates(spec)))
         assert (one_usable, one_isolated) == (usable[n], isolated[n])
         assert bits(one_ratio) == bits(ratio[n])
-        if n in states.errors:
+        state = outcome(steady_state, build_generator(spec))
+        assert isinstance(state, VfluxError) == (not usable[n])
+        if not usable[n]:
             continue
-        expected = steady_state(build_generator(spec)).vector.real
+        expected = state.vector.real
         assert bits(tuple(one)) == bits(tuple(expected))
         assert bits(tuple(c[n] for c in columns)) == bits(tuple(expected))
 
@@ -170,9 +169,11 @@ def test_scan_invalid_only_when_hot_keeps_the_first_error_in_scan_order():
 
 
 def test_current_only_callers_build_no_generator(monkeypatch):
-    calls = count_calls(monkeypatch, ("_fill_block", "steady_state", "steady_state_batch"))
+    # nor do the stacked grids, which read the kernel from the entries too
+    calls = count_calls(monkeypatch, ("_fill_block", "steady_state"))
     spec = corpus(1)[1]
-    compute_rows(config_for_target("fig3"))
+    for target in ("fig3", "fig2a", "fig21b"):
+        compute_rows(config_for_target(target))
     heat_currents(spec)
     particle_currents(spec)
     rectification(spec, 1.0, 0.5)
@@ -189,7 +190,7 @@ def fill_entrywise(rates, sandwich=None):
     gm = rates.gamma_minus
     gMp, gMm = rates.gain_M, rates.loss_M
     delta = rates.delta
-    m = np.zeros(rates.shape + (5, 5), dtype=complex)
+    m = np.zeros((5, 5), dtype=complex)
     m[..., 0, 0] = -(gm(1, 1, 1) + gMm)
     m[..., 0, 1] = gMp
     m[..., 0, 3] = m[..., 0, 4] = -0.5 * gm(1, 2, 2)
@@ -202,7 +203,7 @@ def fill_entrywise(rates, sandwich=None):
     m[..., 3, 1] = m[..., 4, 1] = -0.5 * gm(1, 2, 2)
     m[..., 3, 3] = -1j * delta - damping
     m[..., 4, 4] = +1j * delta - damping
-    _fill_sandwich(m.reshape(rates.shape + (25,)), *(sandwich or (rates.gamma_plus, gm)))
+    _fill_sandwich(m.reshape(25), *(sandwich or (rates.gamma_plus, gm)))
     return m
 
 
@@ -217,8 +218,6 @@ def test_fill_from_entries_equals_the_entrywise_fill():
         assert gen.to_text() == Generator(expected, spec).to_text()
         assert (_counting_matrix(rates, chi).tobytes()
                 == fill_entrywise(rates, next(_dressed_rates(rates, chi, BATHS))).tobytes())
-    stacked = RateSet(spec_arrays(specs))
-    assert _fill_block(stacked).tobytes() == fill_entrywise(stacked).tobytes()
     # with every coupling zero the coherence diagonal is 0.0 -+ i*delta:
     # a real part of +0.0, which the to_text dump shows
     uncoupled = next(s for s in specs if s.gL11 == s.gR11 == 0.0)

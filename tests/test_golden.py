@@ -2,11 +2,16 @@ import gzip
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import vflux
 
 from vflux.config import REPRODUCE_TARGETS, TASKS, config_for_target, load_config
 from vflux.errors import UsageError
@@ -315,3 +320,23 @@ def test_entry_without_a_key_is_one_error_line(tmp_path, capsys, key):
     (root / "digests.json").write_text(json.dumps(index))
     assert main(["--root", str(root), "--verify"]) == 2
     assert capsys.readouterr() == ("", error)
+
+
+#: The cases whose only column another OpenBLAS kernel moved was
+#: ``residual``, when it was a BLAS ``matmul`` (README, "Determinism and
+#: golden files"); its row sums are now written out in one fixed order.
+RESIDUAL_ONLY_CASES = ("fig2a", "fig2b", "sweep_across_bound", "sweep_negative_zero")
+
+
+def test_residual_cases_verify_under_another_blas_kernel():
+    # OPENBLAS_CORETYPE is read at load time, so each case verifies in a
+    # child process; a matmul residual moved under Prescott in these cases
+    src = str(Path(vflux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Prescott")
+    children = [subprocess.Popen([sys.executable, "-m", "vflux.golden", "--verify", "--case", name],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 env=env) for name in RESIDUAL_ONLY_CASES]
+    for name, child in zip(RESIDUAL_ONLY_CASES, children):
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out) == (0, f"{name}: ok\n"), out + err

@@ -5,8 +5,8 @@ from vflux.errors import UsageError
 from vflux.fcs import _sandwich_rates
 from vflux.liouvillian import (
     TRACE_VECTOR,
-    _counting_matrix,
-    _fill_block,
+    _dressed_rates,
+    _sandwich_values,
     build_counting_generator,
     build_generator,
     build_superoperator_full,
@@ -16,6 +16,7 @@ from vflux.liouvillian import (
     verify_block_decoupling,
 )
 from vflux.model import (
+    BATHS,
     ENERGY,
     PARTICLE,
     CountingFields,
@@ -43,42 +44,33 @@ def test_trace_preservation():
         assert np.abs(TRACE_VECTOR @ m).max() <= 1e-14
 
 
-def test_stacks_are_points_first_and_c_contiguous():
-    # a stack is born as (N, 5, 5) in C order, point n carrying the bits of
-    # its own (5, 5) fill; no copy or axis move is needed downstream.  One
-    # point runs on Python numbers, a stack on arrays: energy weights make
-    # the third and fourth powers and the phases inexact, so every order of
-    # the recursion's sandwich rates, both baths and both kinds, and a
-    # complex field are held to the stack byte for byte.  Python's pow
-    # differs from numpy's array power at eps1 cubed and at eps2 to the
-    # fourth of the last spec
+def test_stacked_dressed_rates_carry_each_points_bits():
+    # one point runs on Python numbers, a stack on arrays: energy weights
+    # make the third and fourth powers and the phases inexact, so the
+    # dressed sandwich entries under real and complex fields, and every
+    # order of the recursion's sandwich rates, both baths and both kinds,
+    # are held to the stack byte for byte.  Python's pow differs from
+    # numpy's array power at eps1 cubed and at eps2 to the fourth of the
+    # last spec
     specs = FIGURE_SPECS + seeded_leak_specs(3) + [SystemSpec(
         1.0875080616885457, 0.5482726578094331, 2.0, 1.0, 1.0, 0.01, 0.01, 0.005,
         0.01, 0.01, 0.004, 0.01)]
     fields = [CountingFields(0.1, -0.2, PARTICLE), CountingFields(0.3, -0.7, ENERGY),
               CountingFields(0.2 + 0.1j, -0.05j, ENERGY), CountingFields(1e-4j, 0.4, PARTICLE)]
 
-    def fills(rates):
-        return [_fill_block(rates), *(_counting_matrix(rates, chi) for chi in fields)]
+    def entries(rates):
+        dressed = [x for chi in fields
+                   for x in _sandwich_values(*next(_dressed_rates(rates, chi, BATHS)))]
+        return [np.asarray(x) for x in dressed] + [
+            np.asarray(x) for bath in ("L", "R") for kind in (ENERGY, PARTICLE)
+            for order in _sandwich_rates(rates, bath, kind, range(1, 5)) for x in order]
 
-    def sandwiches(rates):
-        return [np.asarray(x) for bath in ("L", "R") for kind in (ENERGY, PARTICLE)
-                for order in _sandwich_rates(rates, bath, kind, range(1, 5)) for x in order]
-
-    stack_rates = RateSet(spec_arrays(specs))
-    stacks = fills(stack_rates)
-    assert len(stacks) == 1 + len(fields)
-    for stack in stacks:
-        assert stack.shape == (len(specs), 5, 5) and stack.flags.c_contiguous
-    rates = sandwiches(stack_rates)
-    assert len(rates) == 2 * 2 * 4 * 6
+    stack = entries(RateSet(spec_arrays(specs)))
+    assert len(stack) == 6 * len(fields) + 2 * 2 * 4 * 6
     for n, spec in enumerate(specs):
-        for stack, one in zip(stacks, fills(build_rates(spec)), strict=True):
-            assert one.shape == (5, 5)
-            assert stack[n].tobytes() == one.tobytes()
-        for stack, one in zip(rates, sandwiches(build_rates(spec)), strict=True):
-            assert one.shape == () and stack.shape == (len(specs),)
-            assert stack[n].tobytes() == one.tobytes()
+        for stacked, one in zip(stack, entries(build_rates(spec)), strict=True):
+            assert one.shape == () and stacked.shape == (len(specs),)
+            assert stacked[n].tobytes() == one.tobytes()
 
 
 def test_population_coherence_decoupling_without_interference():

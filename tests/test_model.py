@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +334,25 @@ def test_validate_middle_gap_guard():
 def test_level_ordering():
     assert any("level ordering" in v
                for v in validate(SystemSpec(0.9, 1.0, 1, 1, 1, 0.01, 0.01, 0, 0.01, 0.01, 0, 0)))
+
+
+def test_real_fields_become_python_floats():
+    # a numpy scalar field ran the one-point paths in numpy scalars, which
+    # warn (first in _violations) where Python floats overflow silently
+    base = replace(DETUNED_SPEC, eps1=1.1, eps2=0.9, tempL=2.0, tempR=0.5, gL12=0.0, gR12=0.0)
+    cold = replace(base, tempM=1e-320)
+    for value in (np.float64(1e-320), np.float32(2.5), np.int64(3), 3, True, 1e-320):
+        spec = replace(base, tempM=value)
+        assert type(spec.tempM) is float and spec.tempM == float(value)
+    spec = replace(base, tempM=np.float64(1e-320))
+    assert spec == cold and spec.content_hash() == cold.content_hash()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        currents = heat_currents(spec)
+    assert np.array(currents).tobytes() == np.array(heat_currents(cold)).tobytes()
+    # other types are left to fail as they did
+    with pytest.raises(TypeError):
+        validate(replace(base, tempM="1.0"))
 
 
 def test_content_hash_stable_and_sensitive():

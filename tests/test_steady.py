@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import warnings
 from dataclasses import astuple
@@ -6,9 +8,10 @@ import numpy as np
 import pytest
 
 from vflux.config import build_config, config_for_target
-from vflux.errors import DegenerateSteadyStateError, UsageError
-from vflux.liouvillian import TRACE_VECTOR, Generator, build_generator
-from vflux.model import SPEC_FIELDS, SystemSpec
+from vflux.errors import DegenerateSteadyStateError, UsageError, VfluxError
+from vflux.golden import load_cases, stored_csv
+from vflux.liouvillian import TRACE_VECTOR, Generator, build_counting_generator, build_generator
+from vflux.model import ENERGY, SPEC_FIELDS, CountingFields, SystemSpec
 from vflux.runner import _fig3, _rows, compute_rows
 from vflux.steady import (
     ISOLATION_TOL,
@@ -16,7 +19,6 @@ from vflux.steady import (
     coherence_vanishing_residual,
     evolve,
     steady_state,
-    steady_state_batch,
     steady_state_resonant_two_bath,
     steady_state_three_terminal,
     steady_state_time_integration,
@@ -24,8 +26,11 @@ from vflux.steady import (
 
 from conftest import (
     BOUND,
+    DETUNED_SPEC,
     MAX_BIAS_SPEC,
     NOT_FINITE,
+    assert_grid_states_match,
+    blas_residual,
     cycle_spec,
     seeded_conserving_specs,
     seeded_leak_specs,
@@ -128,27 +133,28 @@ def test_degenerate_detection_for_decoupled_system():
                 steady_state(build_generator(spec))
 
 
-def _degenerate_generators():
+def _degenerate_specs():
     """All couplings zero, at resonance (L = 0) and detuned (only the
     coherences rotate), and the exact double dark corner."""
-    return [build_generator(SystemSpec(eps1, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)).matrix
-            for eps1 in (1.0, 1.5)] + [build_generator(two_bath_spec(BOUND, BOUND)).matrix]
+    return [SystemSpec(eps1, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)
+            for eps1 in (1.0, 1.5)] + [two_bath_spec(BOUND, BOUND)]
 
 
 def test_degenerate_inputs_give_one_error_text_on_both_shapes():
     # the closed-form kernel divides by s, q and tot nowhere unguarded: the
     # scalar raises the isolation error, not ZeroDivisionError, and every
-    # stack position gives the same text without a numpy warning
-    valid = [build_generator(spec).matrix for spec in (MAX_BIAS_SPEC, cycle_spec(0.5))]
-    for matrix in _degenerate_generators():
+    # position of a grid's stack gives the same text without a numpy warning
+    valid = [MAX_BIAS_SPEC, cycle_spec(0.5)]
+    for spec in _degenerate_specs():
         with pytest.raises(DegenerateSteadyStateError) as info:
-            steady_state(Generator(matrix, MAX_BIAS_SPEC))
+            steady_state(Generator(build_generator(spec).matrix, MAX_BIAS_SPEC))
         assert "not isolated" in str(info.value)
         for pos in range(3):
-            stack = np.stack(valid[:pos] + [matrix] + valid[pos:])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert steady_state_batch(stack).errors == {pos: str(info.value)}
+                rows = assert_grid_states_match(valid[:pos] + [spec] + valid[pos:])
+            assert [n for n, row in enumerate(rows) if not isinstance(row, dict)] == [pos]
+            assert str(rows[pos]) == str(info.value)
 
 
 def test_scalar_kernel_calls_no_linear_algebra(monkeypatch):
@@ -240,8 +246,8 @@ def test_closed_form_kernel_matches_the_lu_route():
         if ok:
             assert np.abs(steady_state(Generator(matrix, spec)).vector - oracle).max() <= (
                 4e-16 / ratio)
-    for matrix in _degenerate_generators():
-        assert _lu_route(matrix)[0] is None
+    for spec in _degenerate_specs():
+        assert _lu_route(build_generator(spec).matrix)[0] is None
 
 
 def _assert_kernel_matches_closed_form(spec, tol):
@@ -249,7 +255,7 @@ def _assert_kernel_matches_closed_form(spec, tol):
     assert _eig_test_accepts(matrix)
     ss = steady_state(build_generator(spec))
     assert np.abs(ss.vector - steady_state_three_terminal(spec).vector).max() <= tol
-    assert np.array_equal(steady_state_batch(matrix[None]).vectors[0], ss.vector)
+    assert_grid_states_match([spec])
 
 
 def test_isolation_test_ignores_the_level_splitting():
@@ -278,15 +284,15 @@ def test_weak_single_channel_keeps_its_kernel():
 def test_degenerate_kernels_in_a_stack_leave_the_rest_solved():
     # a stacked solve fails as a whole on one exactly singular matrix, so
     # the degenerate points must be set aside first, without a warning
-    zero = build_generator(SystemSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0))
-    dark = build_generator(two_bath_spec(BOUND, BOUND))
+    zero = SystemSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 0)
+    dark = two_bath_spec(BOUND, BOUND)
     # the last fig3 grid row ends on the exactly singular corner
     fields, cells, evaluate = _fig3(config_for_target("fig3"))
     last = {name: values[-51:] for name, values in fields.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack = np.stack([zero.matrix, build_generator(MAX_BIAS_SPEC).matrix, dark.matrix])
-        assert sorted(steady_state_batch(stack).errors) == [0, 2]
+        rows = assert_grid_states_match([zero, MAX_BIAS_SPEC, dark])
+        assert [n for n, row in enumerate(rows) if not isinstance(row, dict)] == [0, 2]
         table = _rows(last, {"t0": cells["t0"][-51:]}, evaluate, columns=("t0", "rj_max"))
     assert [n for n, error in enumerate(table["error"]) if error] == [50]
     assert "kernel not isolated" in table["error"][-1] and table["rj_max"][-1] is None
@@ -301,6 +307,61 @@ def test_closed_forms_reject_a_spec_whose_rates_overflow(solve):
         steady_state(build_generator(NOT_FINITE))
     with pytest.raises(DegenerateSteadyStateError, match="not finite"):
         solve(NOT_FINITE)
+
+
+def test_dressed_generators_are_refused_by_both_numeric_routes(monkeypatch):
+    # the kernel and the residual read the bare structure (real entries,
+    # -+ i delta on the coherence diagonal); zero fields give the bare bits
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a dressed generator")
+
+    monkeypatch.setattr("vflux.steady.solve_ivp", integrate)
+    dressed = build_counting_generator(DETUNED_SPEC, CountingFields(0.0, 0.3, ENERGY))
+    for solve in (steady_state, steady_state_time_integration):
+        with pytest.raises(UsageError, match=f"^{solve.__name__} requires the undressed"):
+            solve(dressed)
+    zero = build_counting_generator(DETUNED_SPEC, CountingFields.zero(ENERGY))
+    assert steady_state(zero).vector.tobytes() == steady_state(
+        build_generator(DETUNED_SPEC)).vector.tobytes()
+
+
+def golden_grid_specs() -> list:
+    """The distinct specs of every row of every stored golden CSV."""
+    specs = []
+    for case in load_cases():
+        for row in csv.DictReader(io.StringIO(stored_csv(case))):
+            specs.append(SystemSpec(*(float(row[name]) for name in SPEC_FIELDS)))
+    return list(dict.fromkeys(specs))
+
+
+#: ``|residual - |L @ v|∞|`` over ``eps * max|L_ij|``: at most 0.332 over
+#: the 5,696 kernels of both seeded corpora and of every distinct golden
+#: grid point, and 0.310 over the 100 closed-form states of the corpora
+RESIDUAL_ORACLE_BOUND = 0.5
+
+
+def test_residual_matches_the_blas_product():
+    # the fixed-order row sums against numpy's matmul, which sums in its
+    # kernel's order; both are rounding noise of the same size
+    corpora = seeded_conserving_specs() + seeded_leak_specs()
+    states = []
+    for spec in corpora + golden_grid_specs():
+        try:
+            states.append((spec, steady_state(build_generator(spec))))
+        except VfluxError:
+            continue
+    for solve in (steady_state_resonant_two_bath, steady_state_three_terminal):
+        for spec in corpora:
+            try:
+                states.append((spec, solve(spec)))
+            except VfluxError:
+                continue
+    assert len(states) > 5_000
+    for spec, ss in states:
+        matrix = build_generator(spec).matrix
+        scale = np.finfo(float).eps * np.abs(matrix).max()
+        assert abs(ss.residual - blas_residual(matrix, ss.vector)) <= (
+            RESIDUAL_ORACLE_BOUND * scale), spec
 
 
 def test_time_integration_rejects_a_generator_that_is_not_finite(monkeypatch):
