@@ -219,8 +219,8 @@ def build_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
                 problems.append(f"{key}: expected a finite number or {{min, max, steps}}, "
                                 f"got {options[key]!r}")
     order = options.get("cumulants.order", 2)
-    if not isinstance(order, int) or isinstance(order, bool):
-        problems.append(f"cumulants.order: expected an integer, got {order!r}")
+    if not isinstance(order, int) or isinstance(order, bool) or not 1 <= order <= 4:
+        problems.append(f"cumulants.order: expected an integer in 1..4, got {order!r}")
     kind = options.get("cumulants.kind", ENERGY)
     if kind not in KINDS:
         problems.append(f"cumulants.kind: expected one of {KINDS}, got {kind!r}")

@@ -2,10 +2,11 @@
 
 The scaled cumulant generating function is the eigenvalue of the dressed
 generator continuously connected to zero.  Cumulants come two independent
-ways: any order from a recursion on a projected inverse (:func:`_recursion`;
-the first order also directly from the steady state), low orders from
-finite differences of the eigenvalue (:func:`_differences`).  Both cores run
-on one spec or a stack, with one spec's bits and error texts.
+ways, orders 1-4 each: from a recursion on a projected inverse
+(:func:`_recursion`; the first order also directly from the steady state),
+and from the eigenvalue's Taylor coefficients, found by Newton's method on
+its determinant in truncated power series (:func:`_newton`).  Both cores
+run on one spec or a stack, with one spec's bits and error texts.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from numbers import Real
-from operator import add
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import BranchError, UsageError
 from .liouvillian import (Generator, _bare, _check_order, _counting_matrix, _dressed_rates,
                           _entries, _sandwich_values)
 from .model import BATHS, KINDS, CountingFields, RateSet, SystemSpec, _memo
-from .steady import SteadyState, _minors, steady_state
+from .steady import SteadyState, steady_state
 
 PERTURBATIVE = "perturbative"
 FINITE_DIFFERENCE = "finite_difference"
@@ -37,22 +37,12 @@ BRANCH_TOL = 1e-8
 #: Imaginary residue above this level on a reported cumulant is warned about.
 IMAG_WARN = 1e-10
 
-#: Default step in chi of the finite-difference cumulants.
-FD_STEP = 1e-4
-
-#: Newton steps from zero to each eigenvalue of the stencils; the bits
-#: depend on the count, so every point of a stack takes all of them.
-NEWTON_STEPS = 4
-
-#: A converged eigenvalue's last step is at most this fraction of it, and a
-#: separated one has ``|f'| / s**2`` of at least SEPARATION_MIN
+#: A separated dominant eigenvalue has ``|f'(0)| / s**2`` of at least this
 #: (margins in ``docs/conventions.md``).
-NEWTON_TOL, SEPARATION_MIN = 1e-6, 1e-4
+SEPARATION_MIN = 1e-4
 
 _BRANCH_ERROR = "two eigenvalues within {:.3e} of the maximal real part {:.3e}"
 _NOT_FINITE_ERROR = "dressed generator is not finite"
-_NEWTON_ERROR = ("no separated dominant eigenvalue at chi = {:.3e}: |f'|/s^2 = {:.3e}, "
-                 "last Newton step {:.3e} at |lambda| {:.3e}")
 _ZERO_FIELD_ERROR = "dominant eigenvalue not separated at zero field: |f'|/s^2 = {:.3e}"
 
 
@@ -82,12 +72,6 @@ class CumulantSet:
         return self.values[1]
 
 
-def richardson(coarse, fine):
-    """One Richardson refinement of two second-order estimates, the fine
-    one made with half the step of the coarse one."""
-    return (4.0 * fine - coarse) / 3.0
-
-
 def _check_bath_kind(bath: str, kind: str):
     if bath not in BATHS:
         raise UsageError(f"bath must be one of {BATHS}, got {bath!r}")
@@ -95,28 +79,13 @@ def _check_bath_kind(bath: str, kind: str):
         raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _check_difference(bath: str, kind: str, order: int, h: float):
-    _check_bath_kind(bath, kind)
-    _check_order("finite-difference", order, 2)
-    if isinstance(h, bool) or not isinstance(h, Real):
-        raise UsageError(f"finite-difference step must be a real number, got {h!r}")
-    if not 1e-6 <= h <= 1e-2:
-        raise UsageError(f"finite-difference step must lie in [1e-6, 1e-2], got {h}")
-
-
-def _single_field(bath: str, kind: str, chi: float) -> CountingFields:
-    return CountingFields(chiL=chi if bath == "L" else 0.0,
-                          chiR=chi if bath == "R" else 0.0,
-                          kind=kind)
-
-
 def dominant_eigenvalue(spec: SystemSpec, chi: CountingFields) -> complex:
     """Eigenvalue of the dressed generator continuously connected to zero,
     tracked by nearest match from the spectrum at half the field, from one
-    ``np.linalg.eigvals`` call: an oracle independent of the stencils'
-    Newton core (:func:`_eigenvalues`).  Raises :class:`BranchError` if two
-    eigenvalues sit within ``BRANCH_TOL * s`` of the maximal real part at
-    the field, or if a dressed generator is not finite.
+    ``np.linalg.eigvals`` call: an oracle independent of the Newton core
+    (:func:`_newton`).  Raises :class:`BranchError` if two eigenvalues sit
+    within ``BRANCH_TOL * s`` of the maximal real part at the field, or if
+    a dressed generator is not finite.
     """
     record = _memo(spec)
     fractions = (1.0,) if chi.is_zero else (0.5, 1.0)
@@ -319,48 +288,19 @@ def cumulants_finite_difference(
     bath: str,
     kind: str,
     order: int = 2,
-    h: float = FD_STEP,
 ) -> CumulantSet:
-    """Cumulants from central differences of the dominant eigenvalue.
-
-    Its value at -chi is the conjugate of the value at chi, so one
-    eigenvalue (:func:`_eigenvalues`) per step size suffices; each stencil
-    is Richardson-refined once.
-    """
-    _check_difference(bath, kind, order, h)
-    values, errors = _differences(_memo(spec)["rates"], bath, kind, order, h)
+    """Cumulants E_1..E_order from the Taylor coefficients of the dominant
+    eigenvalue in ``i chi``, found by Newton's method on the eigenvalue's
+    determinant in truncated power series (:func:`_newton`): no step and no
+    projected inverse, a route that shares only its inputs, the bare rates
+    and the sandwich rates of H_n, with the recursion."""
+    _check_bath_kind(bath, kind)
+    _check_order("cumulant", order, 4)
+    record = _memo(spec)
+    values, errors = _newton(record["rates"], _derivatives(record, bath, kind, order)[:order])
     if errors:
         raise BranchError(errors[()])
-    return CumulantSet(bath, kind, tuple(map(float, values)), FINITE_DIFFERENCE, 0.0)
-
-
-def _differences(rates: RateSet, bath: str, kind: str, order: int, h: float):
-    """The Richardson-refined stencils of :func:`cumulants_finite_difference`
-    on one point's or a stack's valid, checked rates, one array of
-    ``rates.shape`` per order, and the :class:`BranchError` text of each
-    index (``()`` for one point) whose dressed rates are not finite, else
-    whose eigenvalue is not separated at zero field, else not separated or
-    not converged at step h, else at h/2 (:func:`_eigenvalues`)."""
-    (re, im, sep, step, size, finite), sep0 = _eigenvalues(rates, bath, kind, h)
-    # d E0 / d(i chi) at 0: odd part is purely imaginary by symmetry
-    values = [richardson(im[1] / h, im[0] / (h / 2.0))]
-    if order >= 2:
-        # d^2 E0 / d(i chi)^2 at 0: even part is real, E0(0) = 0
-        values.append(richardson(-2.0 * re[1] / h**2, -2.0 * re[0] / (h / 2.0)**2))
-
-    def failed(ok, text, *args):  # the text of each point where ok is False
-        if not rates.shape:
-            return {} if ok else {(): text.format(*args)}
-        return {(n,): text.format(*(x[n] if np.ndim(x) else x for x in args))
-                for n in np.flatnonzero(~ok).tolist()}
-
-    errors = {}
-    for j, chi in enumerate((h / 2.0, h)):
-        errors.update(failed((sep[j] >= SEPARATION_MIN) & (step[j] <= NEWTON_TOL * size[j]),
-                             _NEWTON_ERROR, chi, sep[j], step[j], size[j]))
-    errors.update(failed(sep0 >= SEPARATION_MIN, _ZERO_FIELD_ERROR, sep0))
-    errors.update(failed(finite[0] & finite[1], _NOT_FINITE_ERROR))
-    return values, errors
+    return CumulantSet(bath, kind, tuple(values), FINITE_DIFFERENCE, 0.0)
 
 
 class _Pair:
@@ -393,78 +333,131 @@ class _Pair:
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _reciprocal(z, make):
-    """``1 / z`` as ``conj(z) / |z|**2`` in real operations; 0 for ``z = 0``."""
-    norm = z.real * z.real + z.imag * z.imag
-    norm = norm + (norm == 0)
-    return make(z.real / norm, -z.imag / norm)
+def _product(a, b) -> list:
+    """The coefficients of the product of two power series, given by
+    theirs (floats, or arrays for a stack), cut at the shorter."""
+    return [sum(map(mul, a[:n + 1], b[n::-1])) for n in range(min(len(a), len(b)))]
 
 
-def _eigenvalues(rates: RateSet, bath: str, kind: str, h: float):
-    """The dominant eigenvalue of the generator of ``rates`` dressed by the
-    real fields h/2 and h on ``bath``, from :data:`NEWTON_STEPS` Newton
-    steps from zero on ``f = det K`` (``docs/physics.md``): its real and
-    imaginary parts, ``|f'| / s**2``, the sizes of the last step and of the
-    root and whether the dressed rates are finite, each a pair (h/2, h),
-    and ``|f'(0)| / s**2`` at zero field (``-tot`` of
-    :func:`vflux.steady._kernel`).  One point runs in Python ``complex``, a
-    stack in :class:`_Pair` arrays of ``(2,) + rates.shape``, with one
-    point's bits.  Row 2 of ``K`` is replaced by its column sums ``z``,
-    made from the dressed rates less the bare ones (``shift``) without
-    cancellation; the inputs are scaled by the power of two ``k`` just
-    below ``1/s`` (at most ``2**1000``), which changes no bit short of
-    underflow.
+def _quotient(a, b) -> list:
+    """The coefficients of ``a / b`` for power series ``a`` and ``b``, to
+    ``a``'s length and reading ``b`` to its own; divides by 1 where ``b``'s
+    first coefficient is 0."""
+    q, first = [], b[0] + (b[0] == 0)
+    for n, x in enumerate(a):
+        for i in range(1, min(n + 1, len(b))):
+            x = x - b[i] * q[n - i]
+        q.append(x / first)
+    return q
+
+
+def _newton(rates: RateSet, h) -> tuple[list, dict]:
+    """E_1..E_n of :func:`cumulants_finite_difference` on one point's or a
+    stack's valid, checked rates and the sandwich rates ``h`` of H_1..H_n
+    (:func:`_sandwich_rates`), one float or array of ``rates.shape`` per
+    order, and the :class:`BranchError` text of each index (``()`` for one
+    point) whose dressed rates are not finite, else whose eigenvalue is not
+    separated at zero field (``|f'(0)| / s**2``, ``f'(0) = -tot`` of
+    :func:`vflux.steady._kernel`).
+
+    The eigenvalue ``mu(t)``, ``t = i chi``, is the root connected to zero
+    of ``f = det K``, the coherence-eliminated 3x3 determinant
+    (``docs/physics.md``), and so of ``G = w**2 f``, a polynomial of degree
+    7 in ``mu`` whose coefficients are series in ``t``.  Newton's method
+    from zero in truncated series (:func:`_product`, :func:`_quotient`)
+    doubles the count of exact Taylor coefficients ``a_n`` of ``mu`` with
+    each step (1, 2, 4, 8), so n = 1, 2..3 and 4 take 1, 2 and 3 steps,
+    and ``E_n = n! a_n``.  The inputs are scaled by the power of two ``k``
+    just below ``1/s`` (at most ``2**1000``), which changes no bit short of
+    underflow.  One point runs on Python floats, a stack on arrays, in the
+    same real operations.
     """
     re, delta = _entries(rates)
     if rates.shape:
         s = np.abs(np.broadcast_arrays(*(x for row in re[:3] for x in row[:3]))).max(axis=0)
         k = np.ldexp(1.0, -np.maximum(np.frexp(s)[1], -1000))
-        make, isfinite, least = _Pair, np.isfinite, np.minimum
-        fields = [h * np.array([[0.5], [1.0]])]
-
-        def size(z):
-            return np.hypot(z.real, z.imag)
+        isfinite, least = np.isfinite, np.minimum
     else:
         s = max(abs(x) for row in re[:3] for x in row[:3])
         k = math.ldexp(1.0, -max(math.frexp(s)[1], -1000))
-        make, isfinite, least, size, fields = complex, math.isfinite, min, abs, [h / 2.0, h]
+        isfinite, least = math.isfinite, min
     (p00, p01, p02, c0), (p10, p11, p12, c1), row2, (r0, r1, r2, d) = (
         [x * k for x in row] for row in re)
-    # past 1e150 delta leaves g far below the entries' rounding; its square stays finite
-    d, delta, scale = -d, least(delta * k, 1e150), k * s * k * s + (s == 0)
-    dd = delta * delta
-    g = 2.0 * d / (d * d + dd + (d * d + dd == 0))
-    tot = sum(_minors([[x + g * ci * rj for x, rj in zip(row, (r0, r1, r2))] for row, ci in (
-        ((p00, p01, p02), c0), ((p10, p11, p12), c1), (row2[:3], row2[3]))]))
+    # past 1e30 delta leaves g far below the entries' rounding; w0**2 stays finite
+    d, delta = -d, least(delta * k, 1e30)
+    w0, d2, size = d * d + delta * delta, d + d, len(h) + 1
+    # the dressed rates' Taylor coefficients less the bare ones: H_n / n! at order n
+    g11, g22, g12, l11, l22, l12 = ([x * k / f for x, f in zip(column, (1, 2, 6, 24))]
+                                    for column in zip(*h))
+    finite = isfinite(p00 + p01 + p02 + c0 + p10 + p11 + p12 + c1 + sum(row2) + r0 + r1 + r2 + d
+                      + delta + sum(map(sum, (g11, g22, g12, l11, l22, l12))))
+    # K_0 x K_1 = A + g B, A = a + mu q + mu^2 (0, 0, 1), B = V x r = b + mu e,
+    # V = c1 K_0 - c0 K_1, with q = (q0, q1, m2) and r = (r0, r1, w2), where
+    # q0, q1 and w2 are the dressed gain entries; g = 2 u / w, u = d + mu,
+    # w = u^2 + delta^2 = w0 + d2 mu + mu^2
     a2, m2 = p00 * p11 - p01 * p10, -(p00 + p11)
     v0, v1, e2 = c1 * p00 - c0 * p10, c1 * p01 - c0 * p11, -(c0 * r0 + c1 * r1)
-    found = []
-    for chi in fields:
-        gain, loss = next(_dressed_rates(rates, _single_field(bath, kind, chi), [bath], shift=True))
-        g11, g22, g12, s0, s1, dl = (make(z.real * k, z.imag * k)
-                                     for z in _sandwich_values(gain, loss))
-        finite = isfinite(p00 + p01 + p02 + c0 + p10 + p11 + p12 + c1 + r0 + r1 + r2 + d + delta
-                          + sum(z.real + z.imag for z in (g11, g22, s0, s1, g12, dl)))
-        # K_0 x K_1 = (a0 + mu q0, a1 + mu q1, a2 + mu (mu + m2)) + g V x r,
-        # V x r = b + mu e, V = c1 K_0 - c0 K_1
-        q0, q1, w2, s2 = g11 + p02, g22 + p12, g12 + r2, g11 + g22
-        a0, a1, v2 = p01 * q1 - q0 * p11, q0 * p10 - p00 * q1, c1 * q0 - c0 * q1
-        b0, b1, b2 = v1 * w2 - v2 * r1, v2 * r0 - v0 * w2, v0 * r1 - v1 * r0
-        e0, e1 = c0 * w2, c1 * w2
-        mu = make(0.0, 0.0)
-        for _ in range(NEWTON_STEPS):
-            u = d + mu
-            iw = _reciprocal(u * u + dd, make)
-            g, gp = (u + u) * iw, (4.0 * dd * iw - 2.0) * iw
-            x0, x1, x2 = b0 + mu * e0, b1 + mu * e1, b2 + mu * e2
-            k0, k1, k2 = a0 + mu * q0 + g * x0, a1 + mu * q1 + g * x1, a2 + mu * (mu + m2) + g * x2
-            gl, gpl = g * dl, gp * dl
-            z0, z1, z2 = s0 + gl * r0 - mu, s1 + gl * r1 - mu, s2 + gl * w2 - mu
-            slope = ((gpl * r0 - 1.0) * k0 + (gpl * r1 - 1.0) * k1 + (gpl * w2 - 1.0) * k2
-                     + z0 * (q0 + gp * x0 + g * e0) + z1 * (q1 + gp * x1 + g * e1)
-                     + z2 * (m2 + (mu + mu) + gp * x2 + g * e2))
-            step = (z0 * k0 + z1 * k1 + z2 * k2) * _reciprocal(slope, make)
-            mu = mu - step
-        found.append((mu.real / k, mu.imag / k, size(slope) / scale, size(step) / k,
-                      size(mu) / k, finite))
-    return (found[0] if rates.shape else tuple(zip(*found))), abs(tot) / scale
+    b2 = v0 * r1 - v1 * r0
+    # W = w (K_0 x K_1) = w A + 2 u B = sum_k W_k mu^k: the entries W_k2, constants
+    third = [w0 * a2 + d2 * b2, w0 * m2 + d2 * (a2 + e2) + 2.0 * b2,
+             w0 + d2 * m2 + a2 + 2.0 * e2, d2 + m2, 1.0][:size]
+
+    def times(c0, c1, c2, p):  # the first len(p) coefficients of (c0 + c1 mu + c2 mu^2) p
+        return [c0 * x + c1 * y + c2 * z for x, y, z in zip(p, [0.0, *p], [0.0, 0.0, *p])]
+
+    def terms(y0, y1, y2, y3, y4):
+        # X_k, Y_k, Z_k and L_k (below) at one order of t, linear in that
+        # order's y0, y1, y2 of q0, q1, w2, y3 of s2 and y4 of 1
+        a0, a1, v2 = p01 * y1 - y0 * p11, y0 * p10 - p00 * y1, c1 * y0 - c0 * y1
+        b0, b1, e0, e1 = v1 * y2 - v2 * r1, v2 * r0 - v0 * y2, c0 * y2, c1 * y2
+        x = [w0 * a0 + d2 * b0, w0 * y0 + d2 * (a0 + e0) + 2.0 * b0, d2 * y0 + a0 + 2.0 * e0,
+             y0, 0.0][:size]
+        y = [w0 * a1 + d2 * b1, w0 * y1 + d2 * (a1 + e1) + 2.0 * b1, d2 * y1 + a1 + 2.0 * e1,
+             y1, 0.0][:size]
+        rw = [r0 * xk + r1 * yk + y2 * t for xk, yk, t in zip(x, y, third)]
+        rest = [y3 * t - (xk + yk + tk * y4) for t, xk, yk, tk in zip(
+            third, [0.0, *x], [0.0, *y], [0.0, *third])]
+        return (times(w0, d2, 1.0, x), times(w0, d2, 1.0, y), times(d2, 2.0, 0.0, rw),
+                times(w0, d2, 1.0, rest))
+
+    # Row 2 of K replaced by its column sums z = sig + g dl r - mu (1, 1, 1),
+    # sig = (s0, s1, s2) and dl (of the coherence column) zero at t = 0:
+    # G = w^2 f = (w z).W = w (sig - mu (1, 1, 1)).W + 2 u dl r.W
+    #   = sum_k (s0 X_k + s1 Y_k + dl Z_k + L_k) mu^k
+    rows = list(map(terms, [p02, *g11], [p12, *g22], [r2, *g12], [0.0, *map(add, g11, g22)],
+                    [1.0] + [0.0] * len(h)))
+
+    def order(n):  # G_0..G_(size-1) at order n of t, a Cauchy product
+        out = rows[n][3]
+        for (x, y, z, _), a, b, c in zip(reversed(rows[:n]), l11, l22, l12):
+            out = [o + a * xk + b * yk + c * zk for o, xk, yk, zk in zip(out, x, y, z)]
+        return out
+
+    poly = [list(c) for c in zip(*map(order, range(size)))]
+    # Newton's method from zero: mu has no constant term, so mu^k vanishes
+    # past its length; G(mu) vanishes to the orders mu had, so a step needs
+    # G'(mu) only to the orders it gains, and G' to order j needs mu to order j
+    mu, slope = [0.0], []
+    while len(mu) < size:
+        exact, mu = len(mu), mu + [0.0] * (min(2 * len(mu), size) - len(mu))
+        value = poly[len(mu) - 1]
+        for c in poly[len(mu) - 2::-1]:
+            value = list(map(add, _product(value, mu), c))
+        if len(slope) < len(mu) - exact:
+            cut = mu[:len(mu) - exact]
+            slope = [0.0] * len(cut)
+            for n in range(len(cut), 0, -1):
+                slope = [x + n * y for x, y in zip(_product(slope, cut), poly[n])]
+        mu = list(map(sub, mu, _quotient(value, slope)))
+    # G'(0) = w0^2 f'(0) at zero field
+    scale = w0 * (k * s)
+    separation = abs(poly[1][0]) / (scale * scale + (scale == 0))
+
+    def failed(ok, text, *args):  # the text of each point where ok is False
+        if not rates.shape:
+            return {} if ok else {(): text.format(*args)}
+        return {(n,): text.format(*(x[n] for x in args)) for n in np.flatnonzero(~ok).tolist()}
+
+    errors = failed(separation >= SEPARATION_MIN, _ZERO_FIELD_ERROR, separation)
+    errors.update(failed(finite, _NOT_FINITE_ERROR))
+    return [math.factorial(n) * a / k for n, a in enumerate(mu[1:], 1)], errors

@@ -98,16 +98,15 @@ def _sandwich_values(gain, loss) -> tuple:
             loss(1, 1, 1), loss(2, 2, 2), 0.5 * (loss(1, 2, 1) + loss(1, 2, 2)))
 
 
-def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,), shift=False):
+def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,)):
     """Yield one ``(gain, loss)`` pair of rate functions per order ``n`` of
     ``orders``, summed over ``baths``, each bath ``u`` dressed by its
     counting phase and differentiated ``n`` times in ``i chi_u``: gain times
     ``(-w)^n exp(-i w chi_u)``, loss times ``(+w)^n exp(+i w chi_u)``, ``w``
     the counting weight (:meth:`RateSet.weights`); ``chi`` may be complex.
-    With ``shift`` (real ``chi``) each phase is less one (:func:`_less_one`):
-    order 0 gives the dressed rates less the bare ones.  Python numbers for
-    one point (``cmath.exp`` has the bits of ``np.exp`` here), arrays for a
-    stack (``chi_u`` may be an array that broadcasts with ``rates.shape``).
+    Python numbers for one point (``cmath.exp`` has the bits of ``np.exp``
+    here), arrays for a stack (``chi_u`` may be an array that broadcasts
+    with ``rates.shape``).
     """
     exp = np.exp if rates.shape else cmath.exp
     w = rates.weights(chi.kind)[:2]
@@ -116,8 +115,6 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,), shif
         chi_u = chi.chiL if u == "L" else chi.chiR
         gain, loss = (rates.gainL, rates.lossL) if u == "L" else (rates.gainR, rates.lossR)
         phases = [[exp(sign * x * chi_u) for x in w] for sign in (-1j, +1j)]
-        if shift:
-            phases = [list(map(_less_one, factors)) for factors in phases]
         phased.append((gain, phases[0], loss, phases[1]))
 
     def summed(terms):
@@ -137,18 +134,6 @@ def _dressed_rates(rates: RateSet, chi: CountingFields, baths, orders=(0,), shif
                        for v in ([-x for x in w], w))
         yield (summed([(g, list(map(mul, minus, f))) for g, f, _, _ in phased]),
                summed([(l, list(map(mul, plus, f))) for _, _, l, f in phased]))
-
-
-def _less_one(z):
-    """``z - 1`` of a phase ``z = exp(i theta)`` (Python ``complex`` or an
-    array), real part ``-(Im z)**2 / (1 + Re z)`` where ``Re z > 0``: free
-    of the cancellation of ``Re z - 1``, it keeps every digit."""
-    near = -(z.imag * z.imag) / (1.0 + abs(z.real))
-    if isinstance(z, complex):
-        return complex(near if z.real > 0.0 else z.real - 1.0, z.imag)
-    out = np.empty_like(z)
-    out.real, out.imag = np.where(z.real > 0.0, near, z.real - 1.0), z.imag
-    return out
 
 
 def build_generator(spec: SystemSpec) -> Generator:
@@ -207,8 +192,7 @@ def _check_order(what: str, order, top: int) -> None:
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise UsageError(f"{what} order must be an integer, got {order!r}")
     if not 1 <= order <= top:
-        span = "1 or 2" if top == 2 else f"in 1..{top}"
-        raise UsageError(f"{what} order must be {span}, got {order}")
+        raise UsageError(f"{what} order must be in 1..{top}, got {order}")
 
 
 # ---------------------------------------------------------------------------

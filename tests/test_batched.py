@@ -11,7 +11,7 @@ the stacked currents must conserve energy and particles where the model
 does.  The stacked counting layer is held to the scalar cumulant
 functions the same way, warnings included, and the ``fig21b`` target, one
 stack, to no LAPACK call at all (the kernel, the recursion's projected
-inverse and the stencils' Newton core are elementwise arithmetic).  The
+inverse and the cumulant jets' Newton core are elementwise arithmetic).  The
 one evaluator of every stacked grid reads its cells as arrays; the cells
 of each stacked target are held to the one-point public routes, and no target may build a
 per-point object.  A grid of several batches must give the rows its
@@ -51,12 +51,11 @@ from vflux.errors import (
 )
 from vflux.fcs import (
     BRANCH_TOL,
-    FD_STEP,
     FINITE_DIFFERENCE,
     PERTURBATIVE,
     CumulantSet,
-    _differences,
     _eliminate,
+    _newton,
     _recursion,
     _residues,
     _sandwich_rates,
@@ -201,10 +200,10 @@ def recursion(rates, bath, kind, order) -> list:
             for n in range(len(values))]
 
 
-def differences(rates, bath, kind, order, h) -> list:
-    """The stacked stencils: one :class:`CumulantSet`, or the
+def jets(rates, bath, kind, order) -> list:
+    """The stacked Newton core: one :class:`CumulantSet`, or the
     :class:`BranchError`, per point."""
-    values, errors = _differences(rates, bath, kind, order, h)
+    values, errors = _newton(rates, _sandwich_rates(rates, bath, kind, range(1, order + 1)))
     return [BranchError(errors[n,]) if (n,) in errors
             else CumulantSet(bath, kind, cell, FINITE_DIFFERENCE, 0.0)
             for n, cell in enumerate(zip(*(v.tolist() for v in values)))]
@@ -637,19 +636,19 @@ def test_overflowing_rates_fail_silently_like_one_point():
 
 
 def test_generator_that_is_not_finite_is_a_branch_error():
-    # no dressed generator of NOT_FINITE is finite: the one-point stencil
-    # and tracker report it, and a stack keeps its other points
+    # no dressed generator of NOT_FINITE is finite: the one-point Newton
+    # core and tracker report it, and a stack keeps its other points
     text = "dressed generator is not finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for chi in (0.0, FD_STEP):
+        for chi in (0.0, 1e-4):
             with pytest.raises(BranchError, match=text):
                 dominant_eigenvalue(NOT_FINITE, CountingFields(0.0, chi, ENERGY))
         with pytest.raises(BranchError, match=text):
             cumulants_finite_difference(NOT_FINITE, "R", ENERGY, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        values, errors = _differences(RateSet(spec_arrays([DETUNED_SPEC, NOT_FINITE])), "R",
-                                      ENERGY, 2, FD_STEP)
+        rates = RateSet(spec_arrays([DETUNED_SPEC, NOT_FINITE]))
+        values, errors = _newton(rates, _sandwich_rates(rates, "R", ENERGY, (1, 2)))
     assert errors == {(1,): text}
     expected = cumulants_finite_difference(DETUNED_SPEC, "R", ENERGY, 2).values
     assert same_bits([value[0] for value in values], expected)
@@ -715,7 +714,7 @@ def test_non_finite_spec_is_one_domain_error(batch, data, bad_value):
                      lambda specs: grid_cells("fig21b", specs),
                      lambda specs: max_rectification_columns(spec_arrays(specs), t0, grid),
                      lambda specs: stacked(recursion, specs, "R", ENERGY, 4),
-                     lambda specs: stacked(differences, specs, "L", PARTICLE, 2, FD_STEP)):
+                     lambda specs: stacked(jets, specs, "L", PARTICLE, 4)):
         out, expected = evaluate(mixed), evaluate(batch)
         assert isinstance(out[pos], DomainError) and "finiteness" in str(out[pos])
         assert all(fingerprint(out[n]) == fingerprint(expected[n])
@@ -787,15 +786,15 @@ def corners(draw):
 
 @PROPERTY
 @given(st.lists(st.one_of(specs(), corners()), min_size=1, max_size=5), st.sampled_from(BATHS),
-       st.sampled_from(KINDS), st.integers(1, 2), st.sampled_from((FD_STEP, 1e-6, 1e-2)),
+       st.sampled_from(KINDS), st.integers(1, 4),
        st.sampled_from((0.0, 1e-5, -3e-3, 0.2, 1e-3 + 2e-3j, 0.3 - 0.1j)))
-def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order, h, chi):
-    # the stencils' Newton core on a stack and on one point; the tracker of
+def test_finite_difference_cumulants_match_scalar_bitwise(batch, bath, kind, order, chi):
+    # the Newton core on a stack and on one point; the tracker of
     # dominant_eigenvalue against its reference
-    stencils = stacked(differences, batch, bath, kind, order, h)
+    newton = stacked(jets, batch, bath, kind, order)
     field = CountingFields(chi if bath == "L" else 0.0, chi if bath == "R" else 0.0, kind)
-    for spec, out in zip(batch, stencils):
-        expected = outcome(cumulants_finite_difference, spec, bath, kind, order, h)
+    for spec, out in zip(batch, newton):
+        expected = outcome(cumulants_finite_difference, spec, bath, kind, order)
         assert same_cumulants(out, expected)
         eigenvalue = outcome(dominant_eigenvalue, spec, field)
         reference = outcome(tracked_eigenvalue, build_rates(spec), field)
@@ -816,10 +815,10 @@ def test_degenerate_corner_same_cumulant_errors_on_both_routes(eps, temp_l, frac
     pos = min(len(others), 1)
     batch = others[:pos] + [corner] + others[pos:]
     recursions = stacked(recursion, batch, bath, kind, 2)
-    stencils = stacked(differences, batch, bath, kind, 2, FD_STEP)
+    newton = stacked(jets, batch, bath, kind, 2)
     assert isinstance(recursions[pos], DegenerateSteadyStateError)
-    assert isinstance(stencils[pos], BranchError)
-    for spec, rec, fd in zip(batch, recursions, stencils):
+    assert isinstance(newton[pos], BranchError)
+    for spec, rec, fd in zip(batch, recursions, newton):
         assert same_cumulants(rec, outcome(cumulants_perturbative, spec, bath, kind, 2))
         assert same_cumulants(fd, outcome(cumulants_finite_difference, spec, bath, kind, 2))
 
@@ -830,7 +829,7 @@ def test_degenerate_corner_same_cumulant_errors_on_both_routes(eps, temp_l, frac
 @st.composite
 def near_corners(draw):
     """Specs a relative 1e-8 off a corner on the right: the kernel is
-    isolated, but the stencils' eigenvalue is not separated
+    isolated, but the dominant eigenvalue is not separated at zero field
     (``fcs.SEPARATION_MIN``)."""
     corner = draw(corners())
     return replace(corner, gR12=(1.0 - 1e-8) * corner.gR12)
@@ -851,7 +850,7 @@ CORPUS = (seeded_conserving_specs() + seeded_leak_specs() + [spec for _, spec in
           + [CORNER, replace(CORNER, gR12=(1.0 - 1e-8) * CORNER.gR12), NEGATIVE_POPULATION,
              OVERFLOWING, NOT_FINITE])
 
-#: The stacked targets that render SeRR_fd, and so run the stencils.
+#: The stacked targets that render SeRR_fd, and so run the Newton core.
 STENCILS = sorted(target for target in STACKED if "SeRR_fd" in _TABLE[target][0])
 
 
@@ -860,7 +859,7 @@ def test_stacked_cells_match_the_point_routes_on_the_corpus(target):
     outcomes = assert_cells_match(target, CORPUS)
     # the two hot-edge specs are valid: one has no kernel, as have the
     # corner and the two near the float limit; the near corner has no
-    # branch where the stencils run
+    # branch where the Newton core runs
     branch = int(target in STENCILS)
     assert Counter(type(out).__name__ for out in outcomes) == Counter({
         "dict": 120 + 3 - branch, "DomainError": len(invalid_specs()) - 2,
@@ -899,7 +898,7 @@ def test_noise_cells_match_the_point_routes(target, batch):
 
 
 def test_noise_reports_the_kernel_error_before_the_branch_error():
-    # an exact corner fails both, a near one the stencil only, which only
+    # an exact corner fails both, a near one the Newton core only, which only
     # the targets that render SeRR_fd run
     near = replace(CORNER, gR12=(1.0 - 1e-8) * CORNER.gR12)
     fd = [outcome(cumulants_finite_difference, spec, "R", ENERGY, 2) for spec in (CORNER, near)]
@@ -972,7 +971,7 @@ def assert_one_stacked_call_per_stage(calls, matrices):
     ("fig2a", {}), ("fig2b", {}), ("fig21a", {}), ("fig5b", {})])
 def test_stacked_targets_take_one_stacked_call_per_stage(monkeypatch, target, calls):
     # the kernel, the recursion (its projected inverse by eliminating the
-    # coherences) and the stencils call no LAPACK routine.  calls maps a
+    # coherences) and the Newton core call no LAPACK routine.  calls maps a
     # routine to the matrices it is handed.
     routines = [name for name in dir(np.linalg)
                 if callable(routine := getattr(np.linalg, name)) and not isinstance(routine, type)]
@@ -983,7 +982,7 @@ def test_stacked_targets_take_one_stacked_call_per_stage(monkeypatch, target, ca
 
 @pytest.mark.parametrize("target", sorted(REPRODUCE_TARGETS))
 def test_reproduce_targets_call_no_eigvals(monkeypatch, target):
-    # the stencils' eigenvalues come from the Newton core, not from LAPACK
+    # the second cumulant route is the Newton core, not LAPACK
     calls = lapack_calls(monkeypatch, ["eigvals", "eig"])
     run(config_for_target(target))
     assert calls == []
@@ -1075,7 +1074,7 @@ def test_fig21b_row_takes_one_stacked_call_per_stage(monkeypatch):
     assert [n for n, error in enumerate(table["error"]) if error] == [1680]
     assert table["error"][-1].startswith("DegenerateSteadyStateError: kernel not isolated")
     assert table["SeRR"][-1] is table["SeRR_fd"][-1] is None
-    # the closed-form kernel, the recursion and the stencils' Newton core
+    # the closed-form kernel, the recursion and the Newton core
     # call no LAPACK routine
     assert_one_stacked_call_per_stage(calls, {})
 

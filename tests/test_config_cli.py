@@ -90,9 +90,16 @@ AXIS = {"field": "tempR", "min": 0.5, "max": 1.0, "steps": 2}
     ({"task": "steady", "output": {"format": "xml"}}, "output.format: expected one of"),
     ({"task": "cumulants", "cumulants": {"kind": "charge"}}, "cumulants.kind: expected one of"),
     ({"task": "cumulants", "cumulants": {"bath": "M"}}, "cumulants.bath: expected L or R, got 'M'"),
+    # both routes serve orders 1-4; order 5 once rendered order-2 values on
+    # the finite-difference row and an error on the perturbative one
+    ({"task": "cumulants", "cumulants": {"order": 5}},
+     "cumulants.order: expected an integer in 1..4, got 5"),
+    ({"task": "cumulants", "cumulants": {"order": 0}},
+     "cumulants.order: expected an integer in 1..4, got 0"),
 ], ids=["section-not-a-mapping", "unknown-task", "unknown-target", "target-with-another-task",
         "unknown-system-field", "system-value-not-a-number", "axes-not-a-list",
-        "axes-with-another-task", "unknown-format", "bad-kind", "bad-bath"])
+        "axes-with-another-task", "unknown-format", "bad-kind", "bad-bath", "order-past-4",
+        "order-0"])
 def test_config_rejection_names_the_key(raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         build_config(raw)

@@ -106,8 +106,8 @@ def test_perturbative_first_equals_direct():
 def test_perturbative_second_matches_finite_difference():
     for spec in FIGURE_SPECS:
         pert = cumulants_perturbative(spec, "R", ENERGY, order=2)
-        fd = cumulants_finite_difference(spec, "R", ENERGY, order=2, h=1e-4)
-        assert fd.noise_power == pytest.approx(pert.noise_power, rel=1e-4)
+        fd = cumulants_finite_difference(spec, "R", ENERGY, order=2)
+        assert fd.noise_power == pytest.approx(pert.noise_power, rel=1e-12)
 
 
 def test_perturbative_zero_counted_bath():
@@ -156,24 +156,35 @@ def test_finite_difference_equilibrium():
 
 def test_finite_difference_matches_direct():
     direct = first_cumulant_direct(MAX_BIAS_SPEC, "R", ENERGY)
-    fd = cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, order=1, h=1e-4)
+    fd = cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, order=1)
     assert fd.current == pytest.approx(direct, abs=1e-7)
 
 
 def test_finite_difference_step_guard():
-    with pytest.raises(UsageError):
-        cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, h=1e-7)
-    with pytest.raises(UsageError):
-        cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, h=0.1)
+    # the route takes exact Taylor coefficients: no step, in or out of the
+    # range [1e-6, 1e-2] that once bounded it
+    for h in (1e-7, 1e-4, 0.1):
+        with pytest.raises(TypeError):
+            cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, h=h)
 
 
 @pytest.mark.parametrize("h", ["x", True, np.bool_(True), 1e-4 + 0j, None], ids=repr)
 def test_finite_difference_rejects_a_step_that_is_not_a_real_number(h):
-    # "x" escaped as a TypeError from the range check, and True is an int
-    # to Python
-    with pytest.raises(UsageError,
-                       match=re.escape(f"finite-difference step must be a real number, got {h!r}")):
+    # no step argument at all: a fifth positional argument is refused
+    with pytest.raises(TypeError):
         cumulants_finite_difference(MAX_BIAS_SPEC, "R", ENERGY, 2, h)
+
+
+def test_finite_difference_serves_orders_1_to_4():
+    spec = two_bath_spec(0.7 * BOUND, 0.4 * BOUND)
+    for order in range(1, 5):
+        values = cumulants_finite_difference(spec, "R", ENERGY, order).values
+        assert len(values) == order
+        assert values == pytest.approx(cumulants_perturbative(spec, "R", ENERGY, order).values,
+                                       rel=1e-12)
+    for route in (cumulants_perturbative, cumulants_finite_difference):
+        with pytest.raises(UsageError, match=re.escape("cumulant order must be in 1..4, got 5")):
+            route(spec, "R", ENERGY, 5)
 
 
 def test_method_triangle_on_corpus(conserving_corpus):
@@ -250,7 +261,7 @@ def test_fluctuation_symmetry_broken_by_energy_leak():
 @pytest.mark.parametrize("call,builds,matrices", [
     (lambda spec: first_cumulant_direct(spec, "R", ENERGY), 1, 0),
     (lambda spec: cumulants_perturbative(spec, "R", ENERGY, order=4), 1, 0),
-    # the stencils' Newton core calls no eigvals
+    # the Newton core calls no eigvals
     (lambda spec: cumulants_finite_difference(spec, "R", ENERGY), 1, 0),
 ], ids=["direct", "perturbative", "finite_difference"])
 def test_cumulant_routes_build_rates_once(monkeypatch, call, builds, matrices):

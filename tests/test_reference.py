@@ -1,12 +1,14 @@
-"""A 50-digit reference for the cumulant recursion.
+"""A 50-digit reference for both cumulant routes.
 
 The float generator and its chi-derivatives (``build_generator``,
 ``generator_chi_derivative``) are taken as exact inputs, and the steady
 state, the projected inverse ``R = Q A^-1 Q`` and the recursion for
 ``E1``-``E4`` (``fcs.cumulants_perturbative``) are redone in ``mpmath`` at
 50 significant digits with dense matrices, Gaussian elimination and no
-structure of the generator.  What the float route gives differs from it by
-the route's own rounding only.
+structure of the generator.  What either float route gives, the recursion
+or Newton's method on the eigenvalue's determinant
+(``fcs.cumulants_finite_difference``), differs from it by that route's own
+rounding only.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from vflux.fcs import cumulants_perturbative, first_cumulant_direct, pseudo_inverse_R
+from vflux.fcs import (cumulants_finite_difference, cumulants_perturbative, first_cumulant_direct,
+                       pseudo_inverse_R)
 from vflux.liouvillian import build_generator, generator_chi_derivative
 from vflux.model import BATHS, KINDS, CountingFields
 
@@ -32,6 +35,11 @@ CORPUS = seeded_conserving_specs() + seeded_leak_specs() + [DETUNED_SPEC]
 #: odd ones are small where the spec is near equilibrium).  Each bound is
 #: about four times the measured worst.
 BOUNDS = (2e-12, 1e-14, 2e-12, 5e-14)
+
+#: The same for the Newton route (``fcs.cumulants_finite_difference``).
+#: Measured: 1.3e-13, 2.7e-15, 7.5e-13 and 1.8e-14, about four times under
+#: each bound.
+NEWTON_BOUNDS = (5e-13, 1e-14, 3e-12, 7e-14)
 
 #: Largest error of ``pseudo_inverse_R`` relative to the largest entry of
 #: the reference ``R``: measured 9.3e-16.
@@ -113,9 +121,9 @@ def reference_cumulants(spec, bath: str, kind: str, made=None, order: int = 4) -
 
 
 @mpmath.workdps(DIGITS)
-def relative_errors(spec, bath: str, kind: str, made=None) -> list:
-    """``|E_n - E_n^ref| / |E_n^ref|`` of ``cumulants_perturbative``, n = 1..4."""
-    values = cumulants_perturbative(spec, bath, kind, 4).values
+def relative_errors(spec, bath: str, kind: str, made=None, route=cumulants_perturbative) -> list:
+    """``|E_n - E_n^ref| / |E_n^ref|`` of ``route``, n = 1..4."""
+    values = route(spec, bath, kind, 4).values
     return [float(abs(x - ref) / abs(ref))
             for x, ref in zip(values, reference_cumulants(spec, bath, kind, made))]
 
@@ -131,6 +139,17 @@ def test_recursion_matches_the_50_digit_reference(references, bath, kind):
     worst = [max(column) for column in zip(*(relative_errors(spec, bath, kind, made)
                                              for spec, made in zip(CORPUS, references)))]
     assert all(error <= bound for error, bound in zip(worst, BOUNDS)), worst
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bath", BATHS)
+def test_newton_route_matches_the_50_digit_reference(references, bath, kind):
+    # the route reads the bare entries and the same H_n, so the reference
+    # holds it to the exact cumulants of its inputs too
+    worst = [max(column) for column in zip(*(
+        relative_errors(spec, bath, kind, made, cumulants_finite_difference)
+        for spec, made in zip(CORPUS, references)))]
+    assert all(error <= bound for error, bound in zip(worst, NEWTON_BOUNDS)), worst
 
 
 def test_projected_inverse_matches_the_50_digit_reference(references):
