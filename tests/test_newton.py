@@ -75,21 +75,28 @@ def assert_matches_the_recursion(spec, bath, kind):
         assert abs(x - y) <= max(RELATIVE * abs(y), OF_NOISE * abs(recursion[1])), (spec, n)
 
 
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-2])
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("bath", BATHS)
-def test_stack_gives_the_bits_of_one_point(bath, kind):
-    rates = RateSet(spec_arrays(CORPUS))
+def test_stack_gives_the_bits_of_one_point(bath, kind, gap):
+    # ``gap`` puts one more point with both cross couplings a relative gap
+    # below their bound: |f'|/s^2 is 3.8 gap there, so the rule keeps the
+    # gaps 1e-2 and 1e-4 (cumulants up to 1e5) and rejects 1e-6
+    at_gap = two_bath_spec((1.0 - gap) * BOUND, (1.0 - gap) * BOUND)
+    corpus = CORPUS + [at_gap]
+    rates = RateSet(spec_arrays(corpus))
     for order in range(1, 5):
         with np.errstate(over="ignore", invalid="ignore"):
             values, errors = _newton(rates, _sandwich_rates(rates, bath, kind, range(1, order + 1)))
         assert len(values) == order
         stacked = [errors[n,] if (n,) in errors else [float(v[n]).hex() for v in values]
-                   for n in range(len(CORPUS))]
-        assert stacked == [outcome(spec, bath, kind, order) for spec in CORPUS]
+                   for n in range(len(corpus))]
+        assert stacked == [outcome(spec, bath, kind, order) for spec in corpus]
         # the corner has no separated eigenvalue, the coupling-free spec none
         # at all, and no dressed rate of NOT_FINITE is finite
-        assert {CORPUS[n] for (n,) in errors} == {CORNER, NEAR_CORNER, NOT_FINITE, COUPLING_FREE}
-        assert errors[CORPUS.index(NOT_FINITE),] == "dressed generator is not finite"
+        failed = {CORNER, NEAR_CORNER, NOT_FINITE, COUPLING_FREE}
+        assert {corpus[n] for (n,) in errors} == failed | ({at_gap} if gap == 1e-6 else set())
+        assert errors[corpus.index(NOT_FINITE),] == "dressed generator is not finite"
 
 
 def test_fig4b_rows_give_the_bits_of_one_point():
